@@ -21,6 +21,7 @@ from .errors import (
     Infeasible,
     InfeasibleBeta,
     InvalidDistribution,
+    InvariantViolation,
     LengthMismatch,
     NonConvergence,
     NonpositiveAlternative,
@@ -110,6 +111,7 @@ __all__ = [
     "SizeOverflow",
     "DegenerateConfig",
     "EmptySample",
+    "InvariantViolation",
     # probability core
     "Pmf",
     "JointPmf",

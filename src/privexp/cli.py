@@ -125,9 +125,8 @@ def _cmd_exponent(args) -> tuple[dict, list[str]]:
         theta = binary_tai_exponent(args.q, _req(args, "rate"), _req(args, "leak"))
         payload = {"method": method, "theta_bits": theta}
     elif method == "tai":
-        cfg = _search_config(args)
         res = tai_exponent(
-            _null(args), _req(args, "rate"), _req(args, "leak"), cfg
+            _null(args), _req(args, "rate"), _req(args, "leak"), _tai_config(args)
         )
         payload = {"method": method, **res.to_dict()}
     elif method == "zero-rate":
@@ -177,6 +176,13 @@ def _search_config(args) -> SearchConfig | None:
     return SearchConfig(**kwargs) if kwargs else None
 
 
+def _tai_config(args) -> SearchConfig | None:
+    """Search config for the independence search, which has no refinement."""
+    if getattr(args, "refine_rounds", None) is not None:
+        raise ToolkitError("--refine-rounds steers only the thm1 and cor2 methods")
+    return _search_config(args)
+
+
 def _cmd_sweep(args) -> tuple[dict, list[str]]:
     rates = _parse_values(args.rate)
     leaks = _parse_values(args.leak)
@@ -188,8 +194,8 @@ def _cmd_sweep(args) -> tuple[dict, list[str]]:
             for l in leaks:
                 rows.append((r, l, binary_tai_exponent(args.q, r, l)))
     else:  # tai
+        cfg = _tai_config(args)
         p_xy = _null(args)
-        cfg = _search_config(args)
         for r in rates:
             for l in leaks:
                 rows.append((r, l, tai_exponent(p_xy, r, l, cfg).theta))
@@ -331,7 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common_search(p):
         p.add_argument("--grid-step", type=float, default=None)
-        p.add_argument("--refine-rounds", type=int, default=None)
+        p.add_argument("--refine-rounds", type=int, default=None,
+                       help="coordinate refinement rounds; steers only the thm1 "
+                            "and cor2 methods, and tai refuses it")
         p.add_argument("--restrict-bsc", action="store_true")
 
     p = sub.add_parser("exponent", help="single exponent query")

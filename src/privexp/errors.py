@@ -24,6 +24,7 @@ __all__ = [
     "SizeOverflow",
     "DegenerateConfig",
     "EmptySample",
+    "InvariantViolation",
 ]
 
 
@@ -102,3 +103,7 @@ class DegenerateConfig(ToolkitError):
 
 class EmptySample(ToolkitError):
     """An estimator was handed an empty sample."""
+
+
+class InvariantViolation(ToolkitError):
+    """An internal invariant (data processing, dual certificate) failed."""

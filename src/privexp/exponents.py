@@ -4,7 +4,11 @@ The single-letter objects here are optimizations over two finite channels: a
 privacy mechanism (X to Xh) constrained by I(X;Xh) <= L and a quantizer
 (Xh to U) constrained by I(U;Xh) <= R. ``tai_exponent`` maximizes I(U;Y)
 (testing against independence, where this is exact); ``theorem1_lower_bound``
-maximizes an inner I-projection value against a general alternative.
+maximizes an inner I-projection value against a general alternative. The
+inner value builds the (U, Xh, X, Y) chains under both laws with one
+``einsum`` each and takes its (U, Y) and (U, Xh) targets as axis sums of the
+null chain. The search amplifies round-off, so this arithmetic order is part
+of its result.
 
 Search strategy: a coarse lexicographic grid over channel rows (candidates
 violating a constraint are discarded, never relaxed) supplies seeds, and a
@@ -33,6 +37,7 @@ from .errors import (
     AlphabetMismatch,
     DimensionMismatch,
     DomainError,
+    InvariantViolation,
     NonpositiveAlternative,
 )
 from .iproject import Infeasible, MarginalConstraint, SupportMismatch, i_project
@@ -42,7 +47,7 @@ from .probcore import (
     Pmf,
     binary_entropy,
     binary_entropy_inv,
-    chain_joint,
+    chain_joint,  # unused here; kept as a module attribute for perfbench's probe
     star,
 )
 
@@ -84,6 +89,16 @@ class SearchConfig:
     restrict_bsc: bool = False
     # general-alternative search only: shortlisted pairs that get the inner solver
     inner_shortlist: int = 48
+
+    def __post_init__(self):
+        if not (math.isfinite(self.grid_step) and 0.0 < self.grid_step <= 1.0):
+            raise DomainError(f"grid_step {self.grid_step!r} outside (0, 1]")
+        for name in ("mechanism_budget", "quantizer_budget", "top_k", "line_scan",
+                     "inner_shortlist"):
+            if not getattr(self, name) >= 1:
+                raise DomainError(f"{name} {getattr(self, name)!r} must be at least 1")
+        if not self.refine_rounds >= 0:
+            raise DomainError(f"refine_rounds {self.refine_rounds!r} must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +264,8 @@ class _TaiSpace:
             self.i_uy[lo:hi] = _mi_batch(j_uy)
         # data-processing sanity: I(U;Y) can exceed neither I(U;Xh) nor I(X;Y)
         cap = np.minimum(self.i_uxh, self.i_xy)
-        assert np.all(self.i_uy <= cap + 1e-8), "data-processing violation in grid"
+        if not np.all(self.i_uy <= cap + 1e-8):
+            raise InvariantViolation("data-processing violation in grid")
 
 
 _SPACE_CACHE: dict = {}
@@ -556,7 +572,10 @@ def tai_exponent(
     mech = np.clip(mech, 0.0, None)
     quant = np.clip(quant, 0.0, None)
     i_xxh, i_uxh, i_uy = _single_point(p, p_x, mech, quant)
-    assert i_uy <= min(i_uxh, space.i_xy) + 1e-8
+    if not i_uy <= min(i_uxh, space.i_xy) + 1e-8:
+        raise InvariantViolation(
+            f"data-processing violation at the returned point: I(U;Y)={i_uy!r}"
+        )
     return ExponentResult(
         theta=max(best_val, 0.0),
         bound_kind="exact",
@@ -614,20 +633,24 @@ def _inner_min(ref_chain: JointPmf, constraints) -> tuple[float, JointPmf | None
     return res.min_kl, res.argmin
 
 
-def _thm1_objective_factory(p_xy: JointPmf, q_xy: JointPmf, rate, leak, shapes, p):
+def _thm1_objective_factory(q_xy: JointPmf, rate, leak, shapes, p):
     p_x = p.sum(axis=1)
+    q = _as_joint2(q_xy)
+    (_, xhat_size), (_, u_size) = shapes
+    axes = ("U", "Xh", "X", "Y")
+    alphabets = (tuple(range(u_size)), tuple(range(xhat_size)), *q_xy.alphabets)
+    x_marginal = MarginalConstraint(("X",), p_x, "x-marginal")
 
     def inner_value(mech: np.ndarray, quant: np.ndarray):
-        mech_c = Channel(np.clip(mech, 0.0, None))
-        quant_c = Channel(np.clip(quant, 0.0, None))
-        null_chain = chain_joint(p_xy, mech_c, quant_c)
-        ref = chain_joint(q_xy, mech_c, quant_c)
+        """Inner I-projection value; ``mech`` and ``quant`` are already clipped."""
+        null_chain = np.einsum("hu,xh,xy->uhxy", quant, mech, p)
+        ref = np.einsum("hu,xh,xy->uhxy", quant, mech, q)
         cons = [
-            MarginalConstraint(("X",), p_x, "x-marginal"),
-            MarginalConstraint(("U", "Y"), null_chain.marginal("U", "Y").probs, "uy"),
-            MarginalConstraint(("U", "Xh"), null_chain.marginal("U", "Xh").probs, "uxh"),
+            x_marginal,
+            MarginalConstraint(("U", "Y"), null_chain.sum(axis=(1, 2)), "uy"),
+            MarginalConstraint(("U", "Xh"), null_chain.sum(axis=(2, 3)), "uxh"),
         ]
-        return _inner_min(ref, cons)
+        return _inner_min(JointPmf(ref, axes, alphabets), cons)
 
     def objective(theta):
         mech, quant = _build_channels(theta, shapes, False)
@@ -682,7 +705,7 @@ def theorem1_lower_bound(
     )
     masked = np.where(feasible, space.i_uy, -np.inf)
     order = np.argsort(-masked, axis=None, kind="stable")
-    order = [int(i) for i in order if np.isfinite(masked.flat[i])]
+    order = order[np.isfinite(masked.reshape(-1)[order])].tolist()
     if not order:
         raise Infeasible("no feasible channel pair on the search grid")
     shortlist = order[: cfg.inner_shortlist]
@@ -691,7 +714,7 @@ def theorem1_lower_bound(
         shortlist += order[cfg.inner_shortlist::stride][:16]
 
     shapes = ((kx, xhat_size), (xhat_size, u_size))
-    objective, inner_value = _thm1_objective_factory(p_xy, q_xy, rate, leak, shapes, p)
+    objective, inner_value = _thm1_objective_factory(q_xy, rate, leak, shapes, p)
 
     nq = space.quants.shape[0]
     best_val, best_theta = -math.inf, None

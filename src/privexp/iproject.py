@@ -4,9 +4,13 @@
 tensor so one marginal matches its target exactly. For linear
 (fixed-marginal) constraint families this is coordinate ascent on the
 concave dual of the projection problem, so the dual objective is
-nondecreasing step by step and converges to the primal minimum; the solver
-asserts that certificate every sweep. The primal value D(iterate || ref) is
-*not* monotone in general and is only reported.
+nondecreasing step by step and converges to the primal minimum. Each call
+plans every constraint once (axes to sum out, broadcast shape, positive
+cells of the target), so a sweep costs one reduction, one ratio, one
+in-place rescale and one dual increment per constraint. The dual value is
+recorded every sweep and a decrease raises ``InvariantViolation``; the
+primal value D(iterate || ref), which is not monotone in general, is
+computed once, at convergence.
 
 ``brute_force_i_project`` is the independent oracle: it parameterizes the
 feasible polytope explicitly (particular solution plus null-space basis) and
@@ -24,7 +28,13 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.special import xlogy
 
-from .errors import DimensionMismatch, Infeasible, SupportMismatch, TooLarge
+from .errors import (
+    DimensionMismatch,
+    Infeasible,
+    InvariantViolation,
+    SupportMismatch,
+    TooLarge,
+)
 from .probcore import JointPmf, _check_weights, _kl_bits
 
 __all__ = [
@@ -68,8 +78,6 @@ class IProjectionResult:
     residual: float = 0.0
     # dual ascent certificate, one value per sweep (nondecreasing)
     dual_trace: tuple = field(default_factory=tuple)
-    # primal D(iterate || ref) per sweep; informational only
-    primal_trace: tuple = field(default_factory=tuple)
 
 
 def _constraint_views(reference: JointPmf, constraints) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -92,16 +100,16 @@ def _constraint_views(reference: JointPmf, constraints) -> list[tuple[tuple[int,
     return views
 
 
-def _marginal(P: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    drop = tuple(i for i in range(P.ndim) if i not in keep)
-    return P.sum(axis=drop)
-
-
-def _expand(arr: np.ndarray, keep: tuple[int, ...], ndim: int) -> np.ndarray:
-    idx = [None] * ndim
-    for axis in keep:
-        idx[axis] = slice(None)
-    return arr[tuple(idx)]
+def _plan(shape: tuple[int, ...], views) -> list[tuple]:
+    """Per constraint: kept axes, axes to sum out, broadcast shape, target,
+    its positive cells and their values."""
+    plan = []
+    for keep, target in views:
+        drop = tuple(i for i in range(len(shape)) if i not in keep)
+        bshape = tuple(k if i in keep else 1 for i, k in enumerate(shape))
+        pos = target > 0
+        plan.append((keep, drop, bshape, target, pos, target[pos]))
+    return plan
 
 
 def i_project(
@@ -119,11 +127,11 @@ def i_project(
     ref = np.asarray(reference.probs, dtype=float)
     views = _constraint_views(reference, constraints)
     if not views:
-        return IProjectionResult(0.0, reference, 0, True, 0.0, (), ())
+        return IProjectionResult(0.0, reference, 0, True, 0.0, ())
+    plan = _plan(ref.shape, views)
 
-    for keep, target in views:
-        m = _marginal(ref, keep)
-        if np.any((target > 0) & (m <= 0)):
+    for keep, drop, _, _, pos, _ in plan:
+        if np.any(pos & (np.add.reduce(ref, axis=drop) <= 0)):
             raise SupportMismatch(
                 f"constraint on axes {keep} requires mass outside the reference support"
             )
@@ -131,34 +139,34 @@ def i_project(
     P = ref.copy()
     dual = 0.0
     dual_trace: list[float] = []
-    primal_trace: list[float] = []
     best_resid = math.inf
     stall = 0
 
     for sweep in range(1, int(max_iter) + 1):
-        for keep, target in views:
-            cur = _marginal(P, keep)
-            dead = (target > 0) & (cur <= 0)
-            if np.any(dead):
-                raise SupportMismatch(
-                    f"constraint on axes {keep} lost support during scaling; "
-                    "constraints are jointly unsatisfiable on this reference"
-                )
-            ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
-            P *= _expand(ratio, keep, P.ndim)
-            pos = target > 0
-            dual += float((target[pos] * np.log2(ratio[pos])).sum())
+        for keep, drop, bshape, target, pos, target_pos in plan:
+            cur = np.add.reduce(P, axis=drop)
+            if cur.all():
+                ratio = target / cur
+            else:
+                if np.any(pos & (cur <= 0)):
+                    raise SupportMismatch(
+                        f"constraint on axes {keep} lost support during scaling; "
+                        "constraints are jointly unsatisfiable on this reference"
+                    )
+                ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
+            P *= ratio.reshape(bshape)
+            dual += float((target_pos * np.log2(ratio[pos])).sum())
 
         resid = max(
-            0.5 * np.abs(_marginal(P, keep) - target).sum() for keep, target in views
+            0.5 * np.abs(np.add.reduce(P, axis=drop) - target).sum()
+            for _, drop, _, target, _, _ in plan
         )
-        if dual_trace:
-            assert dual >= dual_trace[-1] - 1e-8, (
+        if dual_trace and not dual >= dual_trace[-1] - 1e-8:
+            raise InvariantViolation(
                 f"dual certificate decreased at sweep {sweep}: "
                 f"{dual_trace[-1]} -> {dual}"
             )
         dual_trace.append(dual)
-        primal_trace.append(_kl_bits(P.reshape(-1), ref.reshape(-1)))
 
         if resid <= tol:
             total = P.sum()
@@ -170,7 +178,6 @@ def i_project(
                 converged=True,
                 residual=float(resid),
                 dual_trace=tuple(dual_trace),
-                primal_trace=tuple(primal_trace),
             )
 
         if resid < best_resid - 1e-14:

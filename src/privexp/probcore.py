@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InvalidDistribution,
+    InvariantViolation,
     LengthMismatch,
 )
 
@@ -405,7 +406,8 @@ def marginalize(joint: JointPmf, axis: str | int) -> Pmf:
     """Single-axis marginal as a Pmf."""
     name = joint.axes[axis] if isinstance(axis, int) else axis
     out = joint.marginal(name)
-    assert isinstance(out, Pmf)
+    if not isinstance(out, Pmf):
+        raise InvariantViolation(f"single-axis marginal of {name!r} is not a Pmf")
     return out
 
 

@@ -191,6 +191,28 @@ def test_missing_method_argument_is_a_config_error():
                      "--rate", "1", "--leak", "1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["exponent", "sweep"])
+def test_tai_refuses_refine_rounds(command, null_law_path, capsys):
+    # the independence search has no coordinate refinement to steer
+    code = cli.main([command, "--method", "tai", "--null", null_law_path,
+                     "--rate", "0.5", "--leak", "0.5", "--refine-rounds", "2"])
+    assert code == 2
+    assert "--refine-rounds" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert "only the thm1 and cor2" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+def test_bad_grid_step_is_a_config_error(step, null_law_path, capsys):
+    code = cli.main(["exponent", "--method", "tai", "--null", null_law_path,
+                     "--rate", "0.5", "--leak", "0.5", "--grid-step", step])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_step")
+    assert "Traceback" not in err
+
+
 def test_malformed_config_is_a_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p_xy": {"kind": "joint"}}))

@@ -31,6 +31,13 @@ THM1_PRODUCT_R1_L1 = 0.5310044064107192
 THM1_PRODUCT_R05_L05 = 0.16115613439575888
 # independent numeric minimization of the zero-rate objective agrees to 5e-17
 ZERO_RATE_MIXED = 0.15521622802476653
+# general-alternative searches against the non-product law ALT, frozen from
+# this package's optimizer; the search amplifies round-off, so these also pin
+# the arithmetic order of the inner projection
+NULL = [[0.4, 0.1], [0.1, 0.4]]
+ALT = [[0.2, 0.3], [0.25, 0.25]]
+THM1_ALT_R01_L01 = 0.016442348527723246
+COR2_ALT_R025 = 0.12545723572984857
 
 
 def dsbs(eps: float) -> JointPmf:
@@ -168,6 +175,17 @@ def test_search_monotone_in_budgets():
     assert lo <= mid + 1e-9 <= hi + 2e-9
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grid_step", 0.0), ("grid_step", -1.0), ("grid_step", 1.5),
+    ("grid_step", float("nan")), ("grid_step", float("inf")),
+    ("mechanism_budget", 0), ("quantizer_budget", 0), ("top_k", 0),
+    ("line_scan", 0), ("inner_shortlist", 0), ("refine_rounds", -1),
+])
+def test_search_config_rejects_out_of_domain_fields(field, value):
+    with pytest.raises(DomainError, match=field):
+        SearchConfig(**{field: value})
+
+
 def test_search_input_validation():
     with pytest.raises(DomainError):
         tai_exponent(dsbs(0.1), -1.0, 0.5)
@@ -197,6 +215,14 @@ def test_lower_bound_is_below_the_search_value(product_uniform):
     assert res.theta == pytest.approx(THM1_PRODUCT_R05_L05, abs=1e-9)
     assert res.theta <= TAI_R05_L05 + 1e-9
     assert res.inner_witness is not None
+
+
+def test_lower_bound_non_product_anchor():
+    p = JointPmf(np.array(NULL), ("X", "Y"))
+    q = JointPmf(np.array(ALT), ("X", "Y"))
+    res = theorem1_lower_bound(p, q, 0.1, 0.1)
+    assert res.theta == pytest.approx(THM1_ALT_R01_L01, abs=1e-12)
+    assert corollary2_bound(p, q, 0.25).theta == pytest.approx(COR2_ALT_R025, abs=1e-12)
 
 
 def test_lower_bound_validation(product_uniform):

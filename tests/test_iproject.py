@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from privexp import (
+    Channel,
     Infeasible,
     IProjectionResult,
     JointPmf,
@@ -13,6 +14,7 @@ from privexp import (
     SupportMismatch,
     TooLarge,
     brute_force_i_project,
+    chain_joint,
     i_project,
     kl_divergence,
 )
@@ -74,8 +76,8 @@ def test_dual_certificate_monotone_every_sweep():
         trace = np.asarray(res.dual_trace)
         assert trace.size == res.iterations
         assert np.all(np.diff(trace) >= -1e-8), f"instance {k}"
-        # the final primal value is the reported minimum
-        assert res.primal_trace[-1] == pytest.approx(res.min_kl, abs=1e-9)
+        # the reported minimum is the primal value of the reported argmin
+        assert kl_divergence(res.argmin, ref) == pytest.approx(res.min_kl, abs=1e-12)
 
 
 def test_pythagorean_identity():
@@ -109,6 +111,24 @@ def test_support_mismatch_raises():
     bad = [MarginalConstraint(("X",), np.array([0.5, 0.5]), "x")]
     with pytest.raises(SupportMismatch):
         i_project(ref, bad)
+
+
+def test_support_mismatch_on_four_axis_chain():
+    # U = Xh = X, so the reference (U, Y) marginal is the alternative itself,
+    # whose (1, 1) cell is empty while the null law needs mass there
+    null = JointPmf(np.array([[0.45, 0.05], [0.05, 0.45]]), ("X", "Y"))
+    alt = JointPmf(np.array([[0.3, 0.4], [0.3, 0.0]]), ("X", "Y"))
+    ident = Channel.identity(2)
+    ref = chain_joint(alt, ident, ident)
+    target = chain_joint(null, ident, ident)
+    constraints = [
+        MarginalConstraint(("X",), null.probs.sum(axis=1), "x-marginal"),
+        MarginalConstraint(("U", "Y"), target.marginal("U", "Y").probs, "uy"),
+        MarginalConstraint(("U", "Xh"), target.marginal("U", "Xh").probs, "uxh"),
+    ]
+    assert ref.marginal("U", "Y").probs[1, 1] == 0.0
+    with pytest.raises(SupportMismatch):
+        i_project(ref, constraints)
 
 
 def test_contradictory_constraints_raise_infeasible():

@@ -1,12 +1,15 @@
 """Unit tests for the probability core: laws, divergences, types, channels."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import privexp
 from privexp import (
     Channel,
     DimensionMismatch,
@@ -305,3 +308,19 @@ def test_total_variation_bounds(p, q):
     tv = total_variation(p, q)
     assert -1e-12 <= tv <= 1.0 + 1e-12
     assert tv == pytest.approx(total_variation(q, p), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# package source
+
+
+def test_library_has_no_assert_statements():
+    # invariants must raise InvariantViolation; asserts vanish under python -O
+    src = Path(privexp.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
