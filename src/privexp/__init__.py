@@ -23,7 +23,6 @@ from .errors import (
     InvalidDistribution,
     InvariantViolation,
     LengthMismatch,
-    NonConvergence,
     NonpositiveAlternative,
     SizeOverflow,
     SupportMismatch,
@@ -106,7 +105,6 @@ __all__ = [
     "NonpositiveAlternative",
     "ZeroSupport",
     "DegenerateMarginal",
-    "NonConvergence",
     "InfeasibleBeta",
     "SizeOverflow",
     "DegenerateConfig",

@@ -17,19 +17,15 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    Infeasible,
-    NonConvergence,
-    SizeOverflow,
-    TooLarge,
-    ToolkitError,
-)
+from .errors import Infeasible, SizeOverflow, TooLarge, ToolkitError
 from .euclid import binary_euclid_approx, euclid_tai_approx
 from .exponents import (
+    THM1_SEARCH,
     SearchConfig,
     binary_tai_exponent,
     corollary2_bound,
@@ -165,7 +161,9 @@ def _alt(args) -> JointPmf:
     return _load_joint(args.alt)
 
 
-def _search_config(args) -> SearchConfig | None:
+def _search_config(args) -> SearchConfig:
+    """The method's default search config with the given flags applied."""
+    base = THM1_SEARCH if args.method in ("thm1", "cor2") else SearchConfig()
     kwargs = {}
     if getattr(args, "grid_step", None) is not None:
         kwargs["grid_step"] = args.grid_step
@@ -173,10 +171,10 @@ def _search_config(args) -> SearchConfig | None:
         kwargs["refine_rounds"] = args.refine_rounds
     if getattr(args, "restrict_bsc", False):
         kwargs["restrict_bsc"] = True
-    return SearchConfig(**kwargs) if kwargs else None
+    return replace(base, **kwargs)
 
 
-def _tai_config(args) -> SearchConfig | None:
+def _tai_config(args) -> SearchConfig:
     """Search config for the independence search, which has no refinement."""
     if getattr(args, "refine_rounds", None) is not None:
         raise ToolkitError("--refine-rounds steers only the thm1 and cor2 methods")
@@ -266,9 +264,9 @@ def _cmd_simulate(args) -> tuple[dict, list[str]]:
     if cfg.scheme_kind == "general":
         if q_xy is None:
             raise ToolkitError("the general scheme needs q_xy in the config")
-        report = run_general_scheme(cfg, p_xy, q_xy, threads=args.threads)
+        report = run_general_scheme(cfg, p_xy, q_xy)
     else:
-        report = run_memoryless_scheme(cfg, p_xy, threads=args.threads)
+        report = run_memoryless_scheme(cfg, p_xy)
     payload = report.to_dict()
     return payload, _write_json(payload, args.out)
 
@@ -300,7 +298,7 @@ def _cmd_selftest(args) -> tuple[dict, list[str]]:
     }
     results["euclid"] = {
         "binary_closed_form": binary_euclid_approx(0.1, 0.01, 0.01),
-        "solver": euclid_tai_approx(dsbs, 0.01, 0.01, seed=seed).value,
+        "solver": euclid_tai_approx(dsbs, 0.01, 0.01).value,
     }
     results["tai_search_bsc"] = tai_exponent(
         dsbs, 0.5, 0.5, SearchConfig(restrict_bsc=True)
@@ -386,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float)
     p.add_argument("--scheme", choices=["general", "memoryless"])
     p.add_argument("--hypothesis", choices=["null", "alt"])
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
@@ -407,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SizeOverflow, TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return SIZE_EXIT
-    except (Infeasible, NonConvergence) as e:
+    except Infeasible as e:
         print(f"error: {e}", file=sys.stderr)
         return INFEASIBLE_EXIT
     except (ToolkitError, ValueError, OSError, KeyError, TypeError) as e:

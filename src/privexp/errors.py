@@ -19,7 +19,6 @@ __all__ = [
     "NonpositiveAlternative",
     "ZeroSupport",
     "DegenerateMarginal",
-    "NonConvergence",
     "InfeasibleBeta",
     "SizeOverflow",
     "DegenerateConfig",
@@ -83,10 +82,6 @@ class ZeroSupport(ToolkitError):
 
 class DegenerateMarginal(ToolkitError):
     """A marginal needed for weighting has a zero entry."""
-
-
-class NonConvergence(ToolkitError):
-    """Iterative solver failed to converge within its restart budget."""
 
 
 class InfeasibleBeta(ToolkitError):

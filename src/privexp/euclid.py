@@ -2,10 +2,11 @@
 
 When both budgets are near zero, every conditional law is a local perturbation
 of the corresponding marginal and each KL term collapses to a weighted squared
-norm. The exponent then becomes a bilinear eigenvalue problem tied to the
-weighted channel matrix B(y, x) = P(x, y) / sqrt(P(x) P(y)), whose top
-singular pair (sqrt-marginals, value 1) carries no information; the curvature
-lives in the second singular value.
+norm (Euclidean information theory). The exponent then becomes a bilinear
+problem in the weighted channel matrix B(y, x) = P(x, y) / sqrt(P(x) P(y)),
+whose top singular pair (sqrt-marginals, value 1) carries no information; the
+curvature lives in the second singular value, so one SVD of B gives the value
+and the optimal perturbations in closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (
     DegenerateMarginal,
     DimensionMismatch,
     DomainError,
-    NonConvergence,
     ZeroSupport,
 )
 from .probcore import JointPmf, Pmf
@@ -84,134 +84,58 @@ class PerturbationSet:
 class EuclidResult:
     value: float
     perturbations: PerturbationSet
-    iterations: int
-    converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "theta_bits": self.value,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return {"theta_bits": self.value}
 
 
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0 else v
+def _check_budgets(rate: float, leak: float) -> None:
+    if not (0.0 <= rate < math.inf and 0.0 <= leak < math.inf):
+        raise DomainError(
+            f"rate {rate!r} and leak {leak!r} must be finite and nonnegative"
+        )
 
 
-def _top_eigvec(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    vals, vecs = np.linalg.eigh(mat)
-    return _sign_fix(vecs[:, -1]), float(vals[-1])
-
-
-def _objective(b, p_u, k_u, k_xhat, sqrt_pxh) -> float:
-    # K columns are the mechanism perturbations; rows of k_xhat are k_xhat^T
-    a = b @ k_xhat.T @ (sqrt_pxh[:, None] * k_u.T)
-    return 0.5 * _LOG2E * float(np.sum(p_u * np.sum(a * a, axis=0)))
-
-
-def euclid_tai_approx(
-    p_xy: JointPmf,
-    rate: float,
-    leak: float,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    restarts: int = 8,
-    seed: int = 0,
-) -> EuclidResult:
+def euclid_tai_approx(p_xy: JointPmf, rate: float, leak: float) -> EuclidResult:
     """Approximate independence-testing exponent for small rate and leak.
 
-    Alternates two exact eigenvector updates: the quantizer perturbation
-    given the mechanism, then the mechanism given the quantizer. Both budget
-    constraints are tight at the optimum and both marginals are preserved to
-    first order. The intermediate alphabet mirrors the source alphabet.
+    The value is 2 ln 2 * sigma_2^2 * rate * leak, with sigma_2 the second
+    singular value of the whitened channel. Both perturbations point along g,
+    the unit second right singular vector (orthogonal to sqrt(P_X)): the
+    quantizer moves U = 0, 1 by +-g around P_Xh = P_X and the mechanism row
+    of x by g(x) / sqrt(P_X(x)) * g. Both budgets are spent with equality and
+    both marginals are preserved to first order. The intermediate alphabet
+    mirrors the source alphabet.
     """
-    if rate < 0.0 or leak < 0.0:
-        raise DomainError("rate and leak must be nonnegative")
+    _check_budgets(rate, leak)
     b = build_weighted_matrix(p_xy)
     kx = b.shape[1]
-    p_x = np.asarray(p_xy.probs, dtype=float).sum(axis=1)
-    p_xhat = p_x.copy()
-    sqrt_px = np.sqrt(p_x)
-    sqrt_pxh = np.sqrt(p_xhat)
+    p_xhat = np.asarray(p_xy.probs, dtype=float).sum(axis=1)
+    p_u = np.array([0.5, 0.5])
+    _, sing, vh = np.linalg.svd(b)
+    sigma2_sq = float(sing[1]) ** 2 if sing.size > 1 else 0.0
+    if rate == 0.0 or leak == 0.0 or sigma2_sq < 1e-15:
+        # a zero budget, or a rank-one whitened channel: nothing to gain
+        zero = PerturbationSet(p_u, np.zeros((2, kx)), p_xhat, np.zeros((kx, kx)))
+        return EuclidResult(0.0, zero)
+
+    # when sigma_2 = 1 the top two right singular vectors may both lean on
+    # sqrt(P_X); the larger remainder after removing it is the direction g
+    sqrt_px = np.sqrt(p_xhat)
+    cand = vh[:2] - np.outer(vh[:2] @ sqrt_px, sqrt_px)
+    g = cand[int(np.argmax(np.linalg.norm(cand, axis=1)))]
+    g /= np.linalg.norm(g)
     rho_r = 2.0 * rate / _LOG2E
     rho_l = 2.0 * leak / _LOG2E
-
-    if rate == 0.0 or leak == 0.0:
-        zero = PerturbationSet(
-            p_u=np.array([0.5, 0.5]),
-            k_u=np.zeros((2, kx)),
-            p_xhat=p_xhat,
-            k_xhat=np.zeros((kx, kx)),
-        )
-        return EuclidResult(0.0, zero, 0, True)
-
-    proj_xh = np.eye(kx) - np.outer(sqrt_pxh, sqrt_pxh)
-    proj_x = np.eye(kx) - np.outer(sqrt_px, sqrt_px)
-    gram = b.T @ b
-    p_u = np.array([0.5, 0.5])
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    _, lam2 = _top_eigvec(proj_x @ gram @ proj_x)
-    if lam2 < 1e-15:
-        # the whitened channel is rank one: nothing survives projection
-        zero = PerturbationSet(
-            p_u=p_u,
-            k_u=np.zeros((2, kx)),
-            p_xhat=p_xhat,
-            k_xhat=np.zeros((kx, kx)),
-        )
-        return EuclidResult(0.0, zero, 0, True)
-
-    best: EuclidResult | None = None
-    for _ in range(max(1, restarts)):
-        k_xhat = rng.standard_normal((kx, kx)) @ proj_x  # rows k_xhat^T
-        norm = np.sqrt(np.sum(p_xhat * np.sum(k_xhat**2, axis=1)))
-        if norm > 0:
-            k_xhat *= math.sqrt(rho_l) / norm
-        prev = -1.0
-        converged = False
-        it = 0
-        for it in range(1, max_iter + 1):
-            # quantizer step: top eigenvector orthogonal to sqrt(P_Xh)
-            a_mat = b @ k_xhat.T @ np.diag(sqrt_pxh)
-            v, _ = _top_eigvec(proj_xh @ (a_mat.T @ a_mat) @ proj_xh)
-            v = proj_xh @ v
-            nv = np.linalg.norm(v)
-            if nv < 1e-14:
-                break
-            v /= nv
-            k_u = np.vstack([v, -v]) * math.sqrt(rho_r)
-            # mechanism step: align every row with the informative direction
-            g, _ = _top_eigvec(proj_x @ gram @ proj_x)
-            g = proj_x @ g
-            g /= np.linalg.norm(g)
-            coeff = sqrt_pxh * v / p_xhat
-            k_xhat = math.sqrt(rho_l) * np.outer(coeff, g)
-            val = _objective(b, p_u, k_u, k_xhat, sqrt_pxh)
-            if abs(val - prev) <= tol * max(1.0, abs(val)):
-                converged = True
-                prev = val
-                break
-            prev = val
-        if converged and (best is None or prev > best.value):
-            best = EuclidResult(
-                value=prev,
-                perturbations=PerturbationSet(p_u, k_u, p_xhat, k_xhat),
-                iterations=it,
-                converged=True,
-            )
-
-    if best is None:
-        raise NonConvergence(f"no restart converged within {max_iter} sweeps")
-    return best
+    k_u = math.sqrt(rho_r) * np.vstack([g, -g])
+    k_xhat = math.sqrt(rho_l) * np.outer(g / sqrt_px, g)
+    value = (2.0 / _LOG2E) * sigma2_sq * rate * leak
+    return EuclidResult(value, PerturbationSet(p_u, k_u, p_xhat, k_xhat))
 
 
 def binary_euclid_approx(q_noise: float, rate: float, leak: float) -> float:
     """Closed form of the quadratic approximation for the symmetric binary case."""
     if not 0.0 <= q_noise <= 1.0:
         raise DomainError(f"noise {q_noise!r} outside [0, 1]")
-    if rate < 0.0 or leak < 0.0:
-        raise DomainError("rate and leak must be nonnegative")
+    _check_budgets(rate, leak)
     return (2.0 / _LOG2E) * (1.0 - 2.0 * q_noise) ** 2 * rate * leak

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -53,6 +54,7 @@ from .probcore import (
 
 __all__ = [
     "SearchConfig",
+    "THM1_SEARCH",
     "ExponentResult",
     "binary_tai_exponent",
     "tai_exponent",
@@ -99,6 +101,11 @@ class SearchConfig:
                 raise DomainError(f"{name} {getattr(self, name)!r} must be at least 1")
         if not self.refine_rounds >= 0:
             raise DomainError(f"refine_rounds {self.refine_rounds!r} must be nonnegative")
+
+
+# defaults of the Theorem-1 and Corollary-2 searches, whose inner I-projection
+# makes every grid pair costly
+THM1_SEARCH = SearchConfig(grid_step=1 / 8, quantizer_budget=800, mechanism_budget=300)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,9 +331,7 @@ def _build_channels(theta: np.ndarray, shapes, bsc: bool) -> tuple[np.ndarray, n
     return mech, quant
 
 
-def _param_box(theta: np.ndarray, i: int, shapes, bsc: bool) -> tuple[float, float]:
-    if bsc:
-        return 0.0, 0.5
+def _param_box(theta: np.ndarray, i: int, shapes) -> tuple[float, float]:
     (kx, kh), (kh2, ku) = shapes
     nm = kx * (kh - 1)
     if i < nm:
@@ -341,7 +346,7 @@ def _param_box(theta: np.ndarray, i: int, shapes, bsc: bool) -> tuple[float, flo
     return 0.0, float(theta[i] + slack)
 
 
-def _coordinate_refine(theta0, objective, shapes, bsc, rounds, scan, skip=0):
+def _coordinate_refine(theta0, objective, shapes, rounds, scan, skip=0):
     """Maximize via per-coordinate scan plus golden-section polishing.
 
     The first ``skip`` coordinates are held fixed.
@@ -350,7 +355,7 @@ def _coordinate_refine(theta0, objective, shapes, bsc, rounds, scan, skip=0):
     best = objective(theta)
     for _ in range(rounds):
         for i in range(skip, theta.size):
-            lo, hi = _param_box(theta, i, shapes, bsc)
+            lo, hi = _param_box(theta, i, shapes)
             if hi - lo < 1e-12:
                 continue
             pts = np.linspace(lo, hi, scan)
@@ -400,6 +405,15 @@ def _single_point(p_xy, p_x, mech, quant):
     j_uy = np.einsum("xy,xu->uy", p_xy, u_given_x)
     i_uy = _mi_batch(j_uy)
     return float(i_xxh), float(i_uxh), float(i_uy)
+
+
+def _mi_pair(theta, shapes, bsc, p, p_x) -> tuple[float, float]:
+    """(I(X;Xh), I(U;Xh)) at the clipped channels of ``theta``."""
+    mech, quant = _build_channels(theta, shapes, bsc)
+    mech = np.clip(mech, 0.0, None)
+    quant = np.clip(quant, 0.0, None)
+    i_xxh, i_uxh, _ = _single_point(p, p_x, mech, quant)
+    return i_xxh, i_uxh
 
 
 def _slsqp_polish(theta0, shapes, bsc, skip, mi_pair, value, rate, leak, maxiter):
@@ -540,12 +554,7 @@ def tai_exponent(
     shapes = ((kx, xhat_size), (xhat_size, u_size))
     p_x = space.p_x
 
-    def mi_pair(theta):
-        mech, quant = _build_channels(theta, shapes, cfg.restrict_bsc)
-        mech = np.clip(mech, 0.0, None)
-        quant = np.clip(quant, 0.0, None)
-        i_xxh, i_uxh, _ = _single_point(p, p_x, mech, quant)
-        return i_xxh, i_uxh
+    mi_pair = partial(_mi_pair, shapes=shapes, bsc=cfg.restrict_bsc, p=p, p_x=p_x)
 
     def raw_value(theta):
         mech, quant = _build_channels(theta, shapes, cfg.restrict_bsc)
@@ -683,7 +692,7 @@ def theorem1_lower_bound(
     since the projection is the expensive step. ``fixed_mechanism`` pins the
     mechanism and searches the quantizer alone.
     """
-    cfg = cfg or SearchConfig(grid_step=1 / 8, quantizer_budget=800, mechanism_budget=300)
+    cfg = cfg or THM1_SEARCH
     if rate < 0 or leak < 0:
         raise DomainError("rate and leak must be nonnegative")
     p = _as_joint2(p_xy)
@@ -729,18 +738,13 @@ def theorem1_lower_bound(
 
     skip = kx * (xhat_size - 1) if fixed_mechanism is not None else 0
     best_val, best_theta = _coordinate_refine(
-        best_theta, objective, shapes, False, cfg.refine_rounds,
+        best_theta, objective, shapes, cfg.refine_rounds,
         max(7, cfg.line_scan // 2), skip=skip,
     )
 
     p_x = p.sum(axis=1)
 
-    def mi_pair(theta):
-        mech, quant = _build_channels(theta, shapes, False)
-        mech = np.clip(mech, 0.0, None)
-        quant = np.clip(quant, 0.0, None)
-        i_xxh, i_uxh, _ = _single_point(p, p_x, mech, quant)
-        return i_xxh, i_uxh
+    mi_pair = partial(_mi_pair, shapes=shapes, bsc=False, p=p, p_x=p_x)
 
     def raw_value(theta):
         mech, quant = _build_channels(theta, shapes, False)
@@ -788,7 +792,7 @@ def corollary2_bound(
     """
     p = _as_joint2(p_xy)
     kx = p.shape[0]
-    base = cfg or SearchConfig(grid_step=1 / 8, quantizer_budget=800, mechanism_budget=300)
+    base = cfg or THM1_SEARCH
     pinned = replace(base, xhat_size=kx, u_size=base.u_size or kx + 2)
     res = theorem1_lower_bound(
         p_xy, q_xy, rate, math.log2(kx) + 1.0, pinned,

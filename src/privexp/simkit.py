@@ -19,16 +19,14 @@ codewords per trial and scanning them. An explicit single-codebook mode
 (``fixed_codebook``) exists for small M as an independent cross-check; only
 that mode and ``generate_codebook`` are bound by the materialization caps.
 
-Trials are split into batches; batch b consumes its own counter-based stream
-(spawn key b+1, key 0 is reserved for codebook generation), so reports are
-reproducible bit-for-bit regardless of thread count.
+Trials are split into batches that run in order; batch b consumes its own
+counter-based stream (spawn key b+1, key 0 is reserved for codebook
+generation), so a report is reproducible bit-for-bit from its seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +60,6 @@ TABLE_BUDGET = 2_000_000
 DEFAULT_BATCHES = 100
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("PRIVEXP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """Full description of one simulation run (seed included)."""
@@ -92,18 +82,19 @@ class SchemeConfig:
             raise DomainError("blocklength must be at least 1")
         if self.trials < 1:
             raise DomainError("need at least one trial")
-        if self.mu < 0.0:
-            raise DomainError("typicality radius must be nonnegative")
-        if self.rate < 0.0:
-            raise DomainError("rate must be nonnegative")
+        # written so that NaN fails each check
+        if not self.mu >= 0.0:
+            raise DomainError(f"typicality radius {self.mu!r} must be nonnegative")
+        if not self.rate >= 0.0:
+            raise DomainError(f"rate {self.rate!r} must be nonnegative")
         if self.hypothesis not in ("null", "alt"):
             raise DomainError(f"unknown hypothesis {self.hypothesis!r}")
         if self.scheme_kind not in ("general", "memoryless"):
             raise DomainError(f"unknown scheme kind {self.scheme_kind!r}")
         if self.mechanism.matrix.shape[1] != self.quantizer.matrix.shape[0]:
             raise DomainError("mechanism output and quantizer input sizes differ")
-        if self.mu_prime is not None and self.mu_prime <= self.mu:
-            raise DomainError("conditional radius must exceed mu")
+        if self.mu_prime is not None and not self.mu_prime > self.mu:
+            raise DomainError(f"conditional radius {self.mu_prime!r} must exceed mu")
 
 
 @dataclass(frozen=True)
@@ -468,16 +459,10 @@ def _plugin_mi_bits(counts: np.ndarray) -> float:
     return _mi_bits(counts / total)
 
 
-def _execute(runner: _Runner, threads: int | None) -> SimReport:
+def _execute(runner: _Runner) -> SimReport:
     cfg = runner.cfg
     plan = _split_trials(cfg.trials, cfg.batches)
-    workers = threads if threads is not None else _default_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(runner.run_batch, i, t) for i, t in enumerate(plan)]
-            results = [f.result() for f in futures]
-    else:
-        results = [runner.run_batch(i, t) for i, t in enumerate(plan)]
+    results = [runner.run_batch(i, t) for i, t in enumerate(plan)]
 
     accepts = sum(r.accepts for r in results)
     counters = {
@@ -528,12 +513,7 @@ def _execute(runner: _Runner, threads: int | None) -> SimReport:
     )
 
 
-def run_general_scheme(
-    cfg: SchemeConfig,
-    p_xy: JointPmf,
-    q_xy: JointPmf,
-    threads: int | None = None,
-) -> SimReport:
+def run_general_scheme(cfg: SchemeConfig, p_xy: JointPmf, q_xy: JointPmf) -> SimReport:
     """Simulate the gated scheme against an arbitrary alternative law."""
     if cfg.scheme_kind != "general":
         raise DomainError("config is not for the general scheme")
@@ -542,18 +522,14 @@ def run_general_scheme(
             "radius mu/4 covers the whole simplex, the observer gate can "
             "never trigger"
         )
-    return _execute(_Runner(cfg, p_xy, q_xy), threads)
+    return _execute(_Runner(cfg, p_xy, q_xy))
 
 
-def run_memoryless_scheme(
-    cfg: SchemeConfig,
-    p_xy: JointPmf,
-    threads: int | None = None,
-) -> SimReport:
+def run_memoryless_scheme(cfg: SchemeConfig, p_xy: JointPmf) -> SimReport:
     """Simulate the ungated scheme; the alternative is the product law."""
     if cfg.scheme_kind != "memoryless":
         raise DomainError("config is not for the memoryless scheme")
-    return _execute(_Runner(cfg, p_xy, None), threads)
+    return _execute(_Runner(cfg, p_xy, None))
 
 
 def empirical_privacy(mechanism: Channel, samples) -> float:

@@ -4,11 +4,21 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from privexp import Channel, Infeasible, JointPmf, binary_tai_exponent, cli, dump_json
+from privexp import (
+    Channel,
+    Infeasible,
+    JointPmf,
+    SearchConfig,
+    binary_tai_exponent,
+    cli,
+    dump_json,
+)
+from privexp.exponents import THM1_SEARCH
 
 
 @pytest.fixture
@@ -211,6 +221,32 @@ def test_bad_grid_step_is_a_config_error(step, null_law_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: grid_step")
     assert "Traceback" not in err
+
+
+def test_nan_radius_is_a_config_error(sim_config_path, capsys):
+    code = cli.main(["simulate", "--config", sim_config_path, "--mu", "nan"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: typicality radius nan")
+    assert "Traceback" not in err
+
+
+def test_thm1_flags_keep_the_theorem1_defaults():
+    # flags are applied on top of the method's own defaults, so restating a
+    # default value changes nothing
+    for method in ("thm1", "cor2"):
+        args = cli._build_parser().parse_args(
+            ["exponent", "--method", method, "--refine-rounds", "3"]
+        )
+        assert cli._search_config(args) == THM1_SEARCH
+    args = cli._build_parser().parse_args(
+        ["exponent", "--method", "thm1", "--grid-step", "0.25"]
+    )
+    assert cli._search_config(args) == replace(THM1_SEARCH, grid_step=0.25)
+    args = cli._build_parser().parse_args(
+        ["sweep", "--method", "tai", "--rate", "1", "--leak", "1", "--grid-step", "0.1"]
+    )
+    assert cli._search_config(args) == SearchConfig(grid_step=0.1)
 
 
 def test_malformed_config_is_a_config_error(tmp_path):

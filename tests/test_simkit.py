@@ -62,13 +62,6 @@ def test_same_seed_reproduces_report(dsbs01):
     assert c.beta_hat != a.beta_hat
 
 
-def test_thread_count_does_not_change_results(dsbs01):
-    cfg = memoryless_cfg()
-    one = run_memoryless_scheme(cfg, dsbs01, threads=1)
-    two = run_memoryless_scheme(cfg, dsbs01, threads=2)
-    assert one.to_dict() == two.to_dict()
-
-
 def test_fixed_codebook_mode_is_deterministic(dsbs01):
     cfg = memoryless_cfg(n=10, rate=0.5, seed=9, trials=4000, fixed_codebook=True)
     a = run_memoryless_scheme(cfg, dsbs01)
@@ -333,6 +326,13 @@ def test_config_validation():
         memoryless_cfg(quantizer=Channel.identity(3))
     with pytest.raises(DomainError):
         memoryless_cfg(mu_prime=0.1)  # below mu
+
+
+@pytest.mark.parametrize("field", ["mu", "rate", "mu_prime"])
+def test_config_rejects_nan(field):
+    # NaN compares false with everything, so it must not slip past the checks
+    with pytest.raises(DomainError):
+        memoryless_cfg(**{field: math.nan})
 
 
 def test_scheme_kind_mismatch(dsbs01, product_uniform):
