@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     ZeroSupport,
 )
-from .probcore import JointPmf, Pmf
+from .probcore import JointPmf, Pmf, check_budgets
 
 __all__ = [
     "chi2_divergence_approx",
@@ -89,13 +89,6 @@ class EuclidResult:
         return {"theta_bits": self.value}
 
 
-def _check_budgets(rate: float, leak: float) -> None:
-    if not (0.0 <= rate < math.inf and 0.0 <= leak < math.inf):
-        raise DomainError(
-            f"rate {rate!r} and leak {leak!r} must be finite and nonnegative"
-        )
-
-
 def euclid_tai_approx(p_xy: JointPmf, rate: float, leak: float) -> EuclidResult:
     """Approximate independence-testing exponent for small rate and leak.
 
@@ -107,7 +100,7 @@ def euclid_tai_approx(p_xy: JointPmf, rate: float, leak: float) -> EuclidResult:
     both marginals are preserved to first order. The intermediate alphabet
     mirrors the source alphabet.
     """
-    _check_budgets(rate, leak)
+    check_budgets(rate, leak, finite=True)
     b = build_weighted_matrix(p_xy)
     kx = b.shape[1]
     p_xhat = np.asarray(p_xy.probs, dtype=float).sum(axis=1)
@@ -137,5 +130,5 @@ def binary_euclid_approx(q_noise: float, rate: float, leak: float) -> float:
     """Closed form of the quadratic approximation for the symmetric binary case."""
     if not 0.0 <= q_noise <= 1.0:
         raise DomainError(f"noise {q_noise!r} outside [0, 1]")
-    _check_budgets(rate, leak)
+    check_budgets(rate, leak, finite=True)
     return (2.0 / _LOG2E) * (1.0 - 2.0 * q_noise) ** 2 * rate * leak

@@ -49,6 +49,7 @@ from .probcore import (
     binary_entropy,
     binary_entropy_inv,
     chain_joint,  # unused here; kept as a module attribute for perfbench's probe
+    check_budgets,
     star,
 )
 
@@ -154,8 +155,7 @@ def binary_tai_exponent(q_noise: float, rate: float, leak: float) -> float:
     """
     if not 0.0 <= q_noise <= 1.0:
         raise DomainError(f"noise {q_noise!r} outside [0, 1]")
-    if rate < 0.0 or leak < 0.0:
-        raise DomainError("rate and leak must be nonnegative")
+    check_budgets(rate, leak)
     r = min(rate, 1.0)
     l = min(leak, 1.0)
     p_mech = binary_entropy_inv(1.0 - l)
@@ -521,8 +521,7 @@ def tai_exponent(
     and ``line_scan`` do not enter this search.
     """
     cfg = cfg or SearchConfig()
-    if rate < 0 or leak < 0:
-        raise DomainError("rate and leak must be nonnegative")
+    check_budgets(rate, leak)
     p = _as_joint2(p_xy)
     kx, ky = p.shape
     xhat_size = cfg.xhat_size or kx
@@ -693,8 +692,7 @@ def theorem1_lower_bound(
     mechanism and searches the quantizer alone.
     """
     cfg = cfg or THM1_SEARCH
-    if rate < 0 or leak < 0:
-        raise DomainError("rate and leak must be nonnegative")
+    check_budgets(rate, leak)
     p = _as_joint2(p_xy)
     q = _as_joint2(q_xy)
     if p.shape != q.shape:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleBeta
+from .probcore import check_budgets
 
 __all__ = ["GaussianQuery", "gaussian_tai_exponent", "gaussian_achievable_at_beta"]
 
@@ -32,8 +33,7 @@ class GaussianQuery:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"correlation {self.rho!r} outside [0, 1]")
-        if self.rate < 0.0 or self.leak < 0.0:
-            raise DomainError("rate and leak must be nonnegative")
+        check_budgets(self.rate, self.leak)
 
 
 def _shrink(budget: float) -> float:

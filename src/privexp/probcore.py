@@ -69,6 +69,19 @@ def _check_weights(w: np.ndarray, what: str) -> None:
         raise InvalidDistribution(f"{what}: total mass {total!r} not 1 within {MASS_ATOL}")
 
 
+def check_budgets(rate: float, leak: float, *, finite: bool = False) -> None:
+    """Refuse a negative or NaN rate or leak budget, naming it.
+
+    ``inf`` passes unless ``finite`` is set: the exact exponents saturate at
+    infinite budgets, the small-budget approximations do not.
+    """
+    for name, value in (("rate", rate), ("leak", leak)):
+        # written so that NaN fails
+        if not (0.0 <= value < math.inf if finite else value >= 0.0):
+            kind = "finite and nonnegative" if finite else "nonnegative"
+            raise DomainError(f"{name} {value!r} must be {kind}")
+
+
 def _default_labels(k: int) -> tuple[int, ...]:
     return tuple(range(k))
 

@@ -22,6 +22,26 @@ that mode and ``generate_codebook`` are bound by the materialization caps.
 Trials are split into batches that run in order; batch b consumes its own
 counter-based stream (spawn key b+1, key 0 is reserved for codebook
 generation), so a report is reproducible bit-for-bit from its seed.
+
+A batch runs as array operations over its trials, drawing in this order:
+
+1. one ``(trials, 2n)`` block of uniforms; columns ``[0, n)`` sample
+   (X, Y) by inverse cdf and columns ``[n, 2n)`` push X through the
+   mechanism. The general scheme's observer gate is a TV test on the rows'
+   X types; escaped rows skip everything below.
+2. ``trials`` encoder-failure uniforms. Trials are grouped by their
+   class-size vector n_a, whose typical tables are built once per run.
+3. ``trials`` table uniforms, turned into count tables by one
+   ``searchsorted`` per group.
+4. the allocation chain: one array-valued ``hypergeometric`` call per
+   (u, y) link, over every class of every encoded trial.
+
+The receiver's decision is then a TV distance per row. In fixed-codebook
+mode steps 2-4 are replaced by a per-trial scan of the codebook, so the
+memoryless scheme draws exactly 2n uniforms per trial, as a trial-by-trial
+loop would. A batch holds the arrays of all its trials at once, so
+``BATCH_CELL_CAP`` bounds trials per batch x n x mechanism outputs in
+every mode; a run over it is refused with the batch count that fits.
 """
 
 from __future__ import annotations
@@ -57,6 +77,9 @@ __all__ = [
 CODEBOOK_CAP = 2**24
 FIXED_MODE_CAP = 2**18
 TABLE_BUDGET = 2_000_000
+# trials per batch x n x mechanism outputs; a batch peaks at about 40 bytes
+# per cell (ka = 2), so about 170 MB at the cap
+BATCH_CELL_CAP = 2**22
 DEFAULT_BATCHES = 100
 
 
@@ -82,6 +105,8 @@ class SchemeConfig:
             raise DomainError("blocklength must be at least 1")
         if self.trials < 1:
             raise DomainError("need at least one trial")
+        if self.batches < 1:
+            raise DomainError("need at least one batch")
         # written so that NaN fails each check
         if not self.mu >= 0.0:
             raise DomainError(f"typicality radius {self.mu!r} must be nonnegative")
@@ -169,9 +194,16 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     )
 
 
-def _sample_categorical(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return np.minimum(idx, cdf.size - 1)
+def _categorical(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-cdf symbols for an array of uniforms."""
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
+
+
+def _row_counts(codes: np.ndarray, k: int) -> np.ndarray:
+    """Histogram of each row of a (rows, n) array of codes in [0, k)."""
+    rows = codes.shape[0]
+    offsets = np.arange(rows)[:, None] * k
+    return np.bincount((codes + offsets).ravel(), minlength=rows * k).reshape(rows, k)
 
 
 def generate_codebook(p_u: Pmf, n: int, rate: float, seed: int) -> Codebook:
@@ -182,8 +214,8 @@ def generate_codebook(p_u: Pmf, n: int, rate: float, seed: int) -> Codebook:
     """
     if n < 1:
         raise DomainError("blocklength must be at least 1")
-    if rate < 0.0:
-        raise DomainError("rate must be nonnegative")
+    if not rate >= 0.0:  # NaN fails too
+        raise DomainError(f"rate {rate!r} must be nonnegative")
     exponent = n * rate
     if exponent > math.log2(CODEBOOK_CAP) + 1e-9:
         max_n = int(math.log2(CODEBOOK_CAP) / rate)
@@ -239,11 +271,6 @@ class _TypicalTables:
         self.cum = np.cumsum(shifted)
         self.log_p_succ = float(np.max(logw) + math.log(self.cum[-1]))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        r = rng.random() * self.cum[-1]
-        idx = min(int(np.searchsorted(self.cum, r, side="right")), len(self.cum) - 1)
-        return self.tables[idx]
-
 
 def _build_tables(
     n_a: tuple[int, ...],
@@ -283,10 +310,10 @@ def _build_tables(
 @dataclass
 class _BatchResult:
     pool: np.ndarray
-    accepts: int = 0
-    observer_escapes: int = 0
-    encoder_failures: int = 0
-    receiver_rejects: int = 0
+    accepts: int
+    observer_escapes: int
+    encoder_failures: int
+    receiver_rejects: int
 
 
 class _Runner:
@@ -332,6 +359,20 @@ class _Runner:
         else:
             self.m_count = None
             self.log_m = exponent * math.log(2.0)
+        # a batch holds arrays of trials x n x ka entries
+        rows = -(-cfg.trials // min(cfg.batches, cfg.trials))
+        max_rows = BATCH_CELL_CAP // (cfg.n * self.ka)
+        if rows > max_rows:
+            hint = (
+                f"raise batches to at least {-(-cfg.trials // max_rows)}"
+                if max_rows
+                else "reduce the blocklength"
+            )
+            raise TooLarge(
+                f"a batch of {rows} trials at n = {cfg.n} with {self.ka} "
+                f"mechanism outputs exceeds the {BATCH_CELL_CAP}-cell batch "
+                f"cap; {hint}"
+            )
         self.tables: dict[tuple[int, ...], _TypicalTables] = {}
         self.codebook = None
         if cfg.fixed_codebook:
@@ -352,85 +393,108 @@ class _Runner:
             self.tables[n_a] = tab
         return tab
 
-    # one batch, sequential trials, its own stream
     def run_batch(self, batch_idx: int, trials: int) -> _BatchResult:
+        """Run one batch of trials as array operations on its own stream."""
         cfg = self.cfg
         n = cfg.n
         rng = _stream(cfg.seed, batch_idx + 1)
-        res = _BatchResult(pool=np.zeros((self.kx, self.ka), dtype=np.int64))
-        general = cfg.scheme_kind == "general"
-        for _ in range(trials):
-            flat = _sample_categorical(self.law_cdf, rng, n)
-            x = flat // self.ky
-            y = flat - x * self.ky
-            if general:
-                tv_x = 0.5 * np.abs(
-                    np.bincount(x, minlength=self.kx) / n - self.p_x
-                ).sum()
-                if tv_x > cfg.mu / 4.0:
-                    # escape sequence 0^n: no codeword can be jointly typical
-                    # with it at any sane radius, the decision is Hhat = 1
-                    res.observer_escapes += 1
-                    res.encoder_failures += 1
-                    continue
-            xhat = self._push_mechanism(x, rng)
-            res.pool += np.bincount(
-                x * self.ka + xhat, minlength=self.kx * self.ka
-            ).reshape(self.kx, self.ka)
-            if self.codebook is not None:
-                m_idx = self._encode_fixed(xhat)
-                if m_idx < 0:
-                    res.encoder_failures += 1
-                    continue
-                u_seq = self.codebook.entries[m_idx].astype(np.int64)
-                uy = np.bincount(
-                    u_seq * self.ky + y, minlength=self.ku * self.ky
-                ).reshape(self.ku, self.ky)
-            else:
-                n_a = tuple(np.bincount(xhat, minlength=self.ka).tolist())
-                tab = self.tables_for(n_a)
-                if tab.log_p_succ == -math.inf:
-                    res.encoder_failures += 1
-                    continue
-                if self.m_count is not None:
-                    p_succ = min(math.exp(tab.log_p_succ), 1.0)
-                    log_fail = self.m_count * math.log1p(-p_succ)
-                else:
-                    # (1-p)^M with astronomical M: -M*p in log space
-                    log_fail = -math.exp(min(self.log_m + tab.log_p_succ, 700.0))
-                if rng.random() < math.exp(log_fail):
-                    res.encoder_failures += 1
-                    continue
-                k_table = tab.sample(rng)
-                uy = self._allocate(k_table, xhat, y, rng)
-            tv_uy = 0.5 * np.abs(uy / n - self.p_uy).sum()
-            if tv_uy > cfg.mu + 1e-12:
-                res.receiver_rejects += 1
-            else:
-                res.accepts += 1
-        return res
+        draws = rng.random((trials, 2 * n))
+        x, y = np.divmod(_categorical(self.law_cdf, draws[:, :n]), self.ky)
+        live = np.ones(trials, dtype=bool)
+        if cfg.scheme_kind == "general":
+            # escape sequence 0^n: no codeword can be jointly typical with it
+            # at any sane radius, so the decision is Hhat = 1
+            tv_x = 0.5 * np.abs(_row_counts(x, self.kx) / n - self.p_x).sum(axis=1)
+            live = tv_x <= cfg.mu / 4.0
+        x, y = x[live], y[live]
+        xhat = np.minimum(
+            (draws[live, n:, None] > self.mech_cdf[x]).sum(axis=2), self.ka - 1
+        )
+        pool = np.bincount(
+            (x * self.ka + xhat).ravel(), minlength=self.kx * self.ka
+        ).reshape(self.kx, self.ka)
+        if self.codebook is None:
+            encoded, uy = self._encode_ensemble(xhat, y, rng, trials, live)
+        else:
+            encoded, uy = self._encode_fixed_batch(xhat, y)
+        tv_uy = 0.5 * np.abs(uy / n - self.p_uy).reshape(-1, self.ku * self.ky).sum(axis=1)
+        accepts = int(np.count_nonzero(tv_uy <= cfg.mu + 1e-12))
+        escapes = trials - int(np.count_nonzero(live))
+        return _BatchResult(
+            pool=pool,
+            accepts=accepts,
+            observer_escapes=escapes,
+            encoder_failures=trials - encoded,
+            receiver_rejects=encoded - accepts,
+        )
 
-    def _push_mechanism(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        r = rng.random(x.size)
-        idx = (r[:, None] > self.mech_cdf[x]).sum(axis=1)
-        return np.minimum(idx, self.ka - 1)
+    def _fail_prob(self, tab: _TypicalTables) -> float:
+        """Chance that none of the M random codewords is jointly typical."""
+        if self.m_count is not None:
+            p_succ = min(math.exp(tab.log_p_succ), 1.0)
+            log_fail = self.m_count * math.log1p(-p_succ)
+        else:
+            # (1-p)^M with astronomical M: -M*p in log space
+            log_fail = -math.exp(min(self.log_m + tab.log_p_succ, 700.0))
+        return math.exp(log_fail)
 
-    def _allocate(self, k_table, xhat, y, rng) -> np.ndarray:
-        uy = np.zeros((self.ku, self.ky), dtype=np.int64)
-        for a in range(self.ka):
-            sel = y[xhat == a]
-            if sel.size == 0:
-                continue
-            remaining = np.bincount(sel, minlength=self.ky)
-            for u in range(self.ku - 1):
-                take = int(k_table[u, a])
-                if take == 0:
-                    continue
-                h = rng.multivariate_hypergeometric(remaining, take)
-                uy[u] += h
-                remaining -= h
-            uy[self.ku - 1] += remaining
+    def _encode_ensemble(self, xhat, y, rng, trials, live):
+        """Encoder failure, table draw and allocation with the codebook
+        integrated out; returns the number of encoded trials and their
+        (U, Y) count tables."""
+        n_a = _row_counts(xhat, self.ka)
+        _, first, group = np.unique(
+            n_a, axis=0, return_index=True, return_inverse=True
+        )
+        tabs = [self.tables_for(tuple(n_a[i].tolist())) for i in first]
+        fail_u, table_u = rng.random((2, trials))[:, live]
+        p_fail = np.array([self._fail_prob(tab) for tab in tabs])
+        ok = fail_u >= p_fail[group]
+        k_tables = np.empty((xhat.shape[0], self.ku, self.ka), dtype=np.int64)
+        for g, tab in enumerate(tabs):
+            sel = np.nonzero(ok & (group == g))[0]
+            if sel.size:
+                idx = np.searchsorted(tab.cum, table_u[sel] * tab.cum[-1], side="right")
+                k_tables[sel] = tab.tables[np.minimum(idx, tab.cum.size - 1)]
+        uy = self._allocate(k_tables[ok], xhat[ok], y[ok], rng)
+        return int(np.count_nonzero(ok)), uy
+
+    def _allocate(self, k_tables, xhat, y, rng) -> np.ndarray:
+        """Joint (U, Y) counts of the accepted codewords.
+
+        Inside class a the codeword places k_tables[:, u, a] copies of each u
+        on the class's positions uniformly at random, so the Y values under
+        each u follow a multivariate hypergeometric law. It is drawn as a
+        chain of univariate draws over (u, y); each link is one array-valued
+        call over every encoded trial and class.
+        """
+        rows = xhat.shape[0]
+        ky = self.ky
+        # Y counts of each class not yet covered by a codeword symbol
+        remaining = _row_counts(xhat * ky + y, self.ka * ky).reshape(rows, self.ka, ky)
+        uy = np.zeros((rows, self.ku, ky), dtype=np.int64)
+        for u in range(self.ku - 1):
+            take = k_tables[:, u, :].copy()
+            rest = remaining.sum(axis=2)
+            for v in range(ky - 1):
+                rest -= remaining[:, :, v]
+                h = rng.hypergeometric(remaining[:, :, v], rest, take)
+                remaining[:, :, v] -= h
+                take -= h
+                uy[:, u, v] = h.sum(axis=1)
+            remaining[:, :, ky - 1] -= take
+            uy[:, u, ky - 1] = take.sum(axis=1)
+        uy[:, self.ku - 1] = remaining.sum(axis=1)
         return uy
+
+    def _encode_fixed_batch(self, xhat, y):
+        """Scan the fixed codebook trial by trial; returns the number of
+        encoded trials and their (U, Y) count tables."""
+        m_idx = np.array([self._encode_fixed(row) for row in xhat], dtype=np.int64)
+        ok = m_idx >= 0
+        u_seq = self.codebook.entries[m_idx[ok]].astype(np.int64)
+        uy = _row_counts(u_seq * self.ky + y[ok], self.ku * self.ky)
+        return int(np.count_nonzero(ok)), uy.reshape(-1, self.ku, self.ky)
 
     def _encode_fixed(self, xhat: np.ndarray) -> int:
         cb = self.codebook.entries
@@ -447,7 +511,7 @@ class _Runner:
 
 
 def _split_trials(trials: int, batches: int) -> list[int]:
-    b = max(1, min(batches, trials))
+    b = min(batches, trials)
     base, extra = divmod(trials, b)
     return [base + (1 if i < extra else 0) for i in range(b)]
 

@@ -231,6 +231,29 @@ def test_nan_radius_is_a_config_error(sim_config_path, capsys):
     assert "Traceback" not in err
 
 
+def test_nan_gaussian_rate_is_a_config_error(capsys):
+    # once wrote the row 0.8,nan,1.0,nan and exited 0
+    code = cli.main(["gaussian", "--rho", "0.8", "--rate", "nan", "--leak", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: rate nan")
+
+
+def test_nan_binary_rate_names_the_rate(capsys):
+    # once named binary_entropy_inv, the helper the NaN reached
+    code = cli.main(["exponent", "--method", "binary", "--q", "0.1",
+                     "--rate", "nan", "--leak", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: rate nan")
+
+
+def test_nan_tai_rate_is_a_config_error(null_law_path, capsys):
+    # once raised Infeasible (exit 3) after building the search grid
+    code = cli.main(["exponent", "--method", "tai", "--null", null_law_path,
+                     "--rate", "nan", "--leak", "0.5"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: rate nan")
+
+
 def test_thm1_flags_keep_the_theorem1_defaults():
     # flags are applied on top of the method's own defaults, so restating a
     # default value changes nothing

@@ -1,5 +1,7 @@
 """Exponent optimizers: closed forms, search anchors, bounds, and witnesses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,27 @@ def test_closed_form_domain_checks():
         binary_tai_exponent(1.5, 1.0, 1.0)
     with pytest.raises(DomainError):
         binary_tai_exponent(0.1, -0.2, 1.0)
+
+
+@pytest.mark.parametrize("budget", ["rate", "leak"])
+def test_nan_budgets_are_domain_errors(budget, dsbs01, product_uniform):
+    # NaN compares false with everything, so `< 0` checks let it through;
+    # the message names the budget, not a helper further down
+    b = {"rate": 0.5, "leak": 0.5, budget: math.nan}
+    match = f"^{budget} nan"
+    with pytest.raises(DomainError, match=match):
+        binary_tai_exponent(0.1, b["rate"], b["leak"])
+    with pytest.raises(DomainError, match=match):
+        tai_exponent(dsbs01, b["rate"], b["leak"])
+    with pytest.raises(DomainError, match=match):
+        theorem1_lower_bound(dsbs01, product_uniform, b["rate"], b["leak"])
+    if budget == "rate":
+        with pytest.raises(DomainError, match=match):
+            corollary2_bound(dsbs01, product_uniform, math.nan)
+    # an infinite budget saturates the closed form
+    assert binary_tai_exponent(0.1, math.inf, math.inf) == binary_tai_exponent(
+        0.1, 1.0, 1.0
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -98,3 +98,10 @@ def test_query_validation():
         GaussianQuery(-0.3, 1.0, 1.0)
     with pytest.raises(DomainError):
         GaussianQuery(0.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("field", ["rate", "leak"])
+def test_nan_budget_is_a_domain_error(field):
+    budgets = {"rate": 1.0, "leak": 1.0, field: math.nan}
+    with pytest.raises(DomainError, match=f"^{field} nan"):
+        GaussianQuery(0.8, **budgets)

@@ -27,6 +27,7 @@ from privexp import (
     generate_codebook,
     run_general_scheme,
     run_memoryless_scheme,
+    simkit,
     star,
     wilson_interval,
 )
@@ -78,22 +79,27 @@ MECH = np.array([[0.89, 0.11], [0.11, 0.89]])
 CROSS_N, CROSS_RATE, CROSS_MU, CROSS_TRIALS = 10, 0.5, 0.3, 20_000
 
 
-def _explicit_accept_rate(law: np.ndarray, seed: int) -> float:
-    """Brute-force scheme run: materialize a fresh codebook every trial."""
+def _explicit_accept_rate(law: np.ndarray, seed: int, p_xy: np.ndarray = P_XY) -> float:
+    """Brute-force scheme run: materialize a fresh codebook every trial.
+
+    ``p_xy`` is the null law (binary X, any Y alphabet) that fixes the
+    receiver's target; ``law`` is the law the trials are drawn from.
+    """
     n, mu, trials = CROSS_N, CROSS_MU, CROSS_TRIALS
+    ky = p_xy.shape[1]
     m_count = int(np.floor(2.0 ** (n * CROSS_RATE)))
-    p_x = P_XY.sum(axis=1)
+    p_x = p_xy.sum(axis=1)
     p_xhat = p_x @ MECH
     target_ua = (p_xhat[:, None] * MECH).T  # quantizer equals the mechanism
-    p_uy = np.einsum("xy,xu->uy", P_XY, MECH @ MECH)
+    p_uy = np.einsum("xy,xu->uy", p_xy, MECH @ MECH)
     p_u = target_ua.sum(axis=1)
     target_flat = np.array(
         [target_ua[0, 0], target_ua[1, 0], target_ua[0, 1], target_ua[1, 1]]
     )
 
     rng = np.random.default_rng(seed)
-    flat = rng.choice(4, size=(trials, n), p=law.ravel())
-    x, y = flat // 2, flat % 2
+    flat = rng.choice(2 * ky, size=(trials, n), p=law.ravel())
+    x, y = flat // ky, flat % ky
     xhat = (rng.random((trials, n)) < MECH[x, 1]).astype(np.int8)
     accepted = 0
     for t in range(trials):
@@ -108,7 +114,7 @@ def _explicit_accept_rate(law: np.ndarray, seed: int) -> float:
         if hits.size == 0:
             continue
         u = codebook[hits[0]]
-        uy = np.bincount(u * 2 + y[t], minlength=4).reshape(2, 2)
+        uy = np.bincount(u * ky + y[t], minlength=2 * ky).reshape(2, ky)
         if 0.5 * np.abs(uy / n - p_uy).sum() <= mu + 1e-12:
             accepted += 1
     return accepted / trials
@@ -134,6 +140,73 @@ def test_marginalized_route_matches_explicit_codebooks(hypothesis):
     assert abs(marg - explicit) <= 4.0 * sigma
 
 
+P_XY3 = np.array([[0.30, 0.15, 0.05], [0.05, 0.15, 0.30]])
+
+
+@pytest.mark.parametrize("hypothesis", ["null", "alt"])
+def test_ternary_side_information_matches_explicit_codebooks(hypothesis):
+    # a Y alphabet of 3 takes two links of the hypergeometric allocation
+    # chain per codeword symbol, where a binary Y takes one
+    chan = Channel(MECH)
+    cfg = SchemeConfig(
+        n=CROSS_N, mu=CROSS_MU, rate=CROSS_RATE, seed=556, trials=CROSS_TRIALS,
+        hypothesis=hypothesis, mechanism=chan, quantizer=chan,
+        scheme_kind="memoryless",
+    )
+    rep = run_memoryless_scheme(cfg, JointPmf(P_XY3, ("X", "Y")))
+    marg = (1.0 - rep.alpha_hat) if hypothesis == "null" else rep.beta_hat
+    law = P_XY3 if hypothesis == "null" else np.outer(P_XY3.sum(axis=1), P_XY3.sum(axis=0))
+    explicit = _explicit_accept_rate(law, seed=778, p_xy=P_XY3)
+    sigma = math.sqrt(
+        marg * (1 - marg) / CROSS_TRIALS + explicit * (1 - explicit) / CROSS_TRIALS
+    )
+    assert abs(marg - explicit) <= 4.0 * sigma
+
+
+# ---------------------------------------------------------------------------
+# counter bookkeeping
+
+
+@pytest.mark.parametrize(
+    "kind, fixed, n, rate",
+    [
+        ("memoryless", False, 12, 1.0),
+        ("general", False, 12, 0.5),
+        ("memoryless", True, 10, 0.5),
+        ("general", True, 10, 0.5),
+        ("memoryless", False, 60, 0.9),  # n*R = 54: log-space failure branch
+    ],
+)
+def test_counters_partition_the_trials(kind, fixed, n, rate, dsbs01):
+    cfg = SchemeConfig(n=n, mu=0.35, rate=rate, seed=11, trials=600,
+                       hypothesis="alt", mechanism=BSC_HALF_BIT,
+                       quantizer=BSC_HALF_BIT, scheme_kind=kind,
+                       fixed_codebook=fixed)
+    q = JointPmf(np.array([[0.2, 0.3], [0.25, 0.25]]), ("X", "Y"))
+    alt = q if kind == "general" else None
+    runner = simkit._Runner(cfg, dsbs01, alt)
+    assert (runner.m_count is None) == (n * rate >= 53)
+    totals = dict.fromkeys(
+        ["accepts", "observer_escapes", "encoder_failures", "receiver_rejects"], 0
+    )
+    for b, t in enumerate(simkit._split_trials(cfg.trials, cfg.batches)):
+        res = runner.run_batch(b, t)
+        # an escape is also an encoder failure, and every trial ends once
+        assert res.accepts + res.encoder_failures + res.receiver_rejects == t
+        assert res.observer_escapes <= res.encoder_failures
+        # the plug-in pool holds the n symbol pairs of each non-escaped trial
+        assert res.pool.sum() == n * (t - res.observer_escapes)
+        for key in totals:
+            totals[key] += getattr(res, key)
+    assert totals["accepts"] > 0 and totals["receiver_rejects"] > 0
+    assert (totals["observer_escapes"] > 0) == (kind == "general")
+
+    run = run_general_scheme if kind == "general" else run_memoryless_scheme
+    rep = run(cfg, dsbs01, alt) if alt is not None else run(cfg, dsbs01)
+    assert rep.beta_hat == totals.pop("accepts") / cfg.trials
+    assert rep.counters == totals
+
+
 # ---------------------------------------------------------------------------
 # codebook materialization
 
@@ -146,6 +219,13 @@ def test_codebook_sizes_and_determinism():
     assert np.array_equal(cb.entries, again.entries)
 
 
+@pytest.mark.parametrize("rate", [-0.5, math.nan])
+def test_codebook_rejects_bad_rate(rate):
+    # NaN once reached int(floor(2**nan)) and raised a bare ValueError
+    with pytest.raises(DomainError, match="^rate"):
+        generate_codebook(Pmf.uniform(2), 4, rate, 1)
+
+
 def test_codebook_cap_reports_feasible_blocklength():
     with pytest.raises(SizeOverflow, match="largest feasible blocklength is n = 24"):
         generate_codebook(Pmf.uniform(2), 100, 1.0, 1)
@@ -155,6 +235,20 @@ def test_fixed_mode_cap(dsbs01):
     cfg = memoryless_cfg(n=40, rate=0.5, fixed_codebook=True)
     with pytest.raises(TooLarge):
         run_memoryless_scheme(cfg, dsbs01)
+
+
+def test_batch_cap_names_the_batch_count(dsbs01):
+    # 100,000 trials x n = 24 x 2 outputs in one batch is 4.8M cells; the
+    # cap holds 87,381 trials per batch at this shape, so two batches fit
+    cfg = memoryless_cfg(n=24, trials=100_000, batches=1)
+    with pytest.raises(TooLarge, match="raise batches to at least 2$"):
+        run_memoryless_scheme(cfg, dsbs01)
+    simkit._Runner(memoryless_cfg(n=24, trials=100_000, batches=2), dsbs01, None)
+
+
+def test_config_rejects_zero_batches():
+    with pytest.raises(DomainError, match="batch"):
+        memoryless_cfg(batches=0)
 
 
 # ---------------------------------------------------------------------------
