@@ -122,7 +122,7 @@ def _cmd_exponent(args) -> tuple[dict, list[str]]:
         payload = {"method": method, "theta_bits": theta}
     elif method == "tai":
         res = tai_exponent(
-            _null(args), _req(args, "rate"), _req(args, "leak"), _tai_config(args)
+            _null(args), _req(args, "rate"), _req(args, "leak"), _search_config(args)
         )
         payload = {"method": method, **res.to_dict()}
     elif method == "zero-rate":
@@ -167,18 +167,9 @@ def _search_config(args) -> SearchConfig:
     kwargs = {}
     if getattr(args, "grid_step", None) is not None:
         kwargs["grid_step"] = args.grid_step
-    if getattr(args, "refine_rounds", None) is not None:
-        kwargs["refine_rounds"] = args.refine_rounds
     if getattr(args, "restrict_bsc", False):
         kwargs["restrict_bsc"] = True
     return replace(base, **kwargs)
-
-
-def _tai_config(args) -> SearchConfig:
-    """Search config for the independence search, which has no refinement."""
-    if getattr(args, "refine_rounds", None) is not None:
-        raise ToolkitError("--refine-rounds steers only the thm1 and cor2 methods")
-    return _search_config(args)
 
 
 def _cmd_sweep(args) -> tuple[dict, list[str]]:
@@ -192,7 +183,7 @@ def _cmd_sweep(args) -> tuple[dict, list[str]]:
             for l in leaks:
                 rows.append((r, l, binary_tai_exponent(args.q, r, l)))
     else:  # tai
-        cfg = _tai_config(args)
+        cfg = _search_config(args)
         p_xy = _null(args)
         for r in rates:
             for l in leaks:
@@ -335,10 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common_search(p):
         p.add_argument("--grid-step", type=float, default=None)
-        p.add_argument("--refine-rounds", type=int, default=None,
-                       help="coordinate refinement rounds; steers only the thm1 "
-                            "and cor2 methods, and tai refuses it")
-        p.add_argument("--restrict-bsc", action="store_true")
+        p.add_argument("--restrict-bsc", action="store_true",
+                       help="binary tai search only: both channels symmetric")
 
     p = sub.add_parser("exponent", help="single exponent query")
     p.add_argument("--method", required=True,

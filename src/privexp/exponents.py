@@ -12,14 +12,17 @@ of its result.
 
 Search strategy: a coarse lexicographic grid over channel rows (candidates
 violating a constraint are discarded, never relaxed) supplies seeds, and a
-sequential-quadratic polish takes each seed along the active-constraint
-ridge. ``tai_exponent`` polishes its distinct leading grid values directly.
-``theorem1_lower_bound``, whose inner value is an I-projection, first runs
-coordinate-wise golden-section refinement on its best shortlisted pair and
-then polishes. The grid stage is deterministic and ties break toward the
-lexicographically smallest parameter vector. Grid information quantities are
-cached per (law, cardinality, step) so repeated queries against one instance
-cost only a masked reduction and a partial sort.
+sequential-quadratic (SLSQP) polish takes a seed along the active-constraint
+ridge. The polish sees the channels through ``_channels``, which clips the
+free parameters at zero and renormalizes each row, so a finite-difference
+step past a simplex face still scores a valid channel pair. ``tai_exponent``
+polishes its distinct leading grid values directly. ``theorem1_lower_bound``,
+whose inner value is an I-projection, scores its shortlisted grid pairs and
+polishes the best one twice: the quantizer alone, then both channels.
+The grid stage is deterministic and ties break toward the lexicographically
+smallest parameter vector. Grid information quantities are cached per (law,
+cardinality, step) so repeated queries against one instance cost only a
+masked reduction and a partial sort.
 """
 
 from __future__ import annotations
@@ -69,16 +72,12 @@ log = logging.getLogger(__name__)
 _LOG2E = math.log2(math.e)
 FEAS_SLACK = 1e-9
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the grid-plus-polish channel search."""
 
     grid_step: float = 0.02
-    # coordinate refinement rounds; the Theorem-1 search only
-    refine_rounds: int = 3
     u_size: int | None = None
     xhat_size: int | None = None
     # cap on the number of candidates per channel grid; the effective step is
@@ -87,8 +86,6 @@ class SearchConfig:
     quantizer_budget: int = 2500
     # distinct grid values polished by the independence-testing search
     top_k: int = 4
-    # scan points per coordinate in refinement; the Theorem-1 search only
-    line_scan: int = 13
     restrict_bsc: bool = False
     # general-alternative search only: shortlisted pairs that get the inner solver
     inner_shortlist: int = 48
@@ -96,12 +93,9 @@ class SearchConfig:
     def __post_init__(self):
         if not (math.isfinite(self.grid_step) and 0.0 < self.grid_step <= 1.0):
             raise DomainError(f"grid_step {self.grid_step!r} outside (0, 1]")
-        for name in ("mechanism_budget", "quantizer_budget", "top_k", "line_scan",
-                     "inner_shortlist"):
+        for name in ("mechanism_budget", "quantizer_budget", "top_k", "inner_shortlist"):
             if not getattr(self, name) >= 1:
                 raise DomainError(f"{name} {getattr(self, name)!r} must be at least 1")
-        if not self.refine_rounds >= 0:
-            raise DomainError(f"refine_rounds {self.refine_rounds!r} must be nonnegative")
 
 
 # defaults of the Theorem-1 and Corollary-2 searches, whose inner I-projection
@@ -307,7 +301,7 @@ def _space_for(
 
 
 # ---------------------------------------------------------------------------
-# refinement
+# local polish
 
 
 def _free_params(mech: np.ndarray, quant: np.ndarray, bsc: bool) -> np.ndarray:
@@ -316,85 +310,28 @@ def _free_params(mech: np.ndarray, quant: np.ndarray, bsc: bool) -> np.ndarray:
     return np.concatenate([mech[:, :-1].reshape(-1), quant[:, :-1].reshape(-1)])
 
 
-def _build_channels(theta: np.ndarray, shapes, bsc: bool) -> tuple[np.ndarray, np.ndarray]:
+def _channels(theta: np.ndarray, shapes, bsc: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(mechanism, quantizer) of the free parameters, clipped at 0 and row-normalized.
+
+    Each row's last entry is one minus the row's free entries. A point off
+    the simplex, such as a finite-difference step past a face, still maps to
+    two channels, so the polish never meets an invalid pair; every row sums
+    to at least 1 before the division.
+    """
     (kx, kh), (kh2, ku) = shapes
     if bsc:
         a, b = theta
         mech = np.array([[1 - a, a], [a, 1 - a]])
         quant = np.array([[1 - b, b], [b, 1 - b]])
-        return mech, quant
-    nm = kx * (kh - 1)
-    mfree = theta[:nm].reshape(kx, kh - 1)
-    qfree = theta[nm:].reshape(kh2, ku - 1)
-    mech = np.concatenate([mfree, 1 - mfree.sum(axis=1, keepdims=True)], axis=1)
-    quant = np.concatenate([qfree, 1 - qfree.sum(axis=1, keepdims=True)], axis=1)
-    return mech, quant
-
-
-def _param_box(theta: np.ndarray, i: int, shapes) -> tuple[float, float]:
-    (kx, kh), (kh2, ku) = shapes
-    nm = kx * (kh - 1)
-    if i < nm:
-        width = kh - 1
-        row = i // width
-        row_vals = theta[row * width:(row + 1) * width]
     else:
-        width = ku - 1
-        row = (i - nm) // width
-        row_vals = theta[nm + row * width:nm + (row + 1) * width]
-    slack = 1.0 - row_vals.sum()
-    return 0.0, float(theta[i] + slack)
-
-
-def _coordinate_refine(theta0, objective, shapes, rounds, scan, skip=0):
-    """Maximize via per-coordinate scan plus golden-section polishing.
-
-    The first ``skip`` coordinates are held fixed.
-    """
-    theta = theta0.copy()
-    best = objective(theta)
-    for _ in range(rounds):
-        for i in range(skip, theta.size):
-            lo, hi = _param_box(theta, i, shapes)
-            if hi - lo < 1e-12:
-                continue
-            pts = np.linspace(lo, hi, scan)
-            vals = []
-            for p in pts:
-                t = theta.copy()
-                t[i] = p
-                vals.append(objective(t))
-            vals.append(best)
-            pts = np.append(pts, theta[i])
-            k = int(np.argmax(vals))
-            center = pts[k]
-            span = (hi - lo) / (scan - 1)
-            a, b = max(lo, center - span), min(hi, center + span)
-            # golden-section on [a, b]; infeasible points score -inf and
-            # push the bracket back toward the feasible side
-            c = b - _GOLDEN * (b - a)
-            d = a + _GOLDEN * (b - a)
-            tc = theta.copy(); tc[i] = c
-            td = theta.copy(); td[i] = d
-            fc, fd = objective(tc), objective(td)
-            for _ in range(28):
-                if fc >= fd:
-                    b, d, fd = d, c, fc
-                    c = b - _GOLDEN * (b - a)
-                    tc[i] = c
-                    fc = objective(tc)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + _GOLDEN * (b - a)
-                    td[i] = d
-                    fd = objective(td)
-            for p in (center, (a + b) / 2, c, d):
-                t = theta.copy()
-                t[i] = p
-                v = objective(t)
-                if v > best:
-                    best, theta = v, t
-    return best, theta
+        nm = kx * (kh - 1)
+        mfree = theta[:nm].reshape(kx, kh - 1)
+        qfree = theta[nm:].reshape(kh2, ku - 1)
+        mech = np.concatenate([mfree, 1 - mfree.sum(axis=1, keepdims=True)], axis=1)
+        quant = np.concatenate([qfree, 1 - qfree.sum(axis=1, keepdims=True)], axis=1)
+    mech = np.clip(mech, 0.0, None)
+    quant = np.clip(quant, 0.0, None)
+    return mech / mech.sum(axis=1, keepdims=True), quant / quant.sum(axis=1, keepdims=True)
 
 
 def _single_point(p_xy, p_x, mech, quant):
@@ -408,21 +345,21 @@ def _single_point(p_xy, p_x, mech, quant):
 
 
 def _mi_pair(theta, shapes, bsc, p, p_x) -> tuple[float, float]:
-    """(I(X;Xh), I(U;Xh)) at the clipped channels of ``theta``."""
-    mech, quant = _build_channels(theta, shapes, bsc)
-    mech = np.clip(mech, 0.0, None)
-    quant = np.clip(quant, 0.0, None)
-    i_xxh, i_uxh, _ = _single_point(p, p_x, mech, quant)
+    """(I(X;Xh), I(U;Xh)) at the channels of ``theta``."""
+    i_xxh, i_uxh, _ = _single_point(p, p_x, *_channels(theta, shapes, bsc))
     return i_xxh, i_uxh
 
 
-def _slsqp_polish(theta0, shapes, bsc, skip, mi_pair, value, rate, leak, maxiter):
-    """Constrained local polish of a refined point.
+def _slsqp_polish(theta0, shapes, bsc, skip, mi_pair, value, rate, leak, ftol):
+    """SLSQP maximization of ``value`` from ``theta0``, within both budgets.
 
-    Coordinate moves stall where both information constraints are active:
-    progress then needs simultaneous mechanism and quantizer adjustments
-    along the feasibility boundary. A sequential-quadratic step handles
-    that. Returns (value, theta) when it found a feasible improvement,
+    The optimum sits where the information constraints are active, and
+    moving along that boundary needs the mechanism and the quantizer to move
+    together, which a sequential-quadratic step does. The first ``skip`` free
+    parameters are held fixed. ``ftol`` should sit above the noise of
+    ``value``: an objective solved only to some residual cannot be polished
+    below it, and a tighter ``ftol`` just runs to the 200-iteration cap.
+    Returns (value, theta) of the final point when it meets both budgets,
     else None; the caller keeps whichever point scores higher.
     """
     free = theta0.size - skip
@@ -468,7 +405,7 @@ def _slsqp_polish(theta0, shapes, bsc, skip, mi_pair, value, rate, leak, maxiter
             method="SLSQP",
             bounds=bounds,
             constraints=constraints,
-            options={"maxiter": maxiter, "ftol": 1e-12},
+            options={"maxiter": 200, "ftol": ftol},
         )
     except (ValueError, FloatingPointError):  # pragma: no cover - solver hiccup
         return None
@@ -516,9 +453,9 @@ def tai_exponent(
     """Optimal exponent against the product alternative (independence testing).
 
     Maximizes I(U;Y) over mechanism and quantizer grids subject to
-    I(U;Xh) <= rate and I(X;Xh) <= leak. The ``top_k`` distinct leading grid
-    values seed an SLSQP polish; the best feasible point wins. ``refine_rounds``
-    and ``line_scan`` do not enter this search.
+    I(U;Xh) <= rate and I(X;Xh) <= leak. Each of the ``top_k`` distinct
+    leading grid values seeds an SLSQP polish of both channels; the best
+    feasible point wins.
     """
     cfg = cfg or SearchConfig()
     check_budgets(rate, leak)
@@ -556,10 +493,7 @@ def tai_exponent(
     mi_pair = partial(_mi_pair, shapes=shapes, bsc=cfg.restrict_bsc, p=p, p_x=p_x)
 
     def raw_value(theta):
-        mech, quant = _build_channels(theta, shapes, cfg.restrict_bsc)
-        mech = np.clip(mech, 0.0, None)
-        quant = np.clip(quant, 0.0, None)
-        return _single_point(p, p_x, mech, quant)[2]
+        return _single_point(p, p_x, *_channels(theta, shapes, cfg.restrict_bsc))[2]
 
     best_val = -1.0
     best_theta = None
@@ -569,16 +503,14 @@ def tai_exponent(
         theta = _free_params(space.mechs[mid], space.quants[qid], cfg.restrict_bsc)
         val = raw_value(theta)
         polished = _slsqp_polish(
-            theta, shapes, cfg.restrict_bsc, 0, mi_pair, raw_value, rate, leak, 200
+            theta, shapes, cfg.restrict_bsc, 0, mi_pair, raw_value, rate, leak, 1e-12
         )
         if polished is not None and polished[0] > val:
             val, theta = polished
         if val > best_val:
             best_val, best_theta = val, theta
 
-    mech, quant = _build_channels(best_theta, shapes, cfg.restrict_bsc)
-    mech = np.clip(mech, 0.0, None)
-    quant = np.clip(quant, 0.0, None)
+    mech, quant = _channels(best_theta, shapes, cfg.restrict_bsc)
     i_xxh, i_uxh, i_uy = _single_point(p, p_x, mech, quant)
     if not i_uy <= min(i_uxh, space.i_xy) + 1e-8:
         raise InvariantViolation(
@@ -641,16 +573,15 @@ def _inner_min(ref_chain: JointPmf, constraints) -> tuple[float, JointPmf | None
     return res.min_kl, res.argmin
 
 
-def _thm1_objective_factory(q_xy: JointPmf, rate, leak, shapes, p):
-    p_x = p.sum(axis=1)
+def _thm1_inner_value(q_xy: JointPmf, shapes, p):
+    """Inner I-projection value of a (mechanism, quantizer) pair, with its witness."""
     q = _as_joint2(q_xy)
     (_, xhat_size), (_, u_size) = shapes
     axes = ("U", "Xh", "X", "Y")
     alphabets = (tuple(range(u_size)), tuple(range(xhat_size)), *q_xy.alphabets)
-    x_marginal = MarginalConstraint(("X",), p_x, "x-marginal")
+    x_marginal = MarginalConstraint(("X",), p.sum(axis=1), "x-marginal")
 
     def inner_value(mech: np.ndarray, quant: np.ndarray):
-        """Inner I-projection value; ``mech`` and ``quant`` are already clipped."""
         null_chain = np.einsum("hu,xh,xy->uhxy", quant, mech, p)
         ref = np.einsum("hu,xh,xy->uhxy", quant, mech, q)
         cons = [
@@ -660,19 +591,7 @@ def _thm1_objective_factory(q_xy: JointPmf, rate, leak, shapes, p):
         ]
         return _inner_min(JointPmf(ref, axes, alphabets), cons)
 
-    def objective(theta):
-        mech, quant = _build_channels(theta, shapes, False)
-        if np.any(mech < -1e-12) or np.any(quant < -1e-12):
-            return -math.inf
-        mech = np.clip(mech, 0.0, None)
-        quant = np.clip(quant, 0.0, None)
-        i_xxh, i_uxh, _ = _single_point(p, p_x, mech, quant)
-        if i_xxh > leak + FEAS_SLACK or i_uxh > rate + FEAS_SLACK:
-            return -math.inf
-        val, _ = inner_value(mech, quant)
-        return -math.inf if math.isinf(val) else val
-
-    return objective, inner_value
+    return inner_value
 
 
 def theorem1_lower_bound(
@@ -688,11 +607,15 @@ def theorem1_lower_bound(
     Outer search over (mechanism, quantizer); the inner value is the
     I-projection of the reference chain onto the three coupling constraints.
     Grid pairs are shortlisted by their I(U;Y) before the inner solver runs,
-    since the projection is the expensive step. ``fixed_mechanism`` pins the
-    mechanism and searches the quantizer alone.
+    since the projection is the expensive step. The best shortlisted pair is
+    polished by SLSQP with the mechanism held fixed, then over both channels.
+    ``fixed_mechanism`` pins the mechanism and keeps only the first pass.
+    The search has no BSC restriction and refuses ``cfg.restrict_bsc``.
     """
     cfg = cfg or THM1_SEARCH
     check_budgets(rate, leak)
+    if cfg.restrict_bsc:
+        raise DomainError("restrict_bsc applies only to the independence-testing search")
     p = _as_joint2(p_xy)
     q = _as_joint2(q_xy)
     if p.shape != q.shape:
@@ -702,10 +625,10 @@ def theorem1_lower_bound(
     u_size = cfg.u_size or xhat_size + 2
     override = None
     if fixed_mechanism is not None:
-        override = np.asarray(fixed_mechanism, dtype=float)[None]
+        override = Channel(fixed_mechanism).matrix[None]
         if override.shape[1:] != (kx, xhat_size):
             raise DimensionMismatch("fixed mechanism shape mismatch")
-    space = _space_for(p, u_size, xhat_size, replace(cfg, restrict_bsc=False), override)
+    space = _space_for(p, u_size, xhat_size, cfg, override)
 
     feasible = (space.i_xxh[:, None] <= leak + FEAS_SLACK) & (
         space.i_uxh <= rate + FEAS_SLACK
@@ -721,47 +644,40 @@ def theorem1_lower_bound(
         shortlist += order[cfg.inner_shortlist::stride][:16]
 
     shapes = ((kx, xhat_size), (xhat_size, u_size))
-    objective, inner_value = _thm1_objective_factory(q_xy, rate, leak, shapes, p)
+    inner_value = _thm1_inner_value(q_xy, shapes, p)
 
+    # shortlisted pairs are feasible grid points, so only the inner value ranks them
     nq = space.quants.shape[0]
     best_val, best_theta = -math.inf, None
     for s in shortlist:
-        mi, qi = divmod(s, nq)
-        theta = _free_params(space.mechs[mi], space.quants[qi], False)
-        val = objective(theta)
-        if val > best_val:
-            best_val, best_theta = val, theta
+        mech, quant = space.mechs[s // nq], space.quants[s % nq]
+        val, _ = inner_value(mech, quant)
+        if best_val < val < math.inf:
+            best_val, best_theta = val, _free_params(mech, quant, False)
     if best_theta is None:
         raise Infeasible("inner projection failed on every shortlisted pair")
 
-    skip = kx * (xhat_size - 1) if fixed_mechanism is not None else 0
-    best_val, best_theta = _coordinate_refine(
-        best_theta, objective, shapes, cfg.refine_rounds,
-        max(7, cfg.line_scan // 2), skip=skip,
-    )
-
     p_x = p.sum(axis=1)
-
     mi_pair = partial(_mi_pair, shapes=shapes, bsc=False, p=p, p_x=p_x)
 
-    def raw_value(theta):
-        mech, quant = _build_channels(theta, shapes, False)
-        if np.any(mech < -1e-12) or np.any(quant < -1e-12):
-            return -1e3
-        val, _ = inner_value(np.clip(mech, 0.0, None), np.clip(quant, 0.0, None))
+    def value(theta):
+        val, _ = inner_value(*_channels(theta, shapes, False))
         return -1e3 if math.isinf(val) else val
 
-    polished = _slsqp_polish(
-        best_theta, shapes, False, skip, mi_pair, raw_value, rate, leak, 60
-    )
-    if polished is not None and polished[0] > best_val:
-        best_val, best_theta = polished
+    # the quantizer alone first: a joint pass from the grid point can stop in
+    # a worse basin; the inner value is solved to residual 1e-9, hence ftol
+    mech_params = kx * (xhat_size - 1)
+    passes = (mech_params,) if fixed_mechanism is not None else (mech_params, 0)
+    for skip in passes:
+        polished = _slsqp_polish(
+            best_theta, shapes, False, skip, mi_pair, value, rate, leak, 1e-11
+        )
+        if polished is not None and polished[0] > best_val:
+            best_val, best_theta = polished
 
-    mech, quant = _build_channels(best_theta, shapes, False)
-    mech = np.clip(mech, 0.0, None)
-    quant = np.clip(quant, 0.0, None)
+    mech, quant = _channels(best_theta, shapes, False)
     theta_val, witness = inner_value(mech, quant)
-    i_xxh, i_uxh, _ = _single_point(p, p.sum(axis=1), mech, quant)
+    i_xxh, i_uxh, _ = _single_point(p, p_x, mech, quant)
     return ExponentResult(
         theta=max(float(theta_val), 0.0),
         bound_kind="lower_bound",

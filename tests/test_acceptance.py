@@ -61,7 +61,7 @@ def test_criterion_1_closed_form_vs_search_grid(criterion):
     The closed form is the optimum over symmetric pairs, so the search
     restricted to them must match it within 1e-2 on both sides.
     """
-    cfg = SearchConfig(grid_step=0.02, refine_rounds=3)
+    cfg = SearchConfig(grid_step=0.02)
     source = dsbs(Q_NOISE)
     rates = [0.1, 0.25, 0.5, 1.0]
     leaks = [round(0.05 * k, 2) for k in range(1, 21)]
@@ -89,7 +89,7 @@ def test_criterion_1_closed_form_vs_search_grid(criterion):
         if leak_mi > l + 1e-6 or rate_mi > r + 1e-6 or abs(value - res.theta) > 1e-9:
             unverified.append((r, l, leak_mi, rate_mi, value, res.theta))
 
-    bsc_cfg = SearchConfig(grid_step=0.02, refine_rounds=3, restrict_bsc=True)
+    bsc_cfg = SearchConfig(grid_step=0.02, restrict_bsc=True)
     bsc_gap = max(
         abs(tai_exponent(source, r, l, bsc_cfg).theta - binary_tai_exponent(Q_NOISE, r, l))
         for r in rates

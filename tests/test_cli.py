@@ -202,15 +202,23 @@ def test_missing_method_argument_is_a_config_error():
 
 
 @pytest.mark.parametrize("command", ["exponent", "sweep"])
-def test_tai_refuses_refine_rounds(command, null_law_path, capsys):
-    # the independence search has no coordinate refinement to steer
-    code = cli.main([command, "--method", "tai", "--null", null_law_path,
-                     "--rate", "0.5", "--leak", "0.5", "--refine-rounds", "2"])
+def test_refinement_flag_is_unknown(command, null_law_path, capsys):
+    # no search refines coordinate-wise any more, so its flag is gone
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--method", "tai", "--null", null_law_path,
+                  "--rate", "0.5", "--leak", "0.5", "--refine-rounds", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --refine-rounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["thm1", "cor2"])
+def test_general_alternative_refuses_restrict_bsc(method, null_law_path, capsys):
+    # the Theorem-1 search has no symmetric-channel grid; it once ignored the flag
+    code = cli.main(["exponent", "--method", method, "--null", null_law_path,
+                     "--alt", null_law_path, "--rate", "0.25", "--leak", "0.5",
+                     "--restrict-bsc"])
     assert code == 2
-    assert "--refine-rounds" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        cli.main([command, "--help"])
-    assert "only the thm1 and cor2" in " ".join(capsys.readouterr().out.split())
+    assert capsys.readouterr().err.startswith("error: restrict_bsc")
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan"])
@@ -259,7 +267,7 @@ def test_thm1_flags_keep_the_theorem1_defaults():
     # default value changes nothing
     for method in ("thm1", "cor2"):
         args = cli._build_parser().parse_args(
-            ["exponent", "--method", method, "--refine-rounds", "3"]
+            ["exponent", "--method", method, "--grid-step", str(THM1_SEARCH.grid_step)]
         )
         assert cli._search_config(args) == THM1_SEARCH
     args = cli._build_parser().parse_args(

@@ -1,6 +1,8 @@
 """Exponent optimizers: closed forms, search anchors, bounds, and witnesses."""
 
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from privexp import (
     Channel,
     DimensionMismatch,
     DomainError,
+    InvalidDistribution,
     JointPmf,
     NonpositiveAlternative,
     SearchConfig,
@@ -17,20 +20,21 @@ from privexp import (
     binary_tai_exponent,
     chain_joint,
     corollary2_bound,
+    kl_divergence,
     mutual_information,
     star,
     tai_exponent,
     theorem1_lower_bound,
     zero_rate_exponent,
 )
-from privexp.exponents import _leading_pairs
+from privexp.exponents import THM1_SEARCH, _leading_pairs
 
 # search values frozen from deterministic runs of this package's optimizer;
 # the (1, 1) anchor coincides with the closed form 1 - h_b(0.1)
 TAI_R1_L1 = 0.5310044064107188
 TAI_R05_L05 = 0.17854234231423172
 THM1_PRODUCT_R1_L1 = 0.5310044064107192
-THM1_PRODUCT_R05_L05 = 0.16115613439575888
+THM1_PRODUCT_R05_L05 = 0.17831301055264726
 # independent numeric minimization of the zero-rate objective agrees to 5e-17
 ZERO_RATE_MIXED = 0.15521622802476653
 # general-alternative searches against the non-product law ALT, frozen from
@@ -38,8 +42,13 @@ ZERO_RATE_MIXED = 0.15521622802476653
 # the arithmetic order of the inner projection
 NULL = [[0.4, 0.1], [0.1, 0.4]]
 ALT = [[0.2, 0.3], [0.25, 0.25]]
-THM1_ALT_R01_L01 = 0.016442348527723246
-COR2_ALT_R025 = 0.12545723572984857
+THM1_ALT_R01_L01 = 0.018012384987284785
+COR2_ALT_R025 = 0.12545780480224758
+# the same three values from the earlier search, which refined coordinate-wise
+# before its polish; a lower bound may rise past these but not fall below
+THM1_PRODUCT_R05_L05_FLOOR = 0.16115613439575888
+THM1_ALT_R01_L01_FLOOR = 0.016442348527723246
+COR2_ALT_R025_FLOOR = 0.12545723572984857
 
 
 def dsbs(eps: float) -> JointPmf:
@@ -202,7 +211,7 @@ def test_search_monotone_in_budgets():
     ("grid_step", 0.0), ("grid_step", -1.0), ("grid_step", 1.5),
     ("grid_step", float("nan")), ("grid_step", float("inf")),
     ("mechanism_budget", 0), ("quantizer_budget", 0), ("top_k", 0),
-    ("line_scan", 0), ("inner_shortlist", 0), ("refine_rounds", -1),
+    ("inner_shortlist", 0),
 ])
 def test_search_config_rejects_out_of_domain_fields(field, value):
     with pytest.raises(DomainError, match=field):
@@ -236,16 +245,71 @@ def test_lower_bound_recovers_independence_case(product_uniform):
 def test_lower_bound_is_below_the_search_value(product_uniform):
     res = theorem1_lower_bound(dsbs(0.1), product_uniform, 0.5, 0.5)
     assert res.theta == pytest.approx(THM1_PRODUCT_R05_L05, abs=1e-9)
+    assert res.theta >= THM1_PRODUCT_R05_L05_FLOOR - 1e-9
     assert res.theta <= TAI_R05_L05 + 1e-9
     assert res.inner_witness is not None
 
 
+def alt_pair() -> tuple[JointPmf, JointPmf]:
+    return JointPmf(np.array(NULL), ("X", "Y")), JointPmf(np.array(ALT), ("X", "Y"))
+
+
 def test_lower_bound_non_product_anchor():
-    p = JointPmf(np.array(NULL), ("X", "Y"))
-    q = JointPmf(np.array(ALT), ("X", "Y"))
+    p, q = alt_pair()
     res = theorem1_lower_bound(p, q, 0.1, 0.1)
     assert res.theta == pytest.approx(THM1_ALT_R01_L01, abs=1e-12)
-    assert corollary2_bound(p, q, 0.25).theta == pytest.approx(COR2_ALT_R025, abs=1e-12)
+    assert res.theta >= THM1_ALT_R01_L01_FLOOR - 1e-9
+    cor2 = corollary2_bound(p, q, 0.25).theta
+    assert cor2 == pytest.approx(COR2_ALT_R025, abs=1e-12)
+    assert cor2 >= COR2_ALT_R025_FLOOR - 1e-9
+
+
+def test_lower_bound_reaches_the_divergence_at_full_budgets():
+    # with R = L = H(X) = 1 bit, X itself can be sent, and the inner
+    # projection collapses to D(P || Q)
+    p, q = alt_pair()
+    start = time.monotonic()
+    res = theorem1_lower_bound(p, q, 1.0, 1.0)
+    assert time.monotonic() - start < 10.0
+    assert res.theta == pytest.approx(kl_divergence(p, q), abs=1e-9)
+
+
+def test_lower_bound_monotone_in_budgets():
+    p, q = alt_pair()
+    budgets = [0.1, 0.25, 0.5]
+    theta = np.array([[theorem1_lower_bound(p, q, r, l).theta for l in budgets]
+                      for r in budgets])
+    assert np.all(np.diff(theta, axis=0) >= -1e-9), theta  # in R
+    assert np.all(np.diff(theta, axis=1) >= -1e-9), theta  # in L
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.5])
+def test_lower_bound_dominates_corollary2_once_identity_is_feasible(rate):
+    # Corollary 2 is Theorem 1 at the identity mechanism, which leaks H(X) = 1 bit
+    p, q = alt_pair()
+    assert theorem1_lower_bound(p, q, rate, 1.0).theta >= (
+        corollary2_bound(p, q, rate).theta - 1e-9
+    )
+
+
+def test_lower_bound_refuses_the_bsc_restriction(product_uniform):
+    with pytest.raises(DomainError, match="restrict_bsc"):
+        theorem1_lower_bound(dsbs(0.1), product_uniform, 0.5, 0.5,
+                             replace(THM1_SEARCH, restrict_bsc=True))
+    with pytest.raises(DomainError, match="restrict_bsc"):
+        corollary2_bound(dsbs(0.1), product_uniform, 0.5,
+                         replace(THM1_SEARCH, restrict_bsc=True))
+
+
+@pytest.mark.parametrize("mech, match", [
+    ([[1.0, 0.0], [np.nan, 0.5]], "row 1: non-finite"),
+    ([[1.2, -0.2], [0.0, 1.0]], "row 0: negative"),
+    ([[0.9, 0.9], [0.9, 0.9]], "row 0: total mass 1.8"),
+], ids=["nan", "negative", "mass-1.8"])
+def test_fixed_mechanism_must_be_a_channel(mech, match, product_uniform):
+    with pytest.raises(InvalidDistribution, match=match):
+        theorem1_lower_bound(dsbs(0.1), product_uniform, 0.5, 0.5,
+                             fixed_mechanism=np.array(mech))
 
 
 def test_lower_bound_validation(product_uniform):
