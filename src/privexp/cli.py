@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .errors import Infeasible, SizeOverflow, TooLarge, ToolkitError
+from .errors import DomainError, Infeasible, SizeOverflow, TooLarge, ToolkitError
 from .euclid import binary_euclid_approx, euclid_tai_approx
 from .exponents import (
     THM1_SEARCH,
@@ -115,6 +115,8 @@ def _emit_manifest(args: argparse.Namespace, outputs: list[str], started: float)
 
 def _cmd_exponent(args) -> tuple[dict, list[str]]:
     method = args.method
+    if method in ("binary", "zero-rate"):
+        _refuse_search_flags(args)
     if method == "binary":
         if args.q is None:
             raise ToolkitError("--q is required for the binary method")
@@ -161,6 +163,14 @@ def _alt(args) -> JointPmf:
     return _load_joint(args.alt)
 
 
+def _refuse_search_flags(args) -> None:
+    """Refuse the search flags for a method that runs no grid search."""
+    for flag, given in (("--grid-step", args.grid_step is not None),
+                        ("--restrict-bsc", args.restrict_bsc)):
+        if given:
+            raise DomainError(f"{flag} does not apply to method {args.method!r}")
+
+
 def _search_config(args) -> SearchConfig:
     """The method's default search config with the given flags applied."""
     base = THM1_SEARCH if args.method in ("thm1", "cor2") else SearchConfig()
@@ -177,6 +187,7 @@ def _cmd_sweep(args) -> tuple[dict, list[str]]:
     leaks = _parse_values(args.leak)
     rows = []
     if args.method == "binary":
+        _refuse_search_flags(args)
         if args.q is None:
             raise ToolkitError("--q is required for the binary method")
         for r in rates:

@@ -13,16 +13,20 @@ of its result.
 Search strategy: a coarse lexicographic grid over channel rows (candidates
 violating a constraint are discarded, never relaxed) supplies seeds, and a
 sequential-quadratic (SLSQP) polish takes a seed along the active-constraint
-ridge. The polish sees the channels through ``_channels``, which clips the
-free parameters at zero and renormalizes each row, so a finite-difference
-step past a simplex face still scores a valid channel pair. ``tai_exponent``
-polishes its distinct leading grid values directly. ``theorem1_lower_bound``,
-whose inner value is an I-projection, scores its shortlisted grid pairs and
-polishes the best one twice: the quantizer alone, then both channels.
+ridge. Both searches see a channel pair through ``_ChannelPair``: free
+parameters mapped by ``_channels``, which clips them at zero and
+renormalizes each row, so a finite-difference step past a simplex face still
+scores a valid channel pair. ``tai_exponent`` polishes its distinct leading
+grid values with the exact gradients of I(U;Y), I(U;Xh) and I(X;Xh), each
+seed from three start depths. ``theorem1_lower_bound``, whose inner value is
+an I-projection, scores its shortlisted grid pairs and polishes the best one
+with finite differences twice: the quantizer alone, then both channels.
 The grid stage is deterministic and ties break toward the lexicographically
 smallest parameter vector. Grid information quantities are cached per (law,
-cardinality, step) so repeated queries against one instance cost only a
-masked reduction and a partial sort.
+cardinality, step, budgets); a binary-X independence grid has about 95,000
+pairs and builds in a fraction of a second, but a ternary-X grid takes
+seconds, so repeated queries against one instance pay only a masked
+reduction and a partial sort.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -77,13 +80,14 @@ FEAS_SLACK = 1e-9
 class SearchConfig:
     """Knobs for the grid-plus-polish channel search."""
 
-    grid_step: float = 0.02
+    grid_step: float = 0.1
     u_size: int | None = None
     xhat_size: int | None = None
     # cap on the number of candidates per channel grid; the effective step is
-    # coarsened until the grid fits
-    mechanism_budget: int = 3000
-    quantizer_budget: int = 2500
+    # coarsened until the grid fits. Ternary X needs 1000 each: at 200 both
+    # grids collapse to deterministic rows and the search finds nothing
+    mechanism_budget: int = 1000
+    quantizer_budget: int = 1000
     # distinct grid values polished by the independence-testing search
     top_k: int = 4
     restrict_bsc: bool = False
@@ -344,19 +348,114 @@ def _single_point(p_xy, p_x, mech, quant):
     return float(i_xxh), float(i_uxh), float(i_uy)
 
 
-def _mi_pair(theta, shapes, bsc, p, p_x) -> tuple[float, float]:
-    """(I(X;Xh), I(U;Xh)) at the channels of ``theta``."""
-    i_xxh, i_uxh, _ = _single_point(p, p_x, *_channels(theta, shapes, bsc))
-    return i_xxh, i_uxh
+# floor of the log arguments in the gradient: the derivative of MI at a zero
+# joint entry is -inf, and a floor near the underflow limit stalls SLSQP
+_LOG_FLOOR = 1e-12
 
 
-def _slsqp_polish(theta0, shapes, bsc, skip, mi_pair, value, rate, leak, ftol):
+def _log(a: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(a, _LOG_FLOOR))
+
+
+def _mi_grad(joint: np.ndarray) -> np.ndarray:
+    """d I / d joint in nats, up to a constant that cancels on the simplex.
+
+    The exact derivative is log J(a,b) - log r(a) - log c(b) - 1 for row sums
+    r and column sums c; every direction that keeps each channel row summing
+    to one moves the total mass by zero, so the -1 drops out.
+    """
+    return _log(joint) - _log(joint.sum(axis=1, keepdims=True)) - _log(joint.sum(axis=0))
+
+
+class _ChannelPair:
+    """A (mechanism, quantizer) pair on one law as a function of its free parameters.
+
+    The free parameters are every channel row but its last entry, or the two
+    crossovers of a BSC pair; ``channels`` maps them through ``_channels``.
+    ``info`` gives (I(X;Xh), I(U;Xh), I(U;Y)) in bits and ``jac`` their exact
+    gradients, one row each. All three share a memo of the last point, so the
+    objective, the constraint and their Jacobians at one SLSQP iterate cost
+    one evaluation and one gradient. The gradient is that of the unclipped
+    map, exact inside the simplex where the polish moves; into an unused
+    symbol it is the one-sided derivative.
+    """
+
+    def __init__(self, p_xy: np.ndarray, shapes, bsc: bool):
+        self.p_xy = p_xy
+        self.p_x = p_xy.sum(axis=1)
+        self.shapes = shapes
+        self.bsc = bsc
+        self._theta = None
+        self._info = self._jac = None
+
+    def _at(self, theta: np.ndarray) -> None:
+        if self._theta is None or not np.array_equal(theta, self._theta):
+            self._theta = np.array(theta, dtype=float)
+            self._mech, self._quant = _channels(self._theta, self.shapes, self.bsc)
+            self._info = self._jac = None
+
+    def channels(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        self._at(theta)
+        return self._mech, self._quant
+
+    def info(self, theta: np.ndarray) -> tuple[float, float, float]:
+        self._at(theta)
+        if self._info is None:
+            self._info = _single_point(self.p_xy, self.p_x, self._mech, self._quant)
+        return self._info
+
+    def jac(self, theta: np.ndarray) -> np.ndarray:
+        self._at(theta)
+        if self._jac is None:
+            self._jac = self._gradient()
+        return self._jac
+
+    def _gradient(self) -> np.ndarray:
+        p, p_x, mech, quant = self.p_xy, self.p_x, self._mech, self._quant
+        p_xh = p_x @ mech
+        j_uy = np.einsum("xy,xu->uy", p, mech @ quant)
+        g_xxh = _mi_grad(p_x[:, None] * mech)
+        g_xhu = _mi_grad(p_xh[:, None] * quant)
+        h = p @ _mi_grad(j_uy).T  # (x, u)
+        # A row of a joint with no mass (an unused Xh or U symbol) has no
+        # conditional of its own: mass moved into it brings the conditional of
+        # where it came from, and log J - log r takes that conditional's log.
+        # For Xh that is the quantizer row; for U it is P(Y|x) when the
+        # mechanism moves and P(Y|Xh=h) when the quantizer does.
+        unused_xh = p_xh <= 0
+        g_xhu[unused_xh] = (_log(quant) - _log(p_xh @ quant))[unused_xh]
+        unused_u = j_uy.sum(axis=1) <= 0
+        h[:, unused_u] = (p * _mi_grad(p)).sum(axis=1, keepdims=True)
+        d_mech = np.stack([
+            p_x[:, None] * g_xxh,
+            # I(U;Xh) sees the mechanism only through the Xh marginal
+            p_x[:, None] * (quant * g_xhu).sum(axis=1),
+            h @ quant.T,
+        ])
+        d_quant = np.stack([np.zeros_like(quant), p_xh[:, None] * g_xhu, mech.T @ h])
+        a_hy = mech.T @ p  # joint of (Xh, Y)
+        d_quant[2][:, unused_u] = (a_hy * _mi_grad(a_hy)).sum(axis=1, keepdims=True)
+        if self.bsc:
+            flip = np.array([[-1.0, 1.0], [1.0, -1.0]])
+            free = np.stack([(d_mech * flip).sum(axis=(1, 2)),
+                             (d_quant * flip).sum(axis=(1, 2))], axis=1)
+        else:
+            free = np.concatenate([
+                (d_mech[..., :-1] - d_mech[..., -1:]).reshape(3, -1),
+                (d_quant[..., :-1] - d_quant[..., -1:]).reshape(3, -1),
+            ], axis=1)
+        return free * _LOG2E
+
+
+def _slsqp_polish(theta0, pair, skip, value, rate, leak, ftol, grad=None):
     """SLSQP maximization of ``value`` from ``theta0``, within both budgets.
 
     The optimum sits where the information constraints are active, and
     moving along that boundary needs the mechanism and the quantizer to move
     together, which a sequential-quadratic step does. The first ``skip`` free
-    parameters are held fixed. ``ftol`` should sit above the noise of
+    parameters are held fixed. ``grad`` is the exact gradient of ``value``;
+    with it the constraint takes ``pair``'s exact Jacobian too, and without
+    it both are finite differences. ``ftol`` should sit above the noise of
     ``value``: an objective solved only to some residual cannot be polished
     below it, and a tighter ``ftol`` just runs to the 200-iteration cap.
     Returns (value, theta) of the final point when it meets both budgets,
@@ -373,13 +472,16 @@ def _slsqp_polish(theta0, shapes, bsc, skip, mi_pair, value, rate, leak, ftol):
 
     constraints = [
         NonlinearConstraint(
-            lambda x: np.asarray(mi_pair(full(x))), -np.inf, np.array([leak, rate])
+            lambda x: np.asarray(pair.info(full(x))[:2]),
+            -np.inf,
+            np.array([leak, rate]),
+            jac="2-point" if grad is None else (lambda x: pair.jac(full(x))[:2, skip:]),
         )
     ]
-    if bsc:
+    if pair.bsc:
         bounds = [(0.0, 0.5)] * free
     else:
-        (kx, kh), (kh2, ku) = shapes
+        (kx, kh), (kh2, ku) = pair.shapes
         nm = kx * (kh - 1)
         rows = []
         for r0 in range(kx):
@@ -402,6 +504,7 @@ def _slsqp_polish(theta0, shapes, bsc, skip, mi_pair, value, rate, leak, ftol):
         res = minimize(
             lambda x: -value(full(x)),
             theta0[skip:].copy(),
+            jac=None if grad is None else (lambda x: -grad(full(x))[skip:]),
             method="SLSQP",
             bounds=bounds,
             constraints=constraints,
@@ -410,7 +513,7 @@ def _slsqp_polish(theta0, shapes, bsc, skip, mi_pair, value, rate, leak, ftol):
     except (ValueError, FloatingPointError):  # pragma: no cover - solver hiccup
         return None
     theta = full(np.clip(res.x, 0.0, None))
-    got_leak, got_rate = mi_pair(theta)
+    got_leak, got_rate, _ = pair.info(theta)
     if got_leak > leak + FEAS_SLACK or got_rate > rate + FEAS_SLACK:
         return None
     return float(value(theta)), theta
@@ -421,6 +524,13 @@ def _slsqp_polish(theta0, shapes, bsc, skip, mi_pair, value, rate, leak, ftol):
 
 # grid pairs scanned for distinct seed values, best first
 _SEED_SCAN = 4096
+# Each seed is polished from the grid pair and from copies mixed this far
+# toward uniform rows. A grid pair sits on simplex faces, where the exact
+# slopes are the floored -inf of the log; from there the polish can stop in
+# a worse basin than a start just inside does, and which start wins varies
+# by law (on 3x3 laws the grid pair alone lost up to 0.02 bits against the
+# finite-difference polish; these three starts lost nothing).
+_START_DEPTHS = (0.0, 1e-6, 1e-3)
 
 
 def _leading_pairs(masked: np.ndarray, limit: int) -> np.ndarray:
@@ -454,8 +564,8 @@ def tai_exponent(
 
     Maximizes I(U;Y) over mechanism and quantizer grids subject to
     I(U;Xh) <= rate and I(X;Xh) <= leak. Each of the ``top_k`` distinct
-    leading grid values seeds an SLSQP polish of both channels; the best
-    feasible point wins.
+    leading grid values seeds SLSQP polishes of both channels with exact
+    gradients; the best feasible point wins.
     """
     cfg = cfg or SearchConfig()
     check_budgets(rate, leak)
@@ -487,31 +597,32 @@ def tai_exponent(
     if not seeds:
         seeds = [int(np.argmax(feasible))]
 
-    shapes = ((kx, xhat_size), (xhat_size, u_size))
-    p_x = space.p_x
+    pair = _ChannelPair(p, ((kx, xhat_size), (xhat_size, u_size)), cfg.restrict_bsc)
 
-    mi_pair = partial(_mi_pair, shapes=shapes, bsc=cfg.restrict_bsc, p=p, p_x=p_x)
+    def value(theta):
+        return pair.info(theta)[2]
 
-    def raw_value(theta):
-        return _single_point(p, p_x, *_channels(theta, shapes, cfg.restrict_bsc))[2]
+    def grad(theta):
+        return pair.jac(theta)[2]
 
     best_val = -1.0
     best_theta = None
     nq = space.quants.shape[0]
     for s in seeds:
-        mid, qid = divmod(int(s), nq)
-        theta = _free_params(space.mechs[mid], space.quants[qid], cfg.restrict_bsc)
-        val = raw_value(theta)
-        polished = _slsqp_polish(
-            theta, shapes, cfg.restrict_bsc, 0, mi_pair, raw_value, rate, leak, 1e-12
-        )
-        if polished is not None and polished[0] > val:
-            val, theta = polished
+        mech, quant = space.mechs[s // nq], space.quants[s % nq]
+        theta = _free_params(mech, quant, cfg.restrict_bsc)
+        val = value(theta)
+        for eps in _START_DEPTHS:
+            start = _free_params((1 - eps) * mech + eps / mech.shape[1],
+                                 (1 - eps) * quant + eps / quant.shape[1], cfg.restrict_bsc)
+            polished = _slsqp_polish(start, pair, 0, value, rate, leak, 1e-12, grad)
+            if polished is not None and polished[0] > val:
+                val, theta = polished
         if val > best_val:
             best_val, best_theta = val, theta
 
-    mech, quant = _channels(best_theta, shapes, cfg.restrict_bsc)
-    i_xxh, i_uxh, i_uy = _single_point(p, p_x, mech, quant)
+    mech, quant = pair.channels(best_theta)
+    i_xxh, i_uxh, i_uy = pair.info(best_theta)
     if not i_uy <= min(i_uxh, space.i_xy) + 1e-8:
         raise InvariantViolation(
             f"data-processing violation at the returned point: I(U;Y)={i_uy!r}"
@@ -657,11 +768,10 @@ def theorem1_lower_bound(
     if best_theta is None:
         raise Infeasible("inner projection failed on every shortlisted pair")
 
-    p_x = p.sum(axis=1)
-    mi_pair = partial(_mi_pair, shapes=shapes, bsc=False, p=p, p_x=p_x)
+    pair = _ChannelPair(p, shapes, False)
 
     def value(theta):
-        val, _ = inner_value(*_channels(theta, shapes, False))
+        val, _ = inner_value(*pair.channels(theta))
         return -1e3 if math.isinf(val) else val
 
     # the quantizer alone first: a joint pass from the grid point can stop in
@@ -669,15 +779,13 @@ def theorem1_lower_bound(
     mech_params = kx * (xhat_size - 1)
     passes = (mech_params,) if fixed_mechanism is not None else (mech_params, 0)
     for skip in passes:
-        polished = _slsqp_polish(
-            best_theta, shapes, False, skip, mi_pair, value, rate, leak, 1e-11
-        )
+        polished = _slsqp_polish(best_theta, pair, skip, value, rate, leak, 1e-11)
         if polished is not None and polished[0] > best_val:
             best_val, best_theta = polished
 
-    mech, quant = _channels(best_theta, shapes, False)
+    mech, quant = pair.channels(best_theta)
     theta_val, witness = inner_value(mech, quant)
-    i_xxh, i_uxh, _ = _single_point(p, p_x, mech, quant)
+    i_xxh, i_uxh, _ = pair.info(best_theta)
     return ExponentResult(
         theta=max(float(theta_val), 0.0),
         bound_kind="lower_bound",

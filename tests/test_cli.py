@@ -221,6 +221,21 @@ def test_general_alternative_refuses_restrict_bsc(method, null_law_path, capsys)
     assert capsys.readouterr().err.startswith("error: restrict_bsc")
 
 
+@pytest.mark.parametrize("flag", [["--grid-step", "0.3"], ["--restrict-bsc"]],
+                         ids=["grid-step", "restrict-bsc"])
+@pytest.mark.parametrize("argv", [
+    ["exponent", "--method", "binary", "--q", "0.1", "--rate", "0.5", "--leak", "0.5"],
+    ["exponent", "--method", "zero-rate", "--rate", "0.5", "--leak", "0.5"],
+    ["sweep", "--method", "binary", "--q", "0.1", "--rate", "0.5", "--leak", "0.5"],
+], ids=["exponent-binary", "exponent-zero-rate", "sweep-binary"])
+def test_search_flags_are_refused_without_a_search(argv, flag, null_law_path, capsys):
+    # these methods run no grid search; they once printed a value and ignored the flag
+    if "zero-rate" in argv:
+        argv = argv + ["--null", null_law_path, "--alt", null_law_path]
+    assert cli.main(argv + flag) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag[0]} does not apply")
+
+
 @pytest.mark.parametrize("step", ["0", "-1", "nan"])
 def test_bad_grid_step_is_a_config_error(step, null_law_path, capsys):
     code = cli.main(["exponent", "--method", "tai", "--null", null_law_path,

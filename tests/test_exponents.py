@@ -2,10 +2,13 @@
 
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privexp import (
     AlphabetMismatch,
@@ -27,7 +30,13 @@ from privexp import (
     theorem1_lower_bound,
     zero_rate_exponent,
 )
-from privexp.exponents import THM1_SEARCH, _leading_pairs
+from privexp.exponents import (
+    THM1_SEARCH,
+    _ChannelPair,
+    _free_params,
+    _leading_pairs,
+    _space_for,
+)
 
 # search values frozen from deterministic runs of this package's optimizer;
 # the (1, 1) anchor coincides with the closed form 1 - h_b(0.1)
@@ -49,6 +58,11 @@ COR2_ALT_R025 = 0.12545780480224758
 THM1_PRODUCT_R05_L05_FLOOR = 0.16115613439575888
 THM1_ALT_R01_L01_FLOOR = 0.016442348527723246
 COR2_ALT_R025_FLOOR = 0.12545723572984857
+# a ternary-X search value, frozen from the finite-difference polish on the
+# grids the default budgets give (1000 x 1000 pairs); budgets of 200 collapse
+# both grids to deterministic rows and return 0
+TERNARY = [[0.20, 0.08, 0.04], [0.06, 0.22, 0.05], [0.03, 0.07, 0.25]]
+TAI_TERNARY_R05_L025 = 0.06694984822589965
 
 
 def dsbs(eps: float) -> JointPmf:
@@ -205,6 +219,68 @@ def test_search_monotone_in_budgets():
     mid = tai_exponent(dsbs(0.1), 0.5, 0.5).theta
     hi = tai_exponent(dsbs(0.1), 1.0, 1.0).theta
     assert lo <= mid + 1e-9 <= hi + 2e-9
+
+
+def test_ternary_search_anchor_and_binary_grid_size():
+    res = tai_exponent(JointPmf(np.array(TERNARY), ("X", "Y")), 0.5, 0.25)
+    assert res.theta == pytest.approx(TAI_TERNARY_R05_L025, abs=1e-9)
+    space = _space_for(np.asarray(dsbs(0.1).probs), 3, 2, SearchConfig())
+    assert space.mechs.shape[0] * space.quants.shape[0] <= 100_000
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_channel_pair_jacobian_matches_central_differences(seed, bsc):
+    rng = np.random.default_rng(seed)
+    kx, ky = (2, int(rng.integers(2, 4))) if bsc else rng.integers(2, 4, size=2)
+    p = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
+    if bsc:
+        kh, ku = 2, 2
+        theta = rng.uniform(0.05, 0.45, size=2)
+    else:
+        kh, ku = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        # interior rows, so that no central-difference step leaves the simplex
+        mech = 0.5 * rng.dirichlet(np.ones(kh), size=kx) + 0.5 / kh
+        quant = 0.5 * rng.dirichlet(np.ones(ku), size=kh) + 0.5 / ku
+        theta = _free_params(mech, quant, False)
+    pair = _ChannelPair(p, ((kx, kh), (kh, ku)), bsc)
+    jac = pair.jac(theta)
+    step = 1e-6
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = step
+        central = (np.array(pair.info(theta + e)) - np.array(pair.info(theta - e))) / (2 * step)
+        np.testing.assert_allclose(jac[:, i], central, atol=1e-6)
+
+
+def test_channel_pair_jacobian_into_unused_symbols_is_one_sided():
+    # Xh symbol 1 and U symbol 1 are unused; a forward step moves mass into
+    # them, and each information quantity grows linearly in the step there
+    p = np.array([[0.30, 0.15, 0.05], [0.05, 0.15, 0.30]])
+    mech = np.array([[0.6, 0.0, 0.4], [0.3, 0.0, 0.7]])
+    quant = np.array([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8], [0.7, 0.0, 0.3]])
+    theta = _free_params(mech, quant, False)
+    pair = _ChannelPair(p, ((2, 3), (3, 3)), False)
+    jac = pair.jac(theta)
+    base = np.array(pair.info(theta))
+    step = 1e-7
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = step
+        forward = (np.array(pair.info(theta + e)) - base) / step
+        np.testing.assert_allclose(jac[:, i], forward, atol=1e-5)
+
+
+def test_zero_row_and_column_give_a_finite_value_without_warnings():
+    law = JointPmf(np.array([[0.4, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.0]]), ("X", "Y"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = tai_exponent(law, 0.5, 0.25)
+        # a vertex of both channel simplices, where many log arguments are floored
+        pair = _ChannelPair(np.asarray(law.probs), ((3, 3), (3, 4)), False)
+        jac = pair.jac(_free_params(np.eye(3), np.eye(3, 4), False))
+    assert math.isfinite(res.theta) and 0.0 <= res.theta <= 0.25 + 1e-9
+    assert np.all(np.isfinite(jac))
 
 
 @pytest.mark.parametrize("field, value", [
