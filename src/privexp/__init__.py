@@ -11,7 +11,6 @@ consistent bits-based convention defined in ``probcore``.
 __version__ = "0.1.0"
 
 from .errors import (
-    AbsoluteContinuityViolation,
     AlphabetMismatch,
     DegenerateConfig,
     DegenerateMarginal,
@@ -97,7 +96,6 @@ __all__ = [
     "LengthMismatch",
     "DimensionMismatch",
     "DomainError",
-    "AbsoluteContinuityViolation",
     "AlphabetMismatch",
     "Infeasible",
     "SupportMismatch",

@@ -44,18 +44,26 @@ SIZE_EXIT = 4
 
 
 def _parse_values(spec: str) -> list[float]:
-    """Accept '0:1:0.02' ranges (inclusive), '{a,b,c}' sets, or single numbers."""
+    """Accept '0:1:0.02' ranges (inclusive), '{a,b,c}' sets, or single numbers.
+
+    ``inf`` is a valid set member but not a range bound.
+    """
     spec = spec.strip().strip("{}")
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise DomainError(f"range {spec!r} needs a finite start, stop and step")
         if step <= 0:
             raise ValueError("range step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise DomainError(f"range {spec!r} has too many points")
+        count = int(math.floor(span + 1e-9)) + 1
         return [round(start + k * step, 12) for k in range(count)]
-    return [float(p) if p.strip() != "inf" else math.inf for p in spec.split(",")]
+    return [float(p) for p in spec.split(",")]
 
 
 def _load_joint(path: str) -> JointPmf:

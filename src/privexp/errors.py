@@ -11,7 +11,6 @@ __all__ = [
     "LengthMismatch",
     "DimensionMismatch",
     "DomainError",
-    "AbsoluteContinuityViolation",
     "AlphabetMismatch",
     "Infeasible",
     "SupportMismatch",
@@ -45,15 +44,6 @@ class DimensionMismatch(ToolkitError):
 
 class DomainError(ToolkitError):
     """Scalar argument outside the mathematically valid domain."""
-
-
-class AbsoluteContinuityViolation(ToolkitError):
-    """Support of the first argument is not contained in the second.
-
-    Divergence routines do not raise this; they return +inf and leave it to
-    report serialization to render the distinguished flag. The class exists
-    for callers that must treat an infinite divergence as a hard error.
-    """
 
 
 class AlphabetMismatch(ToolkitError):

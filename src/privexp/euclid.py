@@ -39,12 +39,15 @@ _LOG2E = math.log2(math.e)
 def chi2_divergence_approx(p, q) -> float:
     """Quadratic stand-in for KL(p || q): (log2 e / 2) * sum (p-q)^2 / q.
 
-    Accurate when p is close to q. The reference must be strictly positive.
+    Accurate when p is close to q. Entries must be finite and the reference
+    strictly positive.
     """
     pa = np.asarray(p.probs if isinstance(p, Pmf) else p, dtype=float)
     qa = np.asarray(q.probs if isinstance(q, Pmf) else q, dtype=float)
     if pa.shape != qa.shape:
         raise DimensionMismatch(f"shape mismatch: {pa.shape} vs {qa.shape}")
+    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(qa))):
+        raise DomainError("both laws must have finite entries")
     if np.any(qa <= 0.0):
         raise ZeroSupport("reference law must be entrywise positive")
     return float(0.5 * _LOG2E * np.sum((pa - qa) ** 2 / qa))

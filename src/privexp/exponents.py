@@ -22,10 +22,12 @@ seed from three start depths. ``theorem1_lower_bound``, whose inner value is
 an I-projection, scores its shortlisted grid pairs and polishes the best one
 with finite differences twice: the quantizer alone, then both channels.
 The grid stage is deterministic and ties break toward the lexicographically
-smallest parameter vector. Grid information quantities are cached per (law,
-cardinality, step, budgets); a binary-X independence grid has about 95,000
-pairs and builds in a fraction of a second, but a ternary-X grid takes
-seconds, so repeated queries against one instance pay only a masked
+smallest parameter vector. Alphabet sizes, grid budgets, the seed count and
+the shortlist are fixed per method; a ``SearchConfig`` sets only the grid
+step and the BSC restriction. Grid information quantities are cached per
+(law, cardinality, step, budgets); a binary-X independence grid has about
+95,000 pairs and builds in a fraction of a second, but a ternary-X grid
+takes seconds, so repeated queries against one instance pay only a masked
 reduction and a partial sort.
 """
 
@@ -38,7 +40,6 @@ from itertools import product
 
 import numpy as np
 from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
-from scipy.special import xlogy
 
 from .errors import (
     AlphabetMismatch,
@@ -52,6 +53,8 @@ from .probcore import (
     Channel,
     JointPmf,
     Pmf,
+    _compositions,
+    _mi_batch,
     binary_entropy,
     binary_entropy_inv,
     chain_joint,  # unused here; kept as a module attribute for perfbench's probe
@@ -81,30 +84,26 @@ class SearchConfig:
     """Knobs for the grid-plus-polish channel search."""
 
     grid_step: float = 0.1
-    u_size: int | None = None
-    xhat_size: int | None = None
-    # cap on the number of candidates per channel grid; the effective step is
-    # coarsened until the grid fits. Ternary X needs 1000 each: at 200 both
-    # grids collapse to deterministic rows and the search finds nothing
-    mechanism_budget: int = 1000
-    quantizer_budget: int = 1000
-    # distinct grid values polished by the independence-testing search
-    top_k: int = 4
     restrict_bsc: bool = False
-    # general-alternative search only: shortlisted pairs that get the inner solver
-    inner_shortlist: int = 48
 
     def __post_init__(self):
         if not (math.isfinite(self.grid_step) and 0.0 < self.grid_step <= 1.0):
             raise DomainError(f"grid_step {self.grid_step!r} outside (0, 1]")
-        for name in ("mechanism_budget", "quantizer_budget", "top_k", "inner_shortlist"):
-            if not getattr(self, name) >= 1:
-                raise DomainError(f"{name} {getattr(self, name)!r} must be at least 1")
 
 
-# defaults of the Theorem-1 and Corollary-2 searches, whose inner I-projection
-# makes every grid pair costly
-THM1_SEARCH = SearchConfig(grid_step=1 / 8, quantizer_budget=800, mechanism_budget=300)
+# defaults of the Theorem-1 and Corollary-2 searches
+THM1_SEARCH = SearchConfig(grid_step=1 / 8)
+
+# (mechanism, quantizer) caps on the number of candidates per channel grid;
+# the effective step is coarsened until the grid fits. Ternary X needs 1000
+# each: at 200 both grids collapse to deterministic rows and the search finds
+# nothing. The Theorem-1 inner I-projection makes every grid pair costly.
+_TAI_BUDGETS = (1000, 1000)
+_THM1_BUDGETS = (300, 800)
+# distinct grid values polished by the independence-testing search
+_TOP_K = 4
+# general-alternative search: shortlisted pairs that get the inner solver
+_INNER_SHORTLIST = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,22 +164,6 @@ def binary_tai_exponent(q_noise: float, rate: float, leak: float) -> float:
 # channel grids
 
 
-def _row_grid(k: int, step: float) -> np.ndarray:
-    """All pmf rows over k symbols on a 1/m lattice, lexicographic order."""
-    m = max(1, round(1.0 / step))
-    rows = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            rows.append(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], m, k)
-    return np.asarray(rows, dtype=float) / m
-
-
 def _row_count(k: int, step: float) -> int:
     m = max(1, round(1.0 / step))
     return math.comb(m + k - 1, k - 1)
@@ -199,7 +182,8 @@ def _fit_step(rows: int, k: int, step: float, budget: int) -> float:
 
 def _channel_grid(n_in: int, n_out: int, step: float, budget: int) -> tuple[np.ndarray, float]:
     eff = _fit_step(n_in, n_out, step, budget)
-    rows = _row_grid(n_out, eff)
+    m = max(1, round(1.0 / eff))
+    rows = _compositions(m, n_out) / m  # pmf rows on the 1/m lattice, lexicographic
     idx = list(product(range(rows.shape[0]), repeat=n_in))
     mats = rows[np.asarray(idx)]  # (N, n_in, n_out), lexicographic
     return mats, eff
@@ -214,43 +198,34 @@ def _bsc_grid(step: float, budget: int) -> tuple[np.ndarray, float]:
     return mats, eff
 
 
-# ---------------------------------------------------------------------------
-# vectorized information quantities
-
-
-def _mi_batch(joint: np.ndarray) -> np.ndarray:
-    """MI between the last two axes for a (..., a, b) batch of joints."""
-    r = joint.sum(axis=-1, keepdims=True)
-    c = joint.sum(axis=-2, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(joint > 0, joint / (r * c), 1.0)
-        out = xlogy(joint, ratio).sum(axis=(-2, -1)) * _LOG2E
-    return np.maximum(out, 0.0)
-
-
 class _TaiSpace:
-    """Grid candidates and their information quantities for one instance."""
+    """Grid candidates and their information quantities for one instance.
 
-    def __init__(self, p_xy: np.ndarray, u_size: int, xhat_size: int,
-                 cfg: SearchConfig, mechs_override: np.ndarray | None = None):
+    Mechanisms map X to an Xh of the same size; ``budgets`` caps the
+    (mechanism, quantizer) grid sizes.
+    """
+
+    def __init__(self, p_xy: np.ndarray, u_size: int, cfg: SearchConfig,
+                 budgets: tuple[int, int], mechs_override: np.ndarray | None = None):
         self.p_xy = p_xy
         kx, ky = p_xy.shape
         self.p_x = p_xy.sum(axis=1)
         self.i_xy = _mi_batch(p_xy)
+        mech_budget, quant_budget = budgets
         if cfg.restrict_bsc:
-            if kx != 2 or u_size != 2 or xhat_size != 2:
+            if kx != 2 or u_size != 2:
                 raise DimensionMismatch("BSC restriction needs binary alphabets")
-            self.mechs, self.mech_step = _bsc_grid(cfg.grid_step, cfg.mechanism_budget)
-            self.quants, self.quant_step = _bsc_grid(cfg.grid_step, cfg.quantizer_budget)
+            self.mechs, self.mech_step = _bsc_grid(cfg.grid_step, mech_budget)
+            self.quants, self.quant_step = _bsc_grid(cfg.grid_step, quant_budget)
         else:
             if mechs_override is not None:
                 self.mechs, self.mech_step = mechs_override, cfg.grid_step
             else:
                 self.mechs, self.mech_step = _channel_grid(
-                    kx, xhat_size, cfg.grid_step, cfg.mechanism_budget
+                    kx, kx, cfg.grid_step, mech_budget
                 )
             self.quants, self.quant_step = _channel_grid(
-                xhat_size, u_size, cfg.grid_step, cfg.quantizer_budget
+                kx, u_size, cfg.grid_step, quant_budget
             )
         nm = self.mechs.shape[0]
         nq = self.quants.shape[0]
@@ -280,24 +255,22 @@ _SPACE_CACHE_MAX = 4
 def _space_for(
     p_xy: np.ndarray,
     u_size: int,
-    xhat_size: int,
     cfg: SearchConfig,
+    budgets: tuple[int, int],
     mechs_override: np.ndarray | None = None,
 ) -> _TaiSpace:
     key = (
         p_xy.tobytes(),
         p_xy.shape,
         u_size,
-        xhat_size,
         cfg.grid_step,
-        cfg.mechanism_budget,
-        cfg.quantizer_budget,
+        budgets,
         cfg.restrict_bsc,
         None if mechs_override is None else mechs_override.tobytes(),
     )
     space = _SPACE_CACHE.get(key)
     if space is None:
-        space = _TaiSpace(p_xy, u_size, xhat_size, cfg, mechs_override)
+        space = _TaiSpace(p_xy, u_size, cfg, budgets, mechs_override)
         if len(_SPACE_CACHE) >= _SPACE_CACHE_MAX:
             _SPACE_CACHE.pop(next(iter(_SPACE_CACHE)))
         _SPACE_CACHE[key] = space
@@ -563,19 +536,17 @@ def tai_exponent(
     """Optimal exponent against the product alternative (independence testing).
 
     Maximizes I(U;Y) over mechanism and quantizer grids subject to
-    I(U;Xh) <= rate and I(X;Xh) <= leak. Each of the ``top_k`` distinct
-    leading grid values seeds SLSQP polishes of both channels with exact
-    gradients; the best feasible point wins.
+    I(U;Xh) <= rate and I(X;Xh) <= leak, with |Xh| = |X| and |U| = |X| + 1
+    (2 under ``cfg.restrict_bsc``). Each of the ``_TOP_K`` distinct leading
+    grid values seeds SLSQP polishes of both channels with exact gradients;
+    the best feasible point wins.
     """
     cfg = cfg or SearchConfig()
     check_budgets(rate, leak)
     p = _as_joint2(p_xy)
     kx, ky = p.shape
-    xhat_size = cfg.xhat_size or kx
-    u_size = cfg.u_size or xhat_size + 1
-    if cfg.restrict_bsc:
-        u_size = 2
-    space = _space_for(p, u_size, xhat_size, cfg)
+    u_size = 2 if cfg.restrict_bsc else kx + 1
+    space = _space_for(p, u_size, cfg, _TAI_BUDGETS)
 
     feasible = (space.i_xxh[:, None] <= leak + FEAS_SLACK) & (
         space.i_uxh <= rate + FEAS_SLACK
@@ -592,12 +563,12 @@ def tai_exponent(
         if all(abs(v - w) > 1e-10 for w in seed_vals):
             seeds.append(int(i))
             seed_vals.append(float(v))
-        if len(seeds) >= cfg.top_k:
+        if len(seeds) >= _TOP_K:
             break
     if not seeds:
         seeds = [int(np.argmax(feasible))]
 
-    pair = _ChannelPair(p, ((kx, xhat_size), (xhat_size, u_size)), cfg.restrict_bsc)
+    pair = _ChannelPair(p, ((kx, kx), (kx, u_size)), cfg.restrict_bsc)
 
     def value(theta):
         return pair.info(theta)[2]
@@ -721,7 +692,8 @@ def theorem1_lower_bound(
     since the projection is the expensive step. The best shortlisted pair is
     polished by SLSQP with the mechanism held fixed, then over both channels.
     ``fixed_mechanism`` pins the mechanism and keeps only the first pass.
-    The search has no BSC restriction and refuses ``cfg.restrict_bsc``.
+    The search runs with |Xh| = |X| and |U| = |X| + 2; it has no BSC
+    restriction and refuses ``cfg.restrict_bsc``.
     """
     cfg = cfg or THM1_SEARCH
     check_budgets(rate, leak)
@@ -732,14 +704,13 @@ def theorem1_lower_bound(
     if p.shape != q.shape:
         raise AlphabetMismatch(f"joint shapes differ: {p.shape} vs {q.shape}")
     kx, ky = p.shape
-    xhat_size = cfg.xhat_size or kx
-    u_size = cfg.u_size or xhat_size + 2
+    u_size = kx + 2
     override = None
     if fixed_mechanism is not None:
         override = Channel(fixed_mechanism).matrix[None]
-        if override.shape[1:] != (kx, xhat_size):
+        if override.shape[1:] != (kx, kx):
             raise DimensionMismatch("fixed mechanism shape mismatch")
-    space = _space_for(p, u_size, xhat_size, cfg, override)
+    space = _space_for(p, u_size, cfg, _THM1_BUDGETS, override)
 
     feasible = (space.i_xxh[:, None] <= leak + FEAS_SLACK) & (
         space.i_uxh <= rate + FEAS_SLACK
@@ -749,12 +720,12 @@ def theorem1_lower_bound(
     order = order[np.isfinite(masked.reshape(-1)[order])].tolist()
     if not order:
         raise Infeasible("no feasible channel pair on the search grid")
-    shortlist = order[: cfg.inner_shortlist]
-    if len(order) > cfg.inner_shortlist:
+    shortlist = order[:_INNER_SHORTLIST]
+    if len(order) > _INNER_SHORTLIST:
         stride = max(1, len(order) // 16)
-        shortlist += order[cfg.inner_shortlist::stride][:16]
+        shortlist += order[_INNER_SHORTLIST::stride][:16]
 
-    shapes = ((kx, xhat_size), (xhat_size, u_size))
+    shapes = ((kx, kx), (kx, u_size))
     inner_value = _thm1_inner_value(q_xy, shapes, p)
 
     # shortlisted pairs are feasible grid points, so only the inner value ranks them
@@ -776,7 +747,7 @@ def theorem1_lower_bound(
 
     # the quantizer alone first: a joint pass from the grid point can stop in
     # a worse basin; the inner value is solved to residual 1e-9, hence ftol
-    mech_params = kx * (xhat_size - 1)
+    mech_params = kx * (kx - 1)
     passes = (mech_params,) if fixed_mechanism is not None else (mech_params, 0)
     for skip in passes:
         polished = _slsqp_polish(best_theta, pair, skip, value, rate, leak, 1e-11)
@@ -812,23 +783,8 @@ def corollary2_bound(
     disclosing the source verbatim is allowed and only the rate constraint
     binds. The reported result carries no leak budget.
     """
-    p = _as_joint2(p_xy)
-    kx = p.shape[0]
-    base = cfg or THM1_SEARCH
-    pinned = replace(base, xhat_size=kx, u_size=base.u_size or kx + 2)
+    kx = _as_joint2(p_xy).shape[0]
     res = theorem1_lower_bound(
-        p_xy, q_xy, rate, math.log2(kx) + 1.0, pinned,
-        fixed_mechanism=np.eye(kx),
+        p_xy, q_xy, rate, math.log2(kx) + 1.0, cfg, fixed_mechanism=np.eye(kx)
     )
-    return ExponentResult(
-        theta=res.theta,
-        bound_kind="lower_bound",
-        rate=res.rate,
-        leak=None,
-        mechanism=res.mechanism,
-        quantizer=res.quantizer,
-        inner_witness=res.inner_witness,
-        rate_mi=res.rate_mi,
-        leak_mi=None,
-        grid_step=res.grid_step,
-    )
+    return replace(res, leak=None, leak_mi=None)

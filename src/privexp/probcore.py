@@ -295,15 +295,19 @@ def kl_divergence(p: Pmf | JointPmf, q: Pmf | JointPmf) -> float:
     return _kl_bits(pa.reshape(-1), qa.reshape(-1))
 
 
+def _mi_batch(joint: np.ndarray) -> np.ndarray:
+    """MI in bits between the last two axes of a (..., a, b) batch of joints."""
+    r = joint.sum(axis=-1, keepdims=True)
+    c = joint.sum(axis=-2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(joint > 0, joint / (r * c), 1.0)
+        out = xlogy(joint, ratio).sum(axis=(-2, -1)) * _LOG2E
+    return np.maximum(out, 0.0)
+
+
 def _mi_bits(joint: np.ndarray) -> float:
     """Mutual information between axis 0 and the rest, in bits."""
-    j = joint.reshape(joint.shape[0], -1)
-    r = j.sum(axis=1, keepdims=True)
-    c = j.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(j > 0, j / (r * c), 1.0)
-        out = float((xlogy(j, ratio)).sum() * _LOG2E)
-    return max(out, 0.0)
+    return float(_mi_batch(joint.reshape(joint.shape[0], -1)))
 
 
 def mutual_information(joint: JointPmf, axis: str | None = None) -> float:
@@ -393,10 +397,26 @@ def empirical_type(
     return JointPmf(probs, names)
 
 
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All nonnegative integer vectors of the given length summing to total.
+
+    Rows come in lexicographic order; divided by ``total`` they are the types
+    of ``total`` samples over ``parts`` symbols.
+    """
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    rows = []
+    for c in range(total + 1):
+        tail = _compositions(total - c, parts - 1)
+        head = np.full((tail.shape[0], 1), c, dtype=np.int64)
+        rows.append(np.hstack([head, tail]))
+    return np.vstack(rows)
+
+
 def is_typical(observed: JointPmf | Pmf | np.ndarray, target: JointPmf | Pmf | np.ndarray,
                mu: float) -> bool:
     """Closed typicality ball: true iff tv(observed, target) <= mu."""
-    if mu < 0:
+    if not mu >= 0.0:  # written so that NaN fails
         raise DomainError(f"typicality radius {mu!r} must be nonnegative")
     return total_variation(observed, target) <= mu
 

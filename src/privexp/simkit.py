@@ -60,7 +60,7 @@ from .errors import (
     SizeOverflow,
     TooLarge,
 )
-from .probcore import Channel, JointPmf, Pmf
+from .probcore import Channel, JointPmf, Pmf, _compositions
 from .probcore import _mi_bits  # plug-in estimates share the exact MI kernel
 
 __all__ = [
@@ -235,18 +235,6 @@ def generate_codebook(p_u: Pmf, n: int, rate: float, seed: int) -> Codebook:
 
 # ---------------------------------------------------------------------------
 # marginalized codebook machinery
-
-
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for c in range(total + 1):
-        tail = _compositions(total - c, parts - 1)
-        head = np.full((tail.shape[0], 1), c, dtype=np.int64)
-        rows.append(np.hstack([head, tail]))
-    return np.vstack(rows)
 
 
 class _TypicalTables:

@@ -277,6 +277,26 @@ def test_nan_tai_rate_is_a_config_error(null_law_path, capsys):
     assert capsys.readouterr().err.startswith("error: rate nan")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--rate", "0:inf:0.1", "--leak", "0.5", "--q", "0.1"],
+    ["sweep", "--rate", "0.5", "--leak=-inf:1:0.5", "--q", "0.1"],
+    ["sweep", "--rate", "0:1:nan", "--leak", "0.5", "--q", "0.1"],
+    ["gaussian", "--rho", "0.5", "--rate", "0:inf:1", "--leak", "1"],
+    ["gaussian", "--rho", "0:1:inf", "--rate", "1", "--leak", "1"],
+    ["approx", "--q", "0.1", "--grid", "nan:0.02:0.005"],
+    ["sweep", "--rate", "0:1e300:1e-300", "--leak", "0.5", "--q", "0.1"],
+], ids=["sweep-inf-stop", "sweep-minus-inf-start", "sweep-nan-step",
+        "gaussian-inf-stop", "gaussian-inf-step", "approx-nan-start",
+        "sweep-overflowing-count"])
+def test_non_finite_range_is_a_config_error(argv, capsys):
+    # an infinite bound, or a point count past the float range, once ended in
+    # an OverflowError traceback (exit 1)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: range '")
+    assert "Traceback" not in err
+
+
 def test_thm1_flags_keep_the_theorem1_defaults():
     # flags are applied on top of the method's own defaults, so restating a
     # default value changes nothing

@@ -56,6 +56,15 @@ def test_chi2_requires_positive_reference():
         chi2_divergence_approx(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_chi2_refuses_non_finite_entries(bad):
+    # a NaN entry once came back as a nan divergence
+    with pytest.raises(DomainError, match="finite"):
+        chi2_divergence_approx(np.array([0.5, bad]), np.array([0.5, 0.5]))
+    with pytest.raises(DomainError, match="finite"):
+        chi2_divergence_approx(np.array([0.5, 0.5]), np.array([bad, 0.5]))
+
+
 def test_binary_closed_form_value():
     expected = (2.0 / LOG2E) * 0.8**2 * 1e-4
     assert binary_euclid_approx(0.1, 0.01, 0.01) == pytest.approx(expected, abs=1e-18)

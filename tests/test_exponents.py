@@ -32,6 +32,8 @@ from privexp import (
 )
 from privexp.exponents import (
     THM1_SEARCH,
+    _TAI_BUDGETS,
+    _THM1_BUDGETS,
     _ChannelPair,
     _free_params,
     _leading_pairs,
@@ -224,8 +226,19 @@ def test_search_monotone_in_budgets():
 def test_ternary_search_anchor_and_binary_grid_size():
     res = tai_exponent(JointPmf(np.array(TERNARY), ("X", "Y")), 0.5, 0.25)
     assert res.theta == pytest.approx(TAI_TERNARY_R05_L025, abs=1e-9)
-    space = _space_for(np.asarray(dsbs(0.1).probs), 3, 2, SearchConfig())
+    space = _space_for(np.asarray(dsbs(0.1).probs), 3, SearchConfig(), _TAI_BUDGETS)
     assert space.mechs.shape[0] * space.quants.shape[0] <= 100_000
+
+
+def test_default_grids_on_a_binary_law():
+    # pins the per-method budget constants: a drifted one changes a grid size
+    p = np.asarray(dsbs(0.1).probs)
+    tai = _space_for(p, 3, SearchConfig(), _TAI_BUDGETS)
+    assert (tai.mechs.shape[0], tai.quants.shape[0]) == (121, 784)
+    assert (tai.mech_step, tai.quant_step) == (0.1, 1 / 6)
+    thm1 = _space_for(p, 4, THM1_SEARCH, _THM1_BUDGETS)
+    assert (thm1.mechs.shape[0], thm1.quants.shape[0]) == (81, 400)
+    assert (thm1.mech_step, thm1.quant_step) == (1 / 8, 1 / 3)
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -286,8 +299,6 @@ def test_zero_row_and_column_give_a_finite_value_without_warnings():
 @pytest.mark.parametrize("field, value", [
     ("grid_step", 0.0), ("grid_step", -1.0), ("grid_step", 1.5),
     ("grid_step", float("nan")), ("grid_step", float("inf")),
-    ("mechanism_budget", 0), ("quantizer_budget", 0), ("top_k", 0),
-    ("inner_shortlist", 0),
 ])
 def test_search_config_rejects_out_of_domain_fields(field, value):
     with pytest.raises(DomainError, match=field):

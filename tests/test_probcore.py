@@ -178,8 +178,9 @@ def test_typicality_ball_is_closed():
     observed = np.array([0.5, 0.5])
     assert is_typical(observed, target, 0.25)
     assert not is_typical(observed, target, 0.2499)
-    with pytest.raises(DomainError):
-        is_typical(observed, target, -0.1)
+    for mu in (-0.1, math.nan):
+        with pytest.raises(DomainError, match="typicality radius"):
+            is_typical(observed, target, mu)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
