@@ -42,6 +42,20 @@ CONFIG_EXIT = 2
 INFEASIBLE_EXIT = 3
 SIZE_EXIT = 4
 
+# flags a method does not read, refused rather than ignored; the search
+# flags come first so that their refusal is the one reported
+_UNUSED_FLAGS = {
+    "binary": ("--grid-step", "--restrict-bsc", "--null", "--alt"),
+    "tai": ("--q", "--alt"),
+    "zero-rate": ("--grid-step", "--restrict-bsc", "--q", "--rate", "--leak"),
+    "thm1": ("--q",),
+    "cor2": ("--q", "--leak"),
+}
+_CONFIG_KEYS = frozenset({
+    "p_xy", "q_xy", "mechanism", "quantizer", "rate", "n", "mu", "seed", "trials",
+    "hypothesis", "scheme", "mu_prime", "fixed_codebook",
+})
+
 
 def _parse_values(spec: str) -> list[float]:
     """Accept '0:1:0.02' ranges (inclusive), '{a,b,c}' sets, or single numbers.
@@ -123,8 +137,10 @@ def _emit_manifest(args: argparse.Namespace, outputs: list[str], started: float)
 
 def _cmd_exponent(args) -> tuple[dict, list[str]]:
     method = args.method
-    if method in ("binary", "zero-rate"):
-        _refuse_search_flags(args)
+    if method in ("thm1", "cor2") and args.restrict_bsc:
+        # the search's own refusal, reported ahead of any unused flag
+        raise DomainError("restrict_bsc applies only to the independence-testing search")
+    _refuse_unused_flags(args)
     if method == "binary":
         if args.q is None:
             raise ToolkitError("--q is required for the binary method")
@@ -171,11 +187,11 @@ def _alt(args) -> JointPmf:
     return _load_joint(args.alt)
 
 
-def _refuse_search_flags(args) -> None:
-    """Refuse the search flags for a method that runs no grid search."""
-    for flag, given in (("--grid-step", args.grid_step is not None),
-                        ("--restrict-bsc", args.restrict_bsc)):
-        if given:
+def _refuse_unused_flags(args) -> None:
+    """Refuse a given flag that the method does not read."""
+    for flag in _UNUSED_FLAGS[args.method]:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value is not False:  # --q 0 is given too
             raise DomainError(f"{flag} does not apply to method {args.method!r}")
 
 
@@ -194,8 +210,8 @@ def _cmd_sweep(args) -> tuple[dict, list[str]]:
     rates = _parse_values(args.rate)
     leaks = _parse_values(args.leak)
     rows = []
+    _refuse_unused_flags(args)
     if args.method == "binary":
-        _refuse_search_flags(args)
         if args.q is None:
             raise ToolkitError("--q is required for the binary method")
         for r in rates:
@@ -239,6 +255,9 @@ def _cmd_gaussian(args) -> tuple[dict, list[str]]:
 def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
     with open(args.config) as fh:
         raw = json.load(fh)
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise DomainError(f"unknown config key {unknown[0]!r}")
     p_xy = from_dict(raw["p_xy"])
     q_xy = from_dict(raw["q_xy"]) if raw.get("q_xy") is not None else None
     mechanism = from_dict(raw["mechanism"])
@@ -252,19 +271,30 @@ def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
             return flag
         return raw.get(key, default)
 
+    def integer(flag, key, default=None):
+        value = pick(flag, key, default)
+        # bool is an int subclass; a float would be truncated
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"config key {key!r} must be an integer, got {value!r}")
+        return value
+
+    fixed_codebook = raw.get("fixed_codebook", False)
+    if not isinstance(fixed_codebook, bool):
+        raise DomainError(
+            f"config key 'fixed_codebook' must be true or false, got {fixed_codebook!r}"
+        )
     cfg = SchemeConfig(
-        n=int(pick(args.n, "n")),
+        n=integer(args.n, "n"),
         mu=float(pick(args.mu, "mu")),
         rate=float(raw["rate"]),
-        seed=int(pick(args.seed, "seed", 0)),
-        trials=int(pick(args.trials, "trials")),
+        seed=integer(args.seed, "seed", 0),
+        trials=integer(args.trials, "trials"),
         hypothesis=pick(args.hypothesis, "hypothesis"),
         mechanism=mechanism,
         quantizer=quantizer,
         scheme_kind=pick(args.scheme, "scheme"),
         mu_prime=raw.get("mu_prime"),
-        batches=int(raw.get("batches", 100)),
-        fixed_codebook=bool(raw.get("fixed_codebook", False)),
+        fixed_codebook=fixed_codebook,
     )
     return cfg, p_xy, q_xy
 

@@ -16,19 +16,22 @@ sequential-quadratic (SLSQP) polish takes a seed along the active-constraint
 ridge. Both searches see a channel pair through ``_ChannelPair``: free
 parameters mapped by ``_channels``, which clips them at zero and
 renormalizes each row, so a finite-difference step past a simplex face still
-scores a valid channel pair. ``tai_exponent`` polishes its distinct leading
-grid values with the exact gradients of I(U;Y), I(U;Xh) and I(X;Xh), each
-seed from three start depths. ``theorem1_lower_bound``, whose inner value is
-an I-projection, scores its shortlisted grid pairs and polishes the best one
+scores a valid channel pair. Both searches take their grid pairs from one
+ranking, ``_TaiSpace.ranked``: the pairs within both budgets, best I(U;Y)
+first, ties in index order, so the grid stage is deterministic and ties
+break toward the lexicographically smallest parameter vector.
+``tai_exponent`` polishes the distinct leading values of that ranking with
+the exact gradients of I(U;Y), I(U;Xh) and I(X;Xh), each seed from three
+start depths. ``theorem1_lower_bound``, whose inner value is an
+I-projection, scores a shortlist of the ranking and polishes the best pair
 with finite differences twice: the quantizer alone, then both channels.
-The grid stage is deterministic and ties break toward the lexicographically
-smallest parameter vector. Alphabet sizes, grid budgets, the seed count and
-the shortlist are fixed per method; a ``SearchConfig`` sets only the grid
-step and the BSC restriction. Grid information quantities are cached per
-(law, cardinality, step, budgets); a binary-X independence grid has about
-95,000 pairs and builds in a fraction of a second, but a ternary-X grid
-takes seconds, so repeated queries against one instance pay only a masked
-reduction and a partial sort.
+Alphabet sizes, grid budgets, the seed count and the shortlist are fixed
+per method; a ``SearchConfig`` sets only the grid step and the BSC
+restriction. Grid information quantities are cached per (law, cardinality,
+step, budgets); a binary-X independence grid has about 95,000 pairs and
+builds in a fraction of a second, but a ternary-X grid takes seconds, so
+repeated queries against one instance pay only a feasibility mask and a
+sort of the feasible pairs. Infinite budgets are accepted.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
 
 from .errors import (
@@ -172,11 +176,9 @@ def _row_count(k: int, step: float) -> int:
 def _fit_step(rows: int, k: int, step: float, budget: int) -> float:
     """Coarsen step until the row-product grid fits the budget."""
     s = step
+    # below 0.51 the lattice has m = round(1/s) >= 2 parts, so m - 1 is coarser
     while _row_count(k, s) ** rows > budget and s < 0.51:
-        m = max(1, round(1.0 / s) - 1)
-        if m == round(1.0 / s):
-            break
-        s = 1.0 / m
+        s = 1.0 / (round(1.0 / s) - 1)
     return s
 
 
@@ -202,12 +204,12 @@ class _TaiSpace:
     """Grid candidates and their information quantities for one instance.
 
     Mechanisms map X to an Xh of the same size; ``budgets`` caps the
-    (mechanism, quantizer) grid sizes.
+    (mechanism, quantizer) grid sizes. A pair is a flat index into the
+    (mechanism, quantizer) product, mechanism-major.
     """
 
     def __init__(self, p_xy: np.ndarray, u_size: int, cfg: SearchConfig,
                  budgets: tuple[int, int], mechs_override: np.ndarray | None = None):
-        self.p_xy = p_xy
         kx, ky = p_xy.shape
         self.p_x = p_xy.sum(axis=1)
         self.i_xy = _mi_batch(p_xy)
@@ -246,6 +248,25 @@ class _TaiSpace:
         cap = np.minimum(self.i_uxh, self.i_xy)
         if not np.all(self.i_uy <= cap + 1e-8):
             raise InvariantViolation("data-processing violation in grid")
+
+    def ranked(self, rate: float, leak: float) -> np.ndarray:
+        """Flat indices of the pairs within both budgets, best I(U;Y) first.
+
+        The sort is stable, so ties keep index order and the lexicographically
+        smallest pair leads. Never empty: with no pair within the budgets it
+        raises ``Infeasible``.
+        """
+        feasible = np.flatnonzero(
+            (self.i_xxh[:, None] <= leak + FEAS_SLACK) & (self.i_uxh <= rate + FEAS_SLACK)
+        )
+        if feasible.size == 0:
+            raise Infeasible("no feasible channel pair on the search grid")
+        return feasible[np.argsort(-self.i_uy.reshape(-1)[feasible], kind="stable")]
+
+    def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(mechanism, quantizer) of the flat index ``i``."""
+        m, q = divmod(int(i), self.quants.shape[0])
+        return self.mechs[m], self.quants[q]
 
 
 _SPACE_CACHE: dict = {}
@@ -431,46 +452,37 @@ def _slsqp_polish(theta0, pair, skip, value, rate, leak, ftol, grad=None):
     it both are finite differences. ``ftol`` should sit above the noise of
     ``value``: an objective solved only to some residual cannot be polished
     below it, and a tighter ``ftol`` just runs to the 200-iteration cap.
-    Returns (value, theta) of the final point when it meets both budgets,
-    else None; the caller keeps whichever point scores higher.
+    An infinite budget is replaced by a finite one no channel pair on these
+    alphabets can reach, since scipy drops a constraint whose bounds are
+    all infinite. Returns (value, theta) of the final point when it meets
+    both budgets, else None; the caller keeps whichever point scores higher.
     """
     free = theta0.size - skip
-    if free <= 0:
-        return None
+    (kx, kh), (kh2, ku) = pair.shapes
 
     def full(x):
         t = theta0.copy()
         t[skip:] = x
         return t
 
+    upper = np.array([leak, rate], dtype=float)
+    upper[np.isinf(upper)] = math.log2(max(kh, ku)) + 1.0
     constraints = [
         NonlinearConstraint(
             lambda x: np.asarray(pair.info(full(x))[:2]),
             -np.inf,
-            np.array([leak, rate]),
+            upper,
             jac="2-point" if grad is None else (lambda x: pair.jac(full(x))[:2, skip:]),
         )
     ]
     if pair.bsc:
         bounds = [(0.0, 0.5)] * free
     else:
-        (kx, kh), (kh2, ku) = pair.shapes
-        nm = kx * (kh - 1)
-        rows = []
-        for r0 in range(kx):
-            lo = r0 * (kh - 1)
-            if lo >= skip and kh > 1:
-                row = np.zeros(free)
-                row[lo - skip:lo - skip + kh - 1] = 1.0
-                rows.append(row)
-        for r0 in range(kh2):
-            lo = nm + r0 * (ku - 1)
-            if lo >= skip and ku > 1:
-                row = np.zeros(free)
-                row[lo - skip:lo - skip + ku - 1] = 1.0
-                rows.append(row)
-        if rows:
-            constraints.append(LinearConstraint(np.array(rows), 0.0, 1.0))
+        # each channel row's free entries sum to at most one; a row of held
+        # parameters is all zero after the slice
+        rows = block_diag(np.kron(np.eye(kx), np.ones((1, kh - 1))),
+                          np.kron(np.eye(kh2), np.ones((1, ku - 1))))[:, skip:]
+        constraints.append(LinearConstraint(rows[rows.any(axis=1)], 0.0, 1.0))
         bounds = [(0.0, 1.0)] * free
 
     try:
@@ -506,20 +518,6 @@ _SEED_SCAN = 4096
 _START_DEPTHS = (0.0, 1e-6, 1e-3)
 
 
-def _leading_pairs(masked: np.ndarray, limit: int) -> np.ndarray:
-    """Flat indices of the ``limit`` largest nonnegative entries, best first.
-
-    Equal to the nonnegative prefix of the first ``limit`` entries of a
-    stable descending argsort over the whole array (ties keep index order),
-    but only the entries at or above the cut are sorted.
-    """
-    flat = masked.reshape(-1)
-    k = min(limit, flat.size)
-    cut = max(np.partition(flat, flat.size - k)[flat.size - k], 0.0)
-    idx = np.flatnonzero(flat >= cut)
-    return idx[np.argsort(-flat[idx], kind="stable")][:limit]
-
-
 def _as_joint2(p_xy: JointPmf) -> np.ndarray:
     p = np.asarray(p_xy.probs, dtype=float)
     if p.ndim != 2:
@@ -548,25 +546,17 @@ def tai_exponent(
     u_size = 2 if cfg.restrict_bsc else kx + 1
     space = _space_for(p, u_size, cfg, _TAI_BUDGETS)
 
-    feasible = (space.i_xxh[:, None] <= leak + FEAS_SLACK) & (
-        space.i_uxh <= rate + FEAS_SLACK
-    )
-    if not feasible.any():
-        raise Infeasible("no feasible channel pair on the search grid")
-    masked = np.where(feasible, space.i_uy, -1.0)
     # relabelings of one channel pair tie exactly, so near-equal grid values
     # mark the same basin; seeding only distinct values spreads the restarts
     seeds: list[int] = []
     seed_vals: list[float] = []
-    for i in _leading_pairs(masked, _SEED_SCAN):
-        v = masked.flat[i]
+    for i in space.ranked(rate, leak)[:_SEED_SCAN]:
+        v = space.i_uy.flat[i]
         if all(abs(v - w) > 1e-10 for w in seed_vals):
             seeds.append(int(i))
             seed_vals.append(float(v))
         if len(seeds) >= _TOP_K:
             break
-    if not seeds:
-        seeds = [int(np.argmax(feasible))]
 
     pair = _ChannelPair(p, ((kx, kx), (kx, u_size)), cfg.restrict_bsc)
 
@@ -578,9 +568,8 @@ def tai_exponent(
 
     best_val = -1.0
     best_theta = None
-    nq = space.quants.shape[0]
     for s in seeds:
-        mech, quant = space.mechs[s // nq], space.quants[s % nq]
+        mech, quant = space.pair(s)
         theta = _free_params(mech, quant, cfg.restrict_bsc)
         val = value(theta)
         for eps in _START_DEPTHS:
@@ -646,15 +635,6 @@ def zero_rate_exponent(p_xy: JointPmf, q_xy: JointPmf) -> ExponentResult:
 # general alternative (lower bound)
 
 
-def _inner_min(ref_chain: JointPmf, constraints) -> tuple[float, JointPmf | None]:
-    try:
-        res = i_project(ref_chain, constraints, tol=1e-9, max_iter=20_000)
-    except (Infeasible, SupportMismatch) as e:
-        log.info("inner projection skipped: %s", e)
-        return math.inf, None
-    return res.min_kl, res.argmin
-
-
 def _thm1_inner_value(q_xy: JointPmf, shapes, p):
     """Inner I-projection value of a (mechanism, quantizer) pair, with its witness."""
     q = _as_joint2(q_xy)
@@ -671,7 +651,12 @@ def _thm1_inner_value(q_xy: JointPmf, shapes, p):
             MarginalConstraint(("U", "Y"), null_chain.sum(axis=(1, 2)), "uy"),
             MarginalConstraint(("U", "Xh"), null_chain.sum(axis=(2, 3)), "uxh"),
         ]
-        return _inner_min(JointPmf(ref, axes, alphabets), cons)
+        try:
+            res = i_project(JointPmf(ref, axes, alphabets), cons, tol=1e-9, max_iter=20_000)
+        except (Infeasible, SupportMismatch) as e:
+            log.info("inner projection skipped: %s", e)
+            return math.inf, None
+        return res.min_kl, res.argmin
 
     return inner_value
 
@@ -712,14 +697,7 @@ def theorem1_lower_bound(
             raise DimensionMismatch("fixed mechanism shape mismatch")
     space = _space_for(p, u_size, cfg, _THM1_BUDGETS, override)
 
-    feasible = (space.i_xxh[:, None] <= leak + FEAS_SLACK) & (
-        space.i_uxh <= rate + FEAS_SLACK
-    )
-    masked = np.where(feasible, space.i_uy, -np.inf)
-    order = np.argsort(-masked, axis=None, kind="stable")
-    order = order[np.isfinite(masked.reshape(-1)[order])].tolist()
-    if not order:
-        raise Infeasible("no feasible channel pair on the search grid")
+    order = space.ranked(rate, leak).tolist()
     shortlist = order[:_INNER_SHORTLIST]
     if len(order) > _INNER_SHORTLIST:
         stride = max(1, len(order) // 16)
@@ -729,10 +707,9 @@ def theorem1_lower_bound(
     inner_value = _thm1_inner_value(q_xy, shapes, p)
 
     # shortlisted pairs are feasible grid points, so only the inner value ranks them
-    nq = space.quants.shape[0]
     best_val, best_theta = -math.inf, None
     for s in shortlist:
-        mech, quant = space.mechs[s // nq], space.quants[s % nq]
+        mech, quant = space.pair(s)
         val, _ = inner_value(mech, quant)
         if best_val < val < math.inf:
             best_val, best_theta = val, _free_params(mech, quant, False)

@@ -30,6 +30,7 @@ from scipy.special import xlogy
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     Infeasible,
     InvariantViolation,
     SupportMismatch,
@@ -124,6 +125,10 @@ def i_project(
     marginal has none, and Infeasible when residuals stop shrinking above
     ``tol`` (contradictory constraints) or ``max_iter`` sweeps pass.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol {tol!r} must be finite and positive")
+    if not max_iter >= 1:
+        raise DomainError(f"max_iter {max_iter!r} must be at least 1")
     ref = np.asarray(reference.probs, dtype=float)
     views = _constraint_views(reference, constraints)
     if not views:
@@ -226,6 +231,8 @@ def brute_force_i_project(
     null-space basis, so ``grid_step`` is a Euclidean step in probability
     space. Free dimension above ORACLE_MAX_FREE_DIM raises TooLarge.
     """
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise DomainError(f"grid_step {grid_step!r} must be finite and positive")
     ref = np.asarray(reference.probs, dtype=float).reshape(-1)
     views = _constraint_views(reference, constraints)
     A, b = _constraint_system(reference, views)

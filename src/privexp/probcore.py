@@ -375,6 +375,9 @@ def empirical_type(
         raise LengthMismatch("sequences are empty")
     if any(a.ndim != 1 or a.size != n for a in arrs):
         raise LengthMismatch(f"sequences must share length {n}")
+    for a in arrs:
+        if a.min() < 0:
+            raise DomainError(f"symbol {int(a.min())} is negative")
     if alphabet_sizes is None:
         sizes = [int(a.max()) + 1 for a in arrs]
     else:
@@ -382,8 +385,8 @@ def empirical_type(
         if len(sizes) != len(arrs):
             raise LengthMismatch("one alphabet size per sequence required")
         for a, k in zip(arrs, sizes):
-            if a.min() < 0 or a.max() >= k:
-                raise DomainError("symbol outside declared alphabet")
+            if a.max() >= k:
+                raise DomainError(f"symbol {int(a.max())} outside declared alphabet of size {k}")
     flat = np.zeros(int(np.prod(sizes)), dtype=np.int64)
     idx = arrs[0].copy()
     for a, k in zip(arrs[1:], sizes[1:]):

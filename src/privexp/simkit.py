@@ -21,7 +21,9 @@ that mode and ``generate_codebook`` are bound by the materialization caps.
 
 Trials are split into batches that run in order; batch b consumes its own
 counter-based stream (spawn key b+1, key 0 is reserved for codebook
-generation), so a report is reproducible bit-for-bit from its seed.
+generation), so a report is reproducible bit-for-bit from its seed. The
+batch count is derived, not configured: ``DEFAULT_BATCHES`` (or one batch
+per trial below that), raised only as far as ``BATCH_CELL_CAP`` requires.
 
 A batch runs as array operations over its trials, drawing in this order:
 
@@ -41,7 +43,7 @@ mode steps 2-4 are replaced by a per-trial scan of the codebook, so the
 memoryless scheme draws exactly 2n uniforms per trial, as a trial-by-trial
 loop would. A batch holds the arrays of all its trials at once, so
 ``BATCH_CELL_CAP`` bounds trials per batch x n x mechanism outputs in
-every mode; a run over it is refused with the batch count that fits.
+every mode; a blocklength at which a single trial passes it is refused.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ TABLE_BUDGET = 2_000_000
 # trials per batch x n x mechanism outputs; a batch peaks at about 40 bytes
 # per cell (ka = 2), so about 170 MB at the cap
 BATCH_CELL_CAP = 2**22
+# batches of a run that fits the cap; the count fixes each report's streams
 DEFAULT_BATCHES = 100
 
 
@@ -97,7 +100,6 @@ class SchemeConfig:
     quantizer: Channel
     scheme_kind: str  # "general" or "memoryless"
     mu_prime: float | None = None  # conditional radius; defaults to 2*mu
-    batches: int = DEFAULT_BATCHES
     fixed_codebook: bool = False
 
     def __post_init__(self):
@@ -105,8 +107,6 @@ class SchemeConfig:
             raise DomainError("blocklength must be at least 1")
         if self.trials < 1:
             raise DomainError("need at least one trial")
-        if self.batches < 1:
-            raise DomainError("need at least one batch")
         # written so that NaN fails each check
         if not self.mu >= 0.0:
             raise DomainError(f"typicality radius {self.mu!r} must be nonnegative")
@@ -175,6 +175,8 @@ def wilson_interval(
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise DomainError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise DomainError(f"successes {successes!r} outside [0, {trials}]")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -348,19 +350,13 @@ class _Runner:
             self.m_count = None
             self.log_m = exponent * math.log(2.0)
         # a batch holds arrays of trials x n x ka entries
-        rows = -(-cfg.trials // min(cfg.batches, cfg.trials))
         max_rows = BATCH_CELL_CAP // (cfg.n * self.ka)
-        if rows > max_rows:
-            hint = (
-                f"raise batches to at least {-(-cfg.trials // max_rows)}"
-                if max_rows
-                else "reduce the blocklength"
-            )
+        if max_rows == 0:
             raise TooLarge(
-                f"a batch of {rows} trials at n = {cfg.n} with {self.ka} "
-                f"mechanism outputs exceeds the {BATCH_CELL_CAP}-cell batch "
-                f"cap; {hint}"
+                f"one trial at n = {cfg.n} with {self.ka} mechanism outputs "
+                f"exceeds the {BATCH_CELL_CAP}-cell batch cap; reduce the blocklength"
             )
+        self.batches = max(min(DEFAULT_BATCHES, cfg.trials), -(-cfg.trials // max_rows))
         self.tables: dict[tuple[int, ...], _TypicalTables] = {}
         self.codebook = None
         if cfg.fixed_codebook:
@@ -499,9 +495,8 @@ class _Runner:
 
 
 def _split_trials(trials: int, batches: int) -> list[int]:
-    b = min(batches, trials)
-    base, extra = divmod(trials, b)
-    return [base + (1 if i < extra else 0) for i in range(b)]
+    base, extra = divmod(trials, batches)
+    return [base + (1 if i < extra else 0) for i in range(batches)]
 
 
 def _plugin_mi_bits(counts: np.ndarray) -> float:
@@ -513,7 +508,7 @@ def _plugin_mi_bits(counts: np.ndarray) -> float:
 
 def _execute(runner: _Runner) -> SimReport:
     cfg = runner.cfg
-    plan = _split_trials(cfg.trials, cfg.batches)
+    plan = _split_trials(cfg.trials, runner.batches)
     results = [runner.run_batch(i, t) for i, t in enumerate(plan)]
 
     accepts = sum(r.accepts for r in results)
@@ -593,6 +588,12 @@ def empirical_privacy(mechanism: Channel, samples) -> float:
         ha = np.asarray(xhat_seq, dtype=np.int64)
         if xa.shape != ha.shape:
             raise DomainError("paired sequences must have equal length")
+        for seq, k, side in ((xa, kx, "input"), (ha, ka, "output")):
+            bad = seq[(seq < 0) | (seq >= k)]
+            if bad.size:
+                raise DomainError(
+                    f"symbol {int(bad[0])} outside the mechanism's {side} alphabet of size {k}"
+                )
         counts += np.bincount(xa * ka + ha, minlength=kx * ka).reshape(kx, ka)
     if counts.sum() == 0:
         raise EmptySample("no symbol pairs supplied")

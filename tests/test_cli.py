@@ -13,18 +13,35 @@ from privexp import (
     Channel,
     Infeasible,
     JointPmf,
+    SchemeConfig,
     SearchConfig,
     binary_tai_exponent,
     cli,
+    corollary2_bound,
     dump_json,
+    mutual_information,
+    run_general_scheme,
+    tai_exponent,
+    theorem1_lower_bound,
+    zero_rate_exponent,
 )
 from privexp.exponents import THM1_SEARCH
+
+# a non-product alternative, entrywise positive
+ALT = [[0.2, 0.3], [0.25, 0.25]]
 
 
 @pytest.fixture
 def null_law_path(tmp_path, dsbs01):
     path = tmp_path / "null.json"
     dump_json(dsbs01, path)
+    return str(path)
+
+
+@pytest.fixture
+def alt_law_path(tmp_path):
+    path = tmp_path / "alt.json"
+    dump_json(JointPmf(np.array(ALT), ("X", "Y")), path)
     return str(path)
 
 
@@ -50,6 +67,11 @@ def sim_config_path(tmp_path, dsbs01):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def as_json(payload):
+    """A payload as it reads back from the JSON the CLI writes."""
+    return json.loads(json.dumps(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +107,32 @@ def test_exponent_search_payload(tmp_path, null_law_path):
     assert payload["theta_bits"] == pytest.approx(0.17854234231423172, abs=1e-9)
 
 
+@pytest.mark.parametrize("method", ["zero-rate", "thm1", "cor2"])
+def test_general_alternative_payloads_match_the_library(
+        method, dsbs01, null_law_path, alt_law_path, capsys):
+    alt = JointPmf(np.array(ALT), ("X", "Y"))
+    argv = ["exponent", "--method", method, "--null", null_law_path, "--alt", alt_law_path]
+    if method == "zero-rate":
+        res = zero_rate_exponent(dsbs01, alt)
+    elif method == "thm1":
+        argv += ["--rate", "0.1", "--leak", "0.1"]
+        res = theorem1_lower_bound(dsbs01, alt, 0.1, 0.1)
+    else:
+        argv += ["--rate", "0.25"]
+        res = corollary2_bound(dsbs01, alt, 0.25)
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == as_json({"method": method, **res.to_dict()})
+
+
+def test_infinite_budgets_are_accepted(dsbs01, null_law_path, capsys):
+    # the polish once crashed with an IndexError traceback (exit 1)
+    assert cli.main(["exponent", "--method", "tai", "--null", null_law_path,
+                     "--rate", "inf", "--leak", "inf"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rate_bits"] == payload["leak_bits"] == {"flag": "infinity"}
+    assert payload["theta_bits"] == pytest.approx(mutual_information(dsbs01), abs=1e-9)
+
+
 def test_stdout_when_no_output_file(capsys):
     assert cli.main(["exponent", "--method", "binary", "--q", "0.1",
                      "--rate", "1", "--leak", "1"]) == 0
@@ -105,6 +153,17 @@ def test_sweep_rows_are_sorted(tmp_path):
     assert leaks == sorted(leaks) == [0.1, 0.2, 0.3]
     thetas = [float(r[2]) for r in rows[1:]]
     assert thetas == [binary_tai_exponent(0.1, 0.25, l) for l in leaks]
+
+
+def test_tai_sweep_rows_match_the_library(tmp_path, dsbs01, null_law_path):
+    out = tmp_path / "tai.csv"
+    assert cli.main(["sweep", "--method", "tai", "--null", null_law_path,
+                     "--rate", "0.5", "--leak", "0.5,0.25", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert rows[0] == ["rate", "leak", "theta_bits"]
+    assert [[float(v) for v in r] for r in rows[1:]] == [
+        [0.5, l, tai_exponent(dsbs01, 0.5, l).theta] for l in (0.25, 0.5)
+    ]
 
 
 def test_approx_curve_tracks_closed_form(tmp_path):
@@ -140,6 +199,30 @@ def test_simulate_report_and_overrides(tmp_path, sim_config_path):
     report2 = json.loads(out2.read_text())
     assert report2["trials"] == 600
     assert report2["seed"] == 9
+
+
+def test_simulate_general_scheme_matches_the_library(tmp_path, dsbs01, capsys):
+    raw = {
+        "p_xy": dsbs01.to_dict(),
+        "q_xy": JointPmf(np.array(ALT), ("X", "Y")).to_dict(),
+        "n": 10, "mu": 0.35, "rate": 0.5, "seed": 3, "trials": 400,
+        "hypothesis": "alt", "scheme": "general",
+        "mechanism": Channel.identity(2).to_dict(),
+        "quantizer": Channel.identity(2).to_dict(),
+    }
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    cfg = SchemeConfig(n=10, mu=0.35, rate=0.5, seed=3, trials=400, hypothesis="alt",
+                       mechanism=Channel.identity(2), quantizer=Channel.identity(2),
+                       scheme_kind="general")
+    report = run_general_scheme(cfg, dsbs01, JointPmf(np.array(ALT), ("X", "Y")))
+    assert json.loads(capsys.readouterr().out) == as_json(report.to_dict())
+
+    del raw["q_xy"]
+    path.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: the general scheme needs q_xy")
 
 
 def test_simulate_same_seed_same_bytes(tmp_path, sim_config_path):
@@ -234,6 +317,59 @@ def test_search_flags_are_refused_without_a_search(argv, flag, null_law_path, ca
         argv = argv + ["--null", null_law_path, "--alt", null_law_path]
     assert cli.main(argv + flag) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag[0]} does not apply")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["exponent", "--method", "binary", "--q", "0.1", "--rate", "0.5", "--leak", "0.5",
+      "--null", "LAW"], "--null"),
+    (["exponent", "--method", "binary", "--q", "0.1", "--rate", "0.5", "--leak", "0.5",
+      "--alt", "LAW"], "--alt"),
+    (["exponent", "--method", "tai", "--null", "LAW", "--rate", "0.5", "--leak", "0.5",
+      "--q", "0"], "--q"),
+    (["exponent", "--method", "tai", "--null", "LAW", "--rate", "0.5", "--leak", "0.5",
+      "--alt", "LAW"], "--alt"),
+    (["exponent", "--method", "zero-rate", "--null", "LAW", "--alt", "LAW",
+      "--q", "0.1"], "--q"),
+    (["exponent", "--method", "zero-rate", "--null", "LAW", "--alt", "LAW",
+      "--rate", "0.5"], "--rate"),
+    (["exponent", "--method", "zero-rate", "--null", "LAW", "--alt", "LAW",
+      "--leak", "0"], "--leak"),
+    (["exponent", "--method", "thm1", "--null", "LAW", "--alt", "LAW", "--rate", "0.5",
+      "--leak", "0.5", "--q", "0.1"], "--q"),
+    (["exponent", "--method", "cor2", "--null", "LAW", "--alt", "LAW", "--rate", "0.25",
+      "--q", "0.1"], "--q"),
+    (["exponent", "--method", "cor2", "--null", "LAW", "--alt", "LAW", "--rate", "0.25",
+      "--leak", "0.3"], "--leak"),
+    (["sweep", "--method", "tai", "--null", "LAW", "--rate", "0.5", "--leak", "0.5",
+      "--q", "0.1"], "--q"),
+    (["sweep", "--method", "binary", "--q", "0.1", "--rate", "0.5", "--leak", "0.5",
+      "--null", "LAW"], "--null"),
+], ids=["binary-null", "binary-alt", "tai-q", "tai-alt", "zero-rate-q", "zero-rate-rate",
+        "zero-rate-leak", "thm1-q", "cor2-q", "cor2-leak", "sweep-tai-q",
+        "sweep-binary-null"])
+def test_unused_flags_are_refused(argv, flag, null_law_path, capsys):
+    # each of these once printed a value and ignored the flag
+    argv = [null_law_path if a == "LAW" else a for a in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} does not apply")
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("fixed_codebok", True, "unknown config key 'fixed_codebok'"),
+    ("fixed_codebook", "no", "config key 'fixed_codebook' must be true or false"),
+    ("trials", 2.9, "config key 'trials' must be an integer"),
+    ("n", 10.0, "config key 'n' must be an integer"),
+    ("seed", "7", "config key 'seed' must be an integer"),
+], ids=["misspelt-key", "string-bool", "float-trials", "float-n", "string-seed"])
+def test_bad_simulate_config_values_are_refused(key, value, match, tmp_path,
+                                                sim_config_path, capsys):
+    # a misspelt key was ignored, "no" read as true, and 2.9 trials ran 2
+    raw = json.loads(open(sim_config_path).read())
+    raw[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {match}")
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan"])

@@ -15,6 +15,7 @@ from privexp import (
     Channel,
     DimensionMismatch,
     DomainError,
+    Infeasible,
     InvalidDistribution,
     JointPmf,
     NonpositiveAlternative,
@@ -35,8 +36,8 @@ from privexp.exponents import (
     _TAI_BUDGETS,
     _THM1_BUDGETS,
     _ChannelPair,
+    _TaiSpace,
     _free_params,
-    _leading_pairs,
     _space_for,
 )
 
@@ -135,25 +136,45 @@ def _argsort_reference(masked, limit):
     return order[masked.reshape(-1)[order] >= 0.0]  # a prefix: sorted descending
 
 
+def _space_from(vals, feasible):
+    """A search space whose ranking sees ``vals`` as I(U;Y), within budgets
+    0.5 exactly where ``feasible`` holds."""
+    space = _TaiSpace.__new__(_TaiSpace)  # the ranking reads only these arrays
+    nm, nq = vals.shape
+    space.mechs = np.arange(float(nm)).reshape(nm, 1, 1)
+    space.quants = np.arange(float(nq)).reshape(nq, 1, 1)
+    space.i_xxh = np.zeros(nm)
+    space.i_uxh = np.where(feasible, 0.0, 1.0)
+    space.i_uy = vals
+    return space
+
+
 @pytest.mark.parametrize("limit", [1, 7, 200, 1000])
 def test_leading_pairs_matches_full_stable_argsort(limit):
     rng = np.random.default_rng(11)
     # coarse values force exact ties across the cut; -1 marks infeasible pairs,
     # and the largest limit exceeds the number of feasible ones
     vals = rng.integers(0, 5, size=(40, 30)) / 4.0
-    masked = np.where(rng.random(vals.shape) < 0.3, -1.0, vals)
-    got = _leading_pairs(masked, limit)
+    feasible = rng.random(vals.shape) >= 0.3
+    masked = np.where(feasible, vals, -1.0)
+    got = _space_from(vals, feasible).ranked(0.5, 0.5)[:limit]
     np.testing.assert_array_equal(got, _argsort_reference(masked, limit))
-    assert got.size == min(limit, int((masked >= 0.0).sum()))
+    assert got.size == min(limit, int(feasible.sum()))
 
 
 def test_leading_pairs_with_few_feasible_entries():
     masked = np.full((6, 5), -1.0)
     masked.flat[[3, 17, 22, 9]] = [0.2, 0.5, 0.2, 0.0]
-    got = _leading_pairs(masked, 10)
+    # infeasible pairs carry the largest values, yet never rank
+    vals = np.where(masked >= 0.0, masked, 0.9)
+    space = _space_from(vals, masked >= 0.0)
+    got = space.ranked(0.5, 0.5)
     np.testing.assert_array_equal(got, [17, 3, 22, 9])
     np.testing.assert_array_equal(got, _argsort_reference(masked, 10))
-    assert _leading_pairs(np.full((3, 3), -1.0), 4).size == 0
+    mech, quant = space.pair(got[0])
+    assert (mech.item(), quant.item()) == divmod(int(got[0]), 5)
+    with pytest.raises(Infeasible, match="no feasible channel pair"):
+        _space_from(np.ones((3, 3)), np.zeros((3, 3), dtype=bool)).ranked(0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +196,14 @@ def test_search_frozen_midpoint_anchor():
     chain = chain_joint(dsbs(0.1), res.mechanism, res.quantizer)
     assert mutual_information(chain.marginal("X", "Xh"), "X") <= 0.5 + 1e-6
     assert mutual_information(chain.marginal("U", "Xh")) <= 0.5 + 1e-6
+
+
+def test_search_with_infinite_budgets_reaches_the_mutual_information():
+    # scipy drops a constraint whose bounds are all infinite, and the polish
+    # once ended in an IndexError inside minimize
+    src = dsbs(0.1)
+    res = tai_exponent(src, math.inf, math.inf)
+    assert res.theta == pytest.approx(mutual_information(src), abs=1e-9)
 
 
 def test_search_vanishes_at_zero_budgets():
@@ -358,6 +387,13 @@ def test_lower_bound_reaches_the_divergence_at_full_budgets():
     start = time.monotonic()
     res = theorem1_lower_bound(p, q, 1.0, 1.0)
     assert time.monotonic() - start < 10.0
+    assert res.theta == pytest.approx(kl_divergence(p, q), abs=1e-9)
+
+
+def test_lower_bound_with_infinite_budgets_reaches_the_divergence():
+    # once an IndexError inside minimize, as for the independence search
+    p, q = alt_pair()
+    res = theorem1_lower_bound(p, q, math.inf, math.inf)
     assert res.theta == pytest.approx(kl_divergence(p, q), abs=1e-9)
 
 

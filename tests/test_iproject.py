@@ -7,6 +7,7 @@ import pytest
 
 from privexp import (
     Channel,
+    DomainError,
     Infeasible,
     IProjectionResult,
     JointPmf,
@@ -153,3 +154,22 @@ def test_brute_force_detects_empty_polytope():
     ]
     with pytest.raises(Infeasible):
         brute_force_i_project(joint(REF), clash)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"tol": math.nan}, "^tol nan"),
+    ({"tol": -1.0}, "^tol -1.0"),
+    ({"max_iter": 0}, "^max_iter 0"),
+], ids=["nan-tol", "negative-tol", "no-sweeps"])
+def test_solver_settings_are_domain_errors(kwargs, match):
+    # a NaN or negative tol once ran 101 sweeps and raised Infeasible, and
+    # max_iter = 0 raised Infeasible after none
+    with pytest.raises(DomainError, match=match):
+        i_project(joint(REF), UNIFORM_XY, **kwargs)
+
+
+@pytest.mark.parametrize("step", [0.0, math.nan])
+def test_brute_force_refuses_a_bad_grid_step(step):
+    # once a ZeroDivisionError, or a numpy ValueError for NaN
+    with pytest.raises(DomainError, match="^grid_step"):
+        brute_force_i_project(joint(REF), UNIFORM_XY, grid_step=step)

@@ -172,6 +172,13 @@ def test_empirical_type_validation():
         empirical_type([0, 2], alphabet_sizes=[2])
 
 
+def test_empirical_type_refuses_negative_symbols():
+    # without declared sizes a negative index once wrapped around and
+    # returned [[1.0]]
+    with pytest.raises(DomainError, match="^symbol -1 is negative"):
+        empirical_type([-1, 0, 0])
+
+
 def test_typicality_ball_is_closed():
     # type [0.5, 0.5] against target [0.75, 0.25]: tv is exactly 0.25
     target = np.array([0.75, 0.25])

@@ -189,7 +189,7 @@ def test_counters_partition_the_trials(kind, fixed, n, rate, dsbs01):
     totals = dict.fromkeys(
         ["accepts", "observer_escapes", "encoder_failures", "receiver_rejects"], 0
     )
-    for b, t in enumerate(simkit._split_trials(cfg.trials, cfg.batches)):
+    for b, t in enumerate(simkit._split_trials(cfg.trials, runner.batches)):
         res = runner.run_batch(b, t)
         # an escape is also an encoder failure, and every trial ends once
         assert res.accepts + res.encoder_failures + res.receiver_rejects == t
@@ -237,18 +237,17 @@ def test_fixed_mode_cap(dsbs01):
         run_memoryless_scheme(cfg, dsbs01)
 
 
-def test_batch_cap_names_the_batch_count(dsbs01):
-    # 100,000 trials x n = 24 x 2 outputs in one batch is 4.8M cells; the
-    # cap holds 87,381 trials per batch at this shape, so two batches fit
-    cfg = memoryless_cfg(n=24, trials=100_000, batches=1)
-    with pytest.raises(TooLarge, match="raise batches to at least 2$"):
-        run_memoryless_scheme(cfg, dsbs01)
-    simkit._Runner(memoryless_cfg(n=24, trials=100_000, batches=2), dsbs01, None)
+def test_batch_count_grows_only_past_the_cell_cap(dsbs01):
+    # the cap holds 87,381 trials per batch at n = 24 with 2 mechanism
+    # outputs: 100 batches cover 8,738,100 trials, one more trial needs 101
+    def batches(**kw):
+        return simkit._Runner(memoryless_cfg(**kw), dsbs01, None).batches
 
-
-def test_config_rejects_zero_batches():
-    with pytest.raises(DomainError, match="batch"):
-        memoryless_cfg(batches=0)
+    assert batches(n=24, trials=8_738_100) == 100
+    assert batches(n=24, trials=8_738_101) == 101
+    assert batches(trials=37) == 37
+    with pytest.raises(TooLarge, match="reduce the blocklength$"):
+        batches(n=2**21 + 1, trials=1)  # one trial alone is 2n > 2^22 cells
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +390,16 @@ def test_empirical_privacy_validation():
         empirical_privacy(IDENT, [([0, 1], [0])])
 
 
+@pytest.mark.parametrize("pair, match", [
+    (([0, 2], [0, 1]), "symbol 2 outside the mechanism's input"),
+    (([0, 1], [0, -1]), "symbol -1 outside the mechanism's output"),
+], ids=["input", "output"])
+def test_empirical_privacy_refuses_symbols_outside_the_mechanism(pair, match):
+    # once a bare numpy ValueError from bincount, or a count in the wrong cell
+    with pytest.raises(DomainError, match=match):
+        empirical_privacy(IDENT, [pair])
+
+
 # ---------------------------------------------------------------------------
 # interval helpers and config validation
 
@@ -403,6 +412,13 @@ def test_wilson_interval_anchor():
     assert wilson_interval(50, 50)[1] == 1.0
     with pytest.raises(DomainError):
         wilson_interval(1, 0)
+
+
+@pytest.mark.parametrize("successes", [11, -1])
+def test_wilson_interval_refuses_counts_outside_the_trials(successes):
+    # once a bare math domain error from the square root
+    with pytest.raises(DomainError, match=f"^successes {successes} "):
+        wilson_interval(successes, 10)
 
 
 def test_config_validation():
