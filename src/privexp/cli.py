@@ -278,6 +278,12 @@ def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
             raise DomainError(f"config key {key!r} must be an integer, got {value!r}")
         return value
 
+    def number(flag, key):
+        value = pick(flag, key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DomainError(f"config key {key!r} must be a number, got {value!r}")
+        return float(value)
+
     fixed_codebook = raw.get("fixed_codebook", False)
     if not isinstance(fixed_codebook, bool):
         raise DomainError(
@@ -285,15 +291,15 @@ def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
         )
     cfg = SchemeConfig(
         n=integer(args.n, "n"),
-        mu=float(pick(args.mu, "mu")),
-        rate=float(raw["rate"]),
+        mu=number(args.mu, "mu"),
+        rate=number(None, "rate"),
         seed=integer(args.seed, "seed", 0),
         trials=integer(args.trials, "trials"),
         hypothesis=pick(args.hypothesis, "hypothesis"),
         mechanism=mechanism,
         quantizer=quantizer,
         scheme_kind=pick(args.scheme, "scheme"),
-        mu_prime=raw.get("mu_prime"),
+        mu_prime=None if raw.get("mu_prime") is None else number(None, "mu_prime"),
         fixed_codebook=fixed_codebook,
     )
     return cfg, p_xy, q_xy

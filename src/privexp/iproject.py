@@ -12,6 +12,14 @@ recorded every sweep and a decrease raises ``InvariantViolation``; the
 primal value D(iterate || ref), which is not monotone in general, is
 computed once, at convergence.
 
+The dual variables are the accumulated natural-log scaling factors, one
+array per constraint in its target layout: the projection is
+``ref * exp(sum of the duals broadcast over the reference axes)``, and
+``sum_c <t_c, duals_c>`` is ``min_kl`` in nats. A cell with zero target has
+dual ``-inf``. Because the projection value is the dual optimum, these are
+its derivatives with respect to the targets (the envelope theorem), which
+the Theorem-1 search uses for its gradient.
+
 ``brute_force_i_project`` is the independent oracle: it parameterizes the
 feasible polytope explicitly (particular solution plus null-space basis) and
 takes an exhaustive grid minimum. It refuses problems with more than three
@@ -79,10 +87,15 @@ class IProjectionResult:
     residual: float = 0.0
     # dual ascent certificate, one value per sweep (nondecreasing)
     dual_trace: tuple = field(default_factory=tuple)
+    # natural-log scaling factor of each constraint, in its target layout
+    duals: tuple = field(default_factory=tuple)
 
 
-def _constraint_views(reference: JointPmf, constraints) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Resolve axis names and reorder targets to ascending axis order."""
+def _constraint_views(reference: JointPmf, constraints) -> list[tuple]:
+    """Resolve axis names and reorder targets to ascending axis order.
+
+    Each view is (ascending axis ids, reordered target, the permutation that
+    restores the constraint's own layout)."""
     views = []
     for c in constraints:
         ids = tuple(reference.axis_index(a) for a in c.axes)
@@ -97,7 +110,7 @@ def _constraint_views(reference: JointPmf, constraints) -> list[tuple[tuple[int,
                 f"constraint on {c.axes}: target shape {c.target.shape} "
                 f"does not match reference axes {shape}"
             )
-        views.append((sorted_ids, target))
+        views.append((sorted_ids, target, tuple(np.argsort(order))))
     return views
 
 
@@ -105,7 +118,7 @@ def _plan(shape: tuple[int, ...], views) -> list[tuple]:
     """Per constraint: kept axes, axes to sum out, broadcast shape, target,
     its positive cells and their values."""
     plan = []
-    for keep, target in views:
+    for keep, target, _ in views:
         drop = tuple(i for i in range(len(shape)) if i not in keep)
         bshape = tuple(k if i in keep else 1 for i, k in enumerate(shape))
         pos = target > 0
@@ -132,7 +145,7 @@ def i_project(
     ref = np.asarray(reference.probs, dtype=float)
     views = _constraint_views(reference, constraints)
     if not views:
-        return IProjectionResult(0.0, reference, 0, True, 0.0, ())
+        return IProjectionResult(0.0, reference, 0, True, 0.0, (), ())
     plan = _plan(ref.shape, views)
 
     for keep, drop, _, _, pos, _ in plan:
@@ -142,13 +155,14 @@ def i_project(
             )
 
     P = ref.copy()
+    log2_scales = [np.zeros(target.shape) for _, _, _, target, _, _ in plan]
     dual = 0.0
     dual_trace: list[float] = []
     best_resid = math.inf
     stall = 0
 
     for sweep in range(1, int(max_iter) + 1):
-        for keep, drop, bshape, target, pos, target_pos in plan:
+        for (keep, drop, bshape, target, pos, target_pos), lam in zip(plan, log2_scales):
             cur = np.add.reduce(P, axis=drop)
             if cur.all():
                 ratio = target / cur
@@ -160,7 +174,9 @@ def i_project(
                     )
                 ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
             P *= ratio.reshape(bshape)
-            dual += float((target_pos * np.log2(ratio[pos])).sum())
+            step = np.log2(ratio[pos])
+            dual += float((target_pos * step).sum())
+            lam[pos] += step
 
         resid = max(
             0.5 * np.abs(np.add.reduce(P, axis=drop) - target).sum()
@@ -183,6 +199,11 @@ def i_project(
                 converged=True,
                 residual=float(resid),
                 dual_trace=tuple(dual_trace),
+                duals=tuple(
+                    np.transpose(np.where(pos, lam / _LOG2E, -np.inf), restore)
+                    for (_, _, restore), (_, _, _, _, pos, _), lam
+                    in zip(views, plan, log2_scales)
+                ),
             )
 
         if resid < best_resid - 1e-14:
@@ -209,7 +230,7 @@ def _constraint_system(reference: JointPmf, views) -> tuple[np.ndarray, np.ndarr
     ncells = int(np.prod(shape))
     rows = [np.ones(ncells)]
     rhs = [1.0]
-    for keep, target in views:
+    for keep, target, _ in views:
         grid = np.indices(shape).reshape(len(shape), ncells)
         for cell in np.ndindex(target.shape):
             sel = np.ones(ncells, dtype=bool)

@@ -356,6 +356,22 @@ def total_variation(p: Pmf | JointPmf | np.ndarray, q: Pmf | JointPmf | np.ndarr
 # types (empirical distributions) and typicality
 
 
+def _symbols(seq) -> np.ndarray:
+    """A symbol sequence as int64, refusing values that are not integers.
+
+    A cast alone would truncate 1.9 to 1; integral floats such as 2.0 pass.
+    """
+    a = np.asarray(seq)
+    if a.dtype.kind in "iu":
+        return a.astype(np.int64)
+    if a.dtype.kind == "f":
+        bad = a[~np.isfinite(a) | (a != np.round(a))]
+        if bad.size == 0:
+            return a.astype(np.int64)
+        raise DomainError(f"symbol {float(bad.flat[0])!r} is not an integer")
+    raise DomainError(f"symbols must be integers, got {a.dtype} values")
+
+
 def empirical_type(
     *seqs: Sequence[int],
     alphabet_sizes: Sequence[int] | None = None,
@@ -369,7 +385,7 @@ def empirical_type(
     """
     if len(seqs) < 1:
         raise LengthMismatch("need at least one sequence")
-    arrs = [np.asarray(s, dtype=np.int64) for s in seqs]
+    arrs = [_symbols(s) for s in seqs]
     n = arrs[0].size
     if n == 0:
         raise LengthMismatch("sequences are empty")

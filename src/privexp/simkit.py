@@ -62,7 +62,7 @@ from .errors import (
     SizeOverflow,
     TooLarge,
 )
-from .probcore import Channel, JointPmf, Pmf, _compositions
+from .probcore import Channel, JointPmf, Pmf, _compositions, _symbols
 from .probcore import _mi_bits  # plug-in estimates share the exact MI kernel
 
 __all__ = [
@@ -584,8 +584,8 @@ def empirical_privacy(mechanism: Channel, samples) -> float:
     kx, ka = mechanism.matrix.shape
     counts = np.zeros((kx, ka), dtype=np.int64)
     for x_seq, xhat_seq in samples:
-        xa = np.asarray(x_seq, dtype=np.int64)
-        ha = np.asarray(xhat_seq, dtype=np.int64)
+        xa = _symbols(x_seq)
+        ha = _symbols(xhat_seq)
         if xa.shape != ha.shape:
             raise DomainError("paired sequences must have equal length")
         for seq, k, side in ((xa, kx, "input"), (ha, ka, "output")):

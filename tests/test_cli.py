@@ -360,16 +360,40 @@ def test_unused_flags_are_refused(argv, flag, null_law_path, capsys):
     ("trials", 2.9, "config key 'trials' must be an integer"),
     ("n", 10.0, "config key 'n' must be an integer"),
     ("seed", "7", "config key 'seed' must be an integer"),
-], ids=["misspelt-key", "string-bool", "float-trials", "float-n", "string-seed"])
+    ("mu", True, "config key 'mu' must be a number, got True"),
+    ("rate", "0.5", "config key 'rate' must be a number, got '0.5'"),
+    ("mu_prime", True, "config key 'mu_prime' must be a number, got True"),
+    ("mu_prime", "0.8", "config key 'mu_prime' must be a number, got '0.8'"),
+], ids=["misspelt-key", "string-bool", "float-trials", "float-n", "string-seed",
+        "bool-mu", "string-rate", "bool-mu-prime", "string-mu-prime"])
 def test_bad_simulate_config_values_are_refused(key, value, match, tmp_path,
                                                 sim_config_path, capsys):
-    # a misspelt key was ignored, "no" read as true, and 2.9 trials ran 2
+    # a misspelt key was ignored, "no" read as true, and 2.9 trials ran 2;
+    # true ran as mu = 1, "0.5" as a rate, and "0.8" failed inside a comparison
     raw = json.loads(open(sim_config_path).read())
     raw[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["simulate", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {match}")
+
+
+def test_missing_rate_is_named(tmp_path, sim_config_path, capsys):
+    raw = json.loads(open(sim_config_path).read())
+    del raw["rate"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config key 'rate' must be a number, got None")
+
+
+def test_integer_mu_is_accepted_as_a_number(tmp_path, sim_config_path):
+    raw = json.loads(open(sim_config_path).read())
+    raw.update(mu=1, mu_prime=2, trials=10)
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan"])

@@ -31,11 +31,13 @@ from privexp import (
     theorem1_lower_bound,
     zero_rate_exponent,
 )
+from privexp import exponents
 from privexp.exponents import (
     THM1_SEARCH,
     _TAI_BUDGETS,
     _THM1_BUDGETS,
     _ChannelPair,
+    _InnerPair,
     _TaiSpace,
     _free_params,
     _space_for,
@@ -413,6 +415,112 @@ def test_lower_bound_dominates_corollary2_once_identity_is_feasible(rate):
     assert theorem1_lower_bound(p, q, rate, 1.0).theta >= (
         corollary2_bound(p, q, rate).theta - 1e-9
     )
+
+
+def inner_pair(p, q, kh: int, ku: int) -> _InnerPair:
+    p = np.asarray(p, dtype=float)
+    q_xy = JointPmf(np.asarray(q, dtype=float), ("X", "Y"))
+    return _InnerPair(p, q_xy, ((p.shape[0], kh), (kh, ku)))
+
+
+def tight_values(monkeypatch):
+    """Solve the inner projections that follow to residual 1e-13.
+
+    The search solves them to 1e-9; its values then carry an error that is
+    smooth only to about 1e-7 in the slope, more than the gradient's own
+    (about 1e-10).
+    """
+    real = exponents.i_project
+    monkeypatch.setattr(exponents, "i_project", lambda ref, cons, tol, max_iter:
+                        real(ref, cons, tol=1e-13, max_iter=200_000))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_theorem1_gradient_matches_central_differences(seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_central_differences(seed, monkeypatch)
+
+
+def check_central_differences(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    kx, ky = (int(k) for k in rng.integers(2, 4, size=2))
+    p = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
+    q = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
+    ku = kx + 2
+    # interior rows, so that no central-difference step leaves the simplex
+    mech = 0.5 * rng.dirichlet(np.ones(kx), size=kx) + 0.5 / kx
+    quant = 0.5 * rng.dirichlet(np.ones(ku), size=kx) + 0.5 / ku
+    theta = _free_params(mech, quant, False)
+    grad = inner_pair(p, q, kx, ku).grad(theta)
+    tight_values(monkeypatch)
+    pair = inner_pair(p, q, kx, ku)
+    step = 1e-6
+    central = [(pair.value(theta + e) - pair.value(theta - e)) / (2 * step)
+               for e in step * np.eye(theta.size)]
+    np.testing.assert_allclose(grad, central, atol=5e-9)
+
+
+# (mechanism, quantizer) on the faces of the simplex, each row's last entry
+# positive so that a forward step on any free parameter stays a channel
+THM1_FACES = {
+    "grid-face": ([[0.0, 1.0], [0.25, 0.75]],
+                  [[0.5, 0.0, 0.25, 0.25], [0.0, 1 / 3, 1 / 3, 1 / 3]]),
+    "zero-quantizer-cells": ([[0.8, 0.2], [0.3, 0.7]],
+                             [[0.5, 0.0, 0.0, 0.5], [0.0, 0.3, 0.2, 0.5]]),
+    "unused-u": ([[0.8, 0.2], [0.3, 0.7]],
+                 [[0.5, 0.0, 0.2, 0.3], [0.2, 0.0, 0.3, 0.5]]),
+    "unused-xh": ([[0.0, 1.0], [0.0, 1.0]],
+                  [[0.5, 0.2, 0.1, 0.2], [0.2, 0.3, 0.4, 0.1]]),
+    "unused-xh-and-u": ([[0.0, 1.0], [0.0, 1.0]],
+                        [[0.5, 0.2, 0.1, 0.2], [0.2, 0.0, 0.4, 0.4]]),
+}
+
+
+@pytest.mark.parametrize("face", sorted(THM1_FACES))
+def test_theorem1_gradient_on_simplex_faces_is_one_sided(face, monkeypatch):
+    # a zero-target cell has dual -inf; the gradient completes it from the
+    # cell's own optimality condition and must match the forward slope
+    # (Richardson-extrapolated, so the check is exact to O(step^2))
+    mech, quant = (np.array(m) for m in THM1_FACES[face])
+    theta = _free_params(mech, quant, False)
+    grad = inner_pair(NULL, ALT, 2, 4).grad(theta)
+    assert np.all(np.isfinite(grad))
+    tight_values(monkeypatch)
+    pair = inner_pair(NULL, ALT, 2, 4)
+    base = pair.value(theta)
+    step = 1e-6
+    forward = [2 * (pair.value(theta + e) - base) / step
+               - (pair.value(theta + 2 * e) - base) / (2 * step)
+               for e in step * np.eye(theta.size)]
+    np.testing.assert_allclose(grad, forward, atol=5e-9)
+    if face.startswith("unused-xh"):
+        # the quantizer row of an unused Xh symbol does not move the value
+        assert np.all(grad[2:5] == 0.0)
+
+
+def test_failed_inner_projection_scores_the_sentinel_with_zero_gradient():
+    # Q puts no mass on Y = 1, which the (U, Y) target of the null chain needs
+    pair = inner_pair(NULL, [[0.5, 0.0], [0.5, 0.0]], 2, 4)
+    theta = _free_params(np.full((2, 2), 0.5), np.full((2, 4), 0.25), False)
+    assert pair.value(theta) == -1e3
+    assert np.array_equal(pair.grad(theta), np.zeros(theta.size))
+
+
+def test_theorem1_query_makes_few_projections(monkeypatch):
+    # the finite-difference polish made 238 projections in this query, one
+    # per free parameter per gradient; the exact gradient makes 110
+    real = exponents.i_project
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exponents, "i_project", counting)
+    p, q = alt_pair()
+    theorem1_lower_bound(p, q, 0.5, 0.5)
+    assert len(calls) <= 130
 
 
 def test_lower_bound_refuses_the_bsc_restriction(product_uniform):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privexp import (
     Channel,
@@ -81,6 +83,69 @@ def test_dual_certificate_monotone_every_sweep():
         assert kl_divergence(res.argmin, ref) == pytest.approx(res.min_kl, abs=1e-12)
 
 
+def dual_scale(res, ref: JointPmf, constraints) -> np.ndarray:
+    """exp of the duals summed over the reference axes."""
+    total = np.zeros(ref.shape)
+    for c, lam in zip(constraints, res.duals):
+        ids = [ref.axis_index(a) for a in c.axes]
+        order = np.argsort(ids)
+        shape = [1] * len(ref.shape)
+        for i in ids:
+            shape[i] = ref.shape[i]
+        total = total + np.transpose(lam, order).reshape(shape)
+    return np.exp(total)
+
+
+def dual_value_bits(res, constraints) -> float:
+    return sum(float((c.target * np.where(c.target > 0, lam, 0.0)).sum())
+               for c, lam in zip(constraints, res.duals)) * math.log2(math.e)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_duals_give_the_value_and_the_projection(seed):
+    # the duals are the natural-log scaling factors, each in its own
+    # constraint's layout: sum_c <t_c, lam_c> is min_kl and the last dual
+    # trace entry, and ref * exp(sum of lam) is the argmin
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(2, 4, size=3))
+    axes = ("A", "B", "C")
+    ref = JointPmf(rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape), axes)
+    other = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+    choices = [("A",), ("C", "A"), ("B", "C"), ("B",), ("C", "B", "A")]
+    picked = rng.choice(len(choices), size=int(rng.integers(1, 4)), replace=False)
+    constraints = []
+    for i in sorted(picked):
+        names = choices[i]
+        ids = [axes.index(a) for a in names]
+        marginal = other.sum(axis=tuple(k for k in range(3) if k not in ids))
+        # the marginal's axes are ascending; reorder them to the names' order
+        target = np.transpose(marginal, np.argsort(np.argsort(ids)))
+        constraints.append(MarginalConstraint(names, target))
+    res = i_project(ref, constraints)
+    assert len(res.duals) == len(constraints)
+    for c, lam in zip(constraints, res.duals):
+        assert lam.shape == c.target.shape
+    value = dual_value_bits(res, constraints)
+    assert value == pytest.approx(res.min_kl, abs=1e-7)
+    assert value == pytest.approx(res.dual_trace[-1], abs=1e-12)
+    np.testing.assert_allclose(ref.probs * dual_scale(res, ref, constraints),
+                               res.argmin.probs, atol=1e-12)
+
+
+def test_zero_target_cells_have_dual_minus_infinity():
+    ref = joint(REF)
+    constraints = [MarginalConstraint(("Y", "X"), np.array([[0.5, 0.0], [0.2, 0.3]]), "yx")]
+    res = i_project(ref, constraints)
+    lam = res.duals[0]
+    assert lam[0, 1] == -math.inf
+    assert np.isfinite(np.delete(lam.reshape(-1), 1)).all()
+    # the optimal scaling of a single full marginal is the target over the
+    # reference marginal
+    np.testing.assert_allclose(np.exp(lam), constraints[0].target / REF.T, atol=1e-12)
+    assert dual_value_bits(res, constraints) == pytest.approx(res.min_kl, abs=1e-12)
+
+
 def test_pythagorean_identity():
     # for any feasible q: D(q||ref) = D(q||p*) + D(p*||ref)
     res = i_project(joint(REF), UNIFORM_XY)
@@ -104,6 +169,7 @@ def test_no_constraints_returns_reference():
     assert isinstance(res, IProjectionResult)
     assert res.min_kl == 0.0
     assert res.iterations == 0
+    assert res.duals == ()
     assert np.allclose(res.argmin.probs, REF)
 
 

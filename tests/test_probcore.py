@@ -179,6 +179,22 @@ def test_empirical_type_refuses_negative_symbols():
         empirical_type([-1, 0, 0])
 
 
+@pytest.mark.parametrize("seq, match", [
+    ([0.7, 1.2, 1.9], "^symbol 0.7 is not an integer"),
+    ([0.0, float("nan")], "^symbol nan is not an integer"),
+    ([True, False], "^symbols must be integers, got bool values"),
+], ids=["fractional", "nan", "bool"])
+def test_empirical_type_refuses_non_integer_symbols(seq, match):
+    # 0.7, 1.2, 1.9 were truncated to 0, 1, 1 and counted as [1/3, 2/3]
+    with pytest.raises(DomainError, match=match):
+        empirical_type(seq)
+
+
+def test_empirical_type_accepts_integral_floats():
+    assert np.array_equal(empirical_type([0.0, 1.0, 1.0]).probs,
+                          empirical_type([0, 1, 1]).probs)
+
+
 def test_typicality_ball_is_closed():
     # type [0.5, 0.5] against target [0.75, 0.25]: tv is exactly 0.25
     target = np.array([0.75, 0.25])

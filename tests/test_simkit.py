@@ -393,9 +393,12 @@ def test_empirical_privacy_validation():
 @pytest.mark.parametrize("pair, match", [
     (([0, 2], [0, 1]), "symbol 2 outside the mechanism's input"),
     (([0, 1], [0, -1]), "symbol -1 outside the mechanism's output"),
-], ids=["input", "output"])
+    (([0.9, 1.5], [0.2, 1.7]), "symbol 0.9 is not an integer"),
+    (([0, 1], [0, 1.5]), "symbol 1.5 is not an integer"),
+], ids=["input", "output", "float-pairs", "float-output"])
 def test_empirical_privacy_refuses_symbols_outside_the_mechanism(pair, match):
-    # once a bare numpy ValueError from bincount, or a count in the wrong cell
+    # once a bare numpy ValueError from bincount, or a count in the wrong
+    # cell; float symbols were truncated, and the pairs above read as 1.0 bit
     with pytest.raises(DomainError, match=match):
         empirical_privacy(IDENT, [pair])
 
