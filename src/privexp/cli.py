@@ -35,7 +35,7 @@ from .exponents import (
 )
 from .gaussian import GaussianQuery, gaussian_achievable_at_beta, gaussian_tai_exponent
 from .iproject import MarginalConstraint, i_project
-from .probcore import Channel, JointPmf, Pmf, from_dict, load_json
+from .probcore import Channel, JointPmf, Pmf, _json_object, from_dict, load_json
 from .simkit import SchemeConfig, run_general_scheme, run_memoryless_scheme
 
 CONFIG_EXIT = 2
@@ -254,10 +254,13 @@ def _cmd_gaussian(args) -> tuple[dict, list[str]]:
 
 def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
     with open(args.config) as fh:
-        raw = json.load(fh)
+        raw = _json_object(json.load(fh), "a simulation config")
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
         raise DomainError(f"unknown config key {unknown[0]!r}")
+    for key in ("p_xy", "mechanism", "quantizer"):
+        if key not in raw:
+            raise DomainError(f"a simulation config has no {key!r} field")
     p_xy = from_dict(raw["p_xy"])
     q_xy = from_dict(raw["q_xy"]) if raw.get("q_xy") is not None else None
     mechanism = from_dict(raw["mechanism"])

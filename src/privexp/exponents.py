@@ -7,19 +7,24 @@ privacy mechanism (X to Xh) constrained by I(X;Xh) <= L and a quantizer
 maximizes an inner I-projection value against a general alternative. The
 inner value builds the (U, Xh, X, Y) chains under both laws with one
 ``einsum`` each and takes its (U, Y) and (U, Xh) targets as axis sums of the
-null chain. The search amplifies round-off, so this arithmetic order is part
-of its result.
+null chain; the grid and the polish take every other joint of a pair from
+one kernel, ``probcore._pair_joints``. The search amplifies round-off, so
+this arithmetic order is part of its result: summing the polished pair's
+marginals in another order moved values by up to 0.069 bits, and summing
+the grid's reordered near-tied pairs and moved one value by 0.075 bits
+(CHANGES.md).
 
 Search strategy: a coarse lexicographic grid over channel rows (candidates
 violating a constraint are discarded, never relaxed) supplies seeds, and a
 sequential-quadratic (SLSQP) polish takes a seed along the active-constraint
-ridge. Both searches see a channel pair through ``_ChannelPair``: free
-parameters mapped by ``_channels``, which clips them at zero and
+ridge. Both searches see a channel pair through ``_ChannelPair``, which
+owns its free-parameter layout, its SLSQP bounds and its objective
+(``_InnerPair`` for Theorem 1); its parameter map clips at zero and
 renormalizes each row, so a step past a simplex face still scores a valid
-channel pair. Both searches take their grid pairs from one
-ranking, ``_TaiSpace.ranked``: the pairs within both budgets, best I(U;Y)
-first, ties in index order, so the grid stage is deterministic and ties
-break toward the lexicographically smallest parameter vector.
+channel pair. Both searches take their grid pairs from one ranking,
+``_TaiSpace.ranked``: the pairs within both budgets, best I(U;Y) first,
+ties in index order, so the grid stage is deterministic and ties break
+toward the lexicographically smallest parameter vector.
 ``tai_exponent`` polishes the distinct leading values of that ranking with
 the exact gradients of I(U;Y), I(U;Xh) and I(X;Xh), each seed from three
 start depths. ``theorem1_lower_bound``, whose inner value is an
@@ -61,6 +66,7 @@ from .probcore import (
     Pmf,
     _compositions,
     _mi_batch,
+    _pair_joints,
     binary_entropy,
     binary_entropy_inv,
     chain_joint,  # unused here; kept as a module attribute for perfbench's probe
@@ -212,8 +218,7 @@ class _TaiSpace:
 
     def __init__(self, p_xy: np.ndarray, u_size: int, cfg: SearchConfig,
                  budgets: tuple[int, int], mechs_override: np.ndarray | None = None):
-        kx, ky = p_xy.shape
-        self.p_x = p_xy.sum(axis=1)
+        kx = p_xy.shape[0]
         self.i_xy = _mi_batch(p_xy)
         mech_budget, quant_budget = budgets
         if cfg.restrict_bsc:
@@ -233,18 +238,15 @@ class _TaiSpace:
             )
         nm = self.mechs.shape[0]
         nq = self.quants.shape[0]
-        self.i_xxh = _mi_batch(self.p_x[None, :, None] * self.mechs)
+        self.i_xxh = np.empty(nm)
         self.i_uxh = np.empty((nm, nq))
         self.i_uy = np.empty((nm, nq))
         block = max(1, int(1e6 // max(nq, 1)))
         for lo in range(0, nm, block):
-            hi = min(lo + block, nm)
-            A = self.mechs[lo:hi]
-            p_xh = np.einsum("x,bxh->bh", self.p_x, A)
-            j_uxh = p_xh[:, None, :, None] * self.quants[None, :, :, :]
-            self.i_uxh[lo:hi] = _mi_batch(np.swapaxes(j_uxh, -1, -2))
-            u_given_x = np.einsum("bxh,qhu->bqxu", A, self.quants)
-            j_uy = np.einsum("xy,bqxu->bquy", p_xy, u_given_x)
+            hi = lo + block
+            j_xxh, j_uxh, j_uy = _pair_joints(p_xy, self.mechs[lo:hi, None], self.quants)
+            self.i_xxh[lo:hi] = _mi_batch(j_xxh[:, 0])
+            self.i_uxh[lo:hi] = _mi_batch(j_uxh)
             self.i_uy[lo:hi] = _mi_batch(j_uy)
         # data-processing sanity: I(U;Y) can exceed neither I(U;Xh) nor I(X;Y)
         cap = np.minimum(self.i_uxh, self.i_xy)
@@ -304,46 +306,6 @@ def _space_for(
 # local polish
 
 
-def _free_params(mech: np.ndarray, quant: np.ndarray, bsc: bool) -> np.ndarray:
-    if bsc:
-        return np.array([mech[0, 1], quant[0, 1]])
-    return np.concatenate([mech[:, :-1].reshape(-1), quant[:, :-1].reshape(-1)])
-
-
-def _channels(theta: np.ndarray, shapes, bsc: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(mechanism, quantizer) of the free parameters, clipped at 0 and row-normalized.
-
-    Each row's last entry is one minus the row's free entries. A point off
-    the simplex, such as an SLSQP iterate just past a face, still maps to
-    two channels, so the polish never meets an invalid pair; every row sums
-    to at least 1 before the division.
-    """
-    (kx, kh), (kh2, ku) = shapes
-    if bsc:
-        a, b = theta
-        mech = np.array([[1 - a, a], [a, 1 - a]])
-        quant = np.array([[1 - b, b], [b, 1 - b]])
-    else:
-        nm = kx * (kh - 1)
-        mfree = theta[:nm].reshape(kx, kh - 1)
-        qfree = theta[nm:].reshape(kh2, ku - 1)
-        mech = np.concatenate([mfree, 1 - mfree.sum(axis=1, keepdims=True)], axis=1)
-        quant = np.concatenate([qfree, 1 - qfree.sum(axis=1, keepdims=True)], axis=1)
-    mech = np.clip(mech, 0.0, None)
-    quant = np.clip(quant, 0.0, None)
-    return mech / mech.sum(axis=1, keepdims=True), quant / quant.sum(axis=1, keepdims=True)
-
-
-def _single_point(p_xy, p_x, mech, quant):
-    p_xh = p_x @ mech
-    i_xxh = _mi_batch(p_x[:, None] * mech)
-    i_uxh = _mi_batch((p_xh[:, None] * quant).T)
-    u_given_x = mech @ quant
-    j_uy = np.einsum("xy,xu->uy", p_xy, u_given_x)
-    i_uy = _mi_batch(j_uy)
-    return float(i_xxh), float(i_uxh), float(i_uy)
-
-
 # floor of the log arguments in the gradient: the derivative of MI at a zero
 # joint entry is -inf, and a floor near the underflow limit stalls SLSQP
 _LOG_FLOOR = 1e-12
@@ -364,47 +326,88 @@ def _mi_grad(joint: np.ndarray, floor: float = _LOG_FLOOR) -> np.ndarray:
             - _log(joint.sum(axis=0), floor))
 
 
-def _to_free(d_mech: np.ndarray, d_quant: np.ndarray) -> np.ndarray:
-    """Chain gradients over full channel matrices to the free parameters.
-
-    Leading axes are kept. A free entry moves its own cell and, the other
-    way, the last entry of its row.
-    """
-    return np.concatenate([
-        (d_mech[..., :-1] - d_mech[..., -1:]).reshape(*d_mech.shape[:-2], -1),
-        (d_quant[..., :-1] - d_quant[..., -1:]).reshape(*d_quant.shape[:-2], -1),
-    ], axis=-1)
-
-
 class _ChannelPair:
     """A (mechanism, quantizer) pair on one law as a function of its free parameters.
 
-    The free parameters are every channel row but its last entry, or the two
-    crossovers of a BSC pair; ``channels`` maps them through ``_channels``.
-    ``info`` gives (I(X;Xh), I(U;Xh), I(U;Y)) in bits and ``jac`` their exact
-    gradients, one row each. Everything computed at a point shares a memo of
-    the last point, so the objective, the constraint and their Jacobians at
-    one SLSQP iterate cost one evaluation and one gradient. The gradient is
-    that of the unclipped map, exact inside the simplex where the polish
-    moves; into an unused symbol it is the one-sided derivative. Into a zero
-    cell of a joint it is the log of ``log_floor`` in place of -inf.
+    The free parameters are every channel row but its last entry, the
+    mechanism's ``mech_params`` first, or the two crossovers of a BSC pair;
+    ``free`` builds them. ``channels`` maps them back, clipped at 0 and each
+    row divided by its sum, so a point off the simplex, such as an SLSQP
+    iterate just past a face, still maps to two channels; every row sums to
+    at least 1 before the division. ``info`` gives (I(X;Xh), I(U;Xh),
+    I(U;Y)) in bits and ``jac`` their exact gradients, one row each. The
+    polish maximizes ``value``, here I(U;Y), with gradient ``grad`` to
+    ``ftol``. Everything computed at a point shares a memo of the last
+    point, so the objective, the constraint and their Jacobians at one SLSQP
+    iterate cost one evaluation and one gradient. The gradient is that of
+    the unclipped map, exact inside the simplex where the polish moves; into
+    an unused symbol it is the one-sided derivative. Into a zero cell of a
+    joint it is the log of ``log_floor`` in place of -inf.
     """
 
     log_floor = _LOG_FLOOR
+    ftol = 1e-12
 
-    def __init__(self, p_xy: np.ndarray, shapes, bsc: bool):
+    def __init__(self, p_xy: np.ndarray, kh: int, ku: int, bsc: bool = False):
+        if bsc:  # a BSC pair is binary throughout
+            kh = ku = 2
         self.p_xy = p_xy
         self.p_x = p_xy.sum(axis=1)
-        self.shapes = shapes
+        self.kx, self.kh, self.ku = p_xy.shape[0], kh, ku
         self.bsc = bsc
+        self.mech_params = 1 if bsc else self.kx * (kh - 1)
         self._theta = None
         self._memo: dict = {}
 
+    def free(self, mech: np.ndarray, quant: np.ndarray) -> np.ndarray:
+        if self.bsc:
+            return np.array([mech[0, 1], quant[0, 1]])
+        return np.concatenate([mech[:, :-1].reshape(-1), quant[:, :-1].reshape(-1)])
+
+    def _free_grad(self, d_mech: np.ndarray, d_quant: np.ndarray) -> np.ndarray:
+        """Chain gradients over full channel matrices to the free parameters.
+
+        Leading axes are kept. A free entry moves its own cell and, the other
+        way, the last entry of its row; a crossover moves the off-diagonal
+        cells and, the other way, the diagonal ones.
+        """
+        if self.bsc:
+            flip = np.array([[-1.0, 1.0], [1.0, -1.0]])
+            return np.stack([(d_mech * flip).sum(axis=(-2, -1)),
+                             (d_quant * flip).sum(axis=(-2, -1))], axis=-1)
+        return np.concatenate([
+            (d_mech[..., :-1] - d_mech[..., -1:]).reshape(*d_mech.shape[:-2], -1),
+            (d_quant[..., :-1] - d_quant[..., -1:]).reshape(*d_quant.shape[:-2], -1),
+        ], axis=-1)
+
+    def feasible_set(self, skip: int) -> tuple[list, list]:
+        """SLSQP bounds and row constraints of the free parameters after the first ``skip``."""
+        if self.bsc:
+            return [(0.0, 0.5)] * (2 - skip), []
+        # each channel row's free entries sum to at most one; a row of held
+        # parameters is all zero after the slice
+        rows = block_diag(np.kron(np.eye(self.kx), np.ones((1, self.kh - 1))),
+                          np.kron(np.eye(self.kh), np.ones((1, self.ku - 1))))[:, skip:]
+        return [(0.0, 1.0)] * rows.shape[1], [LinearConstraint(rows[rows.any(axis=1)], 0.0, 1.0)]
+
     def _at(self, theta: np.ndarray) -> None:
-        if self._theta is None or not np.array_equal(theta, self._theta):
-            self._theta = np.array(theta, dtype=float)
-            self._mech, self._quant = _channels(self._theta, self.shapes, self.bsc)
-            self._memo = {}
+        if self._theta is not None and np.array_equal(theta, self._theta):
+            return
+        self._theta = t = np.array(theta, dtype=float)
+        if self.bsc:
+            a, b = t
+            mech = np.array([[1 - a, a], [a, 1 - a]])
+            quant = np.array([[1 - b, b], [b, 1 - b]])
+        else:
+            mfree = t[:self.mech_params].reshape(self.kx, self.kh - 1)
+            qfree = t[self.mech_params:].reshape(self.kh, self.ku - 1)
+            mech = np.concatenate([mfree, 1 - mfree.sum(axis=1, keepdims=True)], axis=1)
+            quant = np.concatenate([qfree, 1 - qfree.sum(axis=1, keepdims=True)], axis=1)
+        mech = np.clip(mech, 0.0, None)
+        quant = np.clip(quant, 0.0, None)
+        self._mech = mech / mech.sum(axis=1, keepdims=True)
+        self._quant = quant / quant.sum(axis=1, keepdims=True)
+        self._memo = {}
 
     def _memoized(self, theta: np.ndarray, key: str, compute):
         self._at(theta)
@@ -416,20 +419,30 @@ class _ChannelPair:
         self._at(theta)
         return self._mech, self._quant
 
+    def joints(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._memoized(theta, "joints",
+                              lambda: _pair_joints(self.p_xy, self._mech, self._quant))
+
     def info(self, theta: np.ndarray) -> tuple[float, float, float]:
-        return self._memoized(theta, "info", lambda: _single_point(
-            self.p_xy, self.p_x, self._mech, self._quant))
+        return self._memoized(theta, "info",
+                              lambda: tuple(float(_mi_batch(j)) for j in self.joints(theta)))
 
     def jac(self, theta: np.ndarray) -> np.ndarray:
         return self._memoized(theta, "jac", self._gradient)
 
+    def value(self, theta: np.ndarray) -> float:
+        return self.info(theta)[2]
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        return self.jac(theta)[2]
+
     def _gradient(self) -> np.ndarray:
         p, p_x, mech, quant = self.p_xy, self.p_x, self._mech, self._quant
+        j_xxh, j_uxh, j_uy = self.joints(self._theta)
         p_xh = p_x @ mech
-        j_uy = np.einsum("xy,xu->uy", p, mech @ quant)
         fl = self.log_floor
-        g_xxh = _mi_grad(p_x[:, None] * mech, fl)
-        g_xhu = _mi_grad(p_xh[:, None] * quant, fl)
+        g_xxh = _mi_grad(j_xxh, fl)
+        g_xhu = _mi_grad(j_uxh.T, fl)
         h = p @ _mi_grad(j_uy, fl).T  # (x, u)
         # A row of a joint with no mass (an unused Xh or U symbol) has no
         # conditional of its own: mass moved into it brings the conditional of
@@ -449,33 +462,26 @@ class _ChannelPair:
         d_quant = np.stack([np.zeros_like(quant), p_xh[:, None] * g_xhu, mech.T @ h])
         a_hy = mech.T @ p  # joint of (Xh, Y)
         d_quant[2][:, unused_u] = (a_hy * _mi_grad(a_hy, fl)).sum(axis=1, keepdims=True)
-        if self.bsc:
-            flip = np.array([[-1.0, 1.0], [1.0, -1.0]])
-            free = np.stack([(d_mech * flip).sum(axis=(1, 2)),
-                             (d_quant * flip).sum(axis=(1, 2))], axis=1)
-        else:
-            free = _to_free(d_mech, d_quant)
-        return free * _LOG2E
+        return self._free_grad(d_mech, d_quant) * _LOG2E
 
 
-def _slsqp_polish(theta0, pair, skip, value, grad, rate, leak, ftol):
-    """SLSQP maximization of ``value`` from ``theta0``, within both budgets.
+def _slsqp_polish(theta0, pair, rate, leak, hold_mechanism=False):
+    """SLSQP maximization of ``pair.value`` from ``theta0``, within both budgets.
 
     The optimum sits where the information constraints are active, and
     moving along that boundary needs the mechanism and the quantizer to move
-    together, which a sequential-quadratic step does. The first ``skip`` free
-    parameters are held fixed. ``grad`` is the exact gradient of ``value``,
-    and the budget constraints take ``pair``'s exact Jacobian. ``ftol``
-    should sit above the noise of ``value``: an objective solved only to
-    some residual cannot be polished below it, and a tighter ``ftol`` just
-    runs to the 200-iteration cap.
+    together, which a sequential-quadratic step does. ``hold_mechanism``
+    keeps the mechanism's parameters at those of ``theta0``. The objective
+    and the budget constraints take ``pair``'s exact gradients. ``pair.ftol``
+    sits above the noise of its value: an objective solved only to some
+    residual cannot be polished below it, and a tighter ``ftol`` just runs
+    to the 200-iteration cap.
     An infinite budget is replaced by a finite one no channel pair on these
     alphabets can reach, since scipy drops a constraint whose bounds are
     all infinite. Returns (value, theta) of the final point when it meets
     both budgets, else None; the caller keeps whichever point scores higher.
     """
-    free = theta0.size - skip
-    (kx, kh), (kh2, ku) = pair.shapes
+    skip = pair.mech_params if hold_mechanism else 0
 
     def full(x):
         t = theta0.copy()
@@ -483,34 +489,26 @@ def _slsqp_polish(theta0, pair, skip, value, grad, rate, leak, ftol):
         return t
 
     upper = np.array([leak, rate], dtype=float)
-    upper[np.isinf(upper)] = math.log2(max(kh, ku)) + 1.0
+    upper[np.isinf(upper)] = math.log2(max(pair.kh, pair.ku)) + 1.0
+    bounds, rows = pair.feasible_set(skip)
     constraints = [
         NonlinearConstraint(
             lambda x: np.asarray(pair.info(full(x))[:2]),
             -np.inf,
             upper,
             jac=lambda x: pair.jac(full(x))[:2, skip:],
-        )
+        ),
+        *rows,
     ]
-    if pair.bsc:
-        bounds = [(0.0, 0.5)] * free
-    else:
-        # each channel row's free entries sum to at most one; a row of held
-        # parameters is all zero after the slice
-        rows = block_diag(np.kron(np.eye(kx), np.ones((1, kh - 1))),
-                          np.kron(np.eye(kh2), np.ones((1, ku - 1))))[:, skip:]
-        constraints.append(LinearConstraint(rows[rows.any(axis=1)], 0.0, 1.0))
-        bounds = [(0.0, 1.0)] * free
-
     try:
         res = minimize(
-            lambda x: -value(full(x)),
+            lambda x: -pair.value(full(x)),
             theta0[skip:].copy(),
-            jac=lambda x: -grad(full(x))[skip:],
+            jac=lambda x: -pair.grad(full(x))[skip:],
             method="SLSQP",
             bounds=bounds,
             constraints=constraints,
-            options={"maxiter": 200, "ftol": ftol},
+            options={"maxiter": 200, "ftol": pair.ftol},
         )
     except (ValueError, FloatingPointError):  # pragma: no cover - solver hiccup
         return None
@@ -518,7 +516,7 @@ def _slsqp_polish(theta0, pair, skip, value, grad, rate, leak, ftol):
     got_leak, got_rate, _ = pair.info(theta)
     if got_leak > leak + FEAS_SLACK or got_rate > rate + FEAS_SLACK:
         return None
-    return float(value(theta)), theta
+    return float(pair.value(theta)), theta
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +557,8 @@ def tai_exponent(
     cfg = cfg or SearchConfig()
     check_budgets(rate, leak)
     p = _as_joint2(p_xy)
-    kx, ky = p.shape
-    u_size = 2 if cfg.restrict_bsc else kx + 1
-    space = _space_for(p, u_size, cfg, _TAI_BUDGETS)
+    pair = _ChannelPair(p, p.shape[0], p.shape[0] + 1, cfg.restrict_bsc)
+    space = _space_for(p, pair.ku, cfg, _TAI_BUDGETS)
 
     # relabelings of one channel pair tie exactly, so near-equal grid values
     # mark the same basin; seeding only distinct values spreads the restarts
@@ -575,24 +572,16 @@ def tai_exponent(
         if len(seeds) >= _TOP_K:
             break
 
-    pair = _ChannelPair(p, ((kx, kx), (kx, u_size)), cfg.restrict_bsc)
-
-    def value(theta):
-        return pair.info(theta)[2]
-
-    def grad(theta):
-        return pair.jac(theta)[2]
-
     best_val = -1.0
     best_theta = None
     for s in seeds:
         mech, quant = space.pair(s)
-        theta = _free_params(mech, quant, cfg.restrict_bsc)
-        val = value(theta)
+        theta = pair.free(mech, quant)
+        val = pair.value(theta)
         for eps in _START_DEPTHS:
-            start = _free_params((1 - eps) * mech + eps / mech.shape[1],
-                                 (1 - eps) * quant + eps / quant.shape[1], cfg.restrict_bsc)
-            polished = _slsqp_polish(start, pair, 0, value, grad, rate, leak, 1e-12)
+            start = pair.free((1 - eps) * mech + eps / mech.shape[1],
+                              (1 - eps) * quant + eps / quant.shape[1])
+            polished = _slsqp_polish(start, pair, rate, leak)
             if polished is not None and polished[0] > val:
                 val, theta = polished
         if val > best_val:
@@ -650,31 +639,6 @@ def zero_rate_exponent(p_xy: JointPmf, q_xy: JointPmf) -> ExponentResult:
 
 # ---------------------------------------------------------------------------
 # general alternative (lower bound)
-
-
-def _thm1_projection(q_xy: JointPmf, shapes, p: np.ndarray):
-    """Inner I-projection of a (mechanism, quantizer) pair, or None when it fails."""
-    q = _as_joint2(q_xy)
-    (_, xhat_size), (_, u_size) = shapes
-    axes = ("U", "Xh", "X", "Y")
-    alphabets = (tuple(range(u_size)), tuple(range(xhat_size)), *q_xy.alphabets)
-    x_marginal = MarginalConstraint(("X",), p.sum(axis=1), "x-marginal")
-
-    def project(mech: np.ndarray, quant: np.ndarray):
-        null_chain = np.einsum("hu,xh,xy->uhxy", quant, mech, p)
-        ref = np.einsum("hu,xh,xy->uhxy", quant, mech, q)
-        cons = [
-            x_marginal,
-            MarginalConstraint(("U", "Y"), null_chain.sum(axis=(1, 2)), "uy"),
-            MarginalConstraint(("U", "Xh"), null_chain.sum(axis=(2, 3)), "uxh"),
-        ]
-        try:
-            return i_project(JointPmf(ref, axes, alphabets), cons, tol=1e-9, max_iter=20_000)
-        except (Infeasible, SupportMismatch) as e:
-            log.info("inner projection skipped: %s", e)
-            return None
-
-    return project
 
 
 def _xlog_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -761,11 +725,28 @@ class _InnerPair(_ChannelPair):
     """
 
     log_floor = 1e-7
+    ftol = 1e-11  # the inner value is solved to residual 1e-9
 
-    def __init__(self, p: np.ndarray, q_xy: JointPmf, shapes):
-        super().__init__(p, shapes, False)
+    def __init__(self, p: np.ndarray, q_xy: JointPmf, kh: int, ku: int):
+        super().__init__(p, kh, ku)
         self.q = _as_joint2(q_xy)
-        self.project = _thm1_projection(q_xy, shapes, p)
+        self._alphabets = (tuple(range(ku)), tuple(range(kh)), *q_xy.alphabets)
+
+    def project(self, mech: np.ndarray, quant: np.ndarray):
+        """Inner I-projection of a (mechanism, quantizer) pair, or None when it fails."""
+        null_chain = np.einsum("hu,xh,xy->uhxy", quant, mech, self.p_xy)
+        ref = np.einsum("hu,xh,xy->uhxy", quant, mech, self.q)
+        cons = [
+            MarginalConstraint(("X",), self.p_x, "x-marginal"),
+            MarginalConstraint(("U", "Y"), null_chain.sum(axis=(1, 2)), "uy"),
+            MarginalConstraint(("U", "Xh"), null_chain.sum(axis=(2, 3)), "uxh"),
+        ]
+        try:
+            return i_project(JointPmf(ref, ("U", "Xh", "X", "Y"), self._alphabets), cons,
+                             tol=1e-9, max_iter=20_000)
+        except (Infeasible, SupportMismatch) as e:
+            log.info("inner projection skipped: %s", e)
+            return None
 
     def projection(self, theta: np.ndarray):
         return self._memoized(theta, "projection",
@@ -782,7 +763,8 @@ class _InnerPair(_ChannelPair):
         res = self.projection(self._theta)
         if res is None:
             return np.zeros(self._theta.size)
-        return _to_free(*_thm1_gradient(self.p_xy, self.q, self._mech, self._quant, res.duals))
+        return self._free_grad(*_thm1_gradient(self.p_xy, self.q, self._mech, self._quant,
+                                               res.duals))
 
 
 def theorem1_lower_bound(
@@ -827,8 +809,7 @@ def theorem1_lower_bound(
         stride = max(1, len(order) // 16)
         shortlist += order[_INNER_SHORTLIST::stride][:16]
 
-    shapes = ((kx, kx), (kx, u_size))
-    pair = _InnerPair(p, q_xy, shapes)
+    pair = _InnerPair(p, q_xy, kx, u_size)
 
     # shortlisted pairs are feasible grid points, so only the inner value ranks them
     best_val, best_theta = -math.inf, None
@@ -836,17 +817,14 @@ def theorem1_lower_bound(
         mech, quant = space.pair(s)
         res = pair.project(mech, quant)
         if res is not None and res.min_kl > best_val:
-            best_val, best_theta = res.min_kl, _free_params(mech, quant, False)
+            best_val, best_theta = res.min_kl, pair.free(mech, quant)
     if best_theta is None:
         raise Infeasible("inner projection failed on every shortlisted pair")
 
     # the quantizer alone first: a joint pass from the grid point can stop in
-    # a worse basin; the inner value is solved to residual 1e-9, hence ftol
-    mech_params = kx * (kx - 1)
-    passes = (mech_params,) if fixed_mechanism is not None else (mech_params, 0)
-    for skip in passes:
-        polished = _slsqp_polish(best_theta, pair, skip, pair.value, pair.grad,
-                                 rate, leak, 1e-11)
+    # a worse basin
+    for hold in (True,) if fixed_mechanism is not None else (True, False):
+        polished = _slsqp_polish(best_theta, pair, rate, leak, hold)
         if polished is not None and polished[0] > best_val:
             best_val, best_theta = polished
 

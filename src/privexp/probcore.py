@@ -487,6 +487,20 @@ def chain_joint(p_xy: JointPmf, mechanism: Channel, quantizer: Channel) -> Joint
     )
 
 
+def _pair_joints(p_xy: np.ndarray, mech: np.ndarray, quant: np.ndarray):
+    """(X, Xh), (U, Xh) and (U, Y) joints of the chain U - Xh - X - Y.
+
+    ``mech`` (..., X, Xh) and ``quant`` (..., Xh, U) broadcast over their
+    leading axes, so one call serves a single pair or a block of a grid,
+    and a pair gets the same bits either way.
+    """
+    p_x = p_xy.sum(axis=1)
+    p_xh = p_x @ mech
+    j_uxh = np.swapaxes(p_xh[..., :, None] * quant, -1, -2)
+    j_uy = np.einsum("xy,...xu->...uy", p_xy, mech @ quant)
+    return p_x[:, None] * mech, j_uxh, j_uy
+
+
 # ---------------------------------------------------------------------------
 # JSON schema
 #
@@ -497,29 +511,35 @@ def chain_joint(p_xy: JointPmf, mechanism: Channel, quantizer: Channel) -> Joint
 #           "shape": [rows, cols], "probs": [row-major flat]}
 
 
+_JSON_NAMES = {list: "an array", str: "a string", bool: "a boolean", int: "a number",
+               float: "a number", type(None): "null"}
+
+
+def _json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else a ``DomainError`` naming its JSON type."""
+    if not isinstance(value, dict):
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise DomainError(f"{what} must be a JSON object, got {got}")
+    return value
+
+
 def from_dict(d: dict) -> Pmf | JointPmf | Channel:
-    kind = d.get("kind", "pmf")
+    kind = _json_object(d, "a law").get("kind", "pmf")
     if kind not in ("pmf", "joint", "channel"):
         raise DomainError(f"unknown kind {kind!r}")
+    if kind == "joint" and "shape" not in d and "alphabet" in d:
+        d = {**d, "shape": [len(a) for a in d["alphabet"]]}
+    for key in ("probs",) if kind == "pmf" else ("probs", "shape"):
+        if key not in d:
+            raise DomainError(f"{kind} has no {key!r} field")
     probs = np.asarray(d["probs"], dtype=float)
     if kind == "pmf":
         return Pmf(probs, tuple(d.get("alphabet", ())))
+    tensor = probs.reshape(tuple(d["shape"]))
     if kind == "joint":
-        shape = tuple(d["shape"]) if "shape" in d else None
-        if shape is None:
-            alpha = d["alphabet"]
-            shape = tuple(len(a) for a in alpha)
-        tensor = probs.reshape(shape)
-        alphas = tuple(tuple(a) for a in d.get("alphabet", ())) or ()
+        alphas = tuple(tuple(a) for a in d.get("alphabet", ()))
         return JointPmf(tensor, tuple(d.get("axes", ())), alphas)
-    if kind == "channel":
-        shape = tuple(d["shape"])
-        return Channel(
-            probs.reshape(shape),
-            tuple(d.get("alphabet", ())),
-            tuple(d.get("output_alphabet", ())),
-        )
-    raise DomainError(f"unknown kind {kind!r}")
+    return Channel(tensor, tuple(d.get("alphabet", ())), tuple(d.get("output_alphabet", ())))
 
 
 def load_json(path) -> Pmf | JointPmf | Channel:

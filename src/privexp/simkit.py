@@ -52,8 +52,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, gammaln
 
 from .errors import (
     DegenerateConfig,
@@ -62,7 +61,7 @@ from .errors import (
     SizeOverflow,
     TooLarge,
 )
-from .probcore import Channel, JointPmf, Pmf, _compositions, _symbols
+from .probcore import Channel, JointPmf, Pmf, _compositions, _pair_joints, _symbols
 from .probcore import _mi_bits  # plug-in estimates share the exact MI kernel
 
 __all__ = [
@@ -184,10 +183,11 @@ def wilson_interval(
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _clopper_pearson_upper(successes: int, trials: int, conf: float = 0.95) -> float:
+def _clopper_pearson_upper(successes: int, trials: int) -> float:
+    """One-sided 95% Clopper-Pearson bound, the 0.95 quantile of Beta(k + 1, n - k)."""
     if successes >= trials:
         return 1.0
-    return float(beta_dist.ppf(conf, successes + 1, trials - successes))
+    return float(betaincinv(successes + 1, trials - successes, 0.95))
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:
@@ -228,10 +228,7 @@ def generate_codebook(p_u: Pmf, n: int, rate: float, seed: int) -> Codebook:
     m = max(1, int(math.floor(2.0**exponent)))
     rng = _stream(seed, 0)
     cdf = np.cumsum(np.asarray(p_u.probs, dtype=float))
-    draws = rng.random((m, n))
-    entries = np.minimum(
-        (draws[:, :, None] > cdf[None, None, :]).sum(axis=2), cdf.size - 1
-    ).astype(np.int16)
+    entries = _categorical(cdf, rng.random((m, n))).astype(np.int16)
     return Codebook(entries=entries, seed=seed)
 
 
@@ -328,10 +325,7 @@ class _Runner:
             if self.q_xy.shape != p.shape:
                 raise DomainError("alternative law shape does not match the null")
         # design-time targets, always built from the null law
-        self.p_xhat = self.p_x @ mech
-        self.target_ua = (self.p_xhat[:, None] * quant).T.copy()  # (U, A)
-        u_given_x = mech @ quant
-        self.p_uy = np.einsum("xy,xu->uy", p, u_given_x)
+        _, self.target_ua, self.p_uy = _pair_joints(p, mech, quant)  # (U, A), (U, Y)
         self.p_u = self.target_ua.sum(axis=1)
         # zero-probability symbols get a finite sentinel so k * log p stays
         # -huge for k > 0 and exactly 0 for k = 0

@@ -481,6 +481,42 @@ def test_malformed_config_is_a_config_error(tmp_path):
     assert cli.main(["simulate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--null", "--alt"])
+def test_law_file_that_is_not_an_object_is_a_config_error(flag, tmp_path, null_law_path,
+                                                          alt_law_path, capsys):
+    # a JSON array once ended in an AttributeError traceback
+    bad = tmp_path / "list.json"
+    bad.write_text("[0.5, 0.5]")
+    laws = {"--null": null_law_path, "--alt": alt_law_path, flag: str(bad)}
+    assert cli.main(["exponent", "--method", "zero-rate", "--null", laws["--null"],
+                     "--alt", laws["--alt"]]) == 2
+    assert capsys.readouterr().err == "error: a law must be a JSON object, got an array\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    ("[1, 2]", "a simulation config must be a JSON object, got an array"),
+    ("5", "a simulation config must be a JSON object, got a number"),
+    ("law", "a law must be a JSON object, got an array"),
+    ("no-law", "a simulation config has no 'p_xy' field"),
+], ids=["array", "number", "array-law", "missing-law"])
+def test_config_of_the_wrong_shape_is_a_config_error(text, match, tmp_path,
+                                                     sim_config_path, capsys):
+    # [1, 2] read as "unknown config key 1", 5 as "'int' object is not
+    # iterable", a law [1] ended in an AttributeError traceback, and a
+    # missing law was reported as the bare KeyError 'p_xy'
+    if text in ("law", "no-law"):
+        raw = json.loads(open(sim_config_path).read())
+        if text == "law":
+            raw["p_xy"] = [1]
+        else:
+            del raw["p_xy"]
+        text = json.dumps(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {match}\n"
+
+
 def test_infeasible_maps_to_exit_three(monkeypatch):
     def boom(*args, **kwargs):
         raise Infeasible("no feasible point")

@@ -39,7 +39,6 @@ from privexp.exponents import (
     _ChannelPair,
     _InnerPair,
     _TaiSpace,
-    _free_params,
     _space_for,
 )
 
@@ -152,7 +151,7 @@ def _space_from(vals, feasible):
 
 
 @pytest.mark.parametrize("limit", [1, 7, 200, 1000])
-def test_leading_pairs_matches_full_stable_argsort(limit):
+def test_ranked_matches_full_stable_argsort(limit):
     rng = np.random.default_rng(11)
     # coarse values force exact ties across the cut; -1 marks infeasible pairs,
     # and the largest limit exceeds the number of feasible ones
@@ -164,7 +163,7 @@ def test_leading_pairs_matches_full_stable_argsort(limit):
     assert got.size == min(limit, int(feasible.sum()))
 
 
-def test_leading_pairs_with_few_feasible_entries():
+def test_ranked_with_few_feasible_entries():
     masked = np.full((6, 5), -1.0)
     masked.flat[[3, 17, 22, 9]] = [0.2, 0.5, 0.2, 0.0]
     # infeasible pairs carry the largest values, yet never rank
@@ -279,15 +278,15 @@ def test_channel_pair_jacobian_matches_central_differences(seed, bsc):
     kx, ky = (2, int(rng.integers(2, 4))) if bsc else rng.integers(2, 4, size=2)
     p = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
     if bsc:
-        kh, ku = 2, 2
+        pair = _ChannelPair(p, 2, 2, bsc)
         theta = rng.uniform(0.05, 0.45, size=2)
     else:
         kh, ku = int(rng.integers(2, 4)), int(rng.integers(2, 5))
         # interior rows, so that no central-difference step leaves the simplex
         mech = 0.5 * rng.dirichlet(np.ones(kh), size=kx) + 0.5 / kh
         quant = 0.5 * rng.dirichlet(np.ones(ku), size=kh) + 0.5 / ku
-        theta = _free_params(mech, quant, False)
-    pair = _ChannelPair(p, ((kx, kh), (kh, ku)), bsc)
+        pair = _ChannelPair(p, kh, ku)
+        theta = pair.free(mech, quant)
     jac = pair.jac(theta)
     step = 1e-6
     for i in range(theta.size):
@@ -303,8 +302,8 @@ def test_channel_pair_jacobian_into_unused_symbols_is_one_sided():
     p = np.array([[0.30, 0.15, 0.05], [0.05, 0.15, 0.30]])
     mech = np.array([[0.6, 0.0, 0.4], [0.3, 0.0, 0.7]])
     quant = np.array([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8], [0.7, 0.0, 0.3]])
-    theta = _free_params(mech, quant, False)
-    pair = _ChannelPair(p, ((2, 3), (3, 3)), False)
+    pair = _ChannelPair(p, 3, 3)
+    theta = pair.free(mech, quant)
     jac = pair.jac(theta)
     base = np.array(pair.info(theta))
     step = 1e-7
@@ -321,8 +320,8 @@ def test_zero_row_and_column_give_a_finite_value_without_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = tai_exponent(law, 0.5, 0.25)
         # a vertex of both channel simplices, where many log arguments are floored
-        pair = _ChannelPair(np.asarray(law.probs), ((3, 3), (3, 4)), False)
-        jac = pair.jac(_free_params(np.eye(3), np.eye(3, 4), False))
+        pair = _ChannelPair(np.asarray(law.probs), 3, 4)
+        jac = pair.jac(pair.free(np.eye(3), np.eye(3, 4)))
     assert math.isfinite(res.theta) and 0.0 <= res.theta <= 0.25 + 1e-9
     assert np.all(np.isfinite(jac))
 
@@ -420,7 +419,7 @@ def test_lower_bound_dominates_corollary2_once_identity_is_feasible(rate):
 def inner_pair(p, q, kh: int, ku: int) -> _InnerPair:
     p = np.asarray(p, dtype=float)
     q_xy = JointPmf(np.asarray(q, dtype=float), ("X", "Y"))
-    return _InnerPair(p, q_xy, ((p.shape[0], kh), (kh, ku)))
+    return _InnerPair(p, q_xy, kh, ku)
 
 
 def tight_values(monkeypatch):
@@ -451,8 +450,9 @@ def check_central_differences(seed, monkeypatch):
     # interior rows, so that no central-difference step leaves the simplex
     mech = 0.5 * rng.dirichlet(np.ones(kx), size=kx) + 0.5 / kx
     quant = 0.5 * rng.dirichlet(np.ones(ku), size=kx) + 0.5 / ku
-    theta = _free_params(mech, quant, False)
-    grad = inner_pair(p, q, kx, ku).grad(theta)
+    pair = inner_pair(p, q, kx, ku)
+    theta = pair.free(mech, quant)
+    grad = pair.grad(theta)
     tight_values(monkeypatch)
     pair = inner_pair(p, q, kx, ku)
     step = 1e-6
@@ -483,8 +483,9 @@ def test_theorem1_gradient_on_simplex_faces_is_one_sided(face, monkeypatch):
     # cell's own optimality condition and must match the forward slope
     # (Richardson-extrapolated, so the check is exact to O(step^2))
     mech, quant = (np.array(m) for m in THM1_FACES[face])
-    theta = _free_params(mech, quant, False)
-    grad = inner_pair(NULL, ALT, 2, 4).grad(theta)
+    pair = inner_pair(NULL, ALT, 2, 4)
+    theta = pair.free(mech, quant)
+    grad = pair.grad(theta)
     assert np.all(np.isfinite(grad))
     tight_values(monkeypatch)
     pair = inner_pair(NULL, ALT, 2, 4)
@@ -502,7 +503,7 @@ def test_theorem1_gradient_on_simplex_faces_is_one_sided(face, monkeypatch):
 def test_failed_inner_projection_scores_the_sentinel_with_zero_gradient():
     # Q puts no mass on Y = 1, which the (U, Y) target of the null chain needs
     pair = inner_pair(NULL, [[0.5, 0.0], [0.5, 0.0]], 2, 4)
-    theta = _free_params(np.full((2, 2), 0.5), np.full((2, 4), 0.25), False)
+    theta = pair.free(np.full((2, 2), 0.5), np.full((2, 4), 0.25))
     assert pair.value(theta) == -1e3
     assert np.array_equal(pair.grad(theta), np.zeros(theta.size))
 

@@ -18,6 +18,7 @@ from privexp import (
     JointPmf,
     LengthMismatch,
     Pmf,
+    ToolkitError,
     binary_entropy,
     binary_entropy_inv,
     chain_joint,
@@ -307,6 +308,28 @@ def test_json_roundtrip(tmp_path, obj):
 def test_from_dict_rejects_unknown_kind():
     with pytest.raises(DomainError):
         from_dict({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("text, got", [
+    ("[0.5, 0.5]", "an array"), ('"pmf"', "a string"), ("0.5", "a number"),
+    ("true", "a boolean"), ("null", "null"),
+], ids=["array", "string", "number", "boolean", "null"])
+def test_load_json_refuses_a_non_object(tmp_path, text, got):
+    path = tmp_path / "law.json"
+    path.write_text(text)
+    with pytest.raises(ToolkitError, match=f"^a law must be a JSON object, got {got}$"):
+        load_json(path)
+
+
+@pytest.mark.parametrize("d, match", [
+    ({"kind": "pmf"}, "pmf has no 'probs' field"),
+    ({"kind": "joint", "probs": [0.5, 0.5]}, "joint has no 'shape' field"),
+    ({"kind": "channel", "probs": [1.0, 0.0, 0.0, 1.0]}, "channel has no 'shape' field"),
+], ids=["pmf-probs", "joint-shape", "channel-shape"])
+def test_from_dict_names_a_missing_field(d, match):
+    # a joint without shape or alphabet once reported the bare KeyError 'alphabet'
+    with pytest.raises(DomainError, match=match):
+        from_dict(d)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from privexp import (
     Channel,
@@ -422,6 +423,14 @@ def test_wilson_interval_refuses_counts_outside_the_trials(successes):
     # once a bare math domain error from the square root
     with pytest.raises(DomainError, match=f"^successes {successes} "):
         wilson_interval(successes, 10)
+
+
+@pytest.mark.parametrize("successes, trials", [(1, 10), (7, 1500), (160, 1500), (999, 1000)])
+def test_clopper_pearson_upper_is_the_beta_quantile(successes, trials):
+    # P(Beta(k + 1, n - k) <= upper) = 0.95, checked through the cdf
+    upper = simkit._clopper_pearson_upper(successes, trials)
+    assert successes / trials < upper < 1.0
+    assert betainc(successes + 1, trials - successes, upper) == pytest.approx(0.95, abs=1e-12)
 
 
 def test_config_validation():
