@@ -28,10 +28,12 @@ toward the lexicographically smallest parameter vector.
 ``tai_exponent`` polishes the distinct leading values of that ranking with
 the exact gradients of I(U;Y), I(U;Xh) and I(X;Xh), each seed from three
 start depths. ``theorem1_lower_bound``, whose inner value is an
-I-projection, scores a shortlist of the ranking and polishes the best pair
-twice, the quantizer alone and then both channels. Its gradient is exact
-too: by the envelope theorem it comes from the duals of the same
-projection (``_thm1_gradient``), so an SLSQP iterate costs one projection.
+I-projection, scores a shortlist of the ranking in one batched
+iterative-scaling call (``_InnerPair.project_many``, the same values as one
+projection per pair) and polishes the best pair twice, the quantizer alone
+and then both channels. Its gradient is exact too: by the envelope theorem
+it comes from the duals of the same projection (``_thm1_gradient``), so an
+SLSQP iterate costs one projection.
 Alphabet sizes, grid budgets, the seed count and the shortlist are fixed
 per method; a ``SearchConfig`` sets only the grid step and the BSC
 restriction. Grid information quantities are cached per (law, cardinality,
@@ -56,10 +58,12 @@ from .errors import (
     AlphabetMismatch,
     DimensionMismatch,
     DomainError,
+    Infeasible,
     InvariantViolation,
     NonpositiveAlternative,
+    SupportMismatch,
 )
-from .iproject import Infeasible, MarginalConstraint, SupportMismatch, i_project
+from .iproject import MarginalConstraint, _i_project_batch, i_project
 from .probcore import (
     Channel,
     JointPmf,
@@ -101,6 +105,8 @@ class SearchConfig:
     def __post_init__(self):
         if not (math.isfinite(self.grid_step) and 0.0 < self.grid_step <= 1.0):
             raise DomainError(f"grid_step {self.grid_step!r} outside (0, 1]")
+        if math.isinf(1.0 / self.grid_step):  # the lattice needs 1/step parts
+            raise DomainError(f"grid_step {self.grid_step!r} is too small: 1/step overflows")
 
 
 # defaults of the Theorem-1 and Corollary-2 searches
@@ -176,18 +182,30 @@ def binary_tai_exponent(q_noise: float, rate: float, leak: float) -> float:
 # channel grids
 
 
-def _row_count(k: int, step: float) -> int:
-    m = max(1, round(1.0 / step))
-    return math.comb(m + k - 1, k - 1)
-
-
 def _fit_step(rows: int, k: int, step: float, budget: int) -> float:
-    """Coarsen step until the row-product grid fits the budget."""
-    s = step
-    # below 0.51 the lattice has m = round(1/s) >= 2 parts, so m - 1 is coarser
-    while _row_count(k, s) ** rows > budget and s < 0.51:
-        s = 1.0 / (round(1.0 / s) - 1)
-    return s
+    """Coarsen step until the row-product grid fits the budget.
+
+    A grid on the 1/m lattice has comb(m + k - 1, k - 1) ** rows candidates.
+    A step whose grid fits, or of 0.51 or more, is returned unchanged;
+    otherwise the step is 1/m for the largest m below round(1/step) whose
+    grid fits, or 1 when none does. The count grows with m, so m is found by
+    bisection on the integers.
+    """
+    def fits(m: int) -> bool:
+        return math.comb(m + k - 1, k - 1) ** rows <= budget
+
+    # below 0.51 the lattice has m = round(1/step) >= 2 parts
+    m = max(1, round(1.0 / step))
+    if step >= 0.51 or fits(m):
+        return step
+    lo, hi = 1, m - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return 1.0 / lo
 
 
 def _channel_grid(n_in: int, n_out: int, step: float, budget: int) -> tuple[np.ndarray, float]:
@@ -267,9 +285,9 @@ class _TaiSpace:
             raise Infeasible("no feasible channel pair on the search grid")
         return feasible[np.argsort(-self.i_uy.reshape(-1)[feasible], kind="stable")]
 
-    def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(mechanism, quantizer) of the flat index ``i``."""
-        m, q = divmod(int(i), self.quants.shape[0])
+    def pair(self, i) -> tuple[np.ndarray, np.ndarray]:
+        """(mechanism, quantizer) of the flat index ``i``, or stacked ones of an index array."""
+        m, q = np.divmod(i, self.quants.shape[0])
         return self.mechs[m], self.quants[q]
 
 
@@ -708,12 +726,20 @@ def _thm1_gradient(p, q, mech, quant, duals) -> tuple[np.ndarray, np.ndarray]:
     return d_mech * _LOG2E, d_quant * _LOG2E
 
 
+_CHAIN_AXES = ("U", "Xh", "X", "Y")
+_INNER_SOLVER = {"tol": 1e-9, "max_iter": 20_000}
+# a pair whose inner projection fails this way scores None
+_INNER_FAILURES = (Infeasible, SupportMismatch)
+
+
 class _InnerPair(_ChannelPair):
     """A channel pair scored by the Theorem-1 inner value, with its exact gradient.
 
     ``value`` and ``grad`` share the pair's memo, so one SLSQP iterate costs
     one projection. A pair whose projection fails scores -1e3, below every
-    inner value, with a zero gradient.
+    inner value, with a zero gradient. ``project_many`` projects stacked
+    pairs in one batched call; ``project`` and it build their chains with
+    the same batched ``einsum``.
 
     Into a zero cell, the slopes of the two budget constraints are -inf and
     a floor stands in for them. SLSQP's steps are far longer than the
@@ -732,21 +758,36 @@ class _InnerPair(_ChannelPair):
         self.q = _as_joint2(q_xy)
         self._alphabets = (tuple(range(ku)), tuple(range(kh)), *q_xy.alphabets)
 
+    def _problems(self, mechs: np.ndarray, quants: np.ndarray):
+        """Reference chains and (axes, targets) constraints of stacked pairs."""
+        null_chain = np.einsum("nhu,nxh,xy->nuhxy", quants, mechs, self.p_xy)
+        ref = np.einsum("nhu,nxh,xy->nuhxy", quants, mechs, self.q)
+        return ref, [
+            (("X",), np.broadcast_to(self.p_x, (len(ref), self.kx))),
+            (("U", "Y"), null_chain.sum(axis=(2, 3))),
+            (("U", "Xh"), null_chain.sum(axis=(3, 4))),
+        ]
+
     def project(self, mech: np.ndarray, quant: np.ndarray):
         """Inner I-projection of a (mechanism, quantizer) pair, or None when it fails."""
-        null_chain = np.einsum("hu,xh,xy->uhxy", quant, mech, self.p_xy)
-        ref = np.einsum("hu,xh,xy->uhxy", quant, mech, self.q)
-        cons = [
-            MarginalConstraint(("X",), self.p_x, "x-marginal"),
-            MarginalConstraint(("U", "Y"), null_chain.sum(axis=(1, 2)), "uy"),
-            MarginalConstraint(("U", "Xh"), null_chain.sum(axis=(2, 3)), "uxh"),
-        ]
+        ref, cons = self._problems(mech[None], quant[None])
         try:
-            return i_project(JointPmf(ref, ("U", "Xh", "X", "Y"), self._alphabets), cons,
-                             tol=1e-9, max_iter=20_000)
-        except (Infeasible, SupportMismatch) as e:
+            return i_project(JointPmf(ref[0], _CHAIN_AXES, self._alphabets),
+                             [MarginalConstraint(axes, t[0]) for axes, t in cons],
+                             **_INNER_SOLVER)
+        except _INNER_FAILURES as e:
             log.info("inner projection skipped: %s", e)
             return None
+
+    def project_many(self, mechs: np.ndarray, quants: np.ndarray) -> list:
+        """``project`` of stacked pairs in one batched iterative-scaling call."""
+        ref, cons = self._problems(mechs, quants)
+        out = _i_project_batch(ref, _CHAIN_AXES, self._alphabets, cons, **_INNER_SOLVER)
+        for i, res in enumerate(out):
+            if isinstance(res, _INNER_FAILURES):
+                log.info("inner projection skipped: %s", res)
+                out[i] = None
+        return out
 
     def projection(self, theta: np.ndarray):
         return self._memoized(theta, "projection",
@@ -780,8 +821,9 @@ def theorem1_lower_bound(
     Outer search over (mechanism, quantizer); the inner value is the
     I-projection of the reference chain onto the three coupling constraints.
     Grid pairs are shortlisted by their I(U;Y) before the inner solver runs,
-    since the projection is the expensive step. The best shortlisted pair is
-    polished by SLSQP with the mechanism held fixed, then over both channels.
+    since the projection is the expensive step, and the shortlist is
+    projected as one batch. The best shortlisted pair is polished by SLSQP
+    with the mechanism held fixed, then over both channels.
     ``fixed_mechanism`` pins the mechanism and keeps only the first pass.
     The search runs with |Xh| = |X| and |U| = |X| + 2; it has no BSC
     restriction and refuses ``cfg.restrict_bsc``.
@@ -813,9 +855,8 @@ def theorem1_lower_bound(
 
     # shortlisted pairs are feasible grid points, so only the inner value ranks them
     best_val, best_theta = -math.inf, None
-    for s in shortlist:
-        mech, quant = space.pair(s)
-        res = pair.project(mech, quant)
+    mechs, quants = space.pair(np.asarray(shortlist))
+    for mech, quant, res in zip(mechs, quants, pair.project_many(mechs, quants)):
         if res is not None and res.min_kl > best_val:
             best_val, best_theta = res.min_kl, pair.free(mech, quant)
     if best_theta is None:

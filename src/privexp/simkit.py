@@ -83,6 +83,8 @@ TABLE_BUDGET = 2_000_000
 BATCH_CELL_CAP = 2**22
 # batches of a run that fits the cap; the count fixes each report's streams
 DEFAULT_BATCHES = 100
+# trials of one run; at about 12 us per trial the cap is about 20 minutes
+TRIAL_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,8 @@ class SchemeConfig:
             raise DomainError("blocklength must be at least 1")
         if self.trials < 1:
             raise DomainError("need at least one trial")
+        if self.trials > TRIAL_CAP:
+            raise TooLarge(f"{self.trials} trials exceed the cap of {TRIAL_CAP} per run")
         # written so that NaN fails each check
         if not self.mu >= 0.0:
             raise DomainError(f"typicality radius {self.mu!r} must be nonnegative")

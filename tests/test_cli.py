@@ -396,7 +396,7 @@ def test_integer_mu_is_accepted_as_a_number(tmp_path, sim_config_path):
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
-@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "5e-324"])
 def test_bad_grid_step_is_a_config_error(step, null_law_path, capsys):
     code = cli.main(["exponent", "--method", "tai", "--null", null_law_path,
                      "--rate", "0.5", "--leak", "0.5", "--grid-step", step])
@@ -543,6 +543,15 @@ def test_size_cap_maps_to_exit_four(tmp_path, dsbs01):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["simulate", "--config", str(path)]) == 4
+
+
+def test_trial_cap_maps_to_exit_four(sim_config_path, capsys):
+    raw = json.loads(open(sim_config_path).read())
+    raw["trials"] = 10**8 + 1
+    with open(sim_config_path, "w") as fh:
+        json.dump(raw, fh)
+    assert cli.main(["simulate", "--config", sim_config_path]) == cli.SIZE_EXIT
+    assert capsys.readouterr().err.startswith("error: 100000001 trials exceed the cap")
 
 
 def test_version_flag():

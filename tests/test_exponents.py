@@ -31,12 +31,13 @@ from privexp import (
     theorem1_lower_bound,
     zero_rate_exponent,
 )
-from privexp import exponents
+from privexp import exponents, iproject
 from privexp.exponents import (
     THM1_SEARCH,
     _TAI_BUDGETS,
     _THM1_BUDGETS,
     _ChannelPair,
+    _fit_step,
     _InnerPair,
     _TaiSpace,
     _space_for,
@@ -329,10 +330,44 @@ def test_zero_row_and_column_give_a_finite_value_without_warnings():
 @pytest.mark.parametrize("field, value", [
     ("grid_step", 0.0), ("grid_step", -1.0), ("grid_step", 1.5),
     ("grid_step", float("nan")), ("grid_step", float("inf")),
+    ("grid_step", 5e-324),  # 1/step overflows; once an OverflowError traceback
 ])
 def test_search_config_rejects_out_of_domain_fields(field, value):
     with pytest.raises(DomainError, match=field):
         SearchConfig(**{field: value})
+
+
+def coarsening_loop(rows, k, step, budget):
+    """The grid fit as a loop that coarsens the lattice one part at a time."""
+    def row_count(s):
+        return math.comb(max(1, round(1.0 / s)) + k - 1, k - 1)
+
+    s = step
+    while row_count(s) ** rows > budget and s < 0.51:
+        s = 1.0 / (round(1.0 / s) - 1)
+    return s
+
+
+@pytest.mark.parametrize("rows, k, budget", [
+    (2, 2, 1000), (2, 3, 1000), (3, 3, 1000), (3, 4, 1000), (2, 2, 300),
+    (2, 4, 800), (3, 5, 800), (2, 2, 1), (2, 3, 0),
+])
+def test_fit_step_matches_the_coarsening_loop(rows, k, budget):
+    steps = [*np.geomspace(1e-4, 1.0, 120), 0.5, 0.505, 0.51, 0.6, 1 / 3, 1 / 7, 0.1, 1 / 8]
+    for step in steps:
+        assert _fit_step(rows, k, float(step), budget) == coarsening_loop(rows, k, float(step), budget)
+
+
+def test_a_tiny_grid_step_fits_at_once():
+    # the loop above would coarsen about 1e300 times from a step of 1e-300;
+    # both searches' grids (independence: |U| = |X| + 1, Theorem 1:
+    # |U| = |X| + 2) take the finest lattice that fits, as a small step does
+    start = time.perf_counter()
+    for kx in (2, 3):
+        for k_out, budget in ((kx, _TAI_BUDGETS[0]), (kx + 1, _TAI_BUDGETS[1]),
+                              (kx, _THM1_BUDGETS[0]), (kx + 2, _THM1_BUDGETS[1])):
+            assert _fit_step(kx, k_out, 1e-300, budget) == coarsening_loop(kx, k_out, 1e-3, budget)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_search_input_validation():
@@ -506,6 +541,79 @@ def test_failed_inner_projection_scores_the_sentinel_with_zero_gradient():
     theta = pair.free(np.full((2, 2), 0.5), np.full((2, 4), 0.25))
     assert pair.value(theta) == -1e3
     assert np.array_equal(pair.grad(theta), np.zeros(theta.size))
+
+
+def shortlist_pairs(p, q, rate, leak):
+    """The Theorem-1 search's inner pair and its shortlisted (mechanism, quantizer) stacks."""
+    p_xy, q_xy = (JointPmf(np.asarray(a, dtype=float), ("X", "Y")) for a in (p, q))
+    kx = p_xy.shape[0]
+    space = _space_for(p_xy.probs, kx + 2, THM1_SEARCH, _THM1_BUDGETS)
+    order = space.ranked(rate, leak)
+    shortlist = np.concatenate([order[:48], order[48::max(1, len(order) // 16)][:16]])
+    return _InnerPair(p_xy.probs, q_xy, kx, kx + 2), *space.pair(shortlist)
+
+
+def same_projection(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return (a.min_kl == b.min_kl and np.array_equal(a.argmin.probs, b.argmin.probs)
+            and a.iterations == b.iterations and a.residual == b.residual
+            and all(np.array_equal(x, y) for x, y in zip(a.duals, b.duals))
+            and np.allclose(a.dual_trace, b.dual_trace, rtol=0.0, atol=1e-12))
+
+
+TERNARY_ALT = [[0.10, 0.15, 0.08], [0.12, 0.05, 0.10], [0.15, 0.10, 0.15]]
+
+
+@pytest.mark.parametrize("p, q, rate, leak", [
+    (NULL, ALT, 0.25, 0.25),
+    (NULL, ALT, 0.1, 1.0),
+    (TERNARY, TERNARY_ALT, 0.25, 0.5),
+], ids=["binary", "binary-wide-leak", "ternary"])
+def test_batched_projections_match_one_pair_at_a_time(p, q, rate, leak):
+    pair, mechs, quants = shortlist_pairs(p, q, rate, leak)
+    batch = pair.project_many(mechs, quants)
+    single = [pair.project(m, u) for m, u in zip(mechs, quants)]
+    assert len(batch) == len(single) == len(mechs) > 16
+    # grid pairs leave U symbols unused, so targets have zero cells
+    assert any(np.any(res.duals[1] == -math.inf) for res in single)
+    for i, (a, b) in enumerate(zip(batch, single)):
+        assert same_projection(a, b), f"member {i}"
+
+
+def test_a_failed_member_scores_none_in_the_batch_too():
+    # Q(X=1, Y=0) = 0: with U = Xh = X the (U, Y) target needs mass at
+    # (1, 0) where the reference has none, while mixing channels spread it
+    pair = inner_pair([[0.2, 0.15, 0.15], [0.1, 0.2, 0.2]],
+                      [[0.2, 0.2, 0.1], [0.0, 0.25, 0.25]], 2, 4)
+    mechs = np.stack([np.full((2, 2), 0.5), np.eye(2), [[0.7, 0.3], [0.2, 0.8]]])
+    quants = np.stack([np.full((2, 4), 0.25), np.eye(2, 4), [[0.4, 0.1, 0.5, 0.0]] * 2])
+    batch = pair.project_many(mechs, quants)
+    single = [pair.project(m, u) for m, u in zip(mechs, quants)]
+    assert [res is None for res in single] == [False, True, False]
+    for a, b in zip(batch, single):
+        assert same_projection(a, b)
+
+
+def test_theorem1_query_scores_its_shortlist_in_one_kernel_call(monkeypatch):
+    real_scale, real_project = iproject._scale, exponents.i_project
+    batches, singles = [], []
+
+    def counting_scale(ref, *args, **kwargs):
+        batches.append(len(ref))
+        return real_scale(ref, *args, **kwargs)
+
+    def counting_project(*args, **kwargs):
+        singles.append(1)
+        return real_project(*args, **kwargs)
+
+    monkeypatch.setattr(iproject, "_scale", counting_scale)
+    monkeypatch.setattr(exponents, "i_project", counting_project)
+    p, q = alt_pair()
+    theorem1_lower_bound(p, q, 0.25, 0.25)
+    # every polish projection is a batch of one; the shortlist is the rest
+    assert len(batches) == len(singles) + 1
+    assert sorted(batches)[-1] == 64 and sorted(batches)[-2] == 1
 
 
 def test_theorem1_query_makes_few_projections(monkeypatch):

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from privexp import (
     Channel,
+    DimensionMismatch,
     DomainError,
     Infeasible,
+    InvalidDistribution,
+    InvariantViolation,
     IProjectionResult,
     JointPmf,
     MarginalConstraint,
@@ -21,6 +24,7 @@ from privexp import (
     i_project,
     kl_divergence,
 )
+from privexp.iproject import _i_project_batch
 
 REF = np.array([[0.28, 0.42], [0.18, 0.12]])
 UNIFORM_XY = [
@@ -239,3 +243,113 @@ def test_brute_force_refuses_a_bad_grid_step(step):
     # once a ZeroDivisionError, or a numpy ValueError for NaN
     with pytest.raises(DomainError, match="^grid_step"):
         brute_force_i_project(joint(REF), UNIFORM_XY, grid_step=step)
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+def one_at_a_time(refs, axes, constraints):
+    """``i_project`` of each member, or the error it raised."""
+    out = []
+    for i, ref in enumerate(refs):
+        cons = [MarginalConstraint(names, targets[i]) for names, targets in constraints]
+        try:
+            out.append(i_project(JointPmf(ref, axes), cons))
+        except (Infeasible, SupportMismatch) as e:
+            out.append(e)
+    return out
+
+
+def assert_same_outcomes(batch, single):
+    assert len(batch) == len(single)
+    for i, (a, b) in enumerate(zip(batch, single)):
+        assert type(a) is type(b), f"member {i}"
+        if isinstance(a, Exception):
+            assert str(a) == str(b), f"member {i}"
+            continue
+        assert a.min_kl == b.min_kl, f"member {i}"
+        assert np.array_equal(a.argmin.probs, b.argmin.probs), f"member {i}"
+        assert (a.iterations, a.converged, a.residual) == (b.iterations, b.converged, b.residual)
+        assert all(np.array_equal(x, y) for x, y in zip(a.duals, b.duals))
+        np.testing.assert_allclose(a.dual_trace, b.dual_trace, rtol=0.0, atol=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_batch_matches_one_projection_at_a_time(seed):
+    # members differ in their references and targets but share the axes;
+    # some targets have zero cells, and one reference lacks a slice the
+    # targets need, so that member fails the support check
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(2, 4, size=3))
+    axes = ("A", "B", "C")
+    layout = [("C", "A"), ("B",)] if seed % 2 else [("A",), ("B", "C"), ("C",)]
+    refs, targets = [], [[] for _ in layout]
+    for member in range(7):
+        ref = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+        other = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+        if member % 3 == 1:
+            other[:, :, 0] = 0.0
+            other /= other.sum()
+        if member == 5:
+            ref[0] = 0.0
+            ref /= ref.sum()
+        refs.append(ref)
+        for names, bucket in zip(layout, targets):
+            ids = [axes.index(a) for a in names]
+            marginal = other.sum(axis=tuple(k for k in range(3) if k not in ids))
+            bucket.append(np.transpose(marginal, np.argsort(np.argsort(ids))))
+    constraints = [(names, np.stack(bucket)) for names, bucket in zip(layout, targets)]
+    batch = _i_project_batch(np.stack(refs), axes, (), constraints)
+    single = one_at_a_time(refs, axes, constraints)
+    assert_same_outcomes(batch, single)
+    assert isinstance(batch[5], SupportMismatch)
+
+
+def test_a_member_with_contradictory_targets_plateaus_alone():
+    # two constraints on X: members 0 and 2 agree with themselves, member 1
+    # asks for two different marginals and plateaus; the others converge
+    refs = np.stack([REF, REF.T, np.full((2, 2), 0.25)])
+    first = np.array([[0.5, 0.5], [0.5, 0.5], [0.3, 0.7]])
+    second = np.array([[0.5, 0.5], [0.7, 0.3], [0.3, 0.7]])
+    constraints = [(("X",), first), (("X",), second), (("Y",), first[::-1])]
+    batch = _i_project_batch(refs, ("X", "Y"), (), constraints)
+    assert isinstance(batch[1], Infeasible) and "plateaued" in str(batch[1])
+    assert batch[0].converged and batch[2].converged
+    assert_same_outcomes(batch, one_at_a_time(refs, ("X", "Y"), constraints))
+
+
+@pytest.mark.parametrize("where, value, match", [
+    ("ref", -0.1, "reference, batch member 1: negative entry"),
+    ("ref", math.nan, "reference, batch member 1: non-finite entry"),
+    ("target", 0.3, r"constraint target \('X',\), batch member 1: total mass"),
+], ids=["negative-reference", "nan-reference", "target-mass"])
+def test_a_bad_member_is_an_invalid_distribution(where, value, match):
+    refs = np.stack([REF, REF, REF])
+    targets = np.full((3, 2), 0.5)
+    if where == "ref":
+        refs[1, 0, 0] = value
+    else:
+        targets[1, 0] = value
+    with pytest.raises(InvalidDistribution, match=match):
+        _i_project_batch(refs, ("X", "Y"), (), [(("X",), targets)])
+
+
+def test_a_falling_dual_raises_when_its_member_leaves(monkeypatch):
+    # make every dual increment -1: the trace reads -2, -4, ... over two
+    # constraints, and the first decrease is reported, alone or in a batch
+    ref, constraints = random_instance(np.random.default_rng(7), (2, 3))
+    assert i_project(ref, constraints).iterations > 2
+    monkeypatch.setattr(np, "vecdot", lambda a, b: -np.ones(len(a)))
+    with pytest.raises(InvariantViolation, match=r"decreased at sweep 2: -2.0 -> -4.0$"):
+        i_project(ref, constraints)
+    with pytest.raises(InvariantViolation, match=r"decreased at sweep 2: -2.0 -> -4.0$"):
+        _i_project_batch(np.stack([ref.probs] * 2), ("X", "Y"), (),
+                         [(c.axes, np.stack([c.target] * 2)) for c in constraints])
+
+
+def test_batch_targets_must_stack_one_per_member():
+    refs = np.stack([REF, REF, REF])
+    with pytest.raises(DimensionMismatch, match="targets of shape"):
+        _i_project_batch(refs, ("X", "Y"), (), [(("X",), np.full((2, 2), 0.5))])

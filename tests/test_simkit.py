@@ -238,6 +238,13 @@ def test_fixed_mode_cap(dsbs01):
         run_memoryless_scheme(cfg, dsbs01)
 
 
+def test_trial_count_is_capped():
+    # at about 12 us per trial, a run at the cap takes about 20 minutes
+    assert memoryless_cfg(trials=simkit.TRIAL_CAP).trials == 10**8
+    with pytest.raises(TooLarge, match=f"^{10**8 + 1} trials exceed the cap of {10**8}"):
+        memoryless_cfg(trials=simkit.TRIAL_CAP + 1)
+
+
 def test_batch_count_grows_only_past_the_cell_cap(dsbs01):
     # the cap holds 87,381 trials per batch at n = 24 with 2 mechanism
     # outputs: 100 batches cover 8,738,100 trials, one more trial needs 101
