@@ -51,8 +51,6 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
 
 from .errors import (
     AlphabetMismatch,
@@ -402,6 +400,9 @@ class _ChannelPair:
         """SLSQP bounds and row constraints of the free parameters after the first ``skip``."""
         if self.bsc:
             return [(0.0, 0.5)] * (2 - skip), []
+        from scipy.linalg import block_diag
+        from scipy.optimize import LinearConstraint
+
         # each channel row's free entries sum to at most one; a row of held
         # parameters is all zero after the slice
         rows = block_diag(np.kron(np.eye(self.kx), np.ones((1, self.kh - 1))),
@@ -483,6 +484,15 @@ class _ChannelPair:
         return self._free_grad(d_mech, d_quant) * _LOG2E
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call so that commands
+    without a search never load ``scipy.optimize``; a module attribute,
+    because perfbench's ``exponents.slsqp`` probe wraps it."""
+    import scipy.optimize
+
+    return scipy.optimize.minimize(*args, **kwargs)
+
+
 def _slsqp_polish(theta0, pair, rate, leak, hold_mechanism=False):
     """SLSQP maximization of ``pair.value`` from ``theta0``, within both budgets.
 
@@ -499,6 +509,8 @@ def _slsqp_polish(theta0, pair, rate, leak, hold_mechanism=False):
     all infinite. Returns (value, theta) of the final point when it meets
     both budgets, else None; the caller keeps whichever point scores higher.
     """
+    from scipy.optimize import NonlinearConstraint
+
     skip = pair.mech_params if hold_mechanism else 0
 
     def full(x):

@@ -49,8 +49,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 from scipy.special import xlogy
 
 from .errors import (
@@ -429,6 +427,9 @@ def brute_force_i_project(
     """
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise DomainError(f"grid_step {grid_step!r} must be finite and positive")
+    from scipy.linalg import null_space
+    from scipy.optimize import linprog
+
     ref = np.asarray(reference.probs, dtype=float).reshape(-1)
     views = _constraint_views(reference.axes, reference.shape,
                               [(c.axes, c.target[None]) for c in constraints])

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import xlogy
 
 from .errors import (
@@ -335,11 +334,16 @@ def binary_entropy_inv(h: float) -> float:
         return 0.0
     if h == 1.0:
         return 0.5
+    from scipy.optimize import brentq
+
     return float(brentq(lambda p: binary_entropy(p) - h, 0.0, 0.5, xtol=1e-13))
 
 
 def star(a: float, b: float) -> float:
     """Binary convolution a*b = a(1-b) + (1-a)b."""
+    for v in (a, b):
+        if not 0.0 <= v <= 1.0:  # NaN fails the comparison too
+            raise DomainError(f"star argument {v!r} outside [0, 1]")
     return a * (1.0 - b) + (1.0 - a) * b
 
 

@@ -176,6 +176,11 @@ def wilson_interval(
     successes: int, trials: int, z: float = 1.959963984540054
 ) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    for name, count in (("successes", successes), ("trials", trials)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise DomainError(f"{name} {count!r} is not an integer count")
+    if not (math.isfinite(z) and z > 0.0):
+        raise DomainError(f"z {z!r} must be finite and positive")
     if trials < 1:
         raise DomainError("trials must be positive")
     if not 0 <= successes <= trials:

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,6 +554,43 @@ def test_trial_cap_maps_to_exit_four(sim_config_path, capsys):
         json.dump(raw, fh)
     assert cli.main(["simulate", "--config", sim_config_path]) == cli.SIZE_EXIT
     assert capsys.readouterr().err.startswith("error: 100000001 trials exceed the cap")
+
+
+# Commands without a search, a closed-form inverse or the oracle; run in a
+# fresh interpreter, since this one has long since loaded scipy.optimize.
+_LIGHT_COMMANDS = """
+import contextlib, io, json, sys
+import numpy as np
+from privexp import Channel, JointPmf, SchemeConfig, SearchConfig, cli
+from privexp import run_memoryless_scheme, tai_exponent
+null, alt = sys.argv[1:3]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--version"])
+    except SystemExit:
+        pass
+    assert cli.main(["gaussian", "--rho", "0.8", "--rate", "0:1:0.5", "--leak", "0.5"]) == 0
+    assert cli.main(["exponent", "--method", "zero-rate", "--null", null, "--alt", alt]) == 0
+p = JointPmf(np.array([[0.45, 0.05], [0.05, 0.45]]), ("X", "Y"))
+ident = Channel.identity(2)
+run_memoryless_scheme(SchemeConfig(n=8, mu=0.35, rate=1.0, seed=1, trials=20,
+                                   hypothesis="alt", mechanism=ident, quantizer=ident,
+                                   scheme_kind="memoryless"), p)
+before = sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules)
+tai_exponent(p, 0.5, 0.5, SearchConfig(restrict_bsc=True))
+print(json.dumps([before, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_commands_without_a_search_do_not_load_the_optimizer(null_law_path, alt_law_path):
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _LIGHT_COMMANDS, null_law_path,
+                           alt_law_path], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr.decode()
+    before, after_search = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert before == []
+    assert after_search  # the search does load it, so the check above can fail
 
 
 def test_version_flag():

@@ -632,6 +632,24 @@ def test_theorem1_query_makes_few_projections(monkeypatch):
     assert len(calls) <= 130
 
 
+def test_both_searches_call_the_solver_through_the_module_attribute(monkeypatch):
+    # perfbench's exponents.slsqp metrics come from a probe on this attribute;
+    # a search that imported scipy's minimize itself would leave them empty
+    real = exponents.minimize
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exponents, "minimize", counting)
+    tai_exponent(dsbs(0.1), 0.5, 0.5, SearchConfig(restrict_bsc=True))
+    tai_calls = len(calls)
+    assert tai_calls > 0
+    theorem1_lower_bound(*alt_pair(), 0.1, 0.1)
+    assert len(calls) > tai_calls
+
+
 def test_lower_bound_refuses_the_bsc_restriction(product_uniform):
     with pytest.raises(DomainError, match="restrict_bsc"):
         theorem1_lower_bound(dsbs(0.1), product_uniform, 0.5, 0.5,

@@ -137,6 +137,14 @@ def test_star_values():
     assert star(0.3, 0.5) == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("a, b", [(math.nan, 0.1), (0.1, math.nan), (2.0, 0.1), (0.1, -0.1),
+                                  (math.inf, 0.1), (0.1, -math.inf)])
+def test_star_refuses_arguments_outside_the_unit_interval(a, b):
+    # once star(nan, 0.1) was nan and star(2.0, 0.1) was 1.7
+    with pytest.raises(DomainError, match="^star argument"):
+        star(a, b)
+
+
 @given(st.floats(0.0, 0.5), st.floats(0.0, 0.5))
 @settings(max_examples=50, deadline=None)
 def test_star_commutative_and_bounded(a, b):

@@ -421,8 +421,24 @@ def test_wilson_interval_anchor():
     assert hi == pytest.approx(0.5961685, abs=1e-6)
     assert wilson_interval(0, 50)[0] == 0.0
     assert wilson_interval(50, 50)[1] == 1.0
+    assert wilson_interval(np.int64(50), np.int64(100)) == (lo, hi)
     with pytest.raises(DomainError):
         wilson_interval(1, 0)
+
+
+@pytest.mark.parametrize("successes, trials, z, match", [
+    (5, 10, math.nan, "^z nan "),
+    (5, 10, math.inf, "^z inf "),
+    (5, 10, 0.0, "^z 0.0 "),
+    (5, 10, -1.96, "^z -1.96 "),
+    (2.5, 10, 1.96, "^successes 2.5 is not"),
+    (5, 10.0, 1.96, "^trials 10.0 is not"),
+    (True, 10, 1.96, "^successes True is not"),
+])
+def test_wilson_interval_refuses_bad_counts_and_z(successes, trials, z, match):
+    # once z = nan gave (0.0, 1.0) and 2.5 successes gave an interval
+    with pytest.raises(DomainError, match=match):
+        wilson_interval(successes, trials, z)
 
 
 @pytest.mark.parametrize("successes", [11, -1])
