@@ -21,7 +21,12 @@ ridge. Both searches see a channel pair through ``_ChannelPair``, which
 owns its free-parameter layout, its SLSQP bounds and its objective
 (``_InnerPair`` for Theorem 1); its parameter map clips at zero and
 renormalizes each row, so a step past a simplex face still scores a valid
-channel pair. Both searches take their grid pairs from one ranking,
+channel pair. A pair remembers its last point by the bytes of its
+parameters and evaluates a new one once, with the grid's joint and MI
+kernels, so an SLSQP iterate costs one evaluation and at most one gradient
+and the polish scores a grid pair with the grid's bits. SLSQP gets its
+constraints as its own inequality dicts, the row-sum matrix cached per
+shape. Both searches take their grid pairs from one ranking,
 ``_TaiSpace.ranked``: the pairs within both budgets, best I(U;Y) first,
 ties in index order, so the grid stage is deterministic and ties break
 toward the lexicographically smallest parameter vector.
@@ -45,6 +50,7 @@ sort of the feasible pairs. Infinite budgets are accepted.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -331,15 +337,17 @@ def _log(a: np.ndarray, floor: float = _LOG_FLOOR) -> np.ndarray:
     return np.log(np.maximum(a, floor))
 
 
-def _mi_grad(joint: np.ndarray, floor: float = _LOG_FLOOR) -> np.ndarray:
+def _mi_grad(joint: np.ndarray, floor: float = _LOG_FLOOR, r=None, c=None) -> np.ndarray:
     """d I / d joint in nats, up to a constant that cancels on the simplex.
 
     The exact derivative is log J(a,b) - log r(a) - log c(b) - 1 for row sums
     r and column sums c; every direction that keeps each channel row summing
-    to one moves the total mass by zero, so the -1 drops out.
+    to one moves the total mass by zero, so the -1 drops out. ``r`` (a, 1)
+    and ``c`` (1, b) are summed here unless the caller has them.
     """
-    return (_log(joint, floor) - _log(joint.sum(axis=1, keepdims=True), floor)
-            - _log(joint.sum(axis=0), floor))
+    if r is None:
+        r, c = joint.sum(axis=1, keepdims=True), joint.sum(axis=0)
+    return _log(joint, floor) - _log(r, floor) - _log(c, floor)
 
 
 class _ChannelPair:
@@ -353,12 +361,21 @@ class _ChannelPair:
     at least 1 before the division. ``info`` gives (I(X;Xh), I(U;Xh),
     I(U;Y)) in bits and ``jac`` their exact gradients, one row each. The
     polish maximizes ``value``, here I(U;Y), with gradient ``grad`` to
-    ``ftol``. Everything computed at a point shares a memo of the last
-    point, so the objective, the constraint and their Jacobians at one SLSQP
-    iterate cost one evaluation and one gradient. The gradient is that of
-    the unclipped map, exact inside the simplex where the polish moves; into
-    an unused symbol it is the one-sided derivative. Into a zero cell of a
-    joint it is the log of ``log_floor`` in place of -inf.
+    ``ftol``.
+
+    The pair remembers its last point, keyed on the bytes of the float64
+    parameters. A new point is evaluated once: its channels, their joints
+    from ``probcore._pair_joints`` and the three MI values from
+    ``probcore._mi_batch``, the grid's own arithmetic, so the polish scores
+    a grid pair with the grid's bits. ``channels``, ``joints``, ``info`` and
+    ``value`` read that evaluation; ``jac`` and ``grad`` compute the
+    gradient on first use at the point, from the same joints and their row
+    and column sums. So the objective, the constraints and their Jacobians
+    at one SLSQP iterate cost one evaluation and at most one gradient.
+    The gradient is that of the unclipped map, exact inside the simplex
+    where the polish moves; into an unused symbol it is the one-sided
+    derivative. Into a zero cell of a joint it is the log of ``log_floor``
+    in place of -inf.
     """
 
     log_floor = _LOG_FLOOR
@@ -372,8 +389,11 @@ class _ChannelPair:
         self.kx, self.kh, self.ku = p_xy.shape[0], kh, ku
         self.bsc = bsc
         self.mech_params = 1 if bsc else self.kx * (kh - 1)
-        self._theta = None
-        self._memo: dict = {}
+        self.n_free = 2 if bsc else self.mech_params + kh * (ku - 1)
+        # the (x, 1) slope of I(U;Y) into an unused U symbol through the
+        # mechanism, a constant of the law (see ``_gradient``)
+        self._fresh_u = (p_xy * _mi_grad(p_xy, self.log_floor)).sum(axis=1, keepdims=True)
+        self._key = None
 
     def free(self, mech: np.ndarray, quant: np.ndarray) -> np.ndarray:
         if self.bsc:
@@ -396,23 +416,22 @@ class _ChannelPair:
             (d_quant[..., :-1] - d_quant[..., -1:]).reshape(*d_quant.shape[:-2], -1),
         ], axis=-1)
 
-    def feasible_set(self, skip: int) -> tuple[list, list]:
-        """SLSQP bounds and row constraints of the free parameters after the first ``skip``."""
+    def feasible_set(self, skip: int) -> tuple[list, tuple | None]:
+        """SLSQP bounds of the free parameters after the first ``skip``, and
+        their ``_row_sums`` (None for a BSC pair, whose bounds suffice)."""
         if self.bsc:
-            return [(0.0, 0.5)] * (2 - skip), []
-        from scipy.linalg import block_diag
-        from scipy.optimize import LinearConstraint
-
-        # each channel row's free entries sum to at most one; a row of held
-        # parameters is all zero after the slice
-        rows = block_diag(np.kron(np.eye(self.kx), np.ones((1, self.kh - 1))),
-                          np.kron(np.eye(self.kh), np.ones((1, self.ku - 1))))[:, skip:]
-        return [(0.0, 1.0)] * rows.shape[1], [LinearConstraint(rows[rows.any(axis=1)], 0.0, 1.0)]
+            return [(0.0, 0.5)] * (2 - skip), None
+        rows = _row_sums(self.kx, self.kh, self.ku, skip)
+        return [(0.0, 1.0)] * (self.n_free - skip), rows
 
     def _at(self, theta: np.ndarray) -> None:
-        if self._theta is not None and np.array_equal(theta, self._theta):
-            return
-        self._theta = t = np.array(theta, dtype=float)
+        t = np.asarray(theta, dtype=float)
+        key = t.tobytes()
+        if key != self._key:
+            self._key = key
+            self._evaluate(t)
+
+    def _evaluate(self, t: np.ndarray) -> None:
         if self.bsc:
             a, b = t
             mech = np.array([[1 - a, a], [a, 1 - a]])
@@ -426,52 +445,57 @@ class _ChannelPair:
         quant = np.clip(quant, 0.0, None)
         self._mech = mech / mech.sum(axis=1, keepdims=True)
         self._quant = quant / quant.sum(axis=1, keepdims=True)
-        self._memo = {}
-
-    def _memoized(self, theta: np.ndarray, key: str, compute):
-        self._at(theta)
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        self._joints = _pair_joints(self.p_xy, self._mech, self._quant)
+        parts = [_mi_batch(j, sums=True) for j in self._joints]
+        self._info = tuple(float(i) for i, _, _ in parts)
+        self._sums = [(r, c) for _, r, c in parts]
+        self._jac = None
 
     def channels(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self._at(theta)
         return self._mech, self._quant
 
     def joints(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._memoized(theta, "joints",
-                              lambda: _pair_joints(self.p_xy, self._mech, self._quant))
+        self._at(theta)
+        return self._joints
 
     def info(self, theta: np.ndarray) -> tuple[float, float, float]:
-        return self._memoized(theta, "info",
-                              lambda: tuple(float(_mi_batch(j)) for j in self.joints(theta)))
+        self._at(theta)
+        return self._info
 
     def jac(self, theta: np.ndarray) -> np.ndarray:
-        return self._memoized(theta, "jac", self._gradient)
+        self._at(theta)
+        if self._jac is None:
+            self._jac = self._gradient()
+        return self._jac
 
     def value(self, theta: np.ndarray) -> float:
-        return self.info(theta)[2]
+        self._at(theta)
+        return self._info[2]
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self.jac(theta)[2]
 
     def _gradient(self) -> np.ndarray:
         p, p_x, mech, quant = self.p_xy, self.p_x, self._mech, self._quant
-        j_xxh, j_uxh, j_uy = self.joints(self._theta)
+        j_xxh, j_uxh, j_uy = self._joints
+        (r_xxh, c_xxh), (r_uxh, c_uxh), (r_uy, c_uy) = self._sums
         p_xh = p_x @ mech
         fl = self.log_floor
-        g_xxh = _mi_grad(j_xxh, fl)
-        g_xhu = _mi_grad(j_uxh.T, fl)
-        h = p @ _mi_grad(j_uy, fl).T  # (x, u)
+        g_xxh = _mi_grad(j_xxh, fl, r_xxh, c_xxh)
+        g_xhu = _mi_grad(j_uxh.T, fl, c_uxh.T, r_uxh.T)
+        h = p @ _mi_grad(j_uy, fl, r_uy, c_uy).T  # (x, u)
         # A row of a joint with no mass (an unused Xh or U symbol) has no
         # conditional of its own: mass moved into it brings the conditional of
         # where it came from, and log J - log r takes that conditional's log.
         # For Xh that is the quantizer row; for U it is P(Y|x) when the
         # mechanism moves and P(Y|Xh=h) when the quantizer does.
         unused_xh = p_xh <= 0
-        g_xhu[unused_xh] = (_log(quant, fl) - _log(p_xh @ quant, fl))[unused_xh]
-        unused_u = j_uy.sum(axis=1) <= 0
-        h[:, unused_u] = (p * _mi_grad(p, fl)).sum(axis=1, keepdims=True)
+        if unused_xh.any():
+            g_xhu[unused_xh] = (_log(quant, fl) - _log(p_xh @ quant, fl))[unused_xh]
+        unused_u = r_uy[:, 0] <= 0
+        if unused_u.any():
+            h[:, unused_u] = self._fresh_u
         d_mech = np.stack([
             p_x[:, None] * g_xxh,
             # I(U;Xh) sees the mechanism only through the Xh marginal
@@ -479,9 +503,28 @@ class _ChannelPair:
             h @ quant.T,
         ])
         d_quant = np.stack([np.zeros_like(quant), p_xh[:, None] * g_xhu, mech.T @ h])
-        a_hy = mech.T @ p  # joint of (Xh, Y)
-        d_quant[2][:, unused_u] = (a_hy * _mi_grad(a_hy, fl)).sum(axis=1, keepdims=True)
+        if unused_u.any():
+            a_hy = mech.T @ p  # joint of (Xh, Y)
+            d_quant[2][:, unused_u] = (a_hy * _mi_grad(a_hy, fl)).sum(axis=1, keepdims=True)
         return self._free_grad(d_mech, d_quant) * _LOG2E
+
+
+@functools.cache
+def _row_sums(kx: int, kh: int, ku: int, skip: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-sum matrix A of the free parameters after ``skip``, and [A; -A].
+
+    Row i of A sums the free entries of channel row i, mechanism rows
+    first; a row of held parameters only is left out. Each sum lies in
+    [0, 1]: the SLSQP inequalities A x >= 0 and -(A x - 1) >= 0, whose
+    Jacobian is [A; -A].
+    """
+    owner = np.concatenate([np.repeat(np.arange(kx), kh - 1),
+                            kx + np.repeat(np.arange(kh), ku - 1)])[skip:]
+    rows = (np.unique(owner)[:, None] == owner).astype(float)
+    both = np.vstack([rows, -rows])
+    rows.setflags(write=False)  # shared by every polish of this shape
+    both.setflags(write=False)
+    return rows, both
 
 
 def minimize(*args, **kwargs):
@@ -504,16 +547,20 @@ def _slsqp_polish(theta0, pair, rate, leak, hold_mechanism=False):
     sits above the noise of its value: an objective solved only to some
     residual cannot be polished below it, and a tighter ``ftol`` just runs
     to the 200-iteration cap.
+    The constraints are SLSQP's own inequality dicts with the arithmetic
+    scipy derives from a bounded constraint, down to the sign of a zero:
+    -(I - upper) for the two budgets, and each channel row's free sum in
+    [0, 1] (``_row_sums``).
     An infinite budget is replaced by a finite one no channel pair on these
-    alphabets can reach, since scipy drops a constraint whose bounds are
-    all infinite. Returns (value, theta) of the final point when it meets
-    both budgets, else None; the caller keeps whichever point scores higher.
+    alphabets can reach, so SLSQP never sees an infinite constraint value.
+    Returns (value, theta) of the final point when it meets both budgets,
+    else None; the caller keeps whichever point scores higher.
     """
-    from scipy.optimize import NonlinearConstraint
-
     skip = pair.mech_params if hold_mechanism else 0
 
-    def full(x):
+    def full(x):  # the whole parameter vector; x itself when nothing is held
+        if not skip:
+            return x
         t = theta0.copy()
         t[skip:] = x
         return t
@@ -521,15 +568,19 @@ def _slsqp_polish(theta0, pair, rate, leak, hold_mechanism=False):
     upper = np.array([leak, rate], dtype=float)
     upper[np.isinf(upper)] = math.log2(max(pair.kh, pair.ku)) + 1.0
     bounds, rows = pair.feasible_set(skip)
-    constraints = [
-        NonlinearConstraint(
-            lambda x: np.asarray(pair.info(full(x))[:2]),
-            -np.inf,
-            upper,
-            jac=lambda x: pair.jac(full(x))[:2, skip:],
-        ),
-        *rows,
-    ]
+    constraints = [{
+        "type": "ineq",
+        "fun": lambda x: -(np.asarray(pair.info(full(x))[:2]) - upper),
+        "jac": lambda x: -pair.jac(full(x))[:2, skip:],
+    }]
+    if rows is not None:
+        a, a_both = rows
+
+        def row_sums(x):
+            ax = np.dot(a, x)
+            return np.concatenate([ax, -(ax - 1.0)])
+
+        constraints.append({"type": "ineq", "fun": row_sums, "jac": lambda x: a_both})
     try:
         res = minimize(
             lambda x: -pair.value(full(x)),
@@ -742,13 +793,16 @@ _CHAIN_AXES = ("U", "Xh", "X", "Y")
 _INNER_SOLVER = {"tol": 1e-9, "max_iter": 20_000}
 # a pair whose inner projection fails this way scores None
 _INNER_FAILURES = (Infeasible, SupportMismatch)
+# a point whose projection is not computed yet; a failed one is None
+_PENDING = object()
 
 
 class _InnerPair(_ChannelPair):
     """A channel pair scored by the Theorem-1 inner value, with its exact gradient.
 
-    ``value`` and ``grad`` share the pair's memo, so one SLSQP iterate costs
-    one projection. A pair whose projection fails scores -1e3, below every
+    The projection and its gradient join the pair's memo of its last point,
+    each computed on first use there, so one SLSQP iterate costs one
+    projection. A pair whose projection fails scores -1e3, below every
     inner value, with a zero gradient. ``project_many`` projects stacked
     pairs in one batched call; ``project`` and it build their chains with
     the same batched ``einsum``.
@@ -801,23 +855,27 @@ class _InnerPair(_ChannelPair):
                 out[i] = None
         return out
 
+    def _evaluate(self, t: np.ndarray) -> None:
+        super()._evaluate(t)
+        self._projection = _PENDING
+        self._grad = None
+
     def projection(self, theta: np.ndarray):
-        return self._memoized(theta, "projection",
-                              lambda: self.project(self._mech, self._quant))
+        self._at(theta)
+        if self._projection is _PENDING:
+            self._projection = self.project(self._mech, self._quant)
+        return self._projection
 
     def value(self, theta: np.ndarray) -> float:
         res = self.projection(theta)
         return -1e3 if res is None else res.min_kl
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self._memoized(theta, "grad", self._inner_gradient)
-
-    def _inner_gradient(self) -> np.ndarray:
-        res = self.projection(self._theta)
-        if res is None:
-            return np.zeros(self._theta.size)
-        return self._free_grad(*_thm1_gradient(self.p_xy, self.q, self._mech, self._quant,
-                                               res.duals))
+        res = self.projection(theta)
+        if self._grad is None:
+            self._grad = np.zeros(self.n_free) if res is None else self._free_grad(
+                *_thm1_gradient(self.p_xy, self.q, self._mech, self._quant, res.duals))
+        return self._grad
 
 
 def theorem1_lower_bound(

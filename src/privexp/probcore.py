@@ -294,14 +294,19 @@ def kl_divergence(p: Pmf | JointPmf, q: Pmf | JointPmf) -> float:
     return _kl_bits(pa.reshape(-1), qa.reshape(-1))
 
 
-def _mi_batch(joint: np.ndarray) -> np.ndarray:
-    """MI in bits between the last two axes of a (..., a, b) batch of joints."""
+def _mi_batch(joint: np.ndarray, sums: bool = False):
+    """MI in bits between the last two axes of a (..., a, b) batch of joints.
+
+    With ``sums`` it returns (MI, r, c): the row sums (..., a, 1) and the
+    column sums (..., 1, b) it divided by, for a caller that needs them too.
+    """
     r = joint.sum(axis=-1, keepdims=True)
     c = joint.sum(axis=-2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(joint > 0, joint / (r * c), 1.0)
         out = xlogy(joint, ratio).sum(axis=(-2, -1)) * _LOG2E
-    return np.maximum(out, 0.0)
+    out = np.maximum(out, 0.0)
+    return (out, r, c) if sums else out
 
 
 def _mi_bits(joint: np.ndarray) -> float:
