@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,15 +43,6 @@ CONFIG_EXIT = 2
 INFEASIBLE_EXIT = 3
 SIZE_EXIT = 4
 
-# flags a method does not read, refused rather than ignored; the search
-# flags come first so that their refusal is the one reported
-_UNUSED_FLAGS = {
-    "binary": ("--grid-step", "--restrict-bsc", "--null", "--alt"),
-    "tai": ("--q", "--alt"),
-    "zero-rate": ("--grid-step", "--restrict-bsc", "--q", "--rate", "--leak"),
-    "thm1": ("--q",),
-    "cor2": ("--q", "--leak"),
-}
 _CONFIG_KEYS = frozenset({
     "p_xy", "q_xy", "mechanism", "quantizer", "rate", "n", "mu", "seed", "trials",
     "hypothesis", "scheme", "mu_prime", "fixed_codebook",
@@ -60,7 +52,7 @@ _CONFIG_KEYS = frozenset({
 def _parse_values(spec: str) -> list[float]:
     """Accept '0:1:0.02' ranges (inclusive), '{a,b,c}' sets, or single numbers.
 
-    ``inf`` is a valid set member but not a range bound.
+    ``inf`` is a valid set member but not a range bound; a range runs upward.
     """
     spec = spec.strip().strip("{}")
     if ":" in spec:
@@ -72,6 +64,8 @@ def _parse_values(spec: str) -> list[float]:
             raise DomainError(f"range {spec!r} needs a finite start, stop and step")
         if step <= 0:
             raise ValueError("range step must be positive")
+        if stop < start:
+            raise DomainError(f"range {spec!r} has its stop below its start")
         span = (stop - start) / step
         if not math.isfinite(span):
             raise DomainError(f"range {spec!r} has too many points")
@@ -135,94 +129,89 @@ def _emit_manifest(args: argparse.Namespace, outputs: list[str], started: float)
 # subcommands
 
 
-def _cmd_exponent(args) -> tuple[dict, list[str]]:
-    method = args.method
-    if method in ("thm1", "cor2") and args.restrict_bsc:
-        # the search's own refusal, reported ahead of any unused flag
-        raise DomainError("restrict_bsc applies only to the independence-testing search")
-    _refuse_unused_flags(args)
-    if method == "binary":
-        if args.q is None:
-            raise ToolkitError("--q is required for the binary method")
-        theta = binary_tai_exponent(args.q, _req(args, "rate"), _req(args, "leak"))
-        payload = {"method": method, "theta_bits": theta}
-    elif method == "tai":
-        res = tai_exponent(
-            _null(args), _req(args, "rate"), _req(args, "leak"), _search_config(args)
-        )
-        payload = {"method": method, **res.to_dict()}
-    elif method == "zero-rate":
-        res = zero_rate_exponent(_null(args), _alt(args))
-        payload = {"method": method, **res.to_dict()}
-    elif method == "thm1":
-        res = theorem1_lower_bound(
-            _null(args), _alt(args), _req(args, "rate"), _req(args, "leak"),
-            _search_config(args),
-        )
-        payload = {"method": method, **res.to_dict()}
-    else:  # cor2
-        res = corollary2_bound(
-            _null(args), _alt(args), _req(args, "rate"), _search_config(args)
-        )
-        payload = {"method": method, **res.to_dict()}
-    return payload, _write_json(payload, args.out)
+class _Method(NamedTuple):
+    """An exponent method: the flags it needs, the search flags it also
+    takes, its default search config (None: no search) and its call, which
+    gets the needed values in order (laws loaded), then the config."""
+
+    needs: tuple[str, ...]
+    takes: tuple[str, ...]
+    search: SearchConfig | None
+    call: Callable  # a lambda, so that it finds the module's names at call time
 
 
-def _req(args, name: str) -> float:
-    val = getattr(args, name)
-    if val is None:
-        raise ToolkitError(f"--{name} is required for method {args.method!r}")
-    return val
+_SEARCH_FLAGS = ("--grid-step", "--restrict-bsc")
+_METHODS = {
+    "thm1": _Method(("--null", "--alt", "--rate", "--leak"), ("--grid-step",), THM1_SEARCH,
+                    lambda *a: theorem1_lower_bound(*a)),
+    "tai": _Method(("--null", "--rate", "--leak"), _SEARCH_FLAGS, SearchConfig(),
+                   lambda *a: tai_exponent(*a)),
+    "zero-rate": _Method(("--null", "--alt"), (), None, lambda *a: zero_rate_exponent(*a)),
+    "binary": _Method(("--q", "--rate", "--leak"), (), None,
+                      lambda *a: binary_tai_exponent(*a)),
+    "cor2": _Method(("--null", "--alt", "--rate"), ("--grid-step",), THM1_SEARCH,
+                    lambda *a: corollary2_bound(*a)),
+}
+# the methods whose needs the sweep subcommand's flags cover
+_SWEEP_METHODS = [m for m, e in _METHODS.items()
+                  if set(e.needs) <= {"--q", "--null", "--rate", "--leak"}]
 
 
-def _null(args) -> JointPmf:
-    if args.null is None:
-        raise ToolkitError("--null is required for this method")
-    return _load_joint(args.null)
+def _flag_value(args, flag: str):
+    """The flag's value, or None when it is not given (``--q 0`` is given)."""
+    value = getattr(args, flag[2:].replace("-", "_"), None)
+    return None if value is False else value
 
 
-def _alt(args) -> JointPmf:
-    if args.alt is None:
-        raise ToolkitError("--alt is required for this method")
-    return _load_joint(args.alt)
+def _method_inputs(args) -> tuple[_Method, dict]:
+    """The method's entry and its call's arguments, keyed by flag, in order.
 
-
-def _refuse_unused_flags(args) -> None:
-    """Refuse a given flag that the method does not read."""
-    for flag in _UNUSED_FLAGS[args.method]:
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and value is not False:  # --q 0 is given too
+    A flag the entry does not list is refused, search flags first, and then
+    a needed flag that is missing; laws are loaded last.
+    """
+    method = _METHODS[args.method]
+    for flag in _SEARCH_FLAGS + ("--q", "--null", "--alt", "--rate", "--leak"):
+        if _flag_value(args, flag) is not None and flag not in method.needs + method.takes:
+            if flag == "--restrict-bsc" and method.search is not None:
+                # the search's own refusal: only the tai search has a BSC grid
+                raise DomainError("restrict_bsc applies only to the independence-testing search")
             raise DomainError(f"{flag} does not apply to method {args.method!r}")
+    values = {flag: _flag_value(args, flag) for flag in method.needs}
+    for flag, value in values.items():
+        if value is None:
+            raise ToolkitError(f"{flag} is required for method {args.method!r}")
+    if method.search is not None:
+        values["cfg"] = _search_config(args)
+    for flag in ("--null", "--alt"):
+        if flag in values:
+            values[flag] = _load_joint(values[flag])
+    return method, values
 
 
 def _search_config(args) -> SearchConfig:
-    """The method's default search config with the given flags applied."""
-    base = THM1_SEARCH if args.method in ("thm1", "cor2") else SearchConfig()
-    kwargs = {}
-    if getattr(args, "grid_step", None) is not None:
-        kwargs["grid_step"] = args.grid_step
-    if getattr(args, "restrict_bsc", False):
-        kwargs["restrict_bsc"] = True
-    return replace(base, **kwargs)
+    """The method's default search config with the given search flags applied."""
+    # each search flag is named after its SearchConfig field
+    given = {flag[2:].replace("-", "_"): _flag_value(args, flag) for flag in _SEARCH_FLAGS}
+    return replace(_METHODS[args.method].search,
+                   **{k: v for k, v in given.items() if v is not None})
+
+
+def _cmd_exponent(args) -> tuple[dict, list[str]]:
+    method, values = _method_inputs(args)
+    res = method.call(*values.values())
+    body = {"theta_bits": res} if isinstance(res, float) else res.to_dict()
+    payload = {"method": args.method, **body}
+    return payload, _write_json(payload, args.out)
 
 
 def _cmd_sweep(args) -> tuple[dict, list[str]]:
-    rates = _parse_values(args.rate)
+    method, values = _method_inputs(args)
     leaks = _parse_values(args.leak)
     rows = []
-    _refuse_unused_flags(args)
-    if args.method == "binary":
-        if args.q is None:
-            raise ToolkitError("--q is required for the binary method")
-        for r in rates:
-            for l in leaks:
-                rows.append((r, l, binary_tai_exponent(args.q, r, l)))
-    else:  # tai
-        cfg = _search_config(args)
-        p_xy = _null(args)
-        for r in rates:
-            for l in leaks:
-                rows.append((r, l, tai_exponent(p_xy, r, l, cfg).theta))
+    for r in _parse_values(args.rate):
+        for l in leaks:
+            res = method.call(*{**values, "--rate": r, "--leak": l}.values())
+            rows.append((r, l, res if isinstance(res, float) else res.theta))
     outputs = _write_csv(["rate", "leak", "theta_bits"], rows, args.out)
     return {"rows": len(rows)}, outputs
 
@@ -388,8 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="binary tai search only: both channels symmetric")
 
     p = sub.add_parser("exponent", help="single exponent query")
-    p.add_argument("--method", required=True,
-                   choices=["thm1", "tai", "zero-rate", "binary", "cor2"])
+    p.add_argument("--method", required=True, choices=list(_METHODS))
     p.add_argument("--null", help="JSON file with the null joint law")
     p.add_argument("--alt", help="JSON file with the alternative joint law")
     p.add_argument("--rate", type=float)
@@ -400,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exponent)
 
     p = sub.add_parser("sweep", help="exponent curves as CSV")
-    p.add_argument("--method", default="binary", choices=["binary", "tai"])
+    p.add_argument("--method", default="binary", choices=_SWEEP_METHODS)
     p.add_argument("--rate", required=True, help="values: list or start:stop:step")
     p.add_argument("--leak", required=True)
     p.add_argument("--q", type=float)

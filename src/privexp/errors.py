@@ -59,7 +59,8 @@ class SupportMismatch(ToolkitError):
 
 
 class TooLarge(ToolkitError):
-    """Problem exceeds the size the exhaustive oracle is willing to handle."""
+    """Problem exceeds a size cap: the exhaustive I-projection oracle's free
+    dimension, or the simulator's batch, trial or fixed-codebook cap."""
 
 
 class NonpositiveAlternative(ToolkitError):

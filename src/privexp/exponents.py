@@ -367,8 +367,8 @@ class _ChannelPair:
     parameters. A new point is evaluated once: its channels, their joints
     from ``probcore._pair_joints`` and the three MI values from
     ``probcore._mi_batch``, the grid's own arithmetic, so the polish scores
-    a grid pair with the grid's bits. ``channels``, ``joints``, ``info`` and
-    ``value`` read that evaluation; ``jac`` and ``grad`` compute the
+    a grid pair with the grid's bits. ``channels``, ``info`` and ``value``
+    read that evaluation; ``jac`` and ``grad`` compute the
     gradient on first use at the point, from the same joints and their row
     and column sums. So the objective, the constraints and their Jacobians
     at one SLSQP iterate cost one evaluation and at most one gradient.
@@ -454,10 +454,6 @@ class _ChannelPair:
     def channels(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self._at(theta)
         return self._mech, self._quant
-
-    def joints(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        self._at(theta)
-        return self._joints
 
     def info(self, theta: np.ndarray) -> tuple[float, float, float]:
         self._at(theta)

@@ -61,7 +61,7 @@ from .errors import (
     SizeOverflow,
     TooLarge,
 )
-from .probcore import Channel, JointPmf, Pmf, _compositions, _pair_joints, _symbols
+from .probcore import Channel, JointPmf, Pmf, _compositions, _in_ball, _pair_joints, _symbols
 from .probcore import _mi_bits  # plug-in estimates share the exact MI kernel
 
 __all__ = [
@@ -299,7 +299,7 @@ def _build_tables(
         logw = (logw[:, None] + w[None, :]).ravel()
 
     tv = 0.5 * np.abs(tables / n - target_ua[None, :, :]).sum(axis=(1, 2))
-    mask = tv <= radius + 1e-12
+    mask = _in_ball(tv, radius)
     return _TypicalTables(tables[mask], logw[mask])
 
 
@@ -392,7 +392,7 @@ class _Runner:
             # escape sequence 0^n: no codeword can be jointly typical with it
             # at any sane radius, so the decision is Hhat = 1
             tv_x = 0.5 * np.abs(_row_counts(x, self.kx) / n - self.p_x).sum(axis=1)
-            live = tv_x <= cfg.mu / 4.0
+            live = _in_ball(tv_x, cfg.mu / 4.0)
         x, y = x[live], y[live]
         xhat = np.minimum(
             (draws[live, n:, None] > self.mech_cdf[x]).sum(axis=2), self.ka - 1
@@ -405,7 +405,7 @@ class _Runner:
         else:
             encoded, uy = self._encode_fixed_batch(xhat, y)
         tv_uy = 0.5 * np.abs(uy / n - self.p_uy).reshape(-1, self.ku * self.ky).sum(axis=1)
-        accepts = int(np.count_nonzero(tv_uy <= cfg.mu + 1e-12))
+        accepts = int(np.count_nonzero(_in_ball(tv_uy, cfg.mu)))
         escapes = trials - int(np.count_nonzero(live))
         return _BatchResult(
             pool=pool,
@@ -493,7 +493,7 @@ class _Runner:
             for u in range(self.ku):
                 counts[:, u, a] = (cols == u).sum(axis=1)
         tv = 0.5 * np.abs(counts / self.cfg.n - self.target_ua[None]).sum(axis=(1, 2))
-        hits = np.nonzero(tv <= self.cfg.mu / 2.0 + 1e-12)[0]
+        hits = np.nonzero(_in_ball(tv, self.cfg.mu / 2.0))[0]
         return int(hits[0]) if hits.size else -1
 
 

@@ -356,6 +356,89 @@ def test_unused_flags_are_refused(argv, flag, null_law_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {flag} does not apply")
 
 
+# each method's complete flags and the method flags of its subcommand
+_METHOD_ARGV = {
+    ("exponent", "binary"): {"--q": "0.1", "--rate": "0.5", "--leak": "0.5"},
+    ("exponent", "tai"): {"--null": "LAW", "--rate": "0.5", "--leak": "0.5"},
+    ("exponent", "zero-rate"): {"--null": "LAW", "--alt": "LAW"},
+    ("exponent", "thm1"): {"--null": "LAW", "--alt": "LAW", "--rate": "0.5", "--leak": "0.5"},
+    ("exponent", "cor2"): {"--null": "LAW", "--alt": "LAW", "--rate": "0.25"},
+    ("sweep", "binary"): {"--q": "0.1", "--rate": "0.5", "--leak": "0.5"},
+    ("sweep", "tai"): {"--null": "LAW", "--rate": "0.5", "--leak": "0.5"},
+}
+_SUBCOMMAND_FLAGS = {
+    "exponent": {"--grid-step": "0.3", "--restrict-bsc": None, "--q": "0", "--null": "LAW",
+                 "--alt": "LAW", "--rate": "0.5", "--leak": "0"},
+    "sweep": {"--grid-step": "0.3", "--restrict-bsc": None, "--q": "0", "--null": "LAW"},
+}
+_SEARCH_TAKES = {"tai": {"--grid-step", "--restrict-bsc"}, "thm1": {"--grid-step"},
+                 "cor2": {"--grid-step"}}
+
+
+def _argv(command, method, flags, law):
+    argv = [command, "--method", method]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, law if value == "LAW" else value]
+    return argv
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse's own refusal
+        return exc.code
+
+
+@pytest.mark.parametrize("command, method, flag", [
+    (c, m, f) for (c, m), flags in _METHOD_ARGV.items() for f in flags
+])
+def test_each_needed_flag_is_required(command, method, flag, null_law_path, capsys):
+    flags = {f: v for f, v in _METHOD_ARGV[command, method].items() if f != flag}
+    assert _exit_code(_argv(command, method, flags, null_law_path)) == 2
+    err = capsys.readouterr().err
+    if command == "sweep" and flag in ("--rate", "--leak"):  # required by the parser
+        assert f"the following arguments are required: {flag}" in err
+    else:
+        assert err == f"error: {flag} is required for method {method!r}\n"
+
+
+@pytest.mark.parametrize("command, method, flag", [
+    (c, m, f) for (c, m), flags in _METHOD_ARGV.items() for f in _SUBCOMMAND_FLAGS[c]
+    if f not in flags and f not in _SEARCH_TAKES.get(m, ())
+])
+def test_each_flag_outside_the_method_is_refused(command, method, flag, null_law_path,
+                                                 tmp_path, capsys):
+    flags = {**_METHOD_ARGV[command, method], flag: _SUBCOMMAND_FLAGS[command][flag]}
+    out = tmp_path / "out"
+    assert _exit_code(_argv(command, method, flags, null_law_path) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if flag == "--restrict-bsc" and method in _SEARCH_TAKES:  # the search's own message
+        assert err.startswith("error: restrict_bsc applies only")
+    else:
+        assert err == f"error: {flag} does not apply to method {method!r}\n"
+    assert not out.exists()
+
+
+def test_a_zero_needed_value_is_given(capsys):
+    # 0 == False, so a check written as `not in (None, False)` would lose it
+    assert cli.main(["exponent", "--method", "binary", "--q", "0", "--rate", "0.5",
+                     "--leak", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["theta_bits"] == binary_tai_exponent(0, 0.5, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--q", "0.1", "--rate", "1:0:0.1", "--leak", "0.5"],
+    ["gaussian", "--rho", "0.8", "--rate", "1", "--leak", "2:1:0.5"],
+    ["approx", "--q", "0.1", "--grid", "0.02:0.01:0.005"],
+], ids=["sweep", "gaussian", "approx"])
+def test_descending_range_is_refused(argv, tmp_path, capsys):
+    # each once wrote a CSV header with no rows and exited 0
+    out = tmp_path / "curve.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: range '")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, match", [
     ("fixed_codebok", True, "unknown config key 'fixed_codebok'"),
     ("fixed_codebook", "no", "config key 'fixed_codebook' must be true or false"),

@@ -273,6 +273,23 @@ def test_default_grids_on_a_binary_law():
     assert (thm1.mech_step, thm1.quant_step) == (1 / 8, 1 / 3)
 
 
+def test_grid_cache_keeps_the_newest_grids(monkeypatch):
+    monkeypatch.setattr(exponents, "_SPACE_CACHE", {})
+    cap = exponents._SPACE_CACHE_MAX
+    cfg = SearchConfig(grid_step=0.25, restrict_bsc=True)  # 3 x 3 BSC pairs
+    laws = [np.asarray(dsbs(eps).probs) for eps in np.linspace(0.1, 0.5, cap + 1)]
+    spaces = [_space_for(p, 2, cfg, _TAI_BUDGETS) for p in laws]
+    assert len(exponents._SPACE_CACHE) == cap
+    # a hit is the same object, found by value; the first law was evicted
+    assert _space_for(laws[-1].copy(), 2, cfg, _TAI_BUDGETS) is spaces[-1]
+    rebuilt = _space_for(laws[0], 2, cfg, _TAI_BUDGETS)
+    assert rebuilt is not spaces[0]
+    # rebuilding it evicted the oldest entry left, the second law
+    assert len(exponents._SPACE_CACHE) == cap
+    assert _space_for(laws[2], 2, cfg, _TAI_BUDGETS) is spaces[2]
+    assert _space_for(laws[1], 2, cfg, _TAI_BUDGETS) is not spaces[1]
+
+
 @given(st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_channel_pair_jacobian_matches_central_differences(seed, bsc):

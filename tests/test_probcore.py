@@ -215,6 +215,15 @@ def test_typicality_ball_is_closed():
             is_typical(observed, target, mu)
 
 
+def test_boundary_type_with_round_off_is_typical():
+    # tv computes to 0.025000000000000022, just past the radius 0.025
+    observed = np.array([19 / 40, 21 / 40])
+    target = np.array([0.5, 0.5])
+    assert total_variation(observed, target) > 0.025
+    assert is_typical(observed, target, 0.025)
+    assert not is_typical(observed, target, 0.0249)
+
+
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @settings(max_examples=50, deadline=None)
 def test_typicality_monotone_in_radius(mu_small, mu_big):

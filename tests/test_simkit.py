@@ -291,6 +291,20 @@ def test_vanishing_radius_rejects_everything(dsbs01, product_uniform):
     assert rep.counters["observer_escapes"] <= rep.counters["encoder_failures"]
 
 
+def test_observer_gate_is_a_closed_ball(dsbs01, product_uniform):
+    # at n = 40 the gate radius mu/4 = 0.025 is reached exactly by the X
+    # types with 19 or 21 ones, whose tv computes a hair past it; the gate
+    # once let only k = 20 through (about 12.5% of null trials)
+    trials = 20000
+    cfg = SchemeConfig(n=40, mu=0.1, rate=0.5, seed=1, trials=trials, hypothesis="null",
+                       mechanism=IDENT, quantizer=IDENT, scheme_kind="general")
+    rep = run_general_scheme(cfg, dsbs01, product_uniform)
+    passed = 1.0 - rep.counters["observer_escapes"] / trials
+    exact = sum(math.comb(40, k) for k in (19, 20, 21)) / 2**40  # 0.3642
+    sigma = math.sqrt(exact * (1.0 - exact) / trials)
+    assert abs(passed - exact) <= 4.0 * sigma
+
+
 def test_type_one_error_decays_with_blocklength(dsbs01):
     alphas = []
     for n in (100, 200, 400, 800):
