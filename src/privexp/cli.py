@@ -28,6 +28,7 @@ from .euclid import binary_euclid_approx, euclid_tai_approx
 from .exponents import (
     THM1_SEARCH,
     SearchConfig,
+    _refuse_bsc_restriction,
     binary_tai_exponent,
     corollary2_bound,
     tai_exponent,
@@ -63,7 +64,7 @@ def _parse_values(spec: str) -> list[float]:
         if not all(math.isfinite(v) for v in (start, stop, step)):
             raise DomainError(f"range {spec!r} needs a finite start, stop and step")
         if step <= 0:
-            raise ValueError("range step must be positive")
+            raise DomainError(f"range {spec!r} needs a positive step")
         if stop < start:
             raise DomainError(f"range {spec!r} has its stop below its start")
         span = (stop - start) / step
@@ -174,7 +175,7 @@ def _method_inputs(args) -> tuple[_Method, dict]:
         if _flag_value(args, flag) is not None and flag not in method.needs + method.takes:
             if flag == "--restrict-bsc" and method.search is not None:
                 # the search's own refusal: only the tai search has a BSC grid
-                raise DomainError("restrict_bsc applies only to the independence-testing search")
+                _refuse_bsc_restriction(replace(method.search, restrict_bsc=True))
             raise DomainError(f"{flag} does not apply to method {args.method!r}")
     values = {flag: _flag_value(args, flag) for flag in method.needs}
     for flag, value in values.items():

@@ -116,6 +116,13 @@ class SearchConfig:
 # defaults of the Theorem-1 and Corollary-2 searches
 THM1_SEARCH = SearchConfig(grid_step=1 / 8)
 
+
+def _refuse_bsc_restriction(cfg: SearchConfig) -> None:
+    """The Theorem-1 searches have no symmetric-channel grid to restrict to."""
+    if cfg.restrict_bsc:
+        raise DomainError("restrict_bsc applies only to the independence-testing search")
+
+
 # (mechanism, quantizer) caps on the number of candidates per channel grid;
 # the effective step is coarsened until the grid fits. Ternary X needs 1000
 # each: at 200 both grids collapse to deterministic rows and the search finds
@@ -896,8 +903,7 @@ def theorem1_lower_bound(
     """
     cfg = cfg or THM1_SEARCH
     check_budgets(rate, leak)
-    if cfg.restrict_bsc:
-        raise DomainError("restrict_bsc applies only to the independence-testing search")
+    _refuse_bsc_restriction(cfg)
     p = _as_joint2(p_xy)
     q = _as_joint2(q_xy)
     if p.shape != q.shape:

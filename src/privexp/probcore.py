@@ -433,12 +433,9 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     """
     if parts == 1:
         return np.array([[total]], dtype=np.int64)
-    rows = []
-    for c in range(total + 1):
-        tail = _compositions(total - c, parts - 1)
-        head = np.full((tail.shape[0], 1), c, dtype=np.int64)
-        rows.append(np.hstack([head, tail]))
-    return np.vstack(rows)
+    tails = [_compositions(total - c, parts - 1) for c in range(total + 1)]
+    heads = np.repeat(np.arange(total + 1, dtype=np.int64), [t.shape[0] for t in tails])
+    return np.column_stack((heads, np.concatenate(tails)))
 
 
 # round-off allowance of every typicality test (see the module docstring)

@@ -19,13 +19,13 @@ codewords per trial and scanning them. An explicit single-codebook mode
 (``fixed_codebook``) exists for small M as an independent cross-check; only
 that mode and ``generate_codebook`` are bound by the materialization caps.
 
-Trials are split into batches that run in order; batch b consumes its own
-counter-based stream (spawn key b+1, key 0 is reserved for codebook
-generation), so a report is reproducible bit-for-bit from its seed. The
-batch count is derived, not configured: ``DEFAULT_BATCHES`` (or one batch
-per trial below that), raised only as far as ``BATCH_CELL_CAP`` requires.
+Trials are split into batches; batch b consumes its own counter-based
+stream (spawn key b+1, key 0 is reserved for codebook generation), so a
+report is reproducible bit-for-bit from its seed. The batch count is
+derived, not configured: ``DEFAULT_BATCHES`` (or one batch per trial below
+that), raised only as far as ``BATCH_CELL_CAP`` requires.
 
-A batch runs as array operations over its trials, drawing in this order:
+Each batch draws from its stream in this order:
 
 1. one ``(trials, 2n)`` block of uniforms; columns ``[0, n)`` sample
    (X, Y) by inverse cdf and columns ``[n, 2n)`` push X through the
@@ -36,14 +36,22 @@ A batch runs as array operations over its trials, drawing in this order:
 3. ``trials`` table uniforms, turned into count tables by one
    ``searchsorted`` per group.
 4. the allocation chain: one array-valued ``hypergeometric`` call per
-   (u, y) link, over every class of every encoded trial.
+   (u, y) link, over every class of every encoded trial of the batch.
+
+Consecutive batches run together as one array pass of up to
+``PASS_CELLS`` cells. A pass concatenates its batches' draws and runs every
+step above on all its rows at once, except the allocation chain, which
+makes each link's call per batch, on that batch's rows and stream. So a
+report does not depend on how batches are grouped into passes, and the
+fixed cost of the array steps is paid per pass, not per batch.
 
 The receiver's decision is then a TV distance per row. In fixed-codebook
 mode steps 2-4 are replaced by a per-trial scan of the codebook, so the
 memoryless scheme draws exactly 2n uniforms per trial, as a trial-by-trial
-loop would. A batch holds the arrays of all its trials at once, so
-``BATCH_CELL_CAP`` bounds trials per batch x n x mechanism outputs in
-every mode; a blocklength at which a single trial passes it is refused.
+loop would. A pass holds the arrays of all its trials at once and takes a
+second batch only within ``PASS_CELLS``, so ``BATCH_CELL_CAP`` bounds
+trials per pass x n x mechanism outputs in every mode; a blocklength at
+which a single trial passes it is refused.
 """
 
 from __future__ import annotations
@@ -83,7 +91,11 @@ TABLE_BUDGET = 2_000_000
 BATCH_CELL_CAP = 2**22
 # batches of a run that fits the cap; the count fixes each report's streams
 DEFAULT_BATCHES = 100
-# trials of one run; at about 12 us per trial the cap is about 20 minutes
+# trials per pass x n x mechanism outputs: consecutive batches share one
+# array pass up to this many cells; 2^14 and 2^18 measured slower, and
+# 2^18 raised the peak memory of 6,000-trial runs by about 8 MB
+PASS_CELLS = 2**16
+# trials of one run; at about 3 us per trial (n = 24) the cap is about 5 minutes
 TRIAL_CAP = 10**8
 
 
@@ -206,8 +218,16 @@ def _stream(seed: int, key: int) -> np.random.Generator:
 
 
 def _categorical(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-cdf symbols for an array of uniforms."""
-    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
+    """Inverse-cdf symbols for an array of uniforms.
+
+    A symbol is the count of cdf entries at or below its uniform, capped at
+    the last symbol. Over the few symbols of a law one comparison per entry
+    is cheaper than a binary search per uniform.
+    """
+    symbols = np.zeros(uniforms.shape, dtype=np.intp)
+    for c in cdf[:-1]:
+        symbols += uniforms >= c
+    return symbols
 
 
 def _row_counts(codes: np.ndarray, k: int) -> np.ndarray:
@@ -304,7 +324,7 @@ def _build_tables(
 
 
 @dataclass
-class _BatchResult:
+class _PassResult:
     pool: np.ndarray
     accepts: int
     observer_escapes: int
@@ -380,40 +400,77 @@ class _Runner:
             self.tables[n_a] = tab
         return tab
 
-    def run_batch(self, batch_idx: int, trials: int) -> _BatchResult:
-        """Run one batch of trials as array operations on its own stream."""
+    def passes(self) -> list[tuple[int, list[int]]]:
+        """The run's batches as (first batch, trials of each batch) passes.
+
+        A pass takes consecutive batches while their trials x n x mechanism
+        outputs stay within ``PASS_CELLS``; it always holds at least one.
+        """
+        per_trial = self.cfg.n * self.ka
+        out: list[tuple[int, list[int]]] = []
+        cells = 0
+        for b, t in enumerate(_split_trials(self.cfg.trials, self.batches)):
+            if out and cells + t * per_trial <= PASS_CELLS:
+                out[-1][1].append(t)
+                cells += t * per_trial
+            else:
+                out.append((b, [t]))
+                cells = t * per_trial
+        return out
+
+    def run_pass(self, first: int, sizes: list[int]) -> _PassResult:
+        """Run batches first, first + 1, ... as one array pass.
+
+        ``sizes`` holds each batch's trial count. Batch b draws only from its
+        own stream b + 1, in the order of the module docstring, so a pass
+        gives the same trials as running its batches one at a time.
+        """
         cfg = self.cfg
-        n = cfg.n
-        rng = _stream(cfg.seed, batch_idx + 1)
-        draws = rng.random((trials, 2 * n))
-        x, y = np.divmod(_categorical(self.law_cdf, draws[:, :n]), self.ky)
-        live = np.ones(trials, dtype=bool)
-        if cfg.scheme_kind == "general":
-            # escape sequence 0^n: no codeword can be jointly typical with it
-            # at any sane radius, so the decision is Hhat = 1
-            tv_x = 0.5 * np.abs(_row_counts(x, self.kx) / n - self.p_x).sum(axis=1)
-            live = _in_ball(tv_x, cfg.mu / 4.0)
-        x, y = x[live], y[live]
-        xhat = np.minimum(
-            (draws[live, n:, None] > self.mech_cdf[x]).sum(axis=2), self.ka - 1
-        )
-        pool = np.bincount(
-            (x * self.ka + xhat).ravel(), minlength=self.kx * self.ka
-        ).reshape(self.kx, self.ka)
+        trials = sum(sizes)
+        streams = [_stream(cfg.seed, first + i + 1) for i in range(len(sizes))]
+        live, xhat, y, pool = self._sanitize(streams, sizes)
         if self.codebook is None:
-            encoded, uy = self._encode_ensemble(xhat, y, rng, trials, live)
+            encoded, uy = self._encode_ensemble(xhat, y, streams, sizes, live)
         else:
-            encoded, uy = self._encode_fixed_batch(xhat, y)
-        tv_uy = 0.5 * np.abs(uy / n - self.p_uy).reshape(-1, self.ku * self.ky).sum(axis=1)
+            encoded, uy = self._encode_fixed_rows(xhat, y)
+        tv_uy = 0.5 * np.abs(uy / cfg.n - self.p_uy).reshape(-1, self.ku * self.ky).sum(axis=1)
         accepts = int(np.count_nonzero(_in_ball(tv_uy, cfg.mu)))
         escapes = trials - int(np.count_nonzero(live))
-        return _BatchResult(
+        return _PassResult(
             pool=pool,
             accepts=accepts,
             observer_escapes=escapes,
             encoder_failures=trials - encoded,
             receiver_rejects=encoded - accepts,
         )
+
+    def _sanitize(self, streams, sizes):
+        """Source draw, observer gate and mechanism of a pass.
+
+        Returns the rows that pass the gate, their sanitized and Y
+        sequences, and the pooled (X, Xh) symbol counts.
+        """
+        cfg = self.cfg
+        n = cfg.n
+        draws = np.concatenate([rng.random((t, 2 * n)) for rng, t in zip(streams, sizes)])
+        x, y = np.divmod(_categorical(self.law_cdf, draws[:, :n]), self.ky)
+        mech_u = draws[:, n:]
+        live = np.ones(draws.shape[0], dtype=bool)
+        if cfg.scheme_kind == "general":
+            # escape sequence 0^n: no codeword can be jointly typical with it
+            # at any sane radius, so the decision is Hhat = 1
+            tv_x = 0.5 * np.abs(_row_counts(x, self.kx) / n - self.p_x).sum(axis=1)
+            live = _in_ball(tv_x, cfg.mu / 4.0)
+            x, y, mech_u = x[live], y[live], mech_u[live]
+        # inverse cdf of each symbol's mechanism row: the count of its cdf
+        # entries below the uniform, the last entry left out as the cap
+        xhat = np.zeros(x.shape, dtype=np.intp)
+        for col in self.mech_cdf[:, :-1].T:
+            xhat += mech_u > col[x]
+        pool = np.bincount(
+            (x * self.ka + xhat).ravel(), minlength=self.kx * self.ka
+        ).reshape(self.kx, self.ka)
+        return live, xhat, y, pool
 
     def _fail_prob(self, tab: _TypicalTables) -> float:
         """Chance that none of the M random codewords is jointly typical."""
@@ -425,16 +482,21 @@ class _Runner:
             log_fail = -math.exp(min(self.log_m + tab.log_p_succ, 700.0))
         return math.exp(log_fail)
 
-    def _encode_ensemble(self, xhat, y, rng, trials, live):
+    def _encode_ensemble(self, xhat, y, streams, sizes, live):
         """Encoder failure, table draw and allocation with the codebook
         integrated out; returns the number of encoded trials and their
         (U, Y) count tables."""
         n_a = _row_counts(xhat, self.ka)
-        _, first, group = np.unique(
-            n_a, axis=0, return_index=True, return_inverse=True
-        )
+        # one integer key per class-size vector, renumbered densely after
+        # each class so it cannot overflow; the last size follows from n
+        key = n_a[:, 0]
+        for col in n_a[:, 1:-1].T:
+            key = np.unique(key, return_inverse=True)[1] * (self.cfg.n + 1) + col
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
         tabs = [self.tables_for(tuple(n_a[i].tolist())) for i in first]
-        fail_u, table_u = rng.random((2, trials))[:, live]
+        fail_u, table_u = np.concatenate(
+            [rng.random((2, t)) for rng, t in zip(streams, sizes)], axis=1
+        )[:, live]
         p_fail = np.array([self._fail_prob(tab) for tab in tabs])
         ok = fail_u >= p_fail[group]
         k_tables = np.empty((xhat.shape[0], self.ku, self.ka), dtype=np.int64)
@@ -443,29 +505,39 @@ class _Runner:
             if sel.size:
                 idx = np.searchsorted(tab.cum, table_u[sel] * tab.cum[-1], side="right")
                 k_tables[sel] = tab.tables[np.minimum(idx, tab.cum.size - 1)]
-        uy = self._allocate(k_tables[ok], xhat[ok], y[ok], rng)
+        # encoded rows of each batch, which stay contiguous and in batch order
+        batch = np.repeat(np.arange(len(sizes)), sizes)[live][ok]
+        ends = np.cumsum(np.bincount(batch, minlength=len(sizes)))
+        # Y counts of each class of each encoded trial
+        class_y = _row_counts(xhat * self.ky + y, self.ka * self.ky).reshape(-1, self.ka, self.ky)
+        uy = self._allocate(k_tables[ok], class_y[ok], streams, ends)
         return int(np.count_nonzero(ok)), uy
 
-    def _allocate(self, k_tables, xhat, y, rng) -> np.ndarray:
+    def _allocate(self, k_tables, remaining, streams, ends) -> np.ndarray:
         """Joint (U, Y) counts of the accepted codewords.
 
         Inside class a the codeword places k_tables[:, u, a] copies of each u
         on the class's positions uniformly at random, so the Y values under
         each u follow a multivariate hypergeometric law. It is drawn as a
         chain of univariate draws over (u, y); each link is one array-valued
-        call over every encoded trial and class.
+        call per batch, over every encoded trial and class of that batch
+        (rows up to ``ends[b]``) with the batch's own stream. ``remaining``
+        holds the Y counts of each class not yet covered by a codeword
+        symbol and is used up in place.
         """
-        rows = xhat.shape[0]
+        rows = remaining.shape[0]
         ky = self.ky
-        # Y counts of each class not yet covered by a codeword symbol
-        remaining = _row_counts(xhat * ky + y, self.ka * ky).reshape(rows, self.ka, ky)
         uy = np.zeros((rows, self.ku, ky), dtype=np.int64)
+        spans = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
         for u in range(self.ku - 1):
             take = k_tables[:, u, :].copy()
             rest = remaining.sum(axis=2)
             for v in range(ky - 1):
                 rest -= remaining[:, :, v]
-                h = rng.hypergeometric(remaining[:, :, v], rest, take)
+                h = np.concatenate([
+                    rng.hypergeometric(remaining[s, :, v], rest[s], take[s])
+                    for rng, s in zip(streams, spans)
+                ])
                 remaining[:, :, v] -= h
                 take -= h
                 uy[:, u, v] = h.sum(axis=1)
@@ -474,7 +546,7 @@ class _Runner:
         uy[:, self.ku - 1] = remaining.sum(axis=1)
         return uy
 
-    def _encode_fixed_batch(self, xhat, y):
+    def _encode_fixed_rows(self, xhat, y):
         """Scan the fixed codebook trial by trial; returns the number of
         encoded trials and their (U, Y) count tables."""
         m_idx = np.array([self._encode_fixed(row) for row in xhat], dtype=np.int64)
@@ -511,8 +583,7 @@ def _plugin_mi_bits(counts: np.ndarray) -> float:
 
 def _execute(runner: _Runner) -> SimReport:
     cfg = runner.cfg
-    plan = _split_trials(cfg.trials, runner.batches)
-    results = [runner.run_batch(i, t) for i, t in enumerate(plan)]
+    results = [runner.run_pass(first, sizes) for first, sizes in runner.passes()]
 
     accepts = sum(r.accepts for r in results)
     counters = {

@@ -439,6 +439,16 @@ def test_descending_range_is_refused(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["0:1:0", "0:1:-0.5"])
+def test_range_without_a_positive_step_is_refused(spec, tmp_path, capsys):
+    # once a bare ValueError whose message did not name the range
+    out = tmp_path / "curve.csv"
+    argv = ["sweep", "--method", "binary", "--q", "0.1", "--rate", spec, "--leak", "0.5"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: range {spec!r} needs a positive step\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, match", [
     ("fixed_codebok", True, "unknown config key 'fixed_codebok'"),
     ("fixed_codebook", "no", "config key 'fixed_codebook' must be true or false"),

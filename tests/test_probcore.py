@@ -2,6 +2,7 @@
 
 import ast
 import math
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -388,3 +389,11 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("total, parts", [(0, 1), (5, 1), (0, 3), (6, 2), (4, 3), (3, 5)])
+def test_compositions_are_every_type_in_lexicographic_order(total, parts):
+    expected = [r for r in product(range(total + 1), repeat=parts) if sum(r) == total]
+    got = privexp.probcore._compositions(total, parts)
+    assert got.dtype == np.int64
+    assert got.tolist() == [list(r) for r in expected]

@@ -72,6 +72,83 @@ def test_fixed_codebook_mode_is_deterministic(dsbs01):
     assert a.beta_hat == pytest.approx(0.05525, abs=1e-12)
 
 
+Q_NON_PRODUCT = [[0.2, 0.3], [0.25, 0.25]]
+P_XY3 = np.array([[0.30, 0.15, 0.05], [0.05, 0.15, 0.30]])
+
+
+def test_ensemble_streams_are_frozen(dsbs01):
+    # pinned values: a change to any draw of the ensemble mode moves them
+    rep = run_memoryless_scheme(memoryless_cfg(), dsbs01)
+    assert rep.beta_hat == 0.1095
+    assert rep.counters == {
+        "observer_escapes": 0, "encoder_failures": 2294, "receiver_rejects": 3049,
+    }
+    cfg = SchemeConfig(n=12, mu=0.35, rate=0.5, seed=11, trials=6000, hypothesis="alt",
+                       mechanism=BSC_HALF_BIT, quantizer=BSC_HALF_BIT,
+                       scheme_kind="general")
+    rep = run_general_scheme(cfg, dsbs01, JointPmf(np.array(Q_NON_PRODUCT), ("X", "Y")))
+    assert rep.beta_hat == 0.3755
+    assert rep.counters == {
+        "observer_escapes": 2284, "encoder_failures": 2920, "receiver_rejects": 827,
+    }
+
+
+@pytest.mark.parametrize("case", ["memoryless", "general", "ternary-y", "fixed", "log-space"])
+def test_reports_do_not_depend_on_the_pass_size(case, dsbs01, monkeypatch):
+    # a pass of one batch is the batch-at-a-time run; every batch draws
+    # from its own stream, so grouping batches into passes changes nothing
+    q = JointPmf(np.array(Q_NON_PRODUCT), ("X", "Y"))
+    mech = Channel(MECH)
+    runs = {
+        "memoryless": lambda: run_memoryless_scheme(memoryless_cfg(n=24), dsbs01),
+        "general": lambda: run_general_scheme(
+            memoryless_cfg(scheme_kind="general", mu=0.35, rate=0.5,
+                           mechanism=BSC_HALF_BIT, quantizer=BSC_HALF_BIT), dsbs01, q),
+        "ternary-y": lambda: run_memoryless_scheme(
+            memoryless_cfg(n=10, rate=0.5, mechanism=mech, quantizer=mech),
+            JointPmf(P_XY3, ("X", "Y"))),
+        "fixed": lambda: run_memoryless_scheme(
+            memoryless_cfg(n=10, rate=0.5, trials=2000, fixed_codebook=True), dsbs01),
+        "log-space": lambda: run_memoryless_scheme(
+            memoryless_cfg(n=60, rate=0.9, mu=0.35, trials=2000,
+                           mechanism=BSC_HALF_BIT, quantizer=BSC_HALF_BIT), dsbs01),
+    }
+    reports = []
+    for cells in (1, simkit.PASS_CELLS, 2**22):
+        monkeypatch.setattr(simkit, "PASS_CELLS", cells)
+        reports.append(runs[case]().to_dict())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_many_batches_share_few_array_passes(dsbs01, monkeypatch):
+    # 100 batches of 60 trials at n = 24 fit 22 to a pass of 2^16 cells
+    calls = {"passes": 0, "streams": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(simkit._Runner, "run_pass", counted("passes", simkit._Runner.run_pass))
+    monkeypatch.setattr(simkit, "_stream", counted("streams", simkit._stream))
+    run_memoryless_scheme(memoryless_cfg(n=24, trials=6000), dsbs01)
+    assert calls["streams"] == 100
+    assert calls["passes"] <= 6
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 9, 40])
+def test_categorical_is_the_capped_inverse_cdf(size):
+    # the comparison count must match a binary search, including uniforms
+    # that land exactly on a cdf entry or past its end
+    rng = np.random.default_rng(size)
+    cdf = np.cumsum(rng.dirichlet(np.ones(size)))
+    cdf[-1] = 1.0 - 1e-12
+    uniforms = np.concatenate([rng.random(500), cdf, [0.0, 1.0 - 1e-13]])
+    expected = np.minimum(np.searchsorted(cdf, uniforms, side="right"), size - 1)
+    assert np.array_equal(simkit._categorical(cdf, uniforms), expected)
+
+
 # ---------------------------------------------------------------------------
 # explicit-codebook cross-check of the marginalized encoder
 
@@ -141,9 +218,6 @@ def test_marginalized_route_matches_explicit_codebooks(hypothesis):
     assert abs(marg - explicit) <= 4.0 * sigma
 
 
-P_XY3 = np.array([[0.30, 0.15, 0.05], [0.05, 0.15, 0.30]])
-
-
 @pytest.mark.parametrize("hypothesis", ["null", "alt"])
 def test_ternary_side_information_matches_explicit_codebooks(hypothesis):
     # a Y alphabet of 3 takes two links of the hypergeometric allocation
@@ -178,7 +252,7 @@ def test_ternary_side_information_matches_explicit_codebooks(hypothesis):
         ("memoryless", False, 60, 0.9),  # n*R = 54: log-space failure branch
     ],
 )
-def test_counters_partition_the_trials(kind, fixed, n, rate, dsbs01):
+def test_counters_partition_the_trials(kind, fixed, n, rate, dsbs01, monkeypatch):
     cfg = SchemeConfig(n=n, mu=0.35, rate=rate, seed=11, trials=600,
                        hypothesis="alt", mechanism=BSC_HALF_BIT,
                        quantizer=BSC_HALF_BIT, scheme_kind=kind,
@@ -190,8 +264,14 @@ def test_counters_partition_the_trials(kind, fixed, n, rate, dsbs01):
     totals = dict.fromkeys(
         ["accepts", "observer_escapes", "encoder_failures", "receiver_rejects"], 0
     )
-    for b, t in enumerate(simkit._split_trials(cfg.trials, runner.batches)):
-        res = runner.run_batch(b, t)
+    # passes of three 6-trial batches, so each unit checked below is a
+    # several-batch pass and the run has many of them
+    monkeypatch.setattr(simkit, "PASS_CELLS", 20 * n * runner.ka)
+    passes = runner.passes()
+    assert len(passes) == 34 and passes[0] == (0, [6, 6, 6])
+    for first, sizes in passes:
+        res = runner.run_pass(first, sizes)
+        t = sum(sizes)
         # an escape is also an encoder failure, and every trial ends once
         assert res.accepts + res.encoder_failures + res.receiver_rejects == t
         assert res.observer_escapes <= res.encoder_failures
@@ -239,7 +319,7 @@ def test_fixed_mode_cap(dsbs01):
 
 
 def test_trial_count_is_capped():
-    # at about 12 us per trial, a run at the cap takes about 20 minutes
+    # at about 3 us per trial, a run at the cap takes about 5 minutes
     assert memoryless_cfg(trials=simkit.TRIAL_CAP).trials == 10**8
     with pytest.raises(TooLarge, match=f"^{10**8 + 1} trials exceed the cap of {10**8}"):
         memoryless_cfg(trials=simkit.TRIAL_CAP + 1)
