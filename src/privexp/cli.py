@@ -56,11 +56,14 @@ def _parse_values(spec: str) -> list[float]:
     ``inf`` is a valid set member but not a range bound; a range runs upward.
     """
     spec = spec.strip().strip("{}")
+    try:
+        values = [float(p) for p in spec.split(":" if ":" in spec else ",")]
+    except ValueError:
+        raise DomainError(f"values {spec!r} are not numbers") from None
     if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
+        if len(values) != 3:
+            raise DomainError(f"range {spec!r} must be start:stop:step")
+        start, stop, step = values
         if not all(math.isfinite(v) for v in (start, stop, step)):
             raise DomainError(f"range {spec!r} needs a finite start, stop and step")
         if step <= 0:
@@ -72,7 +75,7 @@ def _parse_values(spec: str) -> list[float]:
             raise DomainError(f"range {spec!r} has too many points")
         count = int(math.floor(span + 1e-9)) + 1
         return [round(start + k * step, 12) for k in range(count)]
-    return [float(p) for p in spec.split(",")]
+    return values
 
 
 def _load_joint(path: str) -> JointPmf:
@@ -243,6 +246,8 @@ def _cmd_gaussian(args) -> tuple[dict, list[str]]:
 
 
 def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
+    """The run's config, null law and alternative (None when not given);
+    flags override the file, and ``SchemeConfig`` checks every field."""
     with open(args.config) as fh:
         raw = _json_object(json.load(fh), "a simulation config")
     unknown = sorted(set(raw) - _CONFIG_KEYS)
@@ -251,58 +256,20 @@ def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
     for key in ("p_xy", "mechanism", "quantizer"):
         if key not in raw:
             raise DomainError(f"a simulation config has no {key!r} field")
-    p_xy = from_dict(raw["p_xy"])
+    p_xy, mechanism, quantizer = (from_dict(raw[k]) for k in ("p_xy", "mechanism", "quantizer"))
     q_xy = from_dict(raw["q_xy"]) if raw.get("q_xy") is not None else None
-    mechanism = from_dict(raw["mechanism"])
-    quantizer = from_dict(raw["quantizer"])
-    if not isinstance(p_xy, JointPmf) or not isinstance(mechanism, Channel) \
-            or not isinstance(quantizer, Channel):
-        raise ToolkitError("config fields have the wrong kinds")
-
-    def pick(flag, key, default=None):
-        if flag is not None:
-            return flag
-        return raw.get(key, default)
-
-    def integer(flag, key, default=None):
-        value = pick(flag, key, default)
-        # bool is an int subclass; a float would be truncated
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DomainError(f"config key {key!r} must be an integer, got {value!r}")
-        return value
-
-    def number(flag, key):
-        value = pick(flag, key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"config key {key!r} must be a number, got {value!r}")
-        return float(value)
-
-    fixed_codebook = raw.get("fixed_codebook", False)
-    if not isinstance(fixed_codebook, bool):
-        raise DomainError(
-            f"config key 'fixed_codebook' must be true or false, got {fixed_codebook!r}"
-        )
-    cfg = SchemeConfig(
-        n=integer(args.n, "n"),
-        mu=number(args.mu, "mu"),
-        rate=number(None, "rate"),
-        seed=integer(args.seed, "seed", 0),
-        trials=integer(args.trials, "trials"),
-        hypothesis=pick(args.hypothesis, "hypothesis"),
-        mechanism=mechanism,
-        quantizer=quantizer,
-        scheme_kind=pick(args.scheme, "scheme"),
-        mu_prime=None if raw.get("mu_prime") is None else number(None, "mu_prime"),
-        fixed_codebook=fixed_codebook,
-    )
+    flags = ("n", "mu", "seed", "trials", "hypothesis", "scheme")  # named as their keys
+    raw = {"seed": 0, "fixed_codebook": False, **raw,
+           **{key: getattr(args, key) for key in flags if getattr(args, key) is not None}}
+    fields = ("n", "mu", "rate", "seed", "trials", "hypothesis", "mu_prime", "fixed_codebook")
+    cfg = SchemeConfig(**{key: raw.get(key) for key in fields}, mechanism=mechanism,
+                       quantizer=quantizer, scheme_kind=raw.get("scheme"))
     return cfg, p_xy, q_xy
 
 
 def _cmd_simulate(args) -> tuple[dict, list[str]]:
     cfg, p_xy, q_xy = _scheme_config(args)
     if cfg.scheme_kind == "general":
-        if q_xy is None:
-            raise ToolkitError("the general scheme needs q_xy in the config")
         report = run_general_scheme(cfg, p_xy, q_xy)
     else:
         report = run_memoryless_scheme(cfg, p_xy)

@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     ZeroSupport,
 )
-from .probcore import JointPmf, Pmf, check_budgets
+from .probcore import JointPmf, Pmf, _as_joint2, check_budgets
 
 __all__ = [
     "chi2_divergence_approx",
@@ -59,9 +59,7 @@ def build_weighted_matrix(p_xy: JointPmf) -> np.ndarray:
     Entry (y, x) is P(x, y) / sqrt(P(x) P(y)). Its largest singular value is
     always 1 with singular vectors sqrt(P_Y) and sqrt(P_X).
     """
-    p = np.asarray(p_xy.probs, dtype=float)
-    if p.ndim != 2:
-        raise DimensionMismatch("expected a two-axis joint law")
+    p = _as_joint2(p_xy)
     p_x = p.sum(axis=1)
     p_y = p.sum(axis=0)
     if np.any(p_x <= 0.0) or np.any(p_y <= 0.0):

@@ -478,13 +478,21 @@ def marginalize(joint: JointPmf, axis: str | int) -> Pmf:
     return out
 
 
+def _as_joint2(law) -> np.ndarray:
+    """The probabilities of a two-axis ``JointPmf``; anything else is refused."""
+    if not isinstance(law, JointPmf) or law.probs.ndim != 2:
+        got = f"shape {law.shape}" if isinstance(law, JointPmf) else type(law).__name__
+        raise DimensionMismatch(f"expected a two-axis joint law, got {got}")
+    return law.probs
+
+
 def chain_joint(p_xy: JointPmf, mechanism: Channel, quantizer: Channel) -> JointPmf:
     """Joint law over (U, Xh, X, Y) for the Markov chain U - Xh - X - Y.
 
     ``mechanism`` maps X to Xh and ``quantizer`` maps Xh to U; (X, Y) keep
     the law ``p_xy``.
     """
-    kx, ky = p_xy.shape
+    kx, ky = _as_joint2(p_xy).shape
     if mechanism.shape[0] != kx:
         raise DimensionMismatch("mechanism input alphabet does not match X")
     if quantizer.shape[0] != mechanism.shape[1]:

@@ -57,6 +57,7 @@ which a single trial passes it is refused.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,8 @@ from .errors import (
     SizeOverflow,
     TooLarge,
 )
-from .probcore import Channel, JointPmf, Pmf, _compositions, _in_ball, _pair_joints, _symbols
-from .probcore import _mi_bits  # plug-in estimates share the exact MI kernel
+from .probcore import Channel, JointPmf, Pmf, _as_joint2, _compositions, _in_ball, _pair_joints
+from .probcore import _mi_bits, _symbols  # plug-in estimates share the exact MI kernel
 
 __all__ = [
     "SchemeConfig",
@@ -95,7 +96,8 @@ DEFAULT_BATCHES = 100
 # array pass up to this many cells; 2^14 and 2^18 measured slower, and
 # 2^18 raised the peak memory of 6,000-trial runs by about 8 MB
 PASS_CELLS = 2**16
-# trials of one run; at about 3 us per trial (n = 24) the cap is about 5 minutes
+# trials of one run; a 10^5-trial memoryless run at n = 24 takes about 0.3 s
+# on 2 cores, about 3 us per trial, so the cap is about 5 minutes
 TRIAL_CAP = 10**8
 
 
@@ -116,6 +118,29 @@ class SchemeConfig:
     fixed_codebook: bool = False
 
     def __post_init__(self):
+        # kinds first, as a JSON config gives them: a bool is an int, and a
+        # float count would be truncated
+        for key in ("n", "seed", "trials", "mu", "rate", "mu_prime"):
+            value, count = getattr(self, key), key in ("n", "seed", "trials")
+            kind, what = (numbers.Integral, "an integer") if count else (numbers.Real, "a number")
+            if value is None and key == "mu_prime":
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise DomainError(f"config key {key!r} must be {what}, got {value!r}")
+            try:  # float() of an integer past the float range overflows
+                object.__setattr__(self, key, int(value) if count else float(value))
+            except OverflowError:
+                raise DomainError(f"config key {key!r} is too large for a float") from None
+        if not isinstance(self.fixed_codebook, bool):
+            raise DomainError(
+                f"config key 'fixed_codebook' must be true or false, got {self.fixed_codebook!r}"
+            )
+        for key in ("mechanism", "quantizer"):
+            if not isinstance(getattr(self, key), Channel):
+                got = type(getattr(self, key)).__name__
+                raise DomainError(f"config key {key!r} must be a channel, got {got}")
+        if self.seed < 0:
+            raise DomainError(f"seed {self.seed} must be nonnegative")
         if self.n < 1:
             raise DomainError("blocklength must be at least 1")
         if self.trials < 1:
@@ -337,7 +362,7 @@ class _Runner:
 
     def __init__(self, cfg: SchemeConfig, p_xy: JointPmf, q_xy: JointPmf | None):
         self.cfg = cfg
-        p = np.asarray(p_xy.probs, dtype=float)
+        p = _as_joint2(p_xy)
         self.kx, self.ky = p.shape
         mech = cfg.mechanism.matrix
         quant = cfg.quantizer.matrix
@@ -350,7 +375,7 @@ class _Runner:
         if q_xy is None:
             self.q_xy = np.outer(self.p_x, p.sum(axis=0))
         else:
-            self.q_xy = np.asarray(q_xy.probs, dtype=float)
+            self.q_xy = _as_joint2(q_xy)
             if self.q_xy.shape != p.shape:
                 raise DomainError("alternative law shape does not match the null")
         # design-time targets, always built from the null law
@@ -363,6 +388,14 @@ class _Runner:
         self.mech_cdf = np.cumsum(mech, axis=1)
         law = p if cfg.hypothesis == "null" else self.q_xy
         self.law_cdf = np.cumsum(law.reshape(-1))
+        # a batch holds arrays of trials x n x ka entries; checked before n
+        # meets a float, which a huge integer n would overflow
+        max_rows = BATCH_CELL_CAP // (cfg.n * self.ka)
+        if max_rows == 0:
+            raise TooLarge(
+                f"one trial at n = {cfg.n} with {self.ka} mechanism outputs "
+                f"exceeds the {BATCH_CELL_CAP}-cell batch cap; reduce the blocklength"
+            )
         # codeword count: exact below 2^53 so the no-cover Bernoulli matches
         # an explicit codebook bit for bit; beyond that only log M is needed
         exponent = cfg.n * cfg.rate
@@ -372,13 +405,6 @@ class _Runner:
         else:
             self.m_count = None
             self.log_m = exponent * math.log(2.0)
-        # a batch holds arrays of trials x n x ka entries
-        max_rows = BATCH_CELL_CAP // (cfg.n * self.ka)
-        if max_rows == 0:
-            raise TooLarge(
-                f"one trial at n = {cfg.n} with {self.ka} mechanism outputs "
-                f"exceeds the {BATCH_CELL_CAP}-cell batch cap; reduce the blocklength"
-            )
         self.batches = max(min(DEFAULT_BATCHES, cfg.trials), -(-cfg.trials // max_rows))
         self.tables: dict[tuple[int, ...], _TypicalTables] = {}
         self.codebook = None
@@ -476,7 +502,8 @@ class _Runner:
         """Chance that none of the M random codewords is jointly typical."""
         if self.m_count is not None:
             p_succ = min(math.exp(tab.log_p_succ), 1.0)
-            log_fail = self.m_count * math.log1p(-p_succ)
+            # p_succ is 1 when the encoder's ball covers the simplex (mu >= 2)
+            log_fail = self.m_count * math.log1p(-p_succ) if p_succ < 1.0 else -math.inf
         else:
             # (1-p)^M with astronomical M: -M*p in log space
             log_fail = -math.exp(min(self.log_m + tab.log_p_succ, 700.0))
@@ -638,6 +665,8 @@ def run_general_scheme(cfg: SchemeConfig, p_xy: JointPmf, q_xy: JointPmf) -> Sim
     """Simulate the gated scheme against an arbitrary alternative law."""
     if cfg.scheme_kind != "general":
         raise DomainError("config is not for the general scheme")
+    if q_xy is None:
+        raise DomainError("the general scheme needs q_xy, its alternative law, got None")
     if cfg.mu / 4.0 >= 1.0:
         raise DegenerateConfig(
             "radius mu/4 covers the whole simplex, the observer gate can "

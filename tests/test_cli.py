@@ -449,6 +449,28 @@ def test_range_without_a_positive_step_is_refused(spec, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("0:1", "range '0:1' must be start:stop:step"),
+    ("a,b", "values 'a,b' are not numbers"),
+], ids=["two-parts", "not-numbers"])
+def test_malformed_value_list_is_refused(spec, message, tmp_path, capsys):
+    # each once a bare ValueError; the second did not name the list
+    out = tmp_path / "curve.csv"
+    argv = ["sweep", "--method", "binary", "--q", "0.1", "--rate", spec, "--leak", "0.5"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_mu_past_the_float_range(tmp_path, sim_config_path, capsys):
+    # a 400-digit integer once ended in an OverflowError traceback
+    text = open(sim_config_path).read().replace('"mu": 0.3', '"mu": ' + "1" * 400)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: config key 'mu' is too large for a float\n"
+
+
 @pytest.mark.parametrize("key, value, match", [
     ("fixed_codebok", True, "unknown config key 'fixed_codebok'"),
     ("fixed_codebook", "no", "config key 'fixed_codebook' must be true or false"),

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from privexp import (
+    Channel,
     DegenerateMarginal,
+    DimensionMismatch,
     DomainError,
     JointPmf,
     ZeroSupport,
@@ -138,6 +140,15 @@ def test_non_finite_budgets_are_domain_errors(budget):
         binary_euclid_approx(0.1, 0.01, budget)
     with pytest.raises(DomainError):
         binary_euclid_approx(0.1, budget, 0.5)
+
+
+def test_only_two_axis_joint_laws_are_accepted():
+    # a channel once ended in an AttributeError
+    with pytest.raises(DimensionMismatch, match="^expected a two-axis joint law, got Channel$"):
+        euclid_tai_approx(Channel.identity(2), 0.01, 0.01)
+    three = JointPmf(np.full((2, 2, 2), 0.125), ("X", "Y", "Z"))
+    with pytest.raises(DimensionMismatch, match=r"got shape \(2, 2, 2\)$"):
+        build_weighted_matrix(three)
 
 
 def test_singular_bound_caps_the_value():

@@ -503,6 +503,17 @@ def test_search_input_validation():
     three = JointPmf(np.full((2, 2, 2), 0.125), ("X", "Y", "Z"))
     with pytest.raises(DimensionMismatch):
         tai_exponent(three, 1.0, 1.0)
+    # a channel was once an AttributeError: no attribute 'probs'
+    match = "^expected a two-axis joint law, got Channel$"
+    with pytest.raises(DimensionMismatch, match=match):
+        tai_exponent(Channel.identity(2), 0.5, 0.5)
+    with pytest.raises(DimensionMismatch, match=match):
+        zero_rate_exponent(dsbs(0.1), Channel.identity(2))
+
+
+def test_result_reports_the_lattice_searched():
+    # a step of 0.3 puts the grid rows on thirds; it once reported 0.3
+    assert tai_exponent(dsbs(0.1), 0.5, 0.5, SearchConfig(grid_step=0.3)).grid_step == 1 / 3
 
 
 # ---------------------------------------------------------------------------

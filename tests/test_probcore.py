@@ -282,6 +282,13 @@ def test_chain_joint_preserves_source_and_contracts_information(dsbs01):
     assert i_uy <= i_ay + 1e-12 <= i_xy + 2e-12
 
 
+def test_chain_joint_refuses_a_law_that_is_not_two_axis():
+    # once a ValueError from unpacking the shape
+    three = JointPmf(np.full((2, 2, 2), 0.125))
+    with pytest.raises(DimensionMismatch, match=r"^expected a two-axis joint law, got shape"):
+        chain_joint(three, Channel.identity(2), Channel.identity(2))
+
+
 # ---------------------------------------------------------------------------
 # validation and serialization
 

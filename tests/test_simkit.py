@@ -8,14 +8,18 @@ acceptance rates checks the analytic encoder marginalization end to end.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc
 
 from privexp import (
     Channel,
     DegenerateConfig,
+    DimensionMismatch,
     DomainError,
     EmptySample,
     JointPmf,
@@ -23,6 +27,7 @@ from privexp import (
     SchemeConfig,
     SizeOverflow,
     TooLarge,
+    ToolkitError,
     binary_entropy,
     empirical_privacy,
     generate_codebook,
@@ -336,6 +341,8 @@ def test_batch_count_grows_only_past_the_cell_cap(dsbs01):
     assert batches(trials=37) == 37
     with pytest.raises(TooLarge, match="reduce the blocklength$"):
         batches(n=2**21 + 1, trials=1)  # one trial alone is 2n > 2^22 cells
+    with pytest.raises(TooLarge, match="reduce the blocklength$"):
+        batches(n=10**400, trials=1)  # once an OverflowError from n * rate
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +589,105 @@ def test_scheme_kind_mismatch(dsbs01, product_uniform):
         run_general_scheme(memoryless_cfg(), dsbs01, product_uniform)
 
 
+@pytest.mark.parametrize("kind", ["memoryless", "general"])
+def test_a_radius_covering_the_simplex_always_encodes(kind, dsbs01, product_uniform):
+    # at mu >= 2 every count table is typical, so a codeword always fits;
+    # log1p(-1) once ended such a run in a bare ValueError
+    cfg = memoryless_cfg(mu=2.0, trials=200, scheme_kind=kind)
+    if kind == "memoryless":
+        report = run_memoryless_scheme(cfg, dsbs01)
+    else:
+        report = run_general_scheme(cfg, dsbs01, product_uniform)
+    assert report.counters["encoder_failures"] == report.counters["observer_escapes"]
+    assert report.counters["receiver_rejects"] == 0
+
+
 def test_general_gate_cannot_cover_the_simplex(dsbs01, product_uniform):
     cfg = memoryless_cfg(scheme_kind="general", mu=4.5)
     with pytest.raises(DegenerateConfig):
         run_general_scheme(cfg, dsbs01, product_uniform)
+
+
+# ---------------------------------------------------------------------------
+# the input contract: a config is checked once, here, and the CLI relies on it
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("fixed_codebook", "no", "config key 'fixed_codebook' must be true or false, got 'no'"),
+    ("mu", True, "config key 'mu' must be a number, got True"),
+    ("n", True, "config key 'n' must be an integer, got True"),
+    ("n", 2.9, "config key 'n' must be an integer, got 2.9"),
+    ("trials", 10.5, "config key 'trials' must be an integer, got 10.5"),
+    ("seed", 1.5, "config key 'seed' must be an integer, got 1.5"),
+    ("seed", -1, "seed -1 must be nonnegative"),
+    ("rate", 10**400, "config key 'rate' is too large for a float"),
+    ("mechanism", np.eye(2), "config key 'mechanism' must be a channel, got ndarray"),
+    ("quantizer", IDENT.to_dict(), "config key 'quantizer' must be a channel, got dict"),
+], ids=["string-bool", "bool-mu", "bool-n", "float-n", "float-trials", "float-seed",
+        "negative-seed", "huge-rate", "array-mechanism", "dict-quantizer"])
+def test_config_refuses_bad_field_kinds(field, value, match):
+    # each was once built: "no" switched fixed-codebook mode on and True ran
+    # as 1; the float counts ended in a bare TypeError inside the run, seed -1
+    # in numpy's ValueError, the array in an AttributeError and the huge rate
+    # in an OverflowError
+    with pytest.raises(DomainError, match=f"^{re.escape(match)}$"):
+        memoryless_cfg(**{field: value})
+
+
+def test_numpy_counts_are_stored_as_python_numbers(dsbs01):
+    cfg = memoryless_cfg(n=np.int64(12), seed=np.int64(5), trials=np.int64(6000),
+                         mu=np.float64(0.3), rate=1)
+    assert [type(v) for v in (cfg.n, cfg.seed, cfg.trials, cfg.mu, cfg.rate)] == \
+        [int, int, int, float, float]
+    report = run_memoryless_scheme(cfg, dsbs01).to_dict()
+    assert report == run_memoryless_scheme(memoryless_cfg(), dsbs01).to_dict()
+
+
+def test_general_scheme_needs_an_alternative(dsbs01):
+    # once ran against the product law without a word
+    with pytest.raises(DomainError, match="^the general scheme needs q_xy"):
+        run_general_scheme(memoryless_cfg(scheme_kind="general"), dsbs01, None)
+
+
+@pytest.mark.parametrize("law, got", [
+    (IDENT, "Channel"),
+    (JointPmf(np.full((2, 2, 2), 0.125), ("X", "Y", "Z")), "shape (2, 2, 2)"),
+], ids=["channel", "three-axes"])
+def test_runs_refuse_a_law_that_is_not_two_axis(law, got, dsbs01):
+    # a channel once ended in an AttributeError, three axes in a ValueError
+    match = f"^expected a two-axis joint law, got {re.escape(got)}$"
+    general = memoryless_cfg(scheme_kind="general")
+    with pytest.raises(DimensionMismatch, match=match):
+        run_memoryless_scheme(memoryless_cfg(), law)
+    with pytest.raises(DimensionMismatch, match=match):
+        run_general_scheme(general, law, dsbs01)
+    with pytest.raises(DimensionMismatch, match=match):
+        run_general_scheme(general, dsbs01, law)
+
+
+CONFIG_FIELDS = ["n", "mu", "rate", "seed", "trials", "hypothesis", "mechanism", "quantizer",
+                 "scheme_kind", "mu_prime", "fixed_codebook"]
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, "alt", "null", "general"]),
+    st.integers(-3, 40),
+    st.floats(-3.0, 40.0),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+
+
+@given(st.dictionaries(st.sampled_from(CONFIG_FIELDS), JSON_SCALARS, max_size=3))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_config_construction_refuses_or_normalizes(overrides):
+    # a field as a JSON file could give it: never a bare TypeError,
+    # ValueError or AttributeError, and counts and radii of one type each
+    try:
+        cfg = memoryless_cfg(**overrides)
+    except ToolkitError:
+        return
+    assert [type(v) for v in (cfg.n, cfg.seed, cfg.trials, cfg.mu, cfg.rate)] == \
+        [int, int, int, float, float]
+    assert cfg.mu_prime is None or type(cfg.mu_prime) is float
+    assert type(cfg.fixed_codebook) is bool
