@@ -37,7 +37,7 @@ from .exponents import (
 )
 from .gaussian import GaussianQuery, gaussian_achievable_at_beta, gaussian_tai_exponent
 from .iproject import MarginalConstraint, i_project
-from .probcore import Channel, JointPmf, Pmf, _json_object, from_dict, load_json
+from .probcore import Channel, JointPmf, _json_of, _read_json, from_dict, load_json
 from .simkit import SchemeConfig, run_general_scheme, run_memoryless_scheme
 
 CONFIG_EXIT = 2
@@ -81,7 +81,7 @@ def _parse_values(spec: str) -> list[float]:
 def _load_joint(path: str) -> JointPmf:
     obj = load_json(path)
     if not isinstance(obj, JointPmf):
-        raise ToolkitError(f"{path} does not hold a joint law")
+        raise DomainError(f"{path} does not hold a joint law")
     return obj
 
 
@@ -183,7 +183,7 @@ def _method_inputs(args) -> tuple[_Method, dict]:
     values = {flag: _flag_value(args, flag) for flag in method.needs}
     for flag, value in values.items():
         if value is None:
-            raise ToolkitError(f"{flag} is required for method {args.method!r}")
+            raise DomainError(f"{flag} is required for method {args.method!r}")
     if method.search is not None:
         values["cfg"] = _search_config(args)
     for flag in ("--null", "--alt"):
@@ -248,8 +248,7 @@ def _cmd_gaussian(args) -> tuple[dict, list[str]]:
 def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
     """The run's config, null law and alternative (None when not given);
     flags override the file, and ``SchemeConfig`` checks every field."""
-    with open(args.config) as fh:
-        raw = _json_object(json.load(fh), "a simulation config")
+    raw = _json_of(_read_json(args.config), dict, "a simulation config")
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
         raise DomainError(f"unknown config key {unknown[0]!r}")
@@ -410,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except Infeasible as e:
         print(f"error: {e}", file=sys.stderr)
         return INFEASIBLE_EXIT
-    except (ToolkitError, ValueError, OSError, KeyError, TypeError) as e:
+    except (ToolkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return CONFIG_EXIT
     if args.command != "selftest":

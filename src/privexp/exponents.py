@@ -85,7 +85,6 @@ from .probcore import (
 
 __all__ = [
     "SearchConfig",
-    "THM1_SEARCH",
     "ExponentResult",
     "binary_tai_exponent",
     "tai_exponent",
@@ -200,8 +199,7 @@ def _fit_step(rows: int, k: int, step: float, budget: int) -> float:
     A grid on the 1/m lattice has comb(m + k - 1, k - 1) ** rows candidates.
     A step whose grid fits, or of 0.51 or more, is returned unchanged;
     otherwise the step is 1/m for the largest m below round(1/step) whose
-    grid fits, or 1 when none does. The count grows with m, so m is found by
-    bisection on the integers.
+    grid fits, or 1 when none does.
     """
     def fits(m: int) -> bool:
         return math.comb(m + k - 1, k - 1) ** rows <= budget
@@ -210,14 +208,11 @@ def _fit_step(rows: int, k: int, step: float, budget: int) -> float:
     m = max(1, round(1.0 / step))
     if step >= 0.51 or fits(m):
         return step
-    lo, hi = 1, m - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return 1.0 / lo
+    # past here k >= 2, so the count is at least m + 1: a grid that fits has m < budget
+    m = max(1, min(m - 1, budget))
+    while m > 1 and not fits(m):
+        m -= 1
+    return 1.0 / m
 
 
 def _channel_grid(n_in: int, n_out: int, step: float, budget: int) -> tuple[np.ndarray, float]:

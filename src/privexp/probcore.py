@@ -35,7 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "MASS_ATOL",
     "Pmf",
     "JointPmf",
     "Channel",
@@ -66,7 +65,8 @@ def _check_weights(w: np.ndarray, what: str) -> None:
         raise InvalidDistribution(f"{what}: non-finite entry")
     if np.any(w < 0):
         raise InvalidDistribution(f"{what}: negative entry {w.min()!r}")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):  # entries near the float maximum sum to inf
+        total = float(w.sum())
     if abs(total - 1.0) > MASS_ATOL:
         raise InvalidDistribution(f"{what}: total mass {total!r} not 1 within {MASS_ATOL}")
 
@@ -534,40 +534,75 @@ def _pair_joints(p_xy: np.ndarray, mech: np.ndarray, quant: np.ndarray):
 #           "shape": [rows, cols], "probs": [row-major flat]}
 
 
-_JSON_NAMES = {list: "an array", str: "a string", bool: "a boolean", int: "a number",
-               float: "a number", type(None): "null"}
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
 
 
-def _json_object(value, what: str) -> dict:
-    """``value`` if it is a JSON object, else a ``DomainError`` naming its JSON type."""
-    if not isinstance(value, dict):
+def _json_of(value, kind: type, what: str):
+    """``value`` if it is of JSON type ``kind`` (dict, list or str), else a
+    ``DomainError`` naming the JSON type it has."""
+    if not isinstance(value, kind):
         got = _JSON_NAMES.get(type(value), type(value).__name__)
-        raise DomainError(f"{what} must be a JSON object, got {got}")
+        raise DomainError(f"{what} must be a JSON {_JSON_NAMES[kind].split()[1]}, got {got}")
     return value
 
 
+def _json_tuple(d: dict, key: str, kind: str, item: type | None = None) -> tuple:
+    """Field ``key`` of a law, a JSON array (of ``item``s when given), as a
+    tuple; () when the field is absent. Array items become tuples."""
+    items = _json_of(d.get(key, []), list, f"{kind} {key!r}")
+    if item is not None:
+        items = [_json_of(x, item, f"an entry of {kind} {key!r}") for x in items]
+    return tuple(tuple(x) if item is list else x for x in items)
+
+
 def from_dict(d: dict) -> Pmf | JointPmf | Channel:
-    kind = _json_object(d, "a law").get("kind", "pmf")
+    """The law a JSON object describes (schema above); a malformed one is
+    refused with a ``ToolkitError``."""
+    kind = _json_of(d, dict, "a law").get("kind", "pmf")
     if kind not in ("pmf", "joint", "channel"):
         raise DomainError(f"unknown kind {kind!r}")
     if kind == "joint" and "shape" not in d and "alphabet" in d:
-        d = {**d, "shape": [len(a) for a in d["alphabet"]]}
+        d = {**d, "shape": [len(a) for a in _json_tuple(d, "alphabet", kind, list)]}
     for key in ("probs",) if kind == "pmf" else ("probs", "shape"):
         if key not in d:
             raise DomainError(f"{kind} has no {key!r} field")
-    probs = np.asarray(d["probs"], dtype=float)
+    try:
+        probs = np.asarray(_json_of(d["probs"], list, f"{kind} 'probs'"))
+    except ValueError:  # ragged, or nested past numpy's axis limit
+        probs = None
+    if probs is None or probs.dtype.kind not in "iuf":  # strings, booleans, objects, null
+        raise DomainError(f"{kind} 'probs' must be an array of numbers")
+    probs = probs.astype(float)
     if kind == "pmf":
-        return Pmf(probs, tuple(d.get("alphabet", ())))
-    tensor = probs.reshape(tuple(d["shape"]))
+        return Pmf(probs, _json_tuple(d, "alphabet", kind))
+    shape = _json_of(d["shape"], list, f"{kind} 'shape'")
+    if not all(type(k) is int and k > 0 for k in shape):
+        raise DomainError(f"{kind} 'shape' must hold positive integers, got {shape!r}")
+    try:
+        tensor = probs.reshape(shape)
+    except ValueError as e:  # a size other than the shape's product, or too many axes
+        raise DimensionMismatch(f"{kind} 'shape' {shape} does not fit its probs: {e}") from None
     if kind == "joint":
-        alphas = tuple(tuple(a) for a in d.get("alphabet", ()))
-        return JointPmf(tensor, tuple(d.get("axes", ())), alphas)
-    return Channel(tensor, tuple(d.get("alphabet", ())), tuple(d.get("output_alphabet", ())))
+        return JointPmf(tensor, _json_tuple(d, "axes", kind, str),
+                        _json_tuple(d, "alphabet", kind, list))
+    return Channel(tensor, _json_tuple(d, "alphabet", kind),
+                   _json_tuple(d, "output_alphabet", kind))
+
+
+def _read_json(path):
+    """The JSON value in the file at ``path``; a file that is not UTF-8 JSON
+    is a ``DomainError`` naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # bad UTF-8 and bad JSON are both ValueErrors; deep nesting recurses
+        except (ValueError, RecursionError) as e:
+            raise DomainError(f"{path} is not UTF-8 JSON: {e}") from None
 
 
 def load_json(path) -> Pmf | JointPmf | Channel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+    return from_dict(_read_json(path))
 
 
 def dump_json(obj: Pmf | JointPmf | Channel, path) -> None:

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -632,6 +633,33 @@ def test_config_of_the_wrong_shape_is_a_config_error(text, match, tmp_path,
     path.write_text(text)
     assert cli.main(["simulate", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {match}\n"
+
+
+@pytest.mark.parametrize("data, match", [
+    (b'{"kind": "joint", "probs": [0.5,', "{path} is not UTF-8 JSON: Expecting value"),
+    (b'{"kind": "joint", "axes": ["X", "\xe9"]}', "{path} is not UTF-8 JSON: 'utf-8' codec"),
+    (json.dumps({"kind": "joint", "probs": [0.45, 0.05, 0.05, 0.45], "shape": [-1, 2]}).encode(),
+     r"joint 'shape' must hold positive integers, got \[-1, 2\]"),
+], ids=["not-json", "not-utf8", "negative-shape"])
+def test_malformed_law_file_is_a_config_error(data, match, tmp_path, alt_law_path, capsys):
+    # the negative shape once ran as a 2x2 law and exited 0
+    bad = tmp_path / "null.json"
+    bad.write_bytes(data)
+    assert cli.main(["exponent", "--method", "zero-rate", "--null", str(bad),
+                     "--alt", alt_law_path]) == cli.CONFIG_EXIT
+    err = capsys.readouterr().err
+    assert re.match(f"error: {match.replace('{path}', re.escape(str(bad)))}", err), err
+
+
+def test_an_internal_fault_is_not_a_config_error(monkeypatch):
+    # only a ToolkitError or an OSError is the input's fault; anything else
+    # ends in a traceback rather than in exit 2
+    def boom(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "binary_tai_exponent", boom)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["exponent", "--method", "binary", "--q", "0.1", "--rate", "1", "--leak", "1"])
 
 
 def test_infeasible_maps_to_exit_three(monkeypatch):

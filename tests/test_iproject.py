@@ -249,13 +249,13 @@ def test_brute_force_refuses_a_bad_grid_step(step):
 # batches
 
 
-def one_at_a_time(refs, axes, constraints):
+def one_at_a_time(refs, axes, constraints, **solver):
     """``i_project`` of each member, or the error it raised."""
     out = []
     for i, ref in enumerate(refs):
         cons = [MarginalConstraint(names, targets[i]) for names, targets in constraints]
         try:
-            out.append(i_project(JointPmf(ref, axes), cons))
+            out.append(i_project(JointPmf(ref, axes), cons, **solver))
         except (Infeasible, SupportMismatch) as e:
             out.append(e)
     return out
@@ -318,6 +318,34 @@ def test_a_member_with_contradictory_targets_plateaus_alone():
     assert isinstance(batch[1], Infeasible) and "plateaued" in str(batch[1])
     assert batch[0].converged and batch[2].converged
     assert_same_outcomes(batch, one_at_a_time(refs, ("X", "Y"), constraints))
+
+
+def test_a_member_that_loses_support_during_scaling_leaves_alone():
+    # member 0 passes the support check, but X -> [1, 0] empties the Y = 1
+    # column of its diagonal reference, which Y -> [.5, .5] needs
+    refs = np.stack([np.diag([0.5, 0.5]), REF])
+    constraints = [(("X",), np.array([[1.0, 0.0], [0.5, 0.5]])),
+                   (("Y",), np.full((2, 2), 0.5))]
+    batch = _i_project_batch(refs, ("X", "Y"), (), constraints)
+    assert isinstance(batch[0], SupportMismatch)
+    assert "lost support during scaling" in str(batch[0])
+    assert batch[1].converged
+    assert_same_outcomes(batch, one_at_a_time(refs, ("X", "Y"), constraints))
+
+
+def test_a_member_at_the_sweep_cap_is_infeasible():
+    # the pairwise marginals of a random 2x2x2 law take 14 sweeps from the
+    # uniform reference; the law itself meets them at once
+    law = np.random.default_rng(0).dirichlet(np.ones(8)).reshape(2, 2, 2)
+    refs = np.stack([np.full((2, 2, 2), 1 / 8), law])
+    constraints = [(names, np.stack([law.sum(axis=drop)] * 2))
+                   for names, drop in ((("A", "B"), 2), (("A", "C"), 1), (("B", "C"), 0))]
+    assert _i_project_batch(refs, ("A", "B", "C"), (), constraints)[0].iterations == 14
+    batch = _i_project_batch(refs, ("A", "B", "C"), (), constraints, max_iter=3)
+    assert isinstance(batch[0], Infeasible)
+    assert str(batch[0]).endswith("still above tol after 3 sweeps")
+    assert batch[1].converged
+    assert_same_outcomes(batch, one_at_a_time(refs, ("A", "B", "C"), constraints, max_iter=3))
 
 
 @pytest.mark.parametrize("where, value, match", [

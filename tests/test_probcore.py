@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from itertools import product
 from pathlib import Path
 
@@ -357,6 +358,96 @@ def test_from_dict_names_a_missing_field(d, match):
         from_dict(d)
 
 
+@pytest.mark.parametrize("d, error, match", [
+    ({"probs": ["0.5", "0.5"]}, DomainError, "^pmf 'probs' must be an array of numbers$"),
+    ({"probs": [True, False]}, DomainError, "^pmf 'probs' must be an array of numbers$"),
+    ({"probs": [{}, 1.0]}, DomainError, "^pmf 'probs' must be an array of numbers$"),
+    ({"probs": "0.5"}, DomainError, "^pmf 'probs' must be a JSON array, got a string$"),
+    ({"probs": [1e308, 1e308]}, InvalidDistribution, "^Pmf: total mass inf not 1"),
+    ({"kind": "joint", "probs": [[0.5], [0.25, 0.25]], "shape": [3]}, DomainError,
+     "^joint 'probs' must be an array of numbers$"),
+    ({"kind": "joint", "probs": [0.5, 0.5], "shape": 5}, DomainError,
+     "^joint 'shape' must be a JSON array, got a number$"),
+    ({"kind": "joint", "probs": [0.25] * 4, "shape": ["2", "2"]}, DomainError,
+     r"^joint 'shape' must hold positive integers, got \['2', '2'\]$"),
+    ({"kind": "joint", "probs": [0.25] * 4, "shape": [-1, 2]}, DomainError,
+     r"^joint 'shape' must hold positive integers, got \[-1, 2\]$"),
+    ({"kind": "channel", "probs": [1.0], "shape": [1e20, 1]}, DomainError,
+     r"^channel 'shape' must hold positive integers, got \[1e\+20, 1\]$"),
+    ({"kind": "joint", "probs": [0.5, 0.25, 0.25], "shape": [2, 2]}, DimensionMismatch,
+     r"^joint 'shape' \[2, 2\] does not fit its probs: cannot reshape array of size 3"),
+    ({"kind": "joint", "probs": [1.0], "shape": [1] * 65}, DimensionMismatch,
+     "^joint 'shape' .* does not fit its probs"),
+    ({"probs": [0.5, 0.5], "alphabet": 2}, DomainError,
+     "^pmf 'alphabet' must be a JSON array, got a number$"),
+    ({"probs": [0.5, 0.5], "alphabet": "ab"}, DomainError,
+     "^pmf 'alphabet' must be a JSON array, got a string$"),
+    ({"kind": "joint", "probs": [0.25] * 4, "alphabet": ["ab", "cd"]}, DomainError,
+     "^an entry of joint 'alphabet' must be a JSON array, got a string$"),
+    ({"kind": "joint", "probs": [0.25] * 4, "shape": [2, 2], "axes": "XY"}, DomainError,
+     "^joint 'axes' must be a JSON array, got a string$"),
+    ({"kind": "joint", "probs": [0.25] * 4, "shape": [2, 2], "axes": [["X"], ["Y"]]},
+     DomainError, "^an entry of joint 'axes' must be a JSON string, got an array$"),
+    ({"kind": "channel", "probs": [1, 0, 0, 1], "shape": [2, 2], "output_alphabet": None},
+     DomainError, "^channel 'output_alphabet' must be a JSON array, got null$"),
+], ids=["string-probs", "boolean-probs", "object-probs", "probs-string", "huge-probs",
+        "ragged-probs",
+        "number-shape", "string-shape", "negative-shape", "float-shape", "shape-size",
+        "too-many-axes", "number-alphabet", "string-alphabet", "string-joint-alphabet",
+        "string-axes", "array-axis", "null-output-alphabet"])
+def test_from_dict_refuses_malformed_fields(d, error, match):
+    # each once raised a bare TypeError or ValueError (huge probs: an overflow
+    # RuntimeWarning first), split a string into labels, or (a shape of
+    # [-1, 2]) was accepted
+    with pytest.raises(error, match=match):
+        from_dict(d)
+
+
+def test_integer_probs_and_nested_probs_are_numbers():
+    assert from_dict({"probs": [0, 1]}).probs.tolist() == [0.0, 1.0]
+    law = from_dict({"kind": "joint", "probs": [[0.5, 0], [0, 0.5]], "shape": [2, 2]})
+    assert law.probs.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2, 4) | st.text(max_size=3)
+    | st.floats() | st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+_LAWS = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["pmf", "joint", "channel"]) | _JSON,
+    "probs": st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), max_size=8) | _JSON,
+    "shape": st.lists(st.integers(-1, 4), max_size=3) | _JSON,
+    "alphabet": _JSON,
+    "output_alphabet": _JSON,
+    "axes": st.lists(st.sampled_from(["X", "Y", "Z"]), max_size=3) | _JSON,
+})
+
+
+@given(_LAWS | _JSON)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_from_dict_gives_a_law_or_a_toolkit_error(d):
+    try:
+        law = from_dict(d)
+    except ToolkitError:
+        return
+    assert isinstance(law, (Pmf, JointPmf, Channel))
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"{\"probs\": [0.5, 0.5]", "is not UTF-8 JSON: Expecting ',' delimiter"),
+    (b"\xff\xfe{}", "is not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000, "is not UTF-8 JSON: maximum recursion depth exceeded"),
+], ids=["truncated", "not-utf8", "deep"])
+def test_load_json_names_a_file_that_is_not_json(tmp_path, data, match):
+    path = tmp_path / "law.json"
+    path.write_bytes(data)
+    with pytest.raises(DomainError, match=f"^{re.escape(str(path))} {match}"):
+        load_json(path)
+
+
 # ---------------------------------------------------------------------------
 # distribution-level properties
 
@@ -396,6 +487,32 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_raises_no_bare_toolkit_error():
+    # the CLI maps an error to its exit code by its class
+    src = Path(privexp.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ToolkitError"
+    ]
+    assert found == []
+
+
+def test_each_public_name_is_declared_by_one_module():
+    # the package star-imports each module's __all__, where a name that two
+    # modules declare would be shadowed without a word
+    modules = [privexp.errors, privexp.probcore, privexp.iproject, privexp.exponents,
+               privexp.euclid, privexp.gaussian, privexp.simkit]
+    names = [name for m in modules for name in m.__all__]
+    assert len(names) == len(set(names))
+    assert privexp.__all__ == ["__version__", *names]
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(privexp, name) is getattr(m, name)
 
 
 @pytest.mark.parametrize("total, parts", [(0, 1), (5, 1), (0, 3), (6, 2), (4, 3), (3, 5)])

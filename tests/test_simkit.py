@@ -79,6 +79,9 @@ def test_fixed_codebook_mode_is_deterministic(dsbs01):
 
 Q_NON_PRODUCT = [[0.2, 0.3], [0.25, 0.25]]
 P_XY3 = np.array([[0.30, 0.15, 0.05], [0.05, 0.15, 0.30]])
+Q3 = [[0.2, 0.2, 0.1], [0.1, 0.2, 0.2]]
+MECH3 = [[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]]  # X to three sanitized symbols
+QUANT3 = [[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]]
 
 
 def test_ensemble_streams_are_frozen(dsbs01):
@@ -98,12 +101,17 @@ def test_ensemble_streams_are_frozen(dsbs01):
     }
 
 
-@pytest.mark.parametrize("case", ["memoryless", "general", "ternary-y", "fixed", "log-space"])
+@pytest.mark.parametrize("case", ["memoryless", "general", "ternary-y", "fixed", "log-space",
+                                  "ternary-xhat", "ternary-xhat-general"])
 def test_reports_do_not_depend_on_the_pass_size(case, dsbs01, monkeypatch):
     # a pass of one batch is the batch-at-a-time run; every batch draws
-    # from its own stream, so grouping batches into passes changes nothing
+    # from its own stream, so grouping batches into passes changes nothing.
+    # A mechanism with three outputs gives class-size keys of three parts,
+    # which the encoder renumbers between parts.
     q = JointPmf(np.array(Q_NON_PRODUCT), ("X", "Y"))
     mech = Channel(MECH)
+    p3, q3 = (JointPmf(np.array(a), ("X", "Y")) for a in (P_XY3, Q3))
+    three = dict(n=12, trials=3000, seed=1, mechanism=Channel(MECH3), quantizer=Channel(QUANT3))
     runs = {
         "memoryless": lambda: run_memoryless_scheme(memoryless_cfg(n=24), dsbs01),
         "general": lambda: run_general_scheme(
@@ -117,6 +125,9 @@ def test_reports_do_not_depend_on_the_pass_size(case, dsbs01, monkeypatch):
         "log-space": lambda: run_memoryless_scheme(
             memoryless_cfg(n=60, rate=0.9, mu=0.35, trials=2000,
                            mechanism=BSC_HALF_BIT, quantizer=BSC_HALF_BIT), dsbs01),
+        "ternary-xhat": lambda: run_memoryless_scheme(memoryless_cfg(**three), p3),
+        "ternary-xhat-general": lambda: run_general_scheme(
+            memoryless_cfg(scheme_kind="general", **three), p3, q3),
     }
     reports = []
     for cells in (1, simkit.PASS_CELLS, 2**22):
