@@ -3,10 +3,12 @@
 Subcommands map one-to-one onto the library surface: ``exponent`` for single
 queries, ``sweep`` and ``approx`` and ``gaussian`` for CSV curves, ``simulate``
 for Monte Carlo runs, ``selftest`` for a deterministic end-to-end battery.
-Every file output gets a sibling ``<name>.manifest.json`` recording the
-resolved configuration, toolkit version, seed, and wall-clock duration, so a
-run can be reproduced from its artifacts alone. Exit codes: 0 success, 2
-configuration problems, 3 solver infeasibility, 4 size-cap refusals.
+Each command returns its result, a dict for JSON or a CSV header and rows,
+and ``main`` alone writes it: to stdout, or to ``--out`` with a sibling
+``<name>.manifest.json`` (none for ``selftest``) recording the resolved
+configuration, toolkit version, seed, and wall-clock duration, so a run can be
+reproduced from its artifacts alone. Exit codes: 0 success, 2 configuration
+problems, 3 solver infeasibility, 4 size-cap refusals.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, Infeasible, SizeOverflow, TooLarge, ToolkitError
+from .errors import DomainError, Infeasible, TooLarge, ToolkitError
 from .euclid import binary_euclid_approx, euclid_tai_approx
 from .exponents import (
     THM1_SEARCH,
@@ -44,10 +46,9 @@ CONFIG_EXIT = 2
 INFEASIBLE_EXIT = 3
 SIZE_EXIT = 4
 
-_CONFIG_KEYS = frozenset({
-    "p_xy", "q_xy", "mechanism", "quantizer", "rate", "n", "mu", "seed", "trials",
-    "hypothesis", "scheme", "mu_prime", "fixed_codebook",
-})
+# a simulation config holds the laws and the SchemeConfig fields, the kind as "scheme"
+_CONFIG_KEYS = frozenset(
+    {"p_xy", "q_xy", "scheme"} | {f.name for f in fields(SchemeConfig)} - {"scheme_kind"})
 
 
 def _parse_values(spec: str) -> list[float]:
@@ -85,33 +86,20 @@ def _load_joint(path: str) -> JointPmf:
     return obj
 
 
-def _write_json(payload: dict, out: str | None) -> list[str]:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return []
-    with open(out, "w") as fh:
-        fh.write(text)
-    return [out]
-
-
-def _write_csv(header: list[str], rows: list[tuple], out: str | None) -> list[str]:
-    rows = sorted(rows, key=lambda r: r[: len(header) - 1])
-    target = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(target)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    finally:
-        if out:
-            target.close()
-    return [out] if out else []
-
-
-def _emit_manifest(args: argparse.Namespace, outputs: list[str], started: float) -> None:
-    if not outputs:
+def _write(result: dict | tuple[list[str], list[tuple]], fh) -> None:
+    """A command's result to ``fh``: a dict as JSON, or a (header, rows) pair
+    as CSV with the rows sorted on every column but the last."""
+    if isinstance(result, dict):
+        fh.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
         return
+    header, rows = result
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in sorted(rows, key=lambda r: r[: len(header) - 1]):
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def _emit_manifest(args: argparse.Namespace, started: float) -> None:
     resolved = {
         k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
     }
@@ -120,11 +108,10 @@ def _emit_manifest(args: argparse.Namespace, outputs: list[str], started: float)
         "config": resolved,
         "version": __version__,
         "seed": getattr(args, "seed", None),
-        "outputs": outputs,
+        "outputs": [args.out],
         "duration_s": round(time.monotonic() - started, 3),
     }
-    path = outputs[0] + ".manifest.json"
-    with open(path, "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -200,15 +187,14 @@ def _search_config(args) -> SearchConfig:
                    **{k: v for k, v in given.items() if v is not None})
 
 
-def _cmd_exponent(args) -> tuple[dict, list[str]]:
+def _cmd_exponent(args) -> dict:
     method, values = _method_inputs(args)
     res = method.call(*values.values())
     body = {"theta_bits": res} if isinstance(res, float) else res.to_dict()
-    payload = {"method": args.method, **body}
-    return payload, _write_json(payload, args.out)
+    return {"method": args.method, **body}
 
 
-def _cmd_sweep(args) -> tuple[dict, list[str]]:
+def _cmd_sweep(args) -> tuple[list[str], list[tuple]]:
     method, values = _method_inputs(args)
     leaks = _parse_values(args.leak)
     rows = []
@@ -216,11 +202,10 @@ def _cmd_sweep(args) -> tuple[dict, list[str]]:
         for l in leaks:
             res = method.call(*{**values, "--rate": r, "--leak": l}.values())
             rows.append((r, l, res if isinstance(res, float) else res.theta))
-    outputs = _write_csv(["rate", "leak", "theta_bits"], rows, args.out)
-    return {"rows": len(rows)}, outputs
+    return ["rate", "leak", "theta_bits"], rows
 
 
-def _cmd_approx(args) -> tuple[dict, list[str]]:
+def _cmd_approx(args) -> tuple[list[str], list[tuple]]:
     points = _parse_values(args.grid)
     rows = []
     for r in points:
@@ -228,21 +213,17 @@ def _cmd_approx(args) -> tuple[dict, list[str]]:
         approx = binary_euclid_approx(args.q, r, r)
         rel = abs(approx - exact) / exact if exact > 0 else 0.0
         rows.append((r, r, exact, approx, rel))
-    outputs = _write_csv(
-        ["rate", "leak", "theta_bits", "theta_approx_bits", "rel_err"], rows, args.out
-    )
-    return {"rows": len(rows)}, outputs
+    return ["rate", "leak", "theta_bits", "theta_approx_bits", "rel_err"], rows
 
 
-def _cmd_gaussian(args) -> tuple[dict, list[str]]:
+def _cmd_gaussian(args) -> tuple[list[str], list[tuple]]:
     rows = []
     for rho in _parse_values(args.rho):
         for r in _parse_values(args.rate):
             for l in _parse_values(args.leak):
                 theta = gaussian_tai_exponent(GaussianQuery(rho, r, l))
                 rows.append((rho, r, l, theta))
-    outputs = _write_csv(["rho", "rate", "leak", "theta_bits"], rows, args.out)
-    return {"rows": len(rows)}, outputs
+    return ["rho", "rate", "leak", "theta_bits"], rows
 
 
 def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
@@ -260,23 +241,19 @@ def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
     flags = ("n", "mu", "seed", "trials", "hypothesis", "scheme")  # named as their keys
     raw = {"seed": 0, "fixed_codebook": False, **raw,
            **{key: getattr(args, key) for key in flags if getattr(args, key) is not None}}
-    fields = ("n", "mu", "rate", "seed", "trials", "hypothesis", "mu_prime", "fixed_codebook")
-    cfg = SchemeConfig(**{key: raw.get(key) for key in fields}, mechanism=mechanism,
-                       quantizer=quantizer, scheme_kind=raw.get("scheme"))
+    raw.update(mechanism=mechanism, quantizer=quantizer, scheme_kind=raw.get("scheme"))
+    cfg = SchemeConfig(**{f.name: raw.get(f.name) for f in fields(SchemeConfig)})
     return cfg, p_xy, q_xy
 
 
-def _cmd_simulate(args) -> tuple[dict, list[str]]:
+def _cmd_simulate(args) -> dict:
     cfg, p_xy, q_xy = _scheme_config(args)
     if cfg.scheme_kind == "general":
-        report = run_general_scheme(cfg, p_xy, q_xy)
-    else:
-        report = run_memoryless_scheme(cfg, p_xy)
-    payload = report.to_dict()
-    return payload, _write_json(payload, args.out)
+        return run_general_scheme(cfg, p_xy, q_xy).to_dict()
+    return run_memoryless_scheme(cfg, p_xy).to_dict()
 
 
-def _cmd_selftest(args) -> tuple[dict, list[str]]:
+def _cmd_selftest(args) -> dict:
     seed = args.seed if args.seed is not None else 0
     dsbs = JointPmf(np.array([[0.45, 0.05], [0.05, 0.45]]), ("X", "Y"))
     results: dict = {"master_seed": seed, "version": __version__}
@@ -322,8 +299,7 @@ def _cmd_selftest(args) -> tuple[dict, list[str]]:
         scheme_kind="memoryless",
     )
     results["simulation"] = run_memoryless_scheme(cfg, dsbs).to_dict()
-
-    return results, _write_json(results, args.out)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +378,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        _, outputs = args.func(args)
-    except (SizeOverflow, TooLarge) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return SIZE_EXIT
-    except Infeasible as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INFEASIBLE_EXIT
+        result = args.func(args)
+        if args.out is None:
+            _write(result, sys.stdout)
+        else:
+            with open(args.out, "w", newline="") as fh:
+                _write(result, fh)
+            if args.command != "selftest":
+                _emit_manifest(args, started)
     except (ToolkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return CONFIG_EXIT
-    if args.command != "selftest":
-        _emit_manifest(args, outputs, started)
+        if isinstance(e, TooLarge):
+            return SIZE_EXIT
+        return INFEASIBLE_EXIT if isinstance(e, Infeasible) else CONFIG_EXIT
     return 0
 
 

@@ -60,7 +60,8 @@ class SupportMismatch(ToolkitError):
 
 class TooLarge(ToolkitError):
     """Problem exceeds a size cap: the exhaustive I-projection oracle's free
-    dimension, or the simulator's batch, trial or fixed-codebook cap."""
+    dimension, a channel search grid of more than 2**26 pairs, or the
+    simulator's batch, trial, fixed-codebook or table cap (``SizeOverflow``)."""
 
 
 class NonpositiveAlternative(ToolkitError):
@@ -79,8 +80,9 @@ class InfeasibleBeta(ToolkitError):
     """Requested operating point lies outside the feasible interval."""
 
 
-class SizeOverflow(ToolkitError):
-    """Requested codebook exceeds the materialization cap."""
+class SizeOverflow(TooLarge):
+    """A codebook or a joint-type table enumeration exceeds the simulator's
+    materialization cap; a ``TooLarge``, so the CLI exits 4 for it."""
 
 
 class DegenerateConfig(ToolkitError):

@@ -45,7 +45,9 @@ restriction. Grid information quantities are cached per (law, cardinality,
 step, budgets); a binary-X independence grid has about 95,000 pairs and
 builds in a fraction of a second, but a ternary-X grid takes seconds, so
 repeated queries against one instance pay only a feasibility mask and a
-sort of the feasible pairs. Infinite budgets are accepted.
+sort of the feasible pairs. Infinite budgets are accepted. A grid of more
+than 2**26 pairs, which every |X| >= 6 law needs, is refused with
+``TooLarge`` before it is built.
 """
 
 from __future__ import annotations
@@ -59,13 +61,13 @@ from itertools import product
 import numpy as np
 
 from .errors import (
-    AlphabetMismatch,
     DimensionMismatch,
     DomainError,
     Infeasible,
     InvariantViolation,
     NonpositiveAlternative,
     SupportMismatch,
+    TooLarge,
 )
 from .iproject import MarginalConstraint, _i_project_batch, i_project
 from .probcore import (
@@ -73,6 +75,7 @@ from .probcore import (
     JointPmf,
     Pmf,
     _as_joint2,
+    _as_joint_pair,
     _compositions,
     _mi_batch,
     _pair_joints,
@@ -129,6 +132,11 @@ def _refuse_bsc_restriction(cfg: SearchConfig) -> None:
 # nothing. The Theorem-1 inner I-projection makes every grid pair costly.
 _TAI_BUDGETS = (1000, 1000)
 _THM1_BUDGETS = (300, 800)
+# cap on a search grid's (mechanism, quantizer) pairs. A step cannot coarsen
+# past 1, so from |X| = 5 the grids outgrow their budgets; the cap keeps every
+# |X| <= 5 grid (Theorem 1 at |X| = 5: 3,125 x 16,807 pairs) and refuses
+# |X| >= 6 (5.5e9 pairs for the independence search) before building it.
+_MAX_GRID_PAIRS = 2**26
 # distinct grid values polished by the independence-testing search
 _TOP_K = 4
 # general-alternative search: shortlisted pairs that get the inner solver
@@ -215,8 +223,13 @@ def _fit_step(rows: int, k: int, step: float, budget: int) -> float:
     return 1.0 / m
 
 
-def _channel_grid(n_in: int, n_out: int, step: float, budget: int) -> tuple[np.ndarray, float]:
+def _lattice(n_in: int, n_out: int, step: float, budget: int) -> tuple[int, int]:
+    """The parts m of the channel grid's 1/m lattice and its candidate count."""
     m = max(1, round(1.0 / _fit_step(n_in, n_out, step, budget)))
+    return m, math.comb(m + n_out - 1, n_out - 1) ** n_in
+
+
+def _channel_grid(n_in: int, n_out: int, m: int) -> tuple[np.ndarray, float]:
     rows = _compositions(m, n_out) / m  # pmf rows on the 1/m lattice, lexicographic
     idx = list(product(range(rows.shape[0]), repeat=n_in))
     mats = rows[np.asarray(idx)]  # (N, n_in, n_out), lexicographic
@@ -251,15 +264,17 @@ class _TaiSpace:
             self.mechs, self.mech_step = _bsc_grid(cfg.grid_step, mech_budget)
             self.quants, self.quant_step = _bsc_grid(cfg.grid_step, quant_budget)
         else:
+            mech_m, n_mechs = _lattice(kx, kx, cfg.grid_step, mech_budget)
+            quant_m, n_quants = _lattice(kx, u_size, cfg.grid_step, quant_budget)
             if mechs_override is not None:
-                self.mechs, self.mech_step = mechs_override, cfg.grid_step
-            else:
-                self.mechs, self.mech_step = _channel_grid(
-                    kx, kx, cfg.grid_step, mech_budget
-                )
-            self.quants, self.quant_step = _channel_grid(
-                kx, u_size, cfg.grid_step, quant_budget
-            )
+                n_mechs = len(mechs_override)
+            if n_mechs * n_quants > _MAX_GRID_PAIRS:
+                raise TooLarge(f"the search grid for |X| = {kx} has {n_mechs * n_quants:,} "
+                               f"channel pairs, above the cap of 2**26")
+            self.mechs, self.mech_step = (
+                _channel_grid(kx, kx, mech_m) if mechs_override is None
+                else (mechs_override, cfg.grid_step))
+            self.quants, self.quant_step = _channel_grid(kx, u_size, quant_m)
         nm = self.mechs.shape[0]
         nq = self.quants.shape[0]
         self.i_xxh = np.empty(nm)
@@ -687,10 +702,7 @@ def zero_rate_exponent(p_xy: JointPmf, q_xy: JointPmf) -> ExponentResult:
 
     Requires the alternative to be entrywise positive.
     """
-    p = _as_joint2(p_xy)
-    q = _as_joint2(q_xy)
-    if p.shape != q.shape:
-        raise AlphabetMismatch(f"joint shapes differ: {p.shape} vs {q.shape}")
+    p, q = _as_joint_pair(p_xy, q_xy)
     if np.any(q <= 0):
         raise NonpositiveAlternative("alternative law must be entrywise positive")
     res = i_project(
@@ -892,10 +904,7 @@ def theorem1_lower_bound(
     cfg = cfg or THM1_SEARCH
     check_budgets(rate, leak)
     _refuse_bsc_restriction(cfg)
-    p = _as_joint2(p_xy)
-    q = _as_joint2(q_xy)
-    if p.shape != q.shape:
-        raise AlphabetMismatch(f"joint shapes differ: {p.shape} vs {q.shape}")
+    p, _ = _as_joint_pair(p_xy, q_xy)
     kx, ky = p.shape
     u_size = kx + 2
     override = None

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import (
+    AlphabetMismatch,
     DimensionMismatch,
     DomainError,
     InvalidDistribution,
@@ -484,6 +485,14 @@ def _as_joint2(law) -> np.ndarray:
         got = f"shape {law.shape}" if isinstance(law, JointPmf) else type(law).__name__
         raise DimensionMismatch(f"expected a two-axis joint law, got {got}")
     return law.probs
+
+
+def _as_joint_pair(p_xy, q_xy) -> tuple[np.ndarray, np.ndarray]:
+    """The probabilities of a null and an alternative two-axis law of one shape."""
+    p, q = _as_joint2(p_xy), _as_joint2(q_xy)
+    if p.shape != q.shape:
+        raise AlphabetMismatch(f"joint shapes differ: {p.shape} vs {q.shape}")
+    return p, q
 
 
 def chain_joint(p_xy: JointPmf, mechanism: Channel, quantizer: Channel) -> JointPmf:

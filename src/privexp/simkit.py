@@ -70,7 +70,8 @@ from .errors import (
     SizeOverflow,
     TooLarge,
 )
-from .probcore import Channel, JointPmf, Pmf, _as_joint2, _compositions, _in_ball, _pair_joints
+from .probcore import (Channel, JointPmf, Pmf, _as_joint2, _as_joint_pair, _compositions,
+                       _in_ball, _pair_joints)
 from .probcore import _mi_bits, _symbols  # plug-in estimates share the exact MI kernel
 
 __all__ = [
@@ -362,7 +363,7 @@ class _Runner:
 
     def __init__(self, cfg: SchemeConfig, p_xy: JointPmf, q_xy: JointPmf | None):
         self.cfg = cfg
-        p = _as_joint2(p_xy)
+        p, q = (_as_joint2(p_xy), None) if q_xy is None else _as_joint_pair(p_xy, q_xy)
         self.kx, self.ky = p.shape
         mech = cfg.mechanism.matrix
         quant = cfg.quantizer.matrix
@@ -372,12 +373,7 @@ class _Runner:
         self.ku = quant.shape[1]
         self.p_x = p.sum(axis=1)
         self.p_xy = p
-        if q_xy is None:
-            self.q_xy = np.outer(self.p_x, p.sum(axis=0))
-        else:
-            self.q_xy = _as_joint2(q_xy)
-            if self.q_xy.shape != p.shape:
-                raise DomainError("alternative law shape does not match the null")
+        self.q_xy = np.outer(self.p_x, p.sum(axis=0)) if q_xy is None else q
         # design-time targets, always built from the null law
         _, self.target_ua, self.p_uy = _pair_joints(p, mech, quant)  # (U, A), (U, Y)
         self.p_u = self.target_ua.sum(axis=1)

@@ -1,5 +1,6 @@
 """Command-line surface: payloads, manifests, exit codes, reproducibility."""
 
+import ast
 import csv
 import json
 import os
@@ -16,6 +17,7 @@ from privexp import (
     Channel,
     Infeasible,
     JointPmf,
+    Pmf,
     SchemeConfig,
     SearchConfig,
     binary_tai_exponent,
@@ -285,6 +287,33 @@ def test_missing_method_argument_is_a_config_error():
     # binary method without --q
     assert cli.main(["exponent", "--method", "binary",
                      "--rate", "1", "--leak", "1"]) == 2
+
+
+@pytest.mark.parametrize("law, argv, match", [
+    (Pmf(np.array([0.5, 0.5])), ["--method", "zero-rate", "--alt", "{alt}"],
+     "{null} does not hold a joint law"),
+    (JointPmf(np.full((3, 2), 1 / 6), ("X", "Y")),
+     ["--method", "tai", "--rate", "0.5", "--leak", "0.5", "--restrict-bsc"],
+     "BSC restriction needs binary alphabets"),
+], ids=["null-is-a-pmf", "restrict-bsc-ternary"])
+def test_a_null_law_that_does_not_fit_is_a_config_error(law, argv, match, tmp_path,
+                                                        alt_law_path, capsys):
+    null = tmp_path / "law.json"
+    dump_json(law, null)
+    argv = [a.replace("{alt}", alt_law_path) for a in argv]
+    assert cli.main(["exponent", "--null", str(null), *argv]) == cli.CONFIG_EXIT
+    assert capsys.readouterr().err.startswith(f"error: {match.replace('{null}', str(null))}")
+
+
+def test_a_search_grid_above_the_cap_exits_four(tmp_path, capsys):
+    # a 6x2 law once ended in a MemoryError traceback and exit 1
+    null = tmp_path / "six.json"
+    dump_json(JointPmf(np.full((6, 2), 1 / 12), ("X", "Y")), null)
+    assert cli.main(["exponent", "--method", "tai", "--null", str(null),
+                     "--rate", "0.5", "--leak", "0.5"]) == cli.SIZE_EXIT
+    assert capsys.readouterr().err == (
+        "error: the search grid for |X| = 6 has 5,489,031,744 channel pairs, "
+        "above the cap of 2**26\n")
 
 
 @pytest.mark.parametrize("command", ["exponent", "sweep"])
@@ -742,3 +771,34 @@ def test_version_flag():
     )
     assert proc.returncode == 0
     assert proc.stdout.decode().strip() == "0.1.0"
+
+
+def _cli_calls() -> dict[str, set[str]]:
+    """Each function of the cli module: the names it calls, and "sys.stdout"
+    where it touches that."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    calls = {}
+    for fn in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        names = calls.setdefault(fn.name, set())
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and (node.value.id, node.attr) == ("sys", "stdout")):
+                names.add("sys.stdout")
+    return calls
+
+
+def test_commands_return_their_results_and_main_writes_them():
+    calls = _cli_calls()
+
+    def writes(name, seen=frozenset()):
+        # the function, or one of the module's functions it calls, writes output
+        own = calls[name]
+        return bool(own & {"open", "print", "sys.stdout"}) or any(
+            writes(c, seen | {name}) for c in own if c in calls and c not in seen)
+
+    commands = [name for name in calls if name.startswith("_cmd_")]
+    assert len(commands) == 6
+    assert [name for name in commands if writes(name)] == []
+    assert [name for name, own in calls.items() if "_write" in own] == ["main"]

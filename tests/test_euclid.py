@@ -169,3 +169,8 @@ def test_zero_budget_short_circuits():
     assert np.allclose(res.perturbations.k_xhat, 0.0)
     with pytest.raises(DomainError):
         euclid_tai_approx(dsbs(0.1), -0.01, 0.01)
+
+
+def test_chi2_approximation_refuses_shapes_that_differ():
+    with pytest.raises(DimensionMismatch, match=r"^shape mismatch: \(2,\) vs \(3,\)$"):
+        chi2_divergence_approx(np.full(2, 0.5), np.full(3, 1 / 3))

@@ -20,6 +20,7 @@ from privexp import (
     JointPmf,
     NonpositiveAlternative,
     SearchConfig,
+    TooLarge,
     binary_entropy,
     binary_tai_exponent,
     chain_joint,
@@ -38,8 +39,10 @@ from privexp.exponents import (
     _THM1_BUDGETS,
     _ChannelPair,
     _fit_step,
+    _MAX_GRID_PAIRS,
     _InnerPair,
     _TaiSpace,
+    _lattice,
     _space_for,
 )
 from privexp.probcore import _mi_batch, _pair_joints
@@ -497,6 +500,34 @@ def test_a_tiny_grid_step_fits_at_once():
     assert time.perf_counter() - start < 0.5
 
 
+def _grid_pairs(kx, u_size, budgets, step):
+    return _lattice(kx, kx, step, budgets[0])[1] * _lattice(kx, u_size, step, budgets[1])[1]
+
+
+def test_the_grid_cap_keeps_every_grid_up_to_five_source_symbols():
+    # a step cannot coarsen past 1, so from |X| = 5 the grids outgrow their budgets
+    assert _grid_pairs(5, 6, _TAI_BUDGETS, 0.1) == 3125 * 7776
+    assert _grid_pairs(5, 7, _THM1_BUDGETS, 1 / 8) == 3125 * 16807
+    for kx in (2, 3, 4, 5):
+        assert _grid_pairs(kx, kx + 1, _TAI_BUDGETS, 0.1) <= _MAX_GRID_PAIRS
+        assert _grid_pairs(kx, kx + 2, _THM1_BUDGETS, 1 / 8) <= _MAX_GRID_PAIRS
+    assert _grid_pairs(6, 7, _TAI_BUDGETS, 0.1) == 46656 * 117649 > _MAX_GRID_PAIRS
+
+
+@pytest.mark.parametrize("kx", [6, 8])
+@pytest.mark.parametrize("search", ["tai", "thm1"])
+def test_a_grid_above_the_cap_is_refused_before_it_is_built(kx, search):
+    # a 6x2 law once ended in a MemoryError for a 40.9 GiB grid array
+    p = JointPmf(np.full((kx, 2), 1.0 / (2 * kx)), ("X", "Y"))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=rf"^the search grid for \|X\| = {kx} has [\d,]+ channel pairs"):
+        if search == "tai":
+            tai_exponent(p, 0.5, 0.5)
+        else:
+            theorem1_lower_bound(p, p, 0.5, 0.5)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_search_input_validation():
     with pytest.raises(DomainError):
         tai_exponent(dsbs(0.1), -1.0, 0.5)
@@ -810,6 +841,18 @@ def test_fixed_mechanism_must_be_a_channel(mech, match, product_uniform):
     with pytest.raises(InvalidDistribution, match=match):
         theorem1_lower_bound(dsbs(0.1), product_uniform, 0.5, 0.5,
                              fixed_mechanism=np.array(mech))
+
+
+@pytest.mark.parametrize("search, match", [
+    (lambda p: tai_exponent(JointPmf(np.full((3, 2), 1 / 6), ("X", "Y")), 0.5, 0.5,
+                            SearchConfig(restrict_bsc=True)),
+     "BSC restriction needs binary alphabets"),
+    (lambda p: theorem1_lower_bound(dsbs(0.1), p, 0.5, 0.5, fixed_mechanism=np.eye(3)),
+     "fixed mechanism shape mismatch"),
+], ids=["bsc-ternary", "fixed-mechanism-3x3"])
+def test_searches_refuse_alphabets_that_do_not_fit(search, match, product_uniform):
+    with pytest.raises(DimensionMismatch, match=f"^{match}$"):
+        search(product_uniform)
 
 
 def test_lower_bound_validation(product_uniform):

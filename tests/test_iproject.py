@@ -381,3 +381,20 @@ def test_batch_targets_must_stack_one_per_member():
     refs = np.stack([REF, REF, REF])
     with pytest.raises(DimensionMismatch, match="targets of shape"):
         _i_project_batch(refs, ("X", "Y"), (), [(("X",), np.full((2, 2), 0.5))])
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: MarginalConstraint(("X",), np.full((2, 2), 0.25)),
+     "target rank 2 does not match 1 axes"),
+    (lambda: i_project(joint(REF), [MarginalConstraint(("Z",), np.full(2, 0.5))]),
+     "no axis named 'Z'"),
+    (lambda: i_project(joint(REF), [MarginalConstraint(("X", "X"), np.full((2, 2), 0.25))]),
+     r"constraint repeats an axis: \('X', 'X'\)"),
+    (lambda: i_project(joint(REF), [MarginalConstraint(("X",), np.full(3, 1 / 3))]),
+     r"constraint on \('X',\): target shape \(3,\) does not match reference axes \(2,\)"),
+    (lambda: _i_project_batch(REF, ("X", "Y"), (), []),
+     r"a batch of references needs >= 3 axes, got \(2, 2\)"),
+], ids=["target-rank", "unknown-axis", "repeated-axis", "target-shape", "batch-rank"])
+def test_malformed_constraints_are_refused(build, match):
+    with pytest.raises(DimensionMismatch, match=f"^{match}"):
+        build()

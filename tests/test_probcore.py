@@ -521,3 +521,40 @@ def test_compositions_are_every_type_in_lexicographic_order(total, parts):
     got = privexp.probcore._compositions(total, parts)
     assert got.dtype == np.int64
     assert got.tolist() == [list(r) for r in expected]
+
+
+_DSBS = JointPmf(np.array([[0.45, 0.05], [0.05, 0.45]]), ("X", "Y"))
+_HALF_ROWS = Channel(np.full((3, 2), 0.5))  # a channel with three inputs
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: Pmf(np.full((2, 2), 0.25)), DimensionMismatch,
+     r"Pmf expects a vector, got shape \(2, 2\)"),
+    (lambda: Pmf(np.array([0.5, 0.5]), ("a",)), LengthMismatch,
+     "alphabet has 1 labels for 2 probabilities"),
+    (lambda: JointPmf(np.full((2, 2), 0.25), ("X",)), DimensionMismatch,
+     "1 axis names for a rank-2 tensor"),
+    (lambda: JointPmf(np.full((2, 2), 0.25), ("X", "Y"), (("a",), ("b", "c"))),
+     LengthMismatch, "alphabets do not match tensor shape"),
+    (lambda: _DSBS.axis_index("Z"), DimensionMismatch, "no axis named 'Z'"),
+    (lambda: Channel(np.array([0.5, 0.5])), DimensionMismatch,
+     r"Channel expects a matrix, got shape \(2,\)"),
+    (lambda: Channel(np.eye(2), ("a",)), LengthMismatch,
+     "channel alphabets do not match matrix shape"),
+    (lambda: Pmf.normalized([-1, 2]), InvalidDistribution,
+     "weights must be finite and nonnegative"),
+    (lambda: empirical_type(), LengthMismatch, "need at least one sequence"),
+    (lambda: empirical_type([0, 1], [1, 0], alphabet_sizes=[2]), LengthMismatch,
+     "one alphabet size per sequence required"),
+    (lambda: total_variation(np.full(2, 0.5), np.full(3, 1 / 3)), DimensionMismatch,
+     r"shape mismatch \(2,\) vs \(3,\)"),
+    (lambda: chain_joint(_DSBS, _HALF_ROWS, Channel.identity(2)), DimensionMismatch,
+     "mechanism input alphabet does not match X"),
+    (lambda: chain_joint(_DSBS, Channel.identity(2), _HALF_ROWS), DimensionMismatch,
+     "quantizer input alphabet does not match Xh"),
+], ids=["pmf-matrix", "pmf-alphabet", "joint-axes", "joint-alphabets", "axis-index",
+        "channel-vector", "channel-alphabets", "normalized-negative", "type-no-sequence",
+        "type-sizes", "tv-shapes", "chain-mechanism", "chain-quantizer"])
+def test_malformed_input_is_refused(build, error, match):
+    with pytest.raises(error, match=f"^{match}"):
+        build()

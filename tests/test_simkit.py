@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from privexp import (
+    AlphabetMismatch,
     Channel,
     DegenerateConfig,
     DimensionMismatch,
@@ -674,6 +675,32 @@ def test_runs_refuse_a_law_that_is_not_two_axis(law, got, dsbs01):
         run_general_scheme(general, law, dsbs01)
     with pytest.raises(DimensionMismatch, match=match):
         run_general_scheme(general, dsbs01, law)
+
+
+THREE_OUTPUTS = Channel(np.full((2, 3), 1 / 3))
+
+
+@pytest.mark.parametrize("run, error, match", [
+    (lambda p: run_memoryless_scheme(memoryless_cfg(mechanism=Channel(np.full((3, 2), 0.5))), p),
+     DomainError, "mechanism input does not match the source alphabet"),
+    (lambda p: run_general_scheme(memoryless_cfg(scheme_kind="general"), p,
+                                  JointPmf(np.full((2, 3), 1 / 6), ("X", "Y"))),
+     AlphabetMismatch, r"joint shapes differ: \(2, 2\) vs \(2, 3\)"),
+    (lambda p: generate_codebook(Pmf.uniform(2), 0, 1.0, 1),
+     DomainError, "blocklength must be at least 1"),
+    (lambda p: run_memoryless_scheme(
+        memoryless_cfg(n=60, rate=0.5, mechanism=THREE_OUTPUTS,
+                       quantizer=Channel(np.full((3, 3), 1 / 3))), p),
+     SizeOverflow, "joint-type enumeration needs more than 2000000 tables"),
+], ids=["mechanism-inputs", "alternative-shape", "codebook-n0", "table-budget"])
+def test_runs_refuse_inputs_that_do_not_fit(run, error, match, dsbs01):
+    with pytest.raises(error, match=f"^{match}"):
+        run(dsbs01)
+
+
+def test_a_size_overflow_is_a_size_cap_refusal():
+    # the CLI maps every TooLarge to exit 4
+    assert issubclass(SizeOverflow, TooLarge)
 
 
 CONFIG_FIELDS = ["n", "mu", "rate", "seed", "trials", "hypothesis", "mechanism", "quantizer",
