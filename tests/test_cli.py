@@ -543,6 +543,15 @@ def test_integer_mu_is_accepted_as_a_number(tmp_path, sim_config_path):
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
+def test_bsc_search_at_grid_step_one_finds_the_closed_form(null_law_path, capsys):
+    # its crossovers were once {0} alone: no pair met the budgets, exit 3
+    assert cli.main(["exponent", "--method", "tai", "--null", null_law_path, "--rate", "0.5",
+                     "--leak", "0.5", "--restrict-bsc", "--grid-step", "1.0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["theta_bits"] == pytest.approx(binary_tai_exponent(0.1, 0.5, 0.5), abs=1e-9)
+    assert payload["grid_step"] == 0.25
+
+
 @pytest.mark.parametrize("step", ["0", "-1", "nan", "5e-324"])
 def test_bad_grid_step_is_a_config_error(step, null_law_path, capsys):
     code = cli.main(["exponent", "--method", "tai", "--null", null_law_path,

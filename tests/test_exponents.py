@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from privexp import (
     DomainError,
     Infeasible,
     InvalidDistribution,
+    InvariantViolation,
     JointPmf,
     NonpositiveAlternative,
     SearchConfig,
@@ -42,6 +44,7 @@ from privexp.exponents import (
     _MAX_GRID_PAIRS,
     _InnerPair,
     _TaiSpace,
+    _bsc_grid,
     _lattice,
     _space_for,
 )
@@ -251,6 +254,32 @@ def test_bsc_restricted_search_recovers_closed_form():
         assert got == pytest.approx(binary_tai_exponent(0.1, r, l), abs=1e-9)
 
 
+@pytest.mark.parametrize("step", [1e-300, 1e-4, 0.02, 0.1, 0.3, 0.4, 0.7, 1.0])
+def test_bsc_crossovers_split_the_half_interval(step):
+    mats, lattice = _bsc_grid(step, _TAI_BUDGETS[0])
+    a = mats[:, 0, 1]
+    assert a[0] == 0.0 and a[-1] == 0.5 and np.all(np.diff(a) > 0)
+    assert np.allclose(np.diff(a), lattice, rtol=0.0, atol=1e-15)
+    assert 3 <= len(a) <= _TAI_BUDGETS[0]
+    assert np.array_equal(mats[:, 1, 0], a) and np.array_equal(mats[:, 0, 0], 1 - a)
+
+
+@pytest.mark.parametrize("step", [0.01, 0.02, 0.05, 0.1, 1 / 8, 1 / 4])
+def test_bsc_crossovers_at_a_step_that_divides_one_half_are_its_multiples(step):
+    a = _bsc_grid(step, _TAI_BUDGETS[0])[0][:, 0, 1]
+    assert np.array_equal(a, np.arange(round(0.5 / step) + 1) * step)
+
+
+@pytest.mark.parametrize("step", [0.3, 0.7, 1.0])
+def test_bsc_search_at_a_coarse_step_recovers_closed_form(step):
+    # crossovers once ran past 1/2: {0, 0.7} at 0.7 gave 0.0119, and {0}
+    # alone at 1.0 left no pair within the budgets
+    cfg = SearchConfig(grid_step=step, restrict_bsc=True)
+    res = tai_exponent(dsbs(0.1), 0.5, 0.5, cfg)
+    assert res.theta == pytest.approx(binary_tai_exponent(0.1, 0.5, 0.5), abs=1e-9)
+    assert res.grid_step == 0.25
+
+
 def test_search_monotone_in_budgets():
     lo = tai_exponent(dsbs(0.1), 0.25, 0.25).theta
     mid = tai_exponent(dsbs(0.1), 0.5, 0.5).theta
@@ -291,6 +320,59 @@ def test_grid_cache_keeps_the_newest_grids(monkeypatch):
     assert len(exponents._SPACE_CACHE) == cap
     assert _space_for(laws[2], 2, cfg, _TAI_BUDGETS) is spaces[2]
     assert _space_for(laws[1], 2, cfg, _TAI_BUDGETS) is not spaces[1]
+
+
+GRID_ARRAYS = ("mechs", "quants", "i_xxh", "i_uxh", "i_uy")
+
+
+@pytest.mark.parametrize("shape, u_size, cfg, budgets", [
+    ((2, 3), 3, SearchConfig(), _TAI_BUDGETS),
+    ((3, 2), 5, THM1_SEARCH, _THM1_BUDGETS),
+], ids=["tai-2x3", "thm1-3x2"])
+def test_grid_arrays_do_not_depend_on_the_block_size(monkeypatch, shape, u_size, cfg, budgets):
+    p = np.random.default_rng(5).dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+    default = _TaiSpace(p, u_size, cfg, budgets)
+    monkeypatch.setattr(exponents, "_BLOCK_CELLS", 1)  # one mechanism per block
+    single = _TaiSpace(p, u_size, cfg, budgets)
+    for name in GRID_ARRAYS:
+        assert getattr(single, name).tobytes() == getattr(default, name).tobytes(), name
+
+
+def test_the_grid_build_keeps_its_temporaries_small():
+    # the 1000 x 1000 ternary grid keeps 15.4 MiB; built in blocks of 10^6
+    # pairs, its temporaries once peaked at 447 MiB
+    tracemalloc.start()
+    try:
+        space = _TaiSpace(np.array(TERNARY), 4, SearchConfig(), _TAI_BUDGETS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(space, name).nbytes for name in GRID_ARRAYS)
+    assert space.i_uy.size == 10**6
+    assert peak <= 2 * kept
+
+
+def test_a_fault_in_the_last_block_still_fails_the_grid(monkeypatch):
+    p = np.asarray(dsbs(0.1).probs)
+    real = exponents._pair_joints
+    blocks = []
+    fault_at = [0]
+
+    def joints(p_xy, mech, quant):
+        blocks.append(len(mech))
+        j_xxh, j_uxh, j_uy = real(p_xy, mech, quant)
+        if len(blocks) == fault_at[0]:  # U = Y on the last pair: 1 bit > I(X;Y)
+            j_uy = j_uy.copy()
+            j_uy[-1, -1] = [[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]]
+        return j_xxh, j_uxh, j_uy
+
+    monkeypatch.setattr(exponents, "_pair_joints", joints)
+    _TaiSpace(p, 3, SearchConfig(), _TAI_BUDGETS)
+    assert len(blocks) > 1 and sum(blocks) == 121
+    fault_at[0], blocks[:] = len(blocks), []
+    with pytest.raises(InvariantViolation, match="^data-processing violation in grid$"):
+        _TaiSpace(p, 3, SearchConfig(), _TAI_BUDGETS)
+    assert sum(blocks) == 121
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -473,7 +555,7 @@ def coarsening_loop(rows, k, step, budget):
         return math.comb(max(1, round(1.0 / s)) + k - 1, k - 1)
 
     s = step
-    while row_count(s) ** rows > budget and s < 0.51:
+    while row_count(s) ** rows > budget and round(1.0 / s) > 1:  # stop at one part
         s = 1.0 / (round(1.0 / s) - 1)
     return s
 
@@ -486,6 +568,15 @@ def test_fit_step_matches_the_coarsening_loop(rows, k, budget):
     steps = [*np.geomspace(1e-4, 1.0, 120), 0.5, 0.505, 0.51, 0.6, 1 / 3, 1 / 7, 0.1, 1 / 8]
     for step in steps:
         assert _fit_step(rows, k, float(step), budget) == coarsening_loop(rows, k, float(step), budget)
+
+
+def test_a_step_with_two_parts_is_coarsened_like_any_other():
+    # round(1/step) is 2 up to a step of 2/3; from 0.51 such a step was once
+    # kept, and at |X| = 4 asked for 10,000 x 50,625 pairs instead of 256 x 625
+    for k_out in (4, 5):
+        assert _lattice(4, k_out, 0.55, 1000) == _lattice(4, k_out, 0.5, 1000)
+    assert _lattice(4, 4, 0.5, 1000) == (1, 256)
+    assert _lattice(4, 5, 0.5, 1000) == (1, 625)
 
 
 def test_a_tiny_grid_step_fits_at_once():
