@@ -21,33 +21,40 @@ ridge. Both searches see a channel pair through ``_ChannelPair``, which
 owns its free-parameter layout, its SLSQP bounds and its objective
 (``_InnerPair`` for Theorem 1); its parameter map clips at zero and
 renormalizes each row, so a step past a simplex face still scores a valid
-channel pair. A pair remembers its last point by the bytes of its
-parameters and evaluates a new one once, with the grid's joint and MI
-kernels, so an SLSQP iterate costs one evaluation and at most one gradient
-and the polish scores a grid pair with the grid's bits. SLSQP gets its
-constraints as its own inequality dicts, the row-sum matrix cached per
-shape. Both searches take their grid pairs from one ranking,
-``_TaiSpace.ranked``: the pairs within both budgets, best I(U;Y) first,
-ties in index order, so the grid stage is deterministic and ties break
-toward the lexicographically smallest parameter vector.
+channel pair. A pair evaluates a batch of points at once, with the grid's
+joint and MI kernels, and a point gets the same bits in a batch of any
+size, so the polish scores a grid pair with the grid's bits.
+``minimize`` (from ``lockstep``) runs SLSQP from a batch of starts in
+lockstep: it drives scipy's reverse-communication SLSQP kernel one member
+at a time, with the set-up ``scipy.optimize.minimize(method="SLSQP")``
+makes, and each round evaluates every member that asked for values in one
+batch and every member that asked for gradients in another, so each
+member ends with the bits its own scipy polish gives. Both searches take
+their grid pairs from one ranking, ``_TaiSpace.ranked``: the pairs within
+both budgets, best I(U;Y) first, ties in index order, so the grid stage
+is deterministic and ties break toward the lexicographically smallest
+parameter vector.
 ``tai_exponent`` polishes the distinct leading values of that ranking with
 the exact gradients of I(U;Y), I(U;Xh) and I(X;Xh), each seed from three
-start depths. ``theorem1_lower_bound``, whose inner value is an
+start depths, all twelve polishes in one ``minimize`` call, and ranks only
+the prefix it reads. ``theorem1_lower_bound``, whose inner value is an
 I-projection, scores a shortlist of the ranking in one batched
 iterative-scaling call (``_InnerPair.project_many``, the same values as one
 projection per pair) and polishes the best pair twice, the quantizer alone
-and then both channels. Its gradient is exact too: by the envelope theorem
-it comes from the duals of the same projection (``_thm1_gradient``), so an
-SLSQP iterate costs one projection.
+and then both channels, each a ``minimize`` call on a batch of one. Its
+gradient is exact too: by the envelope theorem it comes from the duals of
+the same projection (``_thm1_gradient``), so an SLSQP iterate costs one
+projection.
 Alphabet sizes, grid budgets, the seed count and the shortlist are fixed
 per method; a ``SearchConfig`` sets only the grid step and the BSC
 restriction. Grid information quantities are cached per (law, cardinality,
 step, budgets); a binary-X independence grid has about 95,000 pairs and
 builds in a fraction of a second, but a ternary-X grid takes over a second,
 so repeated queries against one instance pay only a feasibility mask and a
-sort of the feasible pairs. A grid is built in blocks of whole mechanisms
-of about 2**16 joint cells, each checked for data processing as it is
-built, so the build's temporaries take a few megabytes: the 1000 x 1000
+sort of the feasible pairs (for ``tai_exponent``, of the prefix it reads).
+A grid is built in blocks of whole mechanisms of about 2**16 joint cells,
+each checked for data processing as it is built, so the build's
+temporaries take a few megabytes: the 1000 x 1000
 ternary grid keeps 15.4 MiB and peaks at 17.8 MiB under ``tracemalloc``
 (447 MiB when built in blocks of 10**6 pairs). Infinite budgets are
 accepted. A grid of more than 2**26 pairs, which every |X| >= 6 law needs,
@@ -74,6 +81,8 @@ from .errors import (
     TooLarge,
 )
 from .iproject import MarginalConstraint, _i_project_batch, i_project
+# the searches call the module attribute, which perfbench's exponents.slsqp probe wraps
+from .lockstep import minimize
 from .probcore import (
     Channel,
     JointPmf,
@@ -310,19 +319,27 @@ class _TaiSpace:
             if not np.all(self.i_uy[lo:hi] <= cap + 1e-8):
                 raise InvariantViolation("data-processing violation in grid")
 
-    def ranked(self, rate: float, leak: float) -> np.ndarray:
+    def ranked(self, rate: float, leak: float, limit: int | None = None) -> np.ndarray:
         """Flat indices of the pairs within both budgets, best I(U;Y) first.
 
         The sort is stable, so ties keep index order and the lexicographically
-        smallest pair leads. Never empty: with no pair within the budgets it
-        raises ``Infeasible``.
+        smallest pair leads. With ``limit`` only a prefix of that order comes
+        back: the ``limit`` best pairs and every pair tied with the last of
+        them, cut by ``np.partition`` before the sort. Never empty: with no
+        pair within the budgets it raises ``Infeasible``.
         """
         feasible = np.flatnonzero(
             (self.i_xxh[:, None] <= leak + FEAS_SLACK) & (self.i_uxh <= rate + FEAS_SLACK)
         )
         if feasible.size == 0:
             raise Infeasible("no feasible channel pair on the search grid")
-        return feasible[np.argsort(-self.i_uy.reshape(-1)[feasible], kind="stable")]
+        keys = -self.i_uy.reshape(-1)[feasible]
+        if limit is not None and limit < keys.size:
+            kept = keys <= np.partition(keys, limit - 1)[limit - 1]
+            feasible, keys = feasible[kept], keys[kept]
+        order = np.argsort(keys, kind="stable")
+        del keys  # before the gather, which would otherwise hold one more grid-sized array
+        return feasible[order]
 
     def pair(self, i) -> tuple[np.ndarray, np.ndarray]:
         """(mechanism, quantizer) of the flat index ``i``, or stacked ones of an index array."""
@@ -377,12 +394,35 @@ def _mi_grad(joint: np.ndarray, floor: float = _LOG_FLOOR, r=None, c=None) -> np
 
     The exact derivative is log J(a,b) - log r(a) - log c(b) - 1 for row sums
     r and column sums c; every direction that keeps each channel row summing
-    to one moves the total mass by zero, so the -1 drops out. ``r`` (a, 1)
-    and ``c`` (1, b) are summed here unless the caller has them.
+    to one moves the total mass by zero, so the -1 drops out. ``r`` (..., a,
+    1) and ``c`` (..., 1, b) are summed here unless the caller has them.
     """
     if r is None:
-        r, c = joint.sum(axis=1, keepdims=True), joint.sum(axis=0)
+        r, c = joint.sum(axis=-1, keepdims=True), joint.sum(axis=-2, keepdims=True)
     return _log(joint, floor) - _log(r, floor) - _log(c, floor)
+
+
+class _Points:
+    """Channel pairs of one ``_ChannelPair`` evaluated as a batch, member i in row i.
+
+    ``mech`` (B, X, Xh) and ``quant`` (B, Xh, U) are the channels, ``joints``
+    their (X, Xh), (U, Xh) and (U, Y) joints from ``probcore._pair_joints``,
+    ``sums`` the (row, column) sums ``probcore._mi_batch`` divided each joint
+    by, and ``info`` (B, 3) the three MI values in bits. The pair fills
+    ``jac``, ``projections`` and ``grads`` on first use.
+    """
+
+    def __init__(self, mech, quant, joints, sums, info):
+        self.mech, self.quant, self.joints, self.sums, self.info = mech, quant, joints, sums, info
+        self.jac = self.projections = self.grads = None
+
+    def take(self, rows: np.ndarray) -> _Points:
+        """The members ``rows`` as a batch of their own."""
+        pts = _Points(self.mech[rows], self.quant[rows], tuple(j[rows] for j in self.joints),
+                      tuple((r[rows], c[rows]) for r, c in self.sums), self.info[rows])
+        if self.projections is not None:
+            pts.projections = [self.projections[i] for i in rows]
+        return pts
 
 
 class _ChannelPair:
@@ -390,23 +430,23 @@ class _ChannelPair:
 
     The free parameters are every channel row but its last entry, the
     mechanism's ``mech_params`` first, or the two crossovers of a BSC pair;
-    ``free`` builds them. ``channels`` maps them back, clipped at 0 and each
-    row divided by its sum, so a point off the simplex, such as an SLSQP
-    iterate just past a face, still maps to two channels; every row sums to
-    at least 1 before the division. ``info`` gives (I(X;Xh), I(U;Xh),
-    I(U;Y)) in bits and ``jac`` their exact gradients, one row each. The
-    polish maximizes ``value``, here I(U;Y), with gradient ``grad`` to
-    ``ftol``.
+    ``free`` builds them. ``evaluate`` maps stacked parameter vectors, one
+    per row, to a ``_Points`` batch: the channels, clipped at 0 and each row
+    divided by its sum, so a point off the simplex, such as an SLSQP iterate
+    just past a face, still maps to two channels (every row sums to at least
+    1 before the division); their joints from ``probcore._pair_joints`` and
+    (I(X;Xh), I(U;Xh), I(U;Y)) in bits from ``probcore._mi_batch``, the
+    grid's own arithmetic, so the polish scores a grid pair with the grid's
+    bits. ``jacobians`` gives the three exact gradients of a batch, one row
+    each, computed once per batch from the same joints and their row and
+    column sums. The polish maximizes ``values``, here I(U;Y), with
+    gradients ``gradients`` to ``ftol``. A member gets the same bits in a
+    batch of any size, so a single point is a batch of one: ``channels``,
+    ``info``, ``jac``, ``value`` and ``grad`` read one.
 
-    The pair remembers its last point, keyed on the bytes of the float64
-    parameters. A new point is evaluated once: its channels, their joints
-    from ``probcore._pair_joints`` and the three MI values from
-    ``probcore._mi_batch``, the grid's own arithmetic, so the polish scores
-    a grid pair with the grid's bits. ``channels``, ``info`` and ``value``
-    read that evaluation; ``jac`` and ``grad`` compute the
-    gradient on first use at the point, from the same joints and their row
-    and column sums. So the objective, the constraints and their Jacobians
-    at one SLSQP iterate cost one evaluation and at most one gradient.
+    The pair remembers its last batch, keyed on the bytes of the float64
+    parameters, so the objective, the constraints and their Jacobians at
+    one point cost one evaluation and at most one gradient.
     The gradient is that of the unclipped map, exact inside the simplex
     where the polish moves; into an unused symbol it is the one-sided
     derivative. Into a zero cell of a joint it is the log of ``log_floor``
@@ -428,7 +468,7 @@ class _ChannelPair:
         # the (x, 1) slope of I(U;Y) into an unused U symbol through the
         # mechanism, a constant of the law (see ``_gradient``)
         self._fresh_u = (p_xy * _mi_grad(p_xy, self.log_floor)).sum(axis=1, keepdims=True)
-        self._key = None
+        self._key = self._last = None
 
     def free(self, mech: np.ndarray, quant: np.ndarray) -> np.ndarray:
         if self.bsc:
@@ -451,71 +491,79 @@ class _ChannelPair:
             (d_quant[..., :-1] - d_quant[..., -1:]).reshape(*d_quant.shape[:-2], -1),
         ], axis=-1)
 
-    def feasible_set(self, skip: int) -> tuple[list, tuple | None]:
-        """SLSQP bounds of the free parameters after the first ``skip``, and
-        their ``_row_sums`` (None for a BSC pair, whose bounds suffice)."""
+    def feasible_set(self, skip: int) -> tuple[float, tuple | None]:
+        """Upper SLSQP bound of each free parameter after the first ``skip``
+        (the lower is 0), and their ``_row_sums`` (None for a BSC pair, whose
+        bounds suffice)."""
         if self.bsc:
-            return [(0.0, 0.5)] * (2 - skip), None
-        rows = _row_sums(self.kx, self.kh, self.ku, skip)
-        return [(0.0, 1.0)] * (self.n_free - skip), rows
+            return 0.5, None
+        return 1.0, _row_sums(self.kx, self.kh, self.ku, skip)
 
-    def _at(self, theta: np.ndarray) -> None:
-        t = np.asarray(theta, dtype=float)
-        key = t.tobytes()
-        if key != self._key:
-            self._key = key
-            self._evaluate(t)
-
-    def _evaluate(self, t: np.ndarray) -> None:
+    def evaluate(self, thetas: np.ndarray) -> _Points:
+        """The batch of the parameter vectors stacked in ``thetas`` (B, n_free);
+        the same bytes as the last call return the same batch."""
+        key = thetas.tobytes()
+        if key == self._key:
+            return self._last
         if self.bsc:
-            a, b = t
-            mech = np.array([[1 - a, a], [a, 1 - a]])
-            quant = np.array([[1 - b, b], [b, 1 - b]])
+            mech, quant = (np.stack([np.stack([1 - a, a], axis=-1), np.stack([a, 1 - a], axis=-1)],
+                                    axis=-2) for a in thetas.T)
         else:
-            mfree = t[:self.mech_params].reshape(self.kx, self.kh - 1)
-            qfree = t[self.mech_params:].reshape(self.kh, self.ku - 1)
-            mech = np.concatenate([mfree, 1 - mfree.sum(axis=1, keepdims=True)], axis=1)
-            quant = np.concatenate([qfree, 1 - qfree.sum(axis=1, keepdims=True)], axis=1)
+            mfree = thetas[:, :self.mech_params].reshape(-1, self.kx, self.kh - 1)
+            qfree = thetas[:, self.mech_params:].reshape(-1, self.kh, self.ku - 1)
+            mech = np.concatenate([mfree, 1 - mfree.sum(axis=-1, keepdims=True)], axis=-1)
+            quant = np.concatenate([qfree, 1 - qfree.sum(axis=-1, keepdims=True)], axis=-1)
         mech = np.clip(mech, 0.0, None)
         quant = np.clip(quant, 0.0, None)
-        self._mech = mech / mech.sum(axis=1, keepdims=True)
-        self._quant = quant / quant.sum(axis=1, keepdims=True)
-        self._joints = _pair_joints(self.p_xy, self._mech, self._quant)
-        parts = [_mi_batch(j, sums=True) for j in self._joints]
-        self._info = tuple(float(i) for i, _, _ in parts)
-        self._sums = [(r, c) for _, r, c in parts]
-        self._jac = None
+        mech = mech / mech.sum(axis=-1, keepdims=True)
+        quant = quant / quant.sum(axis=-1, keepdims=True)
+        joints = _pair_joints(self.p_xy, mech, quant)
+        parts = [_mi_batch(j, sums=True) for j in joints]
+        self._key = key
+        self._last = _Points(mech, quant, joints, tuple((r, c) for _, r, c in parts),
+                             np.stack([i for i, _, _ in parts], axis=-1))
+        return self._last
+
+    def jacobians(self, pts: _Points) -> np.ndarray:
+        """(B, 3, n_free) gradients of ``pts.info``."""
+        if pts.jac is None:
+            pts.jac = self._gradient(pts)
+        return pts.jac
+
+    def values(self, pts: _Points) -> np.ndarray:
+        return pts.info[:, 2]
+
+    def gradients(self, pts: _Points) -> np.ndarray:
+        return self.jacobians(pts)[:, 2]
+
+    def _at(self, theta: np.ndarray) -> _Points:
+        return self.evaluate(np.asarray(theta, dtype=float)[None])
 
     def channels(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        self._at(theta)
-        return self._mech, self._quant
+        pts = self._at(theta)
+        return pts.mech[0], pts.quant[0]
 
     def info(self, theta: np.ndarray) -> tuple[float, float, float]:
-        self._at(theta)
-        return self._info
+        return tuple(float(i) for i in self._at(theta).info[0])
 
     def jac(self, theta: np.ndarray) -> np.ndarray:
-        self._at(theta)
-        if self._jac is None:
-            self._jac = self._gradient()
-        return self._jac
+        return self.jacobians(self._at(theta))[0]
 
     def value(self, theta: np.ndarray) -> float:
-        self._at(theta)
-        return self._info[2]
+        return float(self.values(self._at(theta))[0])
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.jac(theta)[2]
+        return self.gradients(self._at(theta))[0]
 
-    def _gradient(self) -> np.ndarray:
-        p, p_x, mech, quant = self.p_xy, self.p_x, self._mech, self._quant
-        j_xxh, j_uxh, j_uy = self._joints
-        (r_xxh, c_xxh), (r_uxh, c_uxh), (r_uy, c_uy) = self._sums
-        p_xh = p_x @ mech
+    def _gradient(self, pts: _Points) -> np.ndarray:
+        p, p_x, mech, quant = self.p_xy, self.p_x, pts.mech, pts.quant
+        j_xxh, j_uxh, j_uy = pts.joints
+        (r_xxh, c_xxh), (r_uxh, c_uxh), (r_uy, c_uy) = pts.sums
+        p_xh = p_x @ mech  # (B, h)
         fl = self.log_floor
         g_xxh = _mi_grad(j_xxh, fl, r_xxh, c_xxh)
-        g_xhu = _mi_grad(j_uxh.T, fl, c_uxh.T, r_uxh.T)
-        h = p @ _mi_grad(j_uy, fl, r_uy, c_uy).T  # (x, u)
+        g_xhu = _mi_grad(j_uxh.mT, fl, c_uxh.mT, r_uxh.mT)
+        h = p @ _mi_grad(j_uy, fl, r_uy, c_uy).mT  # (B, x, u)
         # A row of a joint with no mass (an unused Xh or U symbol) has no
         # conditional of its own: mass moved into it brings the conditional of
         # where it came from, and log J - log r takes that conditional's log.
@@ -523,20 +571,21 @@ class _ChannelPair:
         # mechanism moves and P(Y|Xh=h) when the quantizer does.
         unused_xh = p_xh <= 0
         if unused_xh.any():
-            g_xhu[unused_xh] = (_log(quant, fl) - _log(p_xh @ quant, fl))[unused_xh]
-        unused_u = r_uy[:, 0] <= 0
+            g_xhu[unused_xh] = (_log(quant, fl) - _log(p_xh[:, None] @ quant, fl))[unused_xh]
+        unused_u = r_uy[..., 0] <= 0  # (B, u)
         if unused_u.any():
-            h[:, unused_u] = self._fresh_u
+            np.copyto(h, self._fresh_u, where=unused_u[:, None])
         d_mech = np.stack([
             p_x[:, None] * g_xxh,
             # I(U;Xh) sees the mechanism only through the Xh marginal
-            p_x[:, None] * (quant * g_xhu).sum(axis=1),
-            h @ quant.T,
-        ])
-        d_quant = np.stack([np.zeros_like(quant), p_xh[:, None] * g_xhu, mech.T @ h])
+            p_x[:, None] * (quant * g_xhu).sum(axis=-1)[:, None],
+            h @ quant.mT,
+        ], axis=1)
+        d_quant = np.stack([np.zeros_like(quant), p_xh[..., None] * g_xhu, mech.mT @ h], axis=1)
         if unused_u.any():
-            a_hy = mech.T @ p  # joint of (Xh, Y)
-            d_quant[2][:, unused_u] = (a_hy * _mi_grad(a_hy, fl)).sum(axis=1, keepdims=True)
+            a_hy = mech.mT @ p  # joints of (Xh, Y)
+            np.copyto(d_quant[:, 2], (a_hy * _mi_grad(a_hy, fl)).sum(axis=-1, keepdims=True),
+                      where=unused_u[:, None])
         return self._free_grad(d_mech, d_quant) * _LOG2E
 
 
@@ -558,77 +607,28 @@ def _row_sums(kx: int, kh: int, ku: int, skip: int) -> tuple[np.ndarray, np.ndar
     return rows, both
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call so that commands
-    without a search never load ``scipy.optimize``; a module attribute,
-    because perfbench's ``exponents.slsqp`` probe wraps it."""
-    import scipy.optimize
-
-    return scipy.optimize.minimize(*args, **kwargs)
-
-
-def _slsqp_polish(theta0, pair, rate, leak, hold_mechanism=False):
-    """SLSQP maximization of ``pair.value`` from ``theta0``, within both budgets.
+def _slsqp_polish(starts, pair, rate, leak, hold_mechanism=False) -> list:
+    """SLSQP maximization of ``pair.value`` from each row of ``starts``, within both budgets.
 
     The optimum sits where the information constraints are active, and
     moving along that boundary needs the mechanism and the quantizer to move
     together, which a sequential-quadratic step does. ``hold_mechanism``
-    keeps the mechanism's parameters at those of ``theta0``. The objective
+    keeps the mechanism's parameters at those of each start. The objective
     and the budget constraints take ``pair``'s exact gradients. ``pair.ftol``
     sits above the noise of its value: an objective solved only to some
     residual cannot be polished below it, and a tighter ``ftol`` just runs
-    to the 200-iteration cap.
-    The constraints are SLSQP's own inequality dicts with the arithmetic
-    scipy derives from a bounded constraint, down to the sign of a zero:
-    -(I - upper) for the two budgets, and each channel row's free sum in
-    [0, 1] (``_row_sums``).
-    An infinite budget is replaced by a finite one no channel pair on these
-    alphabets can reach, so SLSQP never sees an infinite constraint value.
-    Returns (value, theta) of the final point when it meets both budgets,
-    else None; the caller keeps whichever point scores higher.
+    to the 200-iteration cap. All starts run in one ``minimize`` call.
+    Returns, per start, (value, theta) of the final point when it meets both
+    budgets, else None; the caller keeps whichever point scores higher.
     """
-    skip = pair.mech_params if hold_mechanism else 0
-
-    def full(x):  # the whole parameter vector; x itself when nothing is held
-        if not skip:
-            return x
-        t = theta0.copy()
-        t[skip:] = x
-        return t
-
-    upper = np.array([leak, rate], dtype=float)
-    upper[np.isinf(upper)] = math.log2(max(pair.kh, pair.ku)) + 1.0
-    bounds, rows = pair.feasible_set(skip)
-    constraints = [{
-        "type": "ineq",
-        "fun": lambda x: -(np.asarray(pair.info(full(x))[:2]) - upper),
-        "jac": lambda x: -pair.jac(full(x))[:2, skip:],
-    }]
-    if rows is not None:
-        a, a_both = rows
-
-        def row_sums(x):
-            ax = np.dot(a, x)
-            return np.concatenate([ax, -(ax - 1.0)])
-
-        constraints.append({"type": "ineq", "fun": row_sums, "jac": lambda x: a_both})
-    try:
-        res = minimize(
-            lambda x: -pair.value(full(x)),
-            theta0[skip:].copy(),
-            jac=lambda x: -pair.grad(full(x))[skip:],
-            method="SLSQP",
-            bounds=bounds,
-            constraints=constraints,
-            options={"maxiter": 200, "ftol": pair.ftol},
-        )
-    except (ValueError, FloatingPointError):  # pragma: no cover - solver hiccup
-        return None
-    theta = full(np.clip(res.x, 0.0, None))
-    got_leak, got_rate, _ = pair.info(theta)
-    if got_leak > leak + FEAS_SLACK or got_rate > rate + FEAS_SLACK:
-        return None
-    return float(pair.value(theta)), theta
+    res = minimize(pair, starts, rate, leak, hold_mechanism)
+    thetas = starts.copy()
+    thetas[:, pair.mech_params if hold_mechanism else 0:] = np.clip(res.x, 0.0, None)
+    pts = pair.evaluate(thetas)
+    keep = ~((pts.info[:, 0] > leak + FEAS_SLACK) | (pts.info[:, 1] > rate + FEAS_SLACK))
+    values = np.zeros(len(thetas))
+    values[keep] = pair.values(pts if keep.all() else pts.take(np.flatnonzero(keep)))
+    return [(float(v), theta) if ok else None for v, theta, ok in zip(values, thetas, keep)]
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +656,10 @@ def tai_exponent(
     Maximizes I(U;Y) over mechanism and quantizer grids subject to
     I(U;Xh) <= rate and I(X;Xh) <= leak, with |Xh| = |X| and |U| = |X| + 1
     (2 under ``cfg.restrict_bsc``). Each of the ``_TOP_K`` distinct leading
-    grid values seeds SLSQP polishes of both channels with exact gradients;
-    the best feasible point wins.
+    grid values seeds SLSQP polishes of both channels with exact gradients,
+    one from each of the ``_START_DEPTHS``; all of them run in lockstep in
+    one ``minimize`` call, and the best feasible point wins, compared seed by
+    seed and depth by depth.
     """
     cfg = cfg or SearchConfig()
     check_budgets(rate, leak)
@@ -669,7 +671,7 @@ def tai_exponent(
     # mark the same basin; seeding only distinct values spreads the restarts
     seeds: list[int] = []
     seed_vals: list[float] = []
-    for i in space.ranked(rate, leak)[:_SEED_SCAN]:
+    for i in space.ranked(rate, leak, _SEED_SCAN)[:_SEED_SCAN]:
         v = space.i_uy.flat[i]
         if all(abs(v - w) > 1e-10 for w in seed_vals):
             seeds.append(int(i))
@@ -677,18 +679,19 @@ def tai_exponent(
         if len(seeds) >= _TOP_K:
             break
 
+    mechs, quants = space.pair(np.array(seeds))
+    grid = np.array([pair.free(mech, quant) for mech, quant in zip(mechs, quants)])
+    starts = np.array([pair.free((1 - eps) * mech + eps / mech.shape[1],
+                                 (1 - eps) * quant + eps / quant.shape[1])
+                       for mech, quant in zip(mechs, quants) for eps in _START_DEPTHS])
+    polished = _slsqp_polish(starts, pair, rate, leak)
     best_val = -1.0
     best_theta = None
-    for s in seeds:
-        mech, quant = space.pair(s)
-        theta = pair.free(mech, quant)
-        val = pair.value(theta)
-        for eps in _START_DEPTHS:
-            start = pair.free((1 - eps) * mech + eps / mech.shape[1],
-                              (1 - eps) * quant + eps / quant.shape[1])
-            polished = _slsqp_polish(start, pair, rate, leak)
-            if polished is not None and polished[0] > val:
-                val, theta = polished
+    for k, (theta, val) in enumerate(zip(grid, pair.values(pair.evaluate(grid)))):
+        val = float(val)
+        for res in polished[k * len(_START_DEPTHS):(k + 1) * len(_START_DEPTHS)]:
+            if res is not None and res[0] > val:
+                val, theta = res
         if val > best_val:
             best_val, best_theta = val, theta
 
@@ -814,19 +817,17 @@ _CHAIN_AXES = ("U", "Xh", "X", "Y")
 _INNER_SOLVER = {"tol": 1e-9, "max_iter": 20_000}
 # a pair whose inner projection fails this way scores None
 _INNER_FAILURES = (Infeasible, SupportMismatch)
-# a point whose projection is not computed yet; a failed one is None
-_PENDING = object()
 
 
 class _InnerPair(_ChannelPair):
     """A channel pair scored by the Theorem-1 inner value, with its exact gradient.
 
-    The projection and its gradient join the pair's memo of its last point,
-    each computed on first use there, so one SLSQP iterate costs one
-    projection. A pair whose projection fails scores -1e3, below every
-    inner value, with a zero gradient. ``project_many`` projects stacked
-    pairs in one batched call; ``project`` and it build their chains with
-    the same batched ``einsum``.
+    The projections of a batch's members and their gradients join its
+    ``_Points``, each computed on first use, one ``project`` call per
+    member, so one SLSQP iterate costs one projection. A pair whose
+    projection fails scores -1e3, below every inner value, with a zero
+    gradient. ``project_many`` projects stacked pairs in one batched call;
+    ``project`` and it build their chains with the same batched ``einsum``.
 
     Into a zero cell, the slopes of the two budget constraints are -inf and
     a floor stands in for them. SLSQP's steps are far longer than the
@@ -876,27 +877,25 @@ class _InnerPair(_ChannelPair):
                 out[i] = None
         return out
 
-    def _evaluate(self, t: np.ndarray) -> None:
-        super()._evaluate(t)
-        self._projection = _PENDING
-        self._grad = None
+    def projections(self, pts: _Points) -> list:
+        """``project`` of each member of ``pts``."""
+        if pts.projections is None:
+            pts.projections = [self.project(m, u) for m, u in zip(pts.mech, pts.quant)]
+        return pts.projections
 
     def projection(self, theta: np.ndarray):
-        self._at(theta)
-        if self._projection is _PENDING:
-            self._projection = self.project(self._mech, self._quant)
-        return self._projection
+        return self.projections(self._at(theta))[0]
 
-    def value(self, theta: np.ndarray) -> float:
-        res = self.projection(theta)
-        return -1e3 if res is None else res.min_kl
+    def values(self, pts: _Points) -> np.ndarray:
+        return np.array([-1e3 if res is None else res.min_kl for res in self.projections(pts)])
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        res = self.projection(theta)
-        if self._grad is None:
-            self._grad = np.zeros(self.n_free) if res is None else self._free_grad(
-                *_thm1_gradient(self.p_xy, self.q, self._mech, self._quant, res.duals))
-        return self._grad
+    def gradients(self, pts: _Points) -> np.ndarray:
+        if pts.grads is None:
+            pts.grads = np.stack([
+                np.zeros(self.n_free) if res is None else self._free_grad(
+                    *_thm1_gradient(self.p_xy, self.q, mech, quant, res.duals))
+                for mech, quant, res in zip(pts.mech, pts.quant, self.projections(pts))])
+        return pts.grads
 
 
 def theorem1_lower_bound(
@@ -952,7 +951,7 @@ def theorem1_lower_bound(
     # the quantizer alone first: a joint pass from the grid point can stop in
     # a worse basin
     for hold in (True,) if fixed_mechanism is not None else (True, False):
-        polished = _slsqp_polish(best_theta, pair, rate, leak, hold)
+        (polished,) = _slsqp_polish(best_theta[None], pair, rate, leak, hold)
         if polished is not None and polished[0] > best_val:
             best_val, best_theta = polished
 

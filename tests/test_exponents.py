@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -166,9 +167,16 @@ def test_ranked_matches_full_stable_argsort(limit):
     vals = rng.integers(0, 5, size=(40, 30)) / 4.0
     feasible = rng.random(vals.shape) >= 0.3
     masked = np.where(feasible, vals, -1.0)
-    got = _space_from(vals, feasible).ranked(0.5, 0.5)[:limit]
-    np.testing.assert_array_equal(got, _argsort_reference(masked, limit))
-    assert got.size == min(limit, int(feasible.sum()))
+    space = _space_from(vals, feasible)
+    for bounded in (False, True):
+        ranked = space.ranked(0.5, 0.5, limit if bounded else None)
+        got = ranked[:limit]
+        np.testing.assert_array_equal(got, _argsort_reference(masked, limit))
+        assert got.size == min(limit, int(feasible.sum()))
+        # a bounded ranking is a prefix of the full one that keeps every tie at the cut
+        np.testing.assert_array_equal(ranked, _argsort_reference(masked, ranked.size))
+        if bounded and limit < feasible.sum():
+            assert ranked.size == int(np.sum(masked >= vals.flat[got[-1]])) > limit
 
 
 def test_ranked_with_few_feasible_entries():
@@ -180,6 +188,10 @@ def test_ranked_with_few_feasible_entries():
     got = space.ranked(0.5, 0.5)
     np.testing.assert_array_equal(got, [17, 3, 22, 9])
     np.testing.assert_array_equal(got, _argsort_reference(masked, 10))
+    # a limit above the feasible count keeps them all; a limit of 2 cuts
+    # between the tied 3 and 22 and keeps both
+    np.testing.assert_array_equal(space.ranked(0.5, 0.5, 10), got)
+    np.testing.assert_array_equal(space.ranked(0.5, 0.5, 2), [17, 3, 22])
     mech, quant = space.pair(got[0])
     assert (mech.item(), quant.item()) == divmod(int(got[0]), 5)
     with pytest.raises(Infeasible, match="no feasible channel pair"):
@@ -426,10 +438,19 @@ def random_pair_point(seed: int, kind: str):
         kx = 2
     p = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
     if kind == "bsc":
+        pair = _ChannelPair(p, 2, 2, True)
+    else:
+        pair = _ChannelPair(p, kx, int(rng.integers(2, 5)))
+    return pair, random_point(rng, pair, kind)
+
+
+def random_point(rng, pair: _ChannelPair, kind: str) -> np.ndarray:
+    """A point of the given kind for ``pair``: BSC crossovers for a BSC pair."""
+    if kind == "bsc":
         theta = rng.uniform(0.0, 0.5, size=2)
         theta[rng.integers(2)] = rng.choice([0.0, 0.5, theta[0]])
-        return _ChannelPair(p, 2, 2, True), theta
-    kh, ku = kx, int(rng.integers(2, 5))
+        return theta
+    kx, kh, ku = pair.kx, pair.kh, pair.ku
     mech = rng.dirichlet(np.ones(kh), size=kx)
     quant = rng.dirichlet(np.ones(ku), size=kh)
     if kind == "face":
@@ -443,8 +464,7 @@ def random_pair_point(seed: int, kind: str):
     quant[quant.sum(axis=1) == 0, -1] = 1.0
     mech /= mech.sum(axis=1, keepdims=True)
     quant /= quant.sum(axis=1, keepdims=True)
-    pair = _ChannelPair(p, kh, ku)
-    return pair, pair.free(mech, quant)
+    return pair.free(mech, quant)
 
 
 POINT_KINDS = ["interior", "face", "unused-xh", "unused-u", "bsc"]
@@ -463,6 +483,22 @@ def test_channel_pair_scores_a_point_with_the_grid_kernel(seed, kind):
     other, _ = random_pair_point(seed, kind)
     other.value(theta)
     assert other.jac(theta).tobytes() == jac_first.tobytes()
+    # a batch gives each member the bits of its own batch of one: this point
+    # stacked with points of every kind the pair takes (BSC points for a BSC
+    # pair), and members taken from the batch as the lockstep polish takes them
+    rng = np.random.default_rng(seed)
+    kinds = ["bsc"] * 4 if pair.bsc else [k for k in POINT_KINDS if k != "bsc"] * 2
+    thetas = np.stack([theta, *(random_point(rng, pair, k) for k in kinds)])
+    batch = pair.evaluate(thetas)
+    jac = pair.jacobians(batch)
+    rows = np.sort(rng.choice(len(thetas), size=int(rng.integers(1, len(thetas))), replace=False))
+    taken = batch.take(rows)
+    assert taken.info.tobytes() == batch.info[rows].tobytes()
+    assert pair.jacobians(taken).tobytes() == jac[rows].tobytes()
+    for i, t in enumerate(thetas):
+        one = pair.evaluate(t[None])
+        assert one.info.tobytes() == batch.info[i:i + 1].tobytes()
+        assert pair.jacobians(one).tobytes() == jac[i:i + 1].tobytes()
 
 
 def test_one_point_is_evaluated_once(monkeypatch):
@@ -473,9 +509,9 @@ def test_one_point_is_evaluated_once(monkeypatch):
         joint_calls.append(1)
         return real_joints(*args)
 
-    def counting_gradient(self):
+    def counting_gradient(self, pts):
         grad_calls.append(1)
-        return real_gradient(self)
+        return real_gradient(self, pts)
 
     monkeypatch.setattr(exponents, "_pair_joints", counting_joints)
     monkeypatch.setattr(_ChannelPair, "_gradient", counting_gradient)
@@ -504,27 +540,135 @@ def test_one_point_is_evaluated_once(monkeypatch):
 
 @pytest.mark.parametrize("hold", [False, True])
 def test_one_polish_evaluates_each_slsqp_point_once(hold, monkeypatch):
-    real_joints, real_minimize = exponents._pair_joints, exponents.minimize
-    joint_calls, results = [], []
+    import scipy.optimize._slsqplib as slsqplib
 
-    def counting_joints(*args):
-        joint_calls.append(1)
-        return real_joints(*args)
+    real_joints, real_gradient, real_kernel = (
+        exponents._pair_joints, _ChannelPair._gradient, slsqplib.slsqp)
+    joint_rows, grad_rows, asked = [], [], []
 
-    def recording_minimize(*args, **kwargs):
-        results.append(real_minimize(*args, **kwargs))
-        return results[-1]
+    def counting_joints(p, mech, quant):
+        joint_rows.append(len(mech))
+        return real_joints(p, mech, quant)
+
+    def counting_gradient(self, pts):
+        grad_rows.append(len(pts.info))
+        return real_gradient(self, pts)
+
+    def recording_kernel(state, *args):
+        real_kernel(state, *args)
+        asked.append((id(state), state["mode"]))
 
     monkeypatch.setattr(exponents, "_pair_joints", counting_joints)
-    monkeypatch.setattr(exponents, "minimize", recording_minimize)
+    monkeypatch.setattr(_ChannelPair, "_gradient", counting_gradient)
+    monkeypatch.setattr(slsqplib, "slsqp", recording_kernel)
     p = np.array([[0.35, 0.10, 0.05], [0.05, 0.10, 0.35]])
     pair = _ChannelPair(p, 2, 3)
+    starts = np.stack([
+        pair.free(np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]])),
+        pair.free(np.array([[0.7, 0.3], [0.4, 0.6]]), np.array([[0.2, 0.2, 0.6], [0.5, 0.4, 0.1]])),
+        pair.free(np.eye(2), np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])),
+    ])
+    res = exponents.minimize(pair, starts, 0.25, 0.5, hold)
+    assert np.all(res.nits > 3)
+    modes = [mode for _, mode in asked]
+    # one evaluation per start at the set-up, then at most one per point a
+    # member asks for (a batch that repeats the last one is remembered), and
+    # at least one per point that moved
+    assert res.nfev <= sum(joint_rows) <= len(starts) + modes.count(1)
+    assert sum(grad_rows) <= len(starts) + modes.count(-1)
+    # and at most one batched evaluation and one batched gradient per round
+    rounds = max(Counter(state for state, _ in asked).values())
+    assert len(joint_rows) <= rounds + 1 and len(grad_rows) <= rounds + 1
+    assert max(joint_rows[1:]) > 1 and max(grad_rows[1:]) > 1
+
+
+def scipy_polish(theta0, pair, rate, leak, hold_mechanism=False):
+    """One polish as scipy's public SLSQP runs it: the reference that
+    ``exponents.minimize`` follows member by member.
+
+    The constraints are inequality dicts with the arithmetic scipy derives
+    from a bounded constraint: -(I - upper) for the two budgets, and each
+    channel row's free sum in [0, 1] (``_row_sums``).
+    """
+    from scipy.optimize import minimize
+
+    skip = pair.mech_params if hold_mechanism else 0
+
+    def full(x):  # the whole parameter vector; x itself when nothing is held
+        if not skip:
+            return x
+        t = theta0.copy()
+        t[skip:] = x
+        return t
+
+    upper = np.array([leak, rate], dtype=float)
+    upper[np.isinf(upper)] = math.log2(max(pair.kh, pair.ku)) + 1.0
+    hi, rows = pair.feasible_set(skip)
+    constraints = [{
+        "type": "ineq",
+        "fun": lambda x: -(np.asarray(pair.info(full(x))[:2]) - upper),
+        "jac": lambda x: -pair.jac(full(x))[:2, skip:],
+    }]
+    if rows is not None:
+        a, a_both = rows
+
+        def row_sums(x):
+            ax = np.dot(a, x)
+            return np.concatenate([ax, -(ax - 1.0)])
+
+        constraints.append({"type": "ineq", "fun": row_sums, "jac": lambda x: a_both})
+    return minimize(
+        lambda x: -pair.value(full(x)),
+        theta0[skip:].copy(),
+        jac=lambda x: -pair.grad(full(x))[skip:],
+        method="SLSQP",
+        bounds=[(0.0, hi)] * (theta0.size - skip),
+        constraints=constraints,
+        options={"maxiter": 200, "ftol": pair.ftol},
+    )
+
+
+def mixed_ternary_starts():
+    """Starts on the TERNARY law at (R, L) = (0.25, 0.5): one converged, one
+    of over 100 iterations, one that runs to the 200-iteration cap and one
+    with an unused Xh symbol."""
+    pair = _ChannelPair(np.array(TERNARY), 3, 4)
+    rng = np.random.default_rng(0)
+    draws = [(rng.dirichlet(np.ones(3), size=3), rng.dirichlet(np.ones(4), size=3))
+             for _ in range(20)]
+    long_start = pair.free(*draws[1])
+    unused_xh = np.array([[0.6, 0.0, 0.4], [0.3, 0.0, 0.7], [0.2, 0.0, 0.8]])
+    starts = [scipy_polish(long_start, pair, 0.25, 0.5).x, long_start, pair.free(*draws[19]),
+              pair.free(unused_xh, draws[0][1])]
+    return pair, np.stack(starts), 0.25, 0.5, False
+
+
+def bsc_starts():
+    pair = _ChannelPair(dsbs(0.1).probs, 2, 2, True)
+    starts = np.array([[0.0, 0.5], [0.1, 0.3], [0.5, 0.0], [0.25, 0.25], [0.0, 0.0]])
+    return pair, starts, 0.25, 0.5, False
+
+
+def held_theorem1_start():
+    pair = inner_pair(NULL, ALT, 2, 4)
     start = pair.free(np.array([[0.9, 0.1], [0.2, 0.8]]),
-                      np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]))
-    assert exponents._slsqp_polish(start, pair, 0.25, 0.5, hold) is not None
-    (res,) = results
-    assert res.nit > 3
-    assert len(joint_calls) <= res.nfev + 2
+                      np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.75, 0.0]]))
+    return pair, start[None], 0.1, 0.1, True
+
+
+@pytest.mark.parametrize("case", [mixed_ternary_starts, bsc_starts, held_theorem1_start],
+                         ids=["ternary-mixed", "bsc", "theorem1-held"])
+def test_lockstep_driver_follows_scipy_slsqp_member_by_member(case):
+    pair, starts, rate, leak, hold = case()
+    refs = [scipy_polish(s, pair, rate, leak, hold) for s in starts]
+    got = exponents.minimize(pair, starts, rate, leak, hold)
+    for i, ref in enumerate(refs):
+        assert got.x[i].tobytes() == ref.x.tobytes(), f"member {i}"
+        assert (got.nits[i], got.nfevs[i], got.status[i]) == (ref.nit, ref.nfev, ref.status)
+    assert (got.nit, got.nfev) == (sum(r.nit for r in refs), sum(r.nfev for r in refs))
+    if case is mixed_ternary_starts:
+        nits = sorted(r.nit for r in refs)
+        assert nits[0] < 10 and 100 <= nits[-2] < 200 and refs[2].status == 9
 
 
 def test_zero_row_and_column_give_a_finite_value_without_warnings():
