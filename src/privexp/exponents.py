@@ -38,13 +38,14 @@ parameter vector.
 the exact gradients of I(U;Y), I(U;Xh) and I(X;Xh), each seed from three
 start depths, all twelve polishes in one ``minimize`` call, and ranks only
 the prefix it reads. ``theorem1_lower_bound``, whose inner value is an
-I-projection, scores a shortlist of the ranking in one batched
-iterative-scaling call (``_InnerPair.project_many``, the same values as one
-projection per pair) and polishes the best pair twice, the quantizer alone
-and then both channels, each a ``minimize`` call on a batch of one. Its
-gradient is exact too: by the envelope theorem it comes from the duals of
-the same projection (``_thm1_gradient``), so an SLSQP iterate costs one
-projection.
+I-projection, scores a shortlist of the ranking and polishes the best pair
+twice, the quantizer alone and then both channels, each a ``minimize`` call
+on a batch of one. Every projection it makes, of the shortlist or of a
+polish iterate, is one batched iterative-scaling call on a ``_Points``
+batch (``_InnerPair.project_many``; a member gets the same bits in a batch
+of any size), and a failed projection comes back as a value. Its gradient
+is exact too: by the envelope theorem it comes from the duals of the same
+projection (``_thm1_gradient``), so an SLSQP iterate costs one projection.
 Alphabet sizes, grid budgets, the seed count and the shortlist are fixed
 per method; a ``SearchConfig`` sets only the grid step and the BSC
 restriction. Grid information quantities are cached per (law, cardinality,
@@ -417,12 +418,9 @@ class _Points:
         self.jac = self.projections = self.grads = None
 
     def take(self, rows: np.ndarray) -> _Points:
-        """The members ``rows`` as a batch of their own."""
-        pts = _Points(self.mech[rows], self.quant[rows], tuple(j[rows] for j in self.joints),
-                      tuple((r[rows], c[rows]) for r, c in self.sums), self.info[rows])
-        if self.projections is not None:
-            pts.projections = [self.projections[i] for i in rows]
-        return pts
+        """The members ``rows`` as a batch of their own, with nothing filled yet."""
+        return _Points(self.mech[rows], self.quant[rows], tuple(j[rows] for j in self.joints),
+                       tuple((r[rows], c[rows]) for r, c in self.sums), self.info[rows])
 
 
 class _ChannelPair:
@@ -627,7 +625,8 @@ def _slsqp_polish(starts, pair, rate, leak, hold_mechanism=False) -> list:
     pts = pair.evaluate(thetas)
     keep = ~((pts.info[:, 0] > leak + FEAS_SLACK) | (pts.info[:, 1] > rate + FEAS_SLACK))
     values = np.zeros(len(thetas))
-    values[keep] = pair.values(pts if keep.all() else pts.take(np.flatnonzero(keep)))
+    if keep.any():  # an empty batch is not scored
+        values[keep] = pair.values(pts if keep.all() else pts.take(np.flatnonzero(keep)))
     return [(float(v), theta) if ok else None for v, theta, ok in zip(values, thetas, keep)]
 
 
@@ -822,12 +821,12 @@ _INNER_FAILURES = (Infeasible, SupportMismatch)
 class _InnerPair(_ChannelPair):
     """A channel pair scored by the Theorem-1 inner value, with its exact gradient.
 
-    The projections of a batch's members and their gradients join its
-    ``_Points``, each computed on first use, one ``project`` call per
-    member, so one SLSQP iterate costs one projection. A pair whose
-    projection fails scores -1e3, below every inner value, with a zero
-    gradient. ``project_many`` projects stacked pairs in one batched call;
-    ``project`` and it build their chains with the same batched ``einsum``.
+    Every Theorem-1 projection goes through ``project_many``, one batched
+    iterative-scaling call for stacked pairs, whose failures come back as
+    None. ``projections`` scores a ``_Points`` batch with one such call on
+    first use, and the batch keeps the results and their gradients, so one
+    SLSQP iterate costs one projection. A pair whose projection fails
+    scores -1e3, below every inner value, with a zero gradient.
 
     Into a zero cell, the slopes of the two budget constraints are -inf and
     a floor stands in for them. SLSQP's steps are far longer than the
@@ -856,19 +855,9 @@ class _InnerPair(_ChannelPair):
             (("U", "Xh"), null_chain.sum(axis=(3, 4))),
         ]
 
-    def project(self, mech: np.ndarray, quant: np.ndarray):
-        """Inner I-projection of a (mechanism, quantizer) pair, or None when it fails."""
-        ref, cons = self._problems(mech[None], quant[None])
-        try:
-            return i_project(JointPmf(ref[0], _CHAIN_AXES, self._alphabets),
-                             [MarginalConstraint(axes, t[0]) for axes, t in cons],
-                             **_INNER_SOLVER)
-        except _INNER_FAILURES as e:
-            log.info("inner projection skipped: %s", e)
-            return None
-
     def project_many(self, mechs: np.ndarray, quants: np.ndarray) -> list:
-        """``project`` of stacked pairs in one batched iterative-scaling call."""
+        """Inner I-projections of stacked (mechanism, quantizer) pairs in one
+        batched iterative-scaling call, None for each pair whose projection fails."""
         ref, cons = self._problems(mechs, quants)
         out = _i_project_batch(ref, _CHAIN_AXES, self._alphabets, cons, **_INNER_SOLVER)
         for i, res in enumerate(out):
@@ -878,13 +867,10 @@ class _InnerPair(_ChannelPair):
         return out
 
     def projections(self, pts: _Points) -> list:
-        """``project`` of each member of ``pts``."""
+        """``project_many`` of the members of ``pts``, computed once per batch."""
         if pts.projections is None:
-            pts.projections = [self.project(m, u) for m, u in zip(pts.mech, pts.quant)]
+            pts.projections = self.project_many(pts.mech, pts.quant)
         return pts.projections
-
-    def projection(self, theta: np.ndarray):
-        return self.projections(self._at(theta))[0]
 
     def values(self, pts: _Points) -> np.ndarray:
         return np.array([-1e3 if res is None else res.min_kl for res in self.projections(pts)])
@@ -955,8 +941,9 @@ def theorem1_lower_bound(
         if polished is not None and polished[0] > best_val:
             best_val, best_theta = polished
 
+    # a polished point is the pair's last batch, whose projection is read, not redone
     mech, quant = pair.channels(best_theta)
-    res = pair.projection(best_theta)
+    (res,) = pair.projections(pair.evaluate(best_theta[None]))
     if res is None:
         raise Infeasible("inner projection failed at the returned channel pair")
     i_xxh, i_uxh, _ = pair.info(best_theta)

@@ -15,8 +15,10 @@ computed once, at convergence.
 The scaling loop (``_scale``) runs on a batch: references and targets
 carry a leading batch axis, and every member shares the reference axes
 and the constraint axes. ``i_project`` is a batch of one, and
-``_i_project_batch`` projects many problems in one call, which is how the
-Theorem-1 search scores its shortlist. Every check holds per member:
+``_i_project_batch`` projects many problems in one call and returns a
+member's failure as a value. The Theorem-1 search makes every projection
+through it: its shortlist in one call and each polish iterate as a batch of
+one; ``zero_rate_exponent`` calls ``i_project``. Every check holds per member:
 references and targets must be distributions (``InvalidDistribution``
 otherwise), and a member leaves the batch when it converges, fails the
 support check before the first sweep, loses support during scaling,

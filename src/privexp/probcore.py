@@ -135,11 +135,6 @@ class Pmf:
             raise InvalidDistribution("weights sum to zero")
         return cls(w / total, alphabet)
 
-    def allclose(self, other: "Pmf", atol: float = 1e-12) -> bool:
-        return self.alphabet == other.alphabet and bool(
-            np.allclose(self.probs, other.probs, atol=atol, rtol=0.0)
-        )
-
     def to_dict(self) -> dict:
         return {"kind": "pmf", "alphabet": list(self.alphabet), "probs": self.probs.tolist()}
 
@@ -188,13 +183,6 @@ class JointPmf:
         if len(keep) == 1:
             return Pmf(m, self.alphabets[keep[0]])
         return JointPmf(m, tuple(names), tuple(self.alphabets[i] for i in keep))
-
-    def allclose(self, other: "JointPmf", atol: float = 1e-12) -> bool:
-        return (
-            self.axes == other.axes
-            and self.shape == other.shape
-            and bool(np.allclose(self.probs, other.probs, atol=atol, rtol=0.0))
-        )
 
     def to_dict(self) -> dict:
         return {

@@ -598,10 +598,8 @@ def _split_trials(trials: int, batches: int) -> list[int]:
 
 
 def _plugin_mi_bits(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total <= 0:
-        raise EmptySample("no pooled symbol pairs")
-    return _mi_bits(counts / total)
+    """Plug-in MI of a nonempty count table; its callers refuse an empty sample."""
+    return _mi_bits(counts / counts.sum())
 
 
 def _execute(runner: _Runner) -> SimReport:

@@ -283,6 +283,17 @@ def test_domain_violation_is_a_config_error():
                      "--rate", "1", "--leak", "1"]) == 2
 
 
+def test_an_alternative_no_pair_can_project_onto_exits_three(tmp_path, capsys):
+    # Q puts no mass on Y = 1, so every shortlisted inner projection fails
+    null, alt = tmp_path / "null.json", tmp_path / "alt.json"
+    dump_json(JointPmf(np.array([[0.4, 0.1], [0.1, 0.4]]), ("X", "Y")), null)
+    dump_json(JointPmf(np.array([[0.5, 0.0], [0.5, 0.0]]), ("X", "Y")), alt)
+    assert cli.main(["exponent", "--method", "thm1", "--null", str(null), "--alt", str(alt),
+                     "--rate", "0.5", "--leak", "0.5"]) == cli.INFEASIBLE_EXIT
+    assert capsys.readouterr().err.startswith(
+        "error: inner projection failed on every shortlisted pair")
+
+
 def test_missing_method_argument_is_a_config_error():
     # binary method without --q
     assert cli.main(["exponent", "--method", "binary",

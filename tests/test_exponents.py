@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,13 +22,16 @@ from privexp import (
     InvalidDistribution,
     InvariantViolation,
     JointPmf,
+    MarginalConstraint,
     NonpositiveAlternative,
     SearchConfig,
+    SupportMismatch,
     TooLarge,
     binary_entropy,
     binary_tai_exponent,
     chain_joint,
     corollary2_bound,
+    i_project,
     kl_divergence,
     mutual_information,
     star,
@@ -47,6 +51,7 @@ from privexp.exponents import (
     _TaiSpace,
     _bsc_grid,
     _lattice,
+    _slsqp_polish,
     _space_for,
 )
 from privexp.probcore import _mi_batch, _pair_joints
@@ -868,9 +873,7 @@ def tight_values(monkeypatch):
     smooth only to about 1e-7 in the slope, more than the gradient's own
     (about 1e-10).
     """
-    real = exponents.i_project
-    monkeypatch.setattr(exponents, "i_project", lambda ref, cons, tol, max_iter:
-                        real(ref, cons, tol=1e-13, max_iter=200_000))
+    monkeypatch.setattr(exponents, "_INNER_SOLVER", {"tol": 1e-13, "max_iter": 200_000})
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -943,12 +946,33 @@ def test_theorem1_gradient_on_simplex_faces_is_one_sided(face, monkeypatch):
         assert np.all(grad[2:5] == 0.0)
 
 
+# Q puts no mass on Y = 1, which every (U, Y) target of the null chain needs,
+# so no channel pair's inner projection exists
+NO_Y1 = [[0.5, 0.0], [0.5, 0.0]]
+
+
 def test_failed_inner_projection_scores_the_sentinel_with_zero_gradient():
-    # Q puts no mass on Y = 1, which the (U, Y) target of the null chain needs
-    pair = inner_pair(NULL, [[0.5, 0.0], [0.5, 0.0]], 2, 4)
+    pair = inner_pair(NULL, NO_Y1, 2, 4)
     theta = pair.free(np.full((2, 2), 0.5), np.full((2, 4), 0.25))
     assert pair.value(theta) == -1e3
     assert np.array_equal(pair.grad(theta), np.zeros(theta.size))
+
+
+def test_a_polish_that_ends_outside_the_budgets_scores_nothing(monkeypatch):
+    # an SLSQP run that stops at its start: the identity pair leaks 1 bit
+    monkeypatch.setattr(exponents, "minimize", lambda pair, starts, *args: SimpleNamespace(x=starts))
+    pair = inner_pair(NULL, ALT, 2, 4)
+    start = pair.free(np.eye(2), np.eye(2, 4))
+    assert _slsqp_polish(start[None], pair, 0.1, 0.1) == [None]
+
+
+def test_a_search_whose_every_inner_projection_fails_is_infeasible():
+    p, q = (JointPmf(np.array(a), ("X", "Y")) for a in (NULL, NO_Y1))
+    match = "inner projection failed on every shortlisted pair"
+    with pytest.raises(Infeasible, match=match):
+        theorem1_lower_bound(p, q, 0.5, 0.5)
+    with pytest.raises(Infeasible, match=match):
+        corollary2_bound(p, q, 0.5)
 
 
 def shortlist_pairs(p, q, rate, leak):
@@ -959,6 +983,17 @@ def shortlist_pairs(p, q, rate, leak):
     order = space.ranked(rate, leak)
     shortlist = np.concatenate([order[:48], order[48::max(1, len(order) // 16)][:16]])
     return _InnerPair(p_xy.probs, q_xy, kx, kx + 2), *space.pair(shortlist)
+
+
+def projected_alone(pair, mech, quant):
+    """The public ``i_project`` on the pair's inner problem, None where it fails."""
+    ref, cons = pair._problems(mech[None], quant[None])
+    try:
+        return i_project(JointPmf(ref[0], exponents._CHAIN_AXES, pair._alphabets),
+                         [MarginalConstraint(axes, t[0]) for axes, t in cons],
+                         **exponents._INNER_SOLVER)
+    except (Infeasible, SupportMismatch):
+        return None
 
 
 def same_projection(a, b) -> bool:
@@ -981,7 +1016,7 @@ TERNARY_ALT = [[0.10, 0.15, 0.08], [0.12, 0.05, 0.10], [0.15, 0.10, 0.15]]
 def test_batched_projections_match_one_pair_at_a_time(p, q, rate, leak):
     pair, mechs, quants = shortlist_pairs(p, q, rate, leak)
     batch = pair.project_many(mechs, quants)
-    single = [pair.project(m, u) for m, u in zip(mechs, quants)]
+    single = [projected_alone(pair, m, u) for m, u in zip(mechs, quants)]
     assert len(batch) == len(single) == len(mechs) > 16
     # grid pairs leave U symbols unused, so targets have zero cells
     assert any(np.any(res.duals[1] == -math.inf) for res in single)
@@ -997,47 +1032,43 @@ def test_a_failed_member_scores_none_in_the_batch_too():
     mechs = np.stack([np.full((2, 2), 0.5), np.eye(2), [[0.7, 0.3], [0.2, 0.8]]])
     quants = np.stack([np.full((2, 4), 0.25), np.eye(2, 4), [[0.4, 0.1, 0.5, 0.0]] * 2])
     batch = pair.project_many(mechs, quants)
-    single = [pair.project(m, u) for m, u in zip(mechs, quants)]
+    single = [projected_alone(pair, m, u) for m, u in zip(mechs, quants)]
     assert [res is None for res in single] == [False, True, False]
     for a, b in zip(batch, single):
         assert same_projection(a, b)
 
 
-def test_theorem1_query_scores_its_shortlist_in_one_kernel_call(monkeypatch):
-    real_scale, real_project = iproject._scale, exponents.i_project
-    batches, singles = [], []
+def scale_batches(monkeypatch) -> list:
+    """The member count of each iterative-scaling batch that follows, in call order."""
+    real = iproject._scale
+    batches = []
 
-    def counting_scale(ref, *args, **kwargs):
+    def counting(ref, *args, **kwargs):
         batches.append(len(ref))
-        return real_scale(ref, *args, **kwargs)
+        return real(ref, *args, **kwargs)
 
-    def counting_project(*args, **kwargs):
-        singles.append(1)
-        return real_project(*args, **kwargs)
+    monkeypatch.setattr(iproject, "_scale", counting)
+    return batches
 
-    monkeypatch.setattr(iproject, "_scale", counting_scale)
-    monkeypatch.setattr(exponents, "i_project", counting_project)
+
+def test_theorem1_query_scores_its_shortlist_in_one_kernel_call(monkeypatch):
+    batches = scale_batches(monkeypatch)
     p, q = alt_pair()
     theorem1_lower_bound(p, q, 0.25, 0.25)
-    # every polish projection is a batch of one; the shortlist is the rest
-    assert len(batches) == len(singles) + 1
-    assert sorted(batches)[-1] == 64 and sorted(batches)[-2] == 1
+    # the shortlist is the first batch; every polish projection is a batch of one
+    assert batches[0] == 64 and len(batches) > 1
+    assert all(b == 1 for b in batches[1:])
 
 
 def test_theorem1_query_makes_few_projections(monkeypatch):
     # the finite-difference polish made 238 projections in this query, one
-    # per free parameter per gradient; the exact gradient makes 110
-    real = exponents.i_project
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(exponents, "i_project", counting)
+    # per free parameter per gradient; the exact gradient makes 46, each a
+    # batch of one, after the 64-member shortlist
+    batches = scale_batches(monkeypatch)
     p, q = alt_pair()
     theorem1_lower_bound(p, q, 0.5, 0.5)
-    assert len(calls) <= 130
+    assert batches[0] == 64
+    assert sum(batches[1:]) <= 130
 
 
 def test_both_searches_call_the_solver_through_the_module_attribute(monkeypatch):

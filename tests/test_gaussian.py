@@ -82,6 +82,11 @@ def test_beta_curve_endpoints():
     assert gaussian_achievable_at_beta(q, hi) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_beta_curve_at_zero_noise_with_unit_correlation_is_infinite():
+    # both budgets infinite: beta_sq = 0 is feasible and leaves no noise at all
+    assert gaussian_achievable_at_beta(GaussianQuery(1.0, math.inf, math.inf), 0.0) == math.inf
+
+
 def test_beta_curve_rejects_points_outside_range():
     q = GaussianQuery(0.8, 1.0, 1.0)
     lo, hi = beta_range(q)
