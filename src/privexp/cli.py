@@ -347,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_approx)
 
-    p = sub.add_parser("gaussian", help="Gaussian exponent sweep as CSV")
+    p = sub.add_parser("gaussian", help="Gaussian test-channel exponent sweep as CSV "
+                       "(optimal at an infinite budget, not proven when both are finite)")
     p.add_argument("--rho", required=True)
     p.add_argument("--rate", required=True)
     p.add_argument("--leak", required=True)

@@ -1,14 +1,22 @@
-"""Exact exponent for jointly Gaussian sources under both budget constraints.
+"""Exponent of Gaussian test channels for jointly Gaussian sources under both budgets.
 
-The optimum reduces to a single correlation shrinkage: each budget B
-multiplies the usable squared correlation by (1 - 2^{-2B}), so
+With a Gaussian mechanism and a Gaussian quantizer, each budget B multiplies
+the usable squared correlation by (1 - 2^{-2B}), so
 
     theta(rho, R, L) = -0.5 * log2(1 - rho^2 (1 - 2^{-2R}) (1 - 2^{-2L})).
 
+This is an achievable exponent. It is the optimum at L = inf, the rate-only
+Gaussian exponent (Rahman & Wagner 2012), and at R = inf, by the Gaussian
+information bottleneck (Chechik, Globerson, Tishby & Weiss 2005). With both
+budgets finite it is not proven optimal and can be beaten: at rho = 0.8 and
+R = L = 1/4 the independence search on the 3x3 law of X and Y cut at their
+tertiles reaches 0.048092 against the formula's 0.040733, and by data
+processing that witness is a scheme for the Gaussian source too.
+
 ``math.inf`` is accepted for either budget and evaluates the analytic limit.
-The one-parameter achievability curve below traces the same optimum over the
-variance beta^2 of the quantization noise; its rate-feasible boundary point
-recovers the closed form.
+The one-parameter achievability curve below traces the same Gaussian channels
+over the variance beta^2 of the quantization noise; its rate-feasible boundary
+point recovers the closed form.
 """
 
 from __future__ import annotations

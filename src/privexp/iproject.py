@@ -51,8 +51,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
+from ._kernels import xlogy
 from .errors import (
     DimensionMismatch,
     DomainError,

@@ -5,8 +5,9 @@ would run from each start of a batch, one batch per channel pair, and
 evaluates the pair once per round for every start that asks. It drives
 ``scipy.optimize._slsqplib.slsqp``, the C kernel that scipy's own SLSQP loop
 calls since scipy 1.16, and copies that loop's set-up (``_minimize_slsqp``):
-this module is the one place that depends on scipy's private SLSQP
-interface. The exponent searches call it as ``exponents.minimize``.
+this module is the one place that depends on that kernel's calling
+convention, as ``_kernels`` is the one that knows where scipy keeps it. The
+exponent searches call it as ``exponents.minimize``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._kernels import slsqplib
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +62,11 @@ def minimize(pair, starts: np.ndarray, rate: float, leak: float,
     one no channel pair on these alphabets can reach, so SLSQP never sees an
     infinite constraint value.
 
-    The kernel is imported on the first call, so that commands without a
-    search never load ``scipy.optimize``.
+    The kernel is read from its compiled module once per call. ``_kernels``
+    loads that module alone, so no command loads the ``scipy.optimize``
+    package.
     """
-    from scipy.optimize._slsqplib import slsqp
-
+    slsqp = slsqplib.slsqp
     skip = pair.mech_params if hold_mechanism else 0
     hi, row_sums = pair.feasible_set(skip)
     count, n = starts.shape[0], starts.shape[1] - skip

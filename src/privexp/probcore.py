@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
+from ._kernels import _brentq, xlogy
 from .errors import (
     AlphabetMismatch,
     DimensionMismatch,
@@ -328,9 +328,16 @@ def binary_entropy_inv(h: float) -> float:
         return 0.0
     if h == 1.0:
         return 0.5
-    from scipy.optimize import brentq
 
-    return float(brentq(lambda p: binary_entropy(p) - h, 0.0, 0.5, xtol=1e-13))
+    def gap(p: float) -> float:
+        value = binary_entropy(p) - h
+        if math.isnan(value):
+            raise InvariantViolation(f"binary entropy gap is NaN at p = {p!r}")
+        return value
+
+    # the arguments of public scipy.optimize.brentq(gap, 0, 1/2, xtol=1e-13):
+    # rtol = 4 eps, 100 iterations, no extra args, a bare root, raise on no convergence
+    return float(_brentq(gap, 0.0, 0.5, 1e-13, 4 * np.finfo(float).eps, 100, (), False, True))
 
 
 def star(a: float, b: float) -> float:

@@ -61,8 +61,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, gammaln
 
+from ._kernels import gammaln
 from .errors import (
     DegenerateConfig,
     DomainError,
@@ -234,6 +234,8 @@ def _clopper_pearson_upper(successes: int, trials: int) -> float:
     """One-sided 95% Clopper-Pearson bound, the 0.95 quantile of Beta(k + 1, n - k)."""
     if successes >= trials:
         return 1.0
+    from scipy.special import betaincinv  # its ufunc module imports all of scipy.special
+
     return float(betaincinv(successes + 1, trials - successes, 0.95))
 
 

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal, norm
 
 from privexp import (
     DomainError,
     GaussianQuery,
     InfeasibleBeta,
+    JointPmf,
     gaussian_achievable_at_beta,
     gaussian_tai_exponent,
+    tai_exponent,
 )
 
 
@@ -110,3 +113,42 @@ def test_nan_budget_is_a_domain_error(field):
     budgets = {"rate": 1.0, "leak": 1.0, field: math.nan}
     with pytest.raises(DomainError, match=f"^{field} nan"):
         GaussianQuery(0.8, **budgets)
+
+
+def tertile_law(rho: float) -> np.ndarray:
+    """The 3x3 law of a standard Gaussian pair with correlation rho, each
+    coordinate cut at its tertiles: cell masses by inclusion-exclusion from
+    the CDF on the cut grid, whose infinite edges are exact."""
+    cuts = norm.ppf([1 / 3, 2 / 3])
+    cdf = np.zeros((4, 4))
+    cdf[3, 1:] = cdf[1:, 3] = [1 / 3, 2 / 3, 1.0]
+    pair = multivariate_normal(cov=[[1.0, rho], [rho, 1.0]])
+    cdf[1:3, 1:3] = [[pair.cdf([a, b], rng=0) for b in cuts] for a in cuts]
+    return np.diff(np.diff(cdf, axis=0), axis=1)
+
+
+def plain_mi(joint: np.ndarray) -> float:
+    """I(row ; column) of a two-axis joint, in bits, in plain numpy."""
+    rows, cols = joint.sum(axis=1, keepdims=True), joint.sum(axis=0, keepdims=True)
+    cells = joint > 0
+    return float((joint[cells] * np.log2(joint[cells] / (rows * cols)[cells])).sum())
+
+
+def test_a_discretized_search_beats_the_formula_with_both_budgets_finite():
+    # The tertile map followed by the returned channels is a scheme for the
+    # Gaussian source too (data processing): it leaks I(X;Xh) and describes
+    # I(U;Xh) bits, and the tester's I(U;Y) only grows when it sees Y itself.
+    # So the formula is not the optimum at R = L = 1/4.
+    p = tertile_law(0.8)
+    found = tai_exponent(JointPmf(p, ("X", "Y")), 0.25, 0.25)
+    mech, quant = found.mechanism.matrix, found.quantizer.matrix
+    x_xh = p.sum(axis=1)[:, None] * mech
+    xh_u = x_xh.sum(axis=0)[:, None] * quant
+    u_y = quant.T @ mech.T @ p
+    assert plain_mi(x_xh) <= 0.25 + 1e-9
+    assert plain_mi(xh_u) <= 0.25 + 1e-9
+    assert plain_mi(u_y) == pytest.approx(found.theta, abs=1e-12)
+    assert found.theta == pytest.approx(0.048092, abs=1e-6)
+    formula = gaussian_tai_exponent(GaussianQuery(0.8, 0.25, 0.25))
+    assert formula == pytest.approx(0.040733, abs=1e-6)
+    assert plain_mi(u_y) > formula + 0.007

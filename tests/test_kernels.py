@@ -1,0 +1,85 @@
+"""The scipy kernels loaded without their packages, each in a fresh interpreter.
+
+This interpreter has long since imported ``scipy.special`` and
+``scipy.optimize`` through the tests, so every check of what a process loads
+runs in a subprocess.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+
+import privexp
+from privexp import binary_entropy, binary_entropy_inv, dump_json
+
+SRC = str(Path(privexp.__file__).parents[1])
+
+PACKAGES = ("scipy.special", "scipy.optimize", "scipy.linalg")
+
+
+def run(script: str, *args: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode().splitlines()[-1]
+
+
+_COLD_TAI = """
+import contextlib, io, json, sys
+import privexp.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = privexp.cli.main(["exponent", "--method", "tai", "--null", sys.argv[1],
+                             "--rate", "0.5", "--leak", "0.5"])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def test_a_cold_tai_query_loads_no_scipy_package_beyond_the_root(tmp_path, dsbs01):
+    law = tmp_path / "null.json"
+    dump_json(dsbs01, law)
+    code, modules = json.loads(run(_COLD_TAI, str(law)))
+    assert code == 0
+    assert [m for m in PACKAGES if m in modules] == []
+    # the kernel's module is registered under its canonical name, so the check can fail
+    assert "scipy.optimize._slsqplib" in modules
+
+
+_SAME_OBJECTS = """
+import json, sys
+if sys.argv[1] == "scipy first":
+    import scipy.optimize, scipy.special
+    from privexp import _kernels
+else:
+    from privexp import _kernels
+    import scipy.optimize, scipy.special
+from scipy.optimize import _slsqplib, _zeros
+print(json.dumps([_kernels.xlogy is scipy.special.xlogy,
+                  _kernels.gammaln is scipy.special.gammaln,
+                  _kernels.slsqplib.slsqp is _slsqplib.slsqp,
+                  _kernels._brentq is _zeros._brentq]))
+"""
+
+
+def test_the_kernels_are_scipys_own_objects_in_either_import_order():
+    for order in ("scipy first", "privexp first"):
+        assert json.loads(run(_SAME_OBJECTS, order)) == [True] * 4, order
+
+
+def test_binary_entropy_inverse_is_public_brentq_bit_for_bit():
+    hs = np.linspace(0.0, 1.0, 2001)[1:-1].tolist()
+    public = [brentq(lambda p, h=h: binary_entropy(p) - h, 0.0, 0.5, xtol=1e-13) for h in hs]
+    assert [binary_entropy_inv(h) for h in hs] == public
+
+
+def test_a_missing_kernel_file_refuses_the_import_naming_the_scipy_floor():
+    from privexp import _kernels
+
+    with pytest.raises(ImportError, match=r"scipy>=1\.16"):
+        _kernels._extension("scipy.optimize._no_such_kernel")
+    assert "scipy.optimize._no_such_kernel" not in sys.modules

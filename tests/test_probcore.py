@@ -502,6 +502,32 @@ def test_library_raises_no_bare_toolkit_error():
     assert found == []
 
 
+def _import_time_nodes(tree: ast.Module):
+    """The nodes of a module that run when it is imported: all but function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_kernel_loader_imports_scipy_when_the_package_loads():
+    # a module-level scipy import runs a package __init__ (0.3 s for scipy.special
+    # or scipy.optimize) on every import of privexp; function-local imports,
+    # such as the oracle's linprog and Clopper-Pearson's betaincinv, stay allowed
+    src = Path(privexp.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert [f for f in found if not f.startswith("_kernels.py:")] == []
+    assert found  # the loader's own import is seen, so the check can fail
+
+
 def test_each_public_name_is_declared_by_one_module():
     # the package star-imports each module's __all__, where a name that two
     # modules declare would be shadowed without a word
