@@ -2,7 +2,7 @@
 
 ``import scipy.special`` and ``import scipy.optimize`` each take about 0.3 s,
 almost all of it in modules privexp never calls. This module loads the three
-extension files that hold the five functions it does call straight from their
+extension files that hold the four functions it does call straight from their
 paths next to ``scipy.__file__``, so no package ``__init__`` runs. Each is
 registered in ``sys.modules`` under its canonical name, and an entry already
 there is reused, so a process that also imports ``scipy.special`` or

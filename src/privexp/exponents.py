@@ -598,7 +598,9 @@ def _row_sums(kx: int, kh: int, ku: int, skip: int) -> tuple[np.ndarray, np.ndar
     """
     owner = np.concatenate([np.repeat(np.arange(kx), kh - 1),
                             kx + np.repeat(np.arange(kh), ku - 1)])[skip:]
-    rows = (np.unique(owner)[:, None] == owner).astype(float)
+    # owner is non-decreasing and from 0, so its distinct values are where it
+    # steps; a bare np.unique would import numpy.ma (10-15 ms) on first use
+    rows = (owner[np.diff(owner, prepend=-1) != 0][:, None] == owner).astype(float)
     both = np.vstack([rows, -rows])
     rows.setflags(write=False)  # shared by every polish of this shape
     both.setflags(write=False)

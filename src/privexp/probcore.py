@@ -206,6 +206,8 @@ class Channel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise DimensionMismatch(f"Channel expects a matrix, got shape {m.shape}")
+        if 0 in m.shape:
+            raise DimensionMismatch(f"Channel needs an input and an output, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
         ia = self.input_alphabet or _default_labels(m.shape[0])
         oa = self.output_alphabet or _default_labels(m.shape[1])
@@ -229,6 +231,8 @@ class Channel:
 
     @classmethod
     def identity(cls, k: int) -> "Channel":
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise DomainError(f"identity size {k!r} must be a positive integer")
         return cls(np.eye(k))
 
     def cascade(self, then: "Channel") -> "Channel":

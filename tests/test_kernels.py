@@ -2,7 +2,8 @@
 
 This interpreter has long since imported ``scipy.special`` and
 ``scipy.optimize`` through the tests, so every check of what a process loads
-runs in a subprocess.
+runs in a subprocess. ``numpy.ma`` is checked with the scipy packages: numpy
+imports it on a bare ``np.unique``'s first call, and it costs 10-15 ms.
 """
 
 import json
@@ -16,11 +17,11 @@ import pytest
 from scipy.optimize import brentq
 
 import privexp
-from privexp import binary_entropy, binary_entropy_inv, dump_json
+from privexp import Channel, binary_entropy, binary_entropy_inv, dump_json
 
 SRC = str(Path(privexp.__file__).parents[1])
 
-PACKAGES = ("scipy.special", "scipy.optimize", "scipy.linalg")
+PACKAGES = ("scipy.special", "scipy.optimize", "scipy.linalg", "numpy.ma")
 
 
 def run(script: str, *args: str) -> str:
@@ -30,12 +31,11 @@ def run(script: str, *args: str) -> str:
     return proc.stdout.decode().splitlines()[-1]
 
 
-_COLD_TAI = """
+_COLD_COMMAND = """
 import contextlib, io, json, sys
 import privexp.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = privexp.cli.main(["exponent", "--method", "tai", "--null", sys.argv[1],
-                             "--rate", "0.5", "--leak", "0.5"])
+    code = privexp.cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(sys.modules)]))
 """
 
@@ -43,11 +43,27 @@ print(json.dumps([code, sorted(sys.modules)]))
 def test_a_cold_tai_query_loads_no_scipy_package_beyond_the_root(tmp_path, dsbs01):
     law = tmp_path / "null.json"
     dump_json(dsbs01, law)
-    code, modules = json.loads(run(_COLD_TAI, str(law)))
+    code, modules = json.loads(run(_COLD_COMMAND, "exponent", "--method", "tai", "--null",
+                                   str(law), "--rate", "0.5", "--leak", "0.5"))
     assert code == 0
     assert [m for m in PACKAGES if m in modules] == []
     # the kernel's module is registered under its canonical name, so the check can fail
     assert "scipy.optimize._slsqplib" in modules
+
+
+def test_selftest_and_an_alternative_simulation_load_no_scipy_package(tmp_path, dsbs01):
+    # both once imported all of scipy.special for the Clopper-Pearson bound
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "p_xy": dsbs01.to_dict(), "n": 10, "mu": 0.3, "rate": 0.5, "seed": 7, "trials": 1500,
+        "hypothesis": "alt", "scheme": "memoryless",
+        "mechanism": Channel.identity(2).to_dict(), "quantizer": Channel.identity(2).to_dict(),
+    }))
+    for argv in (["selftest", "--seed", "3"], ["simulate", "--config", str(config)]):
+        code, modules = json.loads(run(_COLD_COMMAND, *argv))
+        assert code == 0, argv
+        assert [m for m in PACKAGES if m in modules] == [], argv
+        assert "scipy.special._special_ufuncs" in modules, argv
 
 
 _SAME_OBJECTS = """

@@ -515,7 +515,7 @@ def _import_time_nodes(tree: ast.Module):
 def test_only_the_kernel_loader_imports_scipy_when_the_package_loads():
     # a module-level scipy import runs a package __init__ (0.3 s for scipy.special
     # or scipy.optimize) on every import of privexp; function-local imports,
-    # such as the oracle's linprog and Clopper-Pearson's betaincinv, stay allowed
+    # such as the brute-force oracle's linprog and null_space, stay allowed
     src = Path(privexp.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -567,6 +567,13 @@ _HALF_ROWS = Channel(np.full((3, 2), 0.5))  # a channel with three inputs
      r"Channel expects a matrix, got shape \(2,\)"),
     (lambda: Channel(np.eye(2), ("a",)), LengthMismatch,
      "channel alphabets do not match matrix shape"),
+    (lambda: Channel(np.zeros((0, 2))), DimensionMismatch,
+     r"Channel needs an input and an output, got shape \(0, 2\)"),
+    (lambda: Channel(np.zeros((2, 0))), DimensionMismatch,
+     r"Channel needs an input and an output, got shape \(2, 0\)"),
+    (lambda: Channel.identity(0), DomainError, "identity size 0 must be a positive integer"),
+    (lambda: Channel.identity(-1), DomainError, "identity size -1 must be"),
+    (lambda: Channel.identity(2.5), DomainError, "identity size 2.5 must be"),
     (lambda: Pmf.normalized([-1, 2]), InvalidDistribution,
      "weights must be finite and nonnegative"),
     (lambda: empirical_type(), LengthMismatch, "need at least one sequence"),
@@ -579,8 +586,15 @@ _HALF_ROWS = Channel(np.full((3, 2), 0.5))  # a channel with three inputs
     (lambda: chain_joint(_DSBS, Channel.identity(2), _HALF_ROWS), DimensionMismatch,
      "quantizer input alphabet does not match Xh"),
 ], ids=["pmf-matrix", "pmf-alphabet", "joint-axes", "joint-alphabets", "axis-index",
-        "channel-vector", "channel-alphabets", "normalized-negative", "type-no-sequence",
-        "type-sizes", "tv-shapes", "chain-mechanism", "chain-quantizer"])
+        "channel-vector", "channel-alphabets", "channel-no-inputs", "channel-no-outputs",
+        "identity-zero", "identity-negative", "identity-fraction", "normalized-negative",
+        "type-no-sequence", "type-sizes", "tv-shapes", "chain-mechanism", "chain-quantizer"])
 def test_malformed_input_is_refused(build, error, match):
+    # an empty channel was once built, and taken by SchemeConfig as a mechanism;
+    # identity(-1) and identity(2.5) leaked numpy's ValueError and TypeError
     with pytest.raises(error, match=f"^{match}"):
         build()
+
+
+def test_identity_takes_a_numpy_integer_size():
+    assert Channel.identity(np.int64(3)).matrix.tolist() == np.eye(3).tolist()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 from privexp import (
     AlphabetMismatch,
@@ -567,6 +567,38 @@ def test_clopper_pearson_upper_is_the_beta_quantile(successes, trials):
     upper = simkit._clopper_pearson_upper(successes, trials)
     assert successes / trials < upper < 1.0
     assert betainc(successes + 1, trials - successes, upper) == pytest.approx(0.95, abs=1e-12)
+
+
+@pytest.mark.parametrize("successes", [11, -1])
+def test_clopper_pearson_upper_refuses_counts_outside_the_trials(successes):
+    # once -1 gave nan and 11 gave 1.0
+    with pytest.raises(DomainError, match=f"^successes {successes} "):
+        simkit._clopper_pearson_upper(successes, 10)
+
+
+@pytest.mark.parametrize("trials", [1, 10, 1500, 6000, 10**5, simkit.TRIAL_CAP])
+def test_clopper_pearson_upper_matches_betaincinv(trials):
+    # scipy's betaincinv is the oracle. At the trial cap it is itself off by
+    # 1.03e-9 of the bound at k = 1 against a 50-digit reference, so the cap's
+    # tolerance is twice that; k = 0 and k = 1 are also checked without scipy
+    tol = 1e-12 if trials <= 10**5 else 2e-9
+    for k in sorted({0, min(1, trials - 1), trials // 2, trials - 1}):
+        upper = simkit._clopper_pearson_upper(k, trials)
+        assert upper == pytest.approx(betaincinv(k + 1, trials - k, 0.95), rel=tol, abs=0), k
+    # at k = 0, (1 - u)^n = 0.05: u = 1 - 0.05^(1/n), checked in logs, since
+    # forming that difference directly loses 9e-11 of u at the trial cap
+    u = simkit._clopper_pearson_upper(0, trials)
+    assert trials * math.log1p(-u) == pytest.approx(math.log(0.05), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("trials", [3, 10, 1500, 6000, 10**5, 10**6, simkit.TRIAL_CAP])
+def test_clopper_pearson_upper_at_one_success_solves_its_two_term_cdf(trials):
+    # P(Bin(n, u) <= 1) = (1 - u)^(n - 1) (1 + (n - 1) u) = 0.05, in logs. Its
+    # slope in ln u is about -4, so 1e-14 here is a few 1e-15 of u; betaincinv's
+    # bound at the trial cap misses by 4e-9
+    u = simkit._clopper_pearson_upper(1, trials)
+    log_cdf = (trials - 1) * math.log1p(-u) + math.log1p((trials - 1) * u)
+    assert abs(log_cdf - math.log(0.05)) <= 1e-14
 
 
 def test_config_validation():
