@@ -43,9 +43,11 @@ twice, the quantizer alone and then both channels, each a ``minimize`` call
 on a batch of one. Every projection it makes, of the shortlist or of a
 polish iterate, is one batched iterative-scaling call on a ``_Points``
 batch (``_InnerPair.project_many``; a member gets the same bits in a batch
-of any size), and a failed projection comes back as a value. Its gradient
-is exact too: by the envelope theorem it comes from the duals of the same
-projection (``_thm1_gradient``), so an SLSQP iterate costs one projection.
+of any size), and a failed projection comes back as a value. A polish
+iterate evaluates the two budgets, not I(U;Y), and one projection. Its
+gradient is exact too: by the envelope theorem it comes from the duals of
+the same projection (``_thm1_gradient``), so an SLSQP iterate costs one
+projection.
 Alphabet sizes, grid budgets, the seed count and the shortlist are fixed
 per method; a ``SearchConfig`` sets only the grid step and the BSC
 restriction. Grid information quantities are cached per (law, cardinality,
@@ -407,10 +409,11 @@ class _Points:
     """Channel pairs of one ``_ChannelPair`` evaluated as a batch, member i in row i.
 
     ``mech`` (B, X, Xh) and ``quant`` (B, Xh, U) are the channels, ``joints``
-    their (X, Xh), (U, Xh) and (U, Y) joints from ``probcore._pair_joints``,
-    ``sums`` the (row, column) sums ``probcore._mi_batch`` divided each joint
-    by, and ``info`` (B, 3) the three MI values in bits. The pair fills
-    ``jac``, ``projections`` and ``grads`` on first use.
+    their (X, Xh), (U, Xh) and (U, Y) joints from ``probcore._pair_joints``
+    (the first two alone for the Theorem-1 pair), ``sums`` the (row, column)
+    sums ``probcore._mi_batch`` divided each joint by, and ``info`` (B, k)
+    the k MI values of those joints in bits. The pair fills ``jac``,
+    ``projections`` and ``grads`` on first use.
     """
 
     def __init__(self, mech, quant, joints, sums, info):
@@ -432,12 +435,14 @@ class _ChannelPair:
     per row, to a ``_Points`` batch: the channels, clipped at 0 and each row
     divided by its sum, so a point off the simplex, such as an SLSQP iterate
     just past a face, still maps to two channels (every row sums to at least
-    1 before the division); their joints from ``probcore._pair_joints`` and
-    (I(X;Xh), I(U;Xh), I(U;Y)) in bits from ``probcore._mi_batch``, the
-    grid's own arithmetic, so the polish scores a grid pair with the grid's
-    bits. ``jacobians`` gives the three exact gradients of a batch, one row
-    each, computed once per batch from the same joints and their row and
-    column sums. The polish maximizes ``values``, here I(U;Y), with
+    1 before the division); their joints (``_joints``) from
+    ``probcore._pair_joints`` and (I(X;Xh), I(U;Xh), I(U;Y)) in bits from
+    ``probcore._mi_batch``, the grid's own arithmetic, so the polish scores a
+    grid pair with the grid's bits. ``jacobians`` gives their exact
+    gradients, one row each, computed once per batch from the same joints
+    and their row and column sums. A pair that does not score I(U;Y), as
+    the Theorem-1 pair does not, evaluates the first two joints alone and
+    gets the first two values and rows, with the same bits. The polish maximizes ``values``, here I(U;Y), with
     gradients ``gradients`` to ``ftol``. A member gets the same bits in a
     batch of any size, so a single point is a batch of one: ``channels``,
     ``info``, ``jac``, ``value`` and ``grad`` read one.
@@ -515,15 +520,19 @@ class _ChannelPair:
         quant = np.clip(quant, 0.0, None)
         mech = mech / mech.sum(axis=-1, keepdims=True)
         quant = quant / quant.sum(axis=-1, keepdims=True)
-        joints = _pair_joints(self.p_xy, mech, quant)
+        joints = self._joints(mech, quant)
         parts = [_mi_batch(j, sums=True) for j in joints]
         self._key = key
         self._last = _Points(mech, quant, joints, tuple((r, c) for _, r, c in parts),
                              np.stack([i for i, _, _ in parts], axis=-1))
         return self._last
 
+    def _joints(self, mech: np.ndarray, quant: np.ndarray) -> tuple:
+        """The joints a batch scores: (X, Xh), (U, Xh) and (U, Y)."""
+        return _pair_joints(self.p_xy, mech, quant)
+
     def jacobians(self, pts: _Points) -> np.ndarray:
-        """(B, 3, n_free) gradients of ``pts.info``."""
+        """(B, k, n_free) gradients of the k values in ``pts.info``."""
         if pts.jac is None:
             pts.jac = self._gradient(pts)
         return pts.jac
@@ -555,13 +564,12 @@ class _ChannelPair:
 
     def _gradient(self, pts: _Points) -> np.ndarray:
         p, p_x, mech, quant = self.p_xy, self.p_x, pts.mech, pts.quant
-        j_xxh, j_uxh, j_uy = pts.joints
-        (r_xxh, c_xxh), (r_uxh, c_uxh), (r_uy, c_uy) = pts.sums
+        j_xxh, j_uxh = pts.joints[:2]
+        (r_xxh, c_xxh), (r_uxh, c_uxh) = pts.sums[:2]
         p_xh = p_x @ mech  # (B, h)
         fl = self.log_floor
         g_xxh = _mi_grad(j_xxh, fl, r_xxh, c_xxh)
         g_xhu = _mi_grad(j_uxh.mT, fl, c_uxh.mT, r_uxh.mT)
-        h = p @ _mi_grad(j_uy, fl, r_uy, c_uy).mT  # (B, x, u)
         # A row of a joint with no mass (an unused Xh or U symbol) has no
         # conditional of its own: mass moved into it brings the conditional of
         # where it came from, and log J - log r takes that conditional's log.
@@ -570,21 +578,25 @@ class _ChannelPair:
         unused_xh = p_xh <= 0
         if unused_xh.any():
             g_xhu[unused_xh] = (_log(quant, fl) - _log(p_xh[:, None] @ quant, fl))[unused_xh]
-        unused_u = r_uy[..., 0] <= 0  # (B, u)
-        if unused_u.any():
-            np.copyto(h, self._fresh_u, where=unused_u[:, None])
-        d_mech = np.stack([
+        d_mech = [
             p_x[:, None] * g_xxh,
             # I(U;Xh) sees the mechanism only through the Xh marginal
             p_x[:, None] * (quant * g_xhu).sum(axis=-1)[:, None],
-            h @ quant.mT,
-        ], axis=1)
-        d_quant = np.stack([np.zeros_like(quant), p_xh[..., None] * g_xhu, mech.mT @ h], axis=1)
-        if unused_u.any():
-            a_hy = mech.mT @ p  # joints of (Xh, Y)
-            np.copyto(d_quant[:, 2], (a_hy * _mi_grad(a_hy, fl)).sum(axis=-1, keepdims=True),
-                      where=unused_u[:, None])
-        return self._free_grad(d_mech, d_quant) * _LOG2E
+        ]
+        d_quant = [np.zeros_like(quant), p_xh[..., None] * g_xhu]
+        if len(pts.joints) == 3:  # the pair scores I(U;Y) too
+            (r_uy, c_uy) = pts.sums[2]
+            h = p @ _mi_grad(pts.joints[2], fl, r_uy, c_uy).mT  # (B, x, u)
+            unused_u = r_uy[..., 0] <= 0  # (B, u)
+            if unused_u.any():
+                np.copyto(h, self._fresh_u, where=unused_u[:, None])
+            d_mech.append(h @ quant.mT)
+            d_quant.append(mech.mT @ h)
+            if unused_u.any():
+                a_hy = mech.mT @ p  # joints of (Xh, Y)
+                np.copyto(d_quant[2], (a_hy * _mi_grad(a_hy, fl)).sum(axis=-1, keepdims=True),
+                          where=unused_u[:, None])
+        return self._free_grad(np.stack(d_mech, axis=1), np.stack(d_quant, axis=1)) * _LOG2E
 
 
 @functools.cache
@@ -781,36 +793,40 @@ def _thm1_gradient(p, q, mech, quant, duals) -> tuple[np.ndarray, np.ndarray]:
     f_x, f_uy, f_uxh = np.exp(lam_x), np.exp(lam_uy), np.exp(lam_uxh)
     p_x = p.sum(axis=1)
     p_xh = p_x @ mech
-    a_hy = mech.T @ p
-    unused_u = np.isneginf(lam_uy).all(axis=1)
-    lam_uy = np.where(np.isfinite(lam_uy), lam_uy, math.log(_LOG_FLOOR))
-    open_uxh = np.isneginf(lam_uxh) & ~unused_u[:, None]  # (u, h)
+    # a pair inside both simplices has no zero-target cell and skips every
+    # face term below
+    neg_uy, neg_uxh = np.isneginf(lam_uy), np.isneginf(lam_uxh)
+    on_face = np.count_nonzero(neg_uy) + np.count_nonzero(neg_uxh)
+    if on_face:
+        unused_u = neg_uy.all(axis=1)
+        open_uxh = neg_uxh & ~unused_u[:, None]  # (u, h)
+        lam_uy = np.where(np.isfinite(lam_uy), lam_uy, math.log(_LOG_FLOOR))
+        lam_uxh = np.where(np.isfinite(lam_uxh), lam_uxh, 0.0)
 
     # per (x, u): sum_y p lam_uy and F_x sum_y q F_uy
     a_xu = p @ lam_uy.T
     b_xu = f_x[:, None] * (q @ f_uy.T)
     # d/d mech(x,h) = sum_u quant(h,u) g(x,h,u)
-    g = a_xu[:, None, :] + np.where(
-        open_uxh.T[None],
-        p_x[:, None, None] * (_log(p_x)[:, None, None] - _log(b_xu)[:, None, :] - 1.0),
-        np.where(np.isfinite(lam_uxh), lam_uxh, 0.0).T[None] * p_x[:, None, None]
-        - b_xu[:, None, :] * f_uxh.T[None],
-    )
-    fresh_x = _xlog_ratio(p, q * f_x[:, None]).sum(axis=1) - p_x
-    g[:, :, unused_u] = fresh_x[:, None, None]
-    d_mech = np.einsum("hu,xhu->xh", quant, np.where(quant[None] > 0, g, 0.0))
-
+    g = lam_uxh.T[None] * p_x[:, None, None] - b_xu[:, None, :] * f_uxh.T[None]
     # d/d quant(h,u): the same terms summed over x with weight mech(x,h)
     a_hu = mech.T @ a_xu
     k_hu = mech.T @ b_xu
-    d_quant = a_hu + np.where(
-        open_uxh.T,
-        p_xh[:, None] * (_log(p_xh)[:, None] - _log(k_hu) - 1.0),
-        np.where(np.isfinite(lam_uxh), lam_uxh, 0.0).T * p_xh[:, None] - k_hu * f_uxh.T,
-    )
-    m_hy = mech.T @ (q * f_x[:, None])
-    fresh_h = _xlog_ratio(a_hy, m_hy).sum(axis=1) - p_xh
-    d_quant[:, unused_u] = fresh_h[:, None]
+    d_quant = lam_uxh.T * p_xh[:, None] - k_hu * f_uxh.T
+    if on_face:
+        g = np.where(open_uxh.T[None],
+                     p_x[:, None, None] * (_log(p_x)[:, None, None] - _log(b_xu)[:, None, :] - 1.0),
+                     g)
+        d_quant = np.where(open_uxh.T, p_xh[:, None] * (_log(p_xh)[:, None] - _log(k_hu) - 1.0),
+                           d_quant)
+    g = a_xu[:, None, :] + g
+    d_quant = a_hu + d_quant
+    if on_face and unused_u.any():
+        g[:, :, unused_u] = (_xlog_ratio(p, q * f_x[:, None]).sum(axis=1) - p_x)[:, None, None]
+        a_hy = mech.T @ p
+        m_hy = mech.T @ (q * f_x[:, None])
+        d_quant[:, unused_u] = (_xlog_ratio(a_hy, m_hy).sum(axis=1) - p_xh)[:, None]
+    # the einsum's summation order follows g's layout, which np.where makes C order
+    d_mech = np.einsum("hu,xhu->xh", quant, np.where(quant[None] > 0, g, 0.0))
     return d_mech * _LOG2E, d_quant * _LOG2E
 
 
@@ -829,6 +845,14 @@ class _InnerPair(_ChannelPair):
     first use, and the batch keeps the results and their gradients, so one
     SLSQP iterate costs one projection. A pair whose projection fails
     scores -1e3, below every inner value, with a zero gradient.
+
+    An SLSQP iterate computes the two channels, the (X, Xh) and (U, Xh)
+    joints and their MI values, which are the two budgets SLSQP constrains,
+    and one projection, a batch of one on the layout every iterate shares.
+    When SLSQP asks for slopes it adds the two budget rows of the Jacobian
+    and the inner value's gradient from that projection's duals. It computes
+    no I(U;Y), which nothing in Theorem 1 reads, and no witness: the search
+    reads ``argmin`` only at the pair it returns.
 
     Into a zero cell, the slopes of the two budget constraints are -inf and
     a floor stands in for them. SLSQP's steps are far longer than the
@@ -856,6 +880,10 @@ class _InnerPair(_ChannelPair):
             (("U", "Y"), null_chain.sum(axis=(2, 3))),
             (("U", "Xh"), null_chain.sum(axis=(3, 4))),
         ]
+
+    def _joints(self, mech: np.ndarray, quant: np.ndarray) -> tuple:
+        """(X, Xh) and (U, Xh) alone: the search reads the two budgets, not I(U;Y)."""
+        return _pair_joints(self.p_xy, mech, quant, uy=False)
 
     def project_many(self, mechs: np.ndarray, quants: np.ndarray) -> list:
         """Inner I-projections of stacked (mechanism, quantizer) pairs in one
@@ -948,7 +976,7 @@ def theorem1_lower_bound(
     (res,) = pair.projections(pair.evaluate(best_theta[None]))
     if res is None:
         raise Infeasible("inner projection failed at the returned channel pair")
-    i_xxh, i_uxh, _ = pair.info(best_theta)
+    i_xxh, i_uxh = pair.info(best_theta)
     return ExponentResult(
         theta=max(float(res.min_kl), 0.0),
         bound_kind="lower_bound",

@@ -4,13 +4,22 @@
 tensor so one marginal matches its target exactly. For linear
 (fixed-marginal) constraint families this is coordinate ascent on the
 concave dual of the projection problem, so the dual objective is
-nondecreasing step by step and converges to the primal minimum. Each call
-plans every constraint once (axes to sum out, broadcast shape, positive
-cells of the target), so a sweep costs one reduction, one ratio, one
-in-place rescale and one dual increment per constraint. The dual value is
-recorded every sweep and a decrease raises ``InvariantViolation``; the
-primal value D(iterate || ref), which is not monotone in general, is
-computed once, at convergence.
+nondecreasing step by step and converges to the primal minimum. A sweep
+costs one reduction, one ratio, one in-place rescale and one dual increment
+per constraint. The dual value is recorded every sweep and a decrease
+raises ``InvariantViolation``; the primal value D(iterate || ref), which is
+not monotone in general, is computed once, at convergence.
+
+Around the sweeps a call does little. The layout of a set of constraints
+(axes to sum out, broadcast shapes, the transposes of the targets) is
+planned once per (axis names, shape, constraint axes) and cached
+(``_plan``), so the Theorem-1 polish, which projects on one layout at every
+iterate, plans nothing. The references and targets of a batch are checked
+with one sum and one minimum per array, and only a batch that fails is
+checked member by member, for the message that names the bad member. The
+primal value and the duals skip their zero-cell masks when every cell is
+positive, with the same sums in the same order. The witness ``argmin`` is
+built, and validated as a ``JointPmf``, only when a caller reads it.
 
 The scaling loop (``_scale``) runs on a batch: references and targets
 carry a leading batch axis, and every member shares the reference axes
@@ -47,7 +56,10 @@ free dimensions.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +84,7 @@ __all__ = [
 ]
 
 _LOG2E = math.log2(math.e)
+_FLOAT_MAX = sys.float_info.max
 
 PLATEAU_SWEEPS = 100
 ORACLE_MAX_FREE_DIM = 3
@@ -96,10 +109,30 @@ class MarginalConstraint:
         _check_weights(t.reshape(-1), f"constraint target {self.name or self.axes}")
 
 
+class _BuiltOnRead:
+    """A dataclass field that may be given a zero-argument builder in place
+    of its value: the first read calls the builder and keeps what it returns."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)  # no default: the field stays required
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True, eq=False)
 class IProjectionResult:
     min_kl: float
-    argmin: JointPmf
+    # a JointPmf; the projections build theirs when it is first read
+    argmin: JointPmf = _BuiltOnRead()
     iterations: int
     converged: bool
     residual: float = 0.0
@@ -109,14 +142,19 @@ class IProjectionResult:
     duals: tuple = field(default_factory=tuple)
 
 
-def _constraint_views(names: tuple[str, ...], shape: tuple[int, ...], constraints) -> list[tuple]:
-    """Resolve axis names and reorder targets to ascending axis order.
+@functools.lru_cache(maxsize=64)
+def _plan(names: tuple[str, ...], shape: tuple[int, ...], layout: tuple) -> tuple:
+    """The layout of constraints on the axes in ``layout`` (one tuple of names
+    per constraint) over a reference with axis ``names`` and cell ``shape``.
 
-    ``constraints`` are (axes, targets) pairs whose targets carry a leading
-    batch axis. Each view is (ascending axis ids, reordered targets, the
-    permutation that restores one member's own layout)."""
-    views = []
-    for axes, targets in constraints:
+    One entry per constraint: (ascending axis ids, its targets' cell shape,
+    the transpose that reorders a batch of targets to ascending axis order,
+    the permutation that restores one member's own layout, the axes to sum
+    out of a batch of references and the broadcast shape of a target).
+    Every projection on one layout shares it, so a polish iterate plans
+    nothing."""
+    plans = []
+    for axes in layout:
         missing = [a for a in axes if a not in names]
         if missing:
             raise DimensionMismatch(f"no axis named {missing[0]!r} in {names}")
@@ -124,15 +162,34 @@ def _constraint_views(names: tuple[str, ...], shape: tuple[int, ...], constraint
         if len(set(ids)) != len(ids):
             raise DimensionMismatch(f"constraint repeats an axis: {axes}")
         order = sorted(range(len(ids)), key=lambda i: ids[i])
-        sorted_ids = tuple(ids[i] for i in order)
-        want = tuple(shape[i] for i in sorted_ids)
-        if targets.shape[1:] != tuple(shape[i] for i in ids):
+        keep = tuple(ids[i] for i in order)
+        plans.append((
+            keep,
+            tuple(shape[i] for i in ids),
+            (0, *(i + 1 for i in order)),
+            tuple(sorted(range(len(order)), key=order.__getitem__)),
+            tuple(i + 1 for i in range(len(shape)) if i not in keep),
+            (-1, *(k if i in keep else 1 for i, k in enumerate(shape))),
+        ))
+    return tuple(plans)
+
+
+def _constraint_views(names: tuple[str, ...], shape: tuple[int, ...], constraints) -> list[tuple]:
+    """Resolve axis names and reorder targets to ascending axis order.
+
+    ``constraints`` are (axes, targets) pairs whose targets carry a leading
+    batch axis. Each view is (ascending axis ids, axes to sum out, broadcast
+    shape, reordered targets, the permutation that restores one member's own
+    layout); all but the targets come from ``_plan``."""
+    plans = _plan(names, shape, tuple(axes for axes, _ in constraints))
+    views = []
+    for (axes, targets), (keep, own, order, restore, drop, bshape) in zip(constraints, plans):
+        if targets.shape[1:] != own:
             raise DimensionMismatch(
                 f"constraint on {axes}: target shape {targets.shape[1:]} "
-                f"does not match reference axes {want}"
+                f"does not match reference axes {tuple(shape[i] for i in keep)}"
             )
-        reordered = np.transpose(targets, (0, *(i + 1 for i in order)))
-        views.append((sorted_ids, reordered, tuple(np.argsort(order))))
+        views.append((keep, drop, bshape, np.transpose(targets, order), restore))
     return views
 
 
@@ -164,13 +221,16 @@ def _scale(ref: np.ndarray, views, tol: float, max_iter: int) -> list:
     fell during the sweeps it completed raises ``InvariantViolation`` when
     it leaves.
     """
-    shape = ref.shape[1:]
-    keeps = [keep for keep, _, _ in views]
-    drops = [tuple(i + 1 for i in range(len(shape)) if i not in keep) for keep in keeps]
-    bshapes = [(-1, *(k if i in keep else 1 for i, k in enumerate(shape))) for keep in keeps]
+    keeps, drops = [v[0] for v in views], [v[1] for v in views]
+    # Members sit on the leading axis of C-contiguous arrays, so every
+    # reduction sums each member's cells in the order of a lone C array and
+    # a member gets the same bits in any batch. Targets, their positive
+    # cells and the log2 scaling factors are kept in broadcast shape.
+    target = [np.ascontiguousarray(targets).reshape(bshape) for _, _, bshape, targets, _ in views]
+    pos = [t > 0 for t in target]
     out: list = [None] * len(ref)
-    for keep, drop, bshape, (_, targets, _) in zip(keeps, drops, bshapes, views):
-        short = (targets.reshape(bshape) > 0) & (np.add.reduce(ref, axis=drop, keepdims=True) <= 0)
+    for keep, drop, p in zip(keeps, drops, pos):
+        short = p & (np.add.reduce(ref, axis=drop, keepdims=True) <= 0)
         # np.count_nonzero is much cheaper than .all() or .any() on tiny arrays
         if np.count_nonzero(short):
             for i in np.flatnonzero(_rows(short).any(axis=1)):
@@ -181,17 +241,13 @@ def _scale(ref: np.ndarray, views, tol: float, max_iter: int) -> list:
     n = ids.size
     if not n:
         return out
-
-    # Members sit on the leading axis of C-contiguous arrays, so every
-    # reduction sums each member's cells in the order of a lone C array and
-    # a member gets the same bits in any batch. Targets, their positive
-    # cells and the log2 scaling factors are kept in broadcast shape.
-    sub = slice(None) if n == len(ref) else ids
-    P = np.array(ref[sub], order="C")
-    target = [np.ascontiguousarray(targets[sub]).reshape(bshape)
-              for (_, targets, _), bshape in zip(views, bshapes)]
+    if n == len(ref):
+        P = np.array(ref, order="C")
+    else:
+        P = np.array(ref[ids], order="C")
+        target = [t[ids] for t in target]
+        pos = [p[ids] for p in pos]
     trows = [_rows(t) for t in target]
-    pos = [t > 0 for t in target]
     # 1 where a target is zero, where the ratio is 0: log2(ratio + fill)
     # makes the step 0 there without a warning
     fills = [None if np.count_nonzero(p) == p.size else np.where(p, 0.0, 1.0) for p in pos]
@@ -291,12 +347,24 @@ def _scale(ref: np.ndarray, views, tol: float, max_iter: int) -> list:
     return out
 
 
+def _duals(targets: np.ndarray, lam: np.ndarray, restore: tuple) -> np.ndarray:
+    """One member's natural-log scaling factors in its target's own layout,
+    ``-inf`` on zero-target cells."""
+    dual = lam.reshape(targets.shape) / _LOG2E
+    if np.count_nonzero(targets) < targets.size:
+        dual = np.where(targets > 0, dual, -np.inf)
+    return np.transpose(dual, restore)
+
+
 def _project(names, alphabets, ref: np.ndarray, constraints, tol: float, max_iter: int) -> list:
-    """Projections of a batch of references; a failed member is its error."""
+    """Projections of a batch of references; a failed member is its error.
+
+    A result's ``argmin`` is built, and validated as a ``JointPmf``, when it
+    is first read."""
     views = _constraint_views(names, ref.shape[1:], constraints)
     if not views:
-        return [IProjectionResult(0.0, JointPmf(r, names, alphabets), 0, True, 0.0, (), ())
-                for r in ref]
+        return [IProjectionResult(0.0, functools.partial(JointPmf, r, names, alphabets),
+                                  0, True, 0.0, (), ()) for r in ref]
     out = _scale(ref, views, tol, max_iter)
     for i, member in enumerate(out):
         if isinstance(member, ToolkitError):
@@ -306,25 +374,25 @@ def _project(names, alphabets, ref: np.ndarray, constraints, tol: float, max_ite
         P = P / total  # guards float drift only; mass is 1 by construction
         out[i] = IProjectionResult(
             min_kl=_kl_bits(P.reshape(-1), ref[i].reshape(-1)),
-            argmin=JointPmf(P, names, alphabets),
+            argmin=functools.partial(JointPmf, P, names, alphabets),
             iterations=sweeps,
             converged=True,
             residual=resid,
             dual_trace=tuple(trace.tolist()),
-            duals=tuple(
-                np.transpose(np.where(targets[i] > 0,
-                                      lam.reshape(targets.shape[1:]) / _LOG2E, -np.inf), restore)
-                for (_, targets, restore), lam in zip(views, log2_scales)
-            ),
+            duals=tuple(_duals(targets[i], lam, restore)
+                        for (_, _, _, targets, restore), lam in zip(views, log2_scales)),
         )
     return out
 
 
 def _check_solver(tol: float, max_iter: int) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol {tol!r} must be finite and positive")
-    if not max_iter >= 1:
-        raise DomainError(f"max_iter {max_iter!r} must be at least 1")
+    """Refuse a ``tol`` that is not a finite positive number and a
+    ``max_iter`` that is not an integer of at least 1; a bool is neither."""
+    # the range test also fails NaN, inf and an int past the float range
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol <= _FLOAT_MAX:
+        raise DomainError(f"tol {tol!r} must be a finite positive number")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise DomainError(f"max_iter {max_iter!r} must be an integer of at least 1")
 
 
 def i_project(
@@ -349,11 +417,18 @@ def i_project(
 
 
 def _check_members(w: np.ndarray, what: str) -> None:
-    """``_check_weights`` on every member of a batch (the leading axis)."""
+    """``_check_weights`` on every member of a batch (the leading axis).
+
+    One sum and one minimum per member decide: a NaN or a negative entry
+    fails the minimum, an infinite one the sum. Only a batch that fails runs
+    ``_check_weights``, member by member, for the message that names the bad
+    one."""
     rows = _rows(w)
     with np.errstate(all="ignore"):
-        ok = (np.isfinite(rows).all(axis=1) & (rows >= 0).all(axis=1)
-              & (np.abs(rows.sum(axis=1) - 1.0) <= MASS_ATOL))
+        ok = ((np.minimum.reduce(rows, axis=1, initial=0.0) >= 0.0)
+              & (np.abs(np.add.reduce(rows, axis=1) - 1.0) <= MASS_ATOL))
+    if np.count_nonzero(ok) == ok.size:
+        return
     for b in np.flatnonzero(~ok):
         _check_weights(rows[b], f"{what}, batch member {b}")
 
@@ -404,7 +479,7 @@ def _constraint_system(reference: JointPmf, views) -> tuple[np.ndarray, np.ndarr
     ncells = int(np.prod(shape))
     rows = [np.ones(ncells)]
     rhs = [1.0]
-    for keep, targets, _ in views:
+    for keep, _, _, targets, _ in views:
         target = targets[0]
         grid = np.indices(shape).reshape(len(shape), ncells)
         for cell in np.ndindex(target.shape):

@@ -40,6 +40,12 @@ class _Minimized:
         return int(self.nfevs.sum())
 
 
+def _rows(sel: list) -> slice | list:
+    """The ascending members ``sel`` as a basic slice when they are
+    consecutive, as a lone start always is, else ``sel`` itself."""
+    return slice(sel[0], sel[-1] + 1) if sel[-1] - sel[0] == len(sel) - 1 else sel
+
+
 def minimize(pair, starts: np.ndarray, rate: float, leak: float,
              hold_mechanism: bool = False) -> _Minimized:
     """SLSQP minimization of -``pair.values`` from each row of ``starts``, in lockstep.
@@ -91,19 +97,21 @@ def minimize(pair, starts: np.ndarray, rate: float, leak: float,
                "meq": 0, "mode": 0, "n": n} for _ in range(count)]
 
     def evaluated(sel: list):
-        thetas = starts[sel]
-        thetas[:, skip:] = x[sel]
+        rows = _rows(sel)
+        thetas = starts[rows].copy()
+        thetas[:, skip:] = x[rows]
         pts = pair.evaluate(thetas)
-        f[sel] = -pair.values(pts)
-        d[sel, :2] = -(pts.info[:, :2] - upper)
+        f[rows] = -pair.values(pts)
+        d[rows, :2] = -(pts.info[:, :2] - upper)
         if row_sums is not None:
             ax = np.array([np.dot(row_sums[0], x[i]) for i in sel])
-            d[sel, 2:] = np.concatenate([ax, -(ax - 1.0)], axis=1)
+            d[rows, 2:] = np.concatenate([ax, -(ax - 1.0)], axis=1)
         return pts
 
     def differentiated(pts, sel: list) -> None:
-        g[sel] = -pair.gradients(pts)[:, skip:]
-        big_c[sel, :2] = -pair.jacobians(pts)[:, :2, skip:]
+        rows = _rows(sel)
+        g[rows] = -pair.gradients(pts)[:, skip:]
+        big_c[rows, :2] = -pair.jacobians(pts)[:, :2, skip:]
 
     live = list(range(count))
     last = evaluated(live)
@@ -127,8 +135,9 @@ def minimize(pair, starts: np.ndarray, rate: float, leak: float,
             differentiated(last if len(rows_asked) == len(last.info) else last.take(rows_asked),
                            to_differentiate)
         if to_evaluate:
-            nfevs[to_evaluate] += (x[to_evaluate] != seen[to_evaluate]).any(axis=1)
-            seen[to_evaluate] = x[to_evaluate]
+            rows = _rows(to_evaluate)
+            nfevs[rows] += (x[rows] != seen[rows]).any(axis=1)
+            seen[rows] = x[rows]
             last = evaluated(to_evaluate)
             row_of = {i: k for k, i in enumerate(to_evaluate)}
         live = [i for i in live if abs(states[i]["mode"]) == 1]

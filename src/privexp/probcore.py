@@ -270,9 +270,11 @@ def _kl_bits(p: np.ndarray, q: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     mask = p > 0
-    if np.any(q[mask] <= 0):
+    if np.count_nonzero(mask) < mask.size:  # no gather when every cell is positive
+        p, q = p[mask], q[mask]
+    if np.count_nonzero(q <= 0):
         return math.inf
-    return float((p[mask] * (np.log2(p[mask]) - np.log2(q[mask]))).sum())
+    return float((p * (np.log2(p) - np.log2(q))).sum())
 
 
 def kl_divergence(p: Pmf | JointPmf, q: Pmf | JointPmf) -> float:
@@ -518,8 +520,9 @@ def chain_joint(p_xy: JointPmf, mechanism: Channel, quantizer: Channel) -> Joint
     )
 
 
-def _pair_joints(p_xy: np.ndarray, mech: np.ndarray, quant: np.ndarray):
-    """(X, Xh), (U, Xh) and (U, Y) joints of the chain U - Xh - X - Y.
+def _pair_joints(p_xy: np.ndarray, mech: np.ndarray, quant: np.ndarray, uy: bool = True):
+    """(X, Xh), (U, Xh) and (U, Y) joints of the chain U - Xh - X - Y, or
+    the first two alone when ``uy`` is false.
 
     ``mech`` (..., X, Xh) and ``quant`` (..., Xh, U) broadcast over their
     leading axes, so one call serves a single pair or a block of a grid,
@@ -528,6 +531,8 @@ def _pair_joints(p_xy: np.ndarray, mech: np.ndarray, quant: np.ndarray):
     p_x = p_xy.sum(axis=1)
     p_xh = p_x @ mech
     j_uxh = np.swapaxes(p_xh[..., :, None] * quant, -1, -2)
+    if not uy:
+        return p_x[:, None] * mech, j_uxh
     j_uy = np.einsum("xy,...xu->...uy", p_xy, mech @ quant)
     return p_x[:, None] * mech, j_uxh, j_uy
 

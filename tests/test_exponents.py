@@ -1,5 +1,6 @@
 """Exponent optimizers: closed forms, search anchors, bounds, and witnesses."""
 
+import hashlib
 import math
 import time
 import tracemalloc
@@ -1087,6 +1088,77 @@ def test_both_searches_call_the_solver_through_the_module_attribute(monkeypatch)
     assert tai_calls > 0
     theorem1_lower_bound(*alt_pair(), 0.1, 0.1)
     assert len(calls) > tai_calls
+
+
+# The benchmark's five general-alternative queries on (NULL, ALT), frozen
+# from this package's search: theta as float.hex, and sha256 prefixes of the
+# mechanism and quantizer bytes and of the witness bytes. Any change to the
+# arithmetic of a polish iterate moves these; a change that only drops work
+# the search does not read keeps them.
+THM1_ALT_BITS = {
+    ("thm1", 0.5, 0.5): ("0x1.210108b2f659fp-3", "2f191e2614826b95", "20b7949190436704"),
+    ("thm1", 0.25, 0.25): ("0x1.909761979ab25p-5", "b733c18fc17d3782", "5ecfded96a73ef21"),
+    ("thm1", 0.1, 0.1): ("0x1.271d6b1c57df7p-6", "7f26e3b51168b659", "1356c2386c8423e7"),
+    ("cor2", 0.25): ("0x1.00f005853abd1p-3", "8cc2f58a3104e5eb", "96040f2e6a6e77af"),
+    ("cor2", 0.5): ("0x1.d7919eb971278p-3", "1f99113937ac7623", "af04f7f925d78709"),
+}
+# their projections: every polish iterate is a batch of one, and the sweeps
+# count every member of the five shortlist batches too
+THM1_ALT_POLISH_PROJECTIONS = 276
+THM1_ALT_SWEEPS = 5649
+
+
+def bytes_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_theorem1_queries_keep_their_bits_and_their_projection_counts(monkeypatch):
+    real, batches, sweeps = iproject._scale, [], []
+
+    def counting(ref, *args, **kwargs):
+        out = real(ref, *args, **kwargs)
+        batches.append(len(ref))
+        sweeps.extend(member[2] for member in out if isinstance(member, tuple))
+        return out
+
+    monkeypatch.setattr(iproject, "_scale", counting)
+    p, q = alt_pair()
+    for (method, *budgets), (theta, channels, witness) in THM1_ALT_BITS.items():
+        search = theorem1_lower_bound if method == "thm1" else corollary2_bound
+        res = search(p, q, *budgets)
+        assert float(res.theta).hex() == theta, (method, budgets)
+        assert bytes_digest(res.mechanism.matrix, res.quantizer.matrix) == channels
+        assert isinstance(res.inner_witness, JointPmf)
+        assert bytes_digest(res.inner_witness.probs) == witness
+    assert batches.count(1) == THM1_ALT_POLISH_PROJECTIONS
+    assert len(batches) == THM1_ALT_POLISH_PROJECTIONS + len(THM1_ALT_BITS)
+    assert sum(sweeps) == THM1_ALT_SWEEPS
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_the_theorem1_pair_scores_the_budgets_with_the_channel_pair_bits(seed):
+    # the Theorem-1 pair evaluates the (X, Xh) and (U, Xh) joints alone, on
+    # the one evaluation path: its values and Jacobian rows are the first two
+    # of the full channel pair's, bit for bit, over every kind of point
+    rng = np.random.default_rng(seed)
+    kx, ky = (int(k) for k in rng.integers(2, 4, size=2))
+    p = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
+    q = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
+    inner = inner_pair(p, q, kx, kx + 2)
+    full = _ChannelPair(p, kx, kx + 2)
+    full.log_floor = inner.log_floor  # the floor sets the slopes on a face
+    kinds = [k for k in POINT_KINDS if k != "bsc"] * 2
+    thetas = np.stack([random_point(rng, full, k) for k in kinds])
+    for batch in (thetas, thetas[:1]):
+        mine, theirs = inner.evaluate(batch), full.evaluate(batch)
+        assert mine.info.shape == (len(batch), 2) and len(mine.joints) == 2
+        assert mine.info.tobytes() == theirs.info[:, :2].tobytes()
+        assert inner.jacobians(mine).tobytes() == full.jacobians(theirs)[:, :2].tobytes()
+    assert inner.info(thetas[0]) == full.info(thetas[0])[:2]
 
 
 def test_lower_bound_refuses_the_bsc_restriction(product_uniform):

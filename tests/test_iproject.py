@@ -24,6 +24,7 @@ from privexp import (
     i_project,
     kl_divergence,
 )
+from privexp import probcore
 from privexp.iproject import _i_project_batch
 
 REF = np.array([[0.28, 0.42], [0.18, 0.12]])
@@ -236,6 +237,61 @@ def test_solver_settings_are_domain_errors(kwargs, match):
     # max_iter = 0 raised Infeasible after none
     with pytest.raises(DomainError, match=match):
         i_project(joint(REF), UNIFORM_XY, **kwargs)
+
+
+def batch_of_one(**solver):
+    """``i_project(joint(REF), UNIFORM_XY)`` through the batched entry point."""
+    return _i_project_batch(REF[None], ("X", "Y"), (),
+                            [(c.axes, c.target[None]) for c in UNIFORM_XY], **solver)
+
+
+ENTRY_POINTS = {"i_project": lambda **solver: i_project(joint(REF), UNIFORM_XY, **solver),
+                "batch": batch_of_one}
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"max_iter": math.inf}, "^max_iter inf must be an integer"),
+    ({"max_iter": 2.5}, "^max_iter 2.5 must be an integer"),
+    ({"max_iter": True}, "^max_iter True must be an integer"),
+    ({"max_iter": "5"}, "^max_iter '5' must be an integer"),
+    ({"tol": "1e-9"}, "^tol '1e-9' must be a finite positive number"),
+    ({"tol": True}, "^tol True must be a finite positive number"),
+    ({"tol": 10**400}, "^tol 1000.* must be a finite positive number"),
+], ids=["inf-sweeps", "fractional-sweeps", "bool-sweeps", "str-sweeps", "str-tol", "bool-tol",
+        "huge-int-tol"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_solver_arguments_of_the_wrong_kind_are_domain_errors(entry, kwargs, match):
+    # once an OverflowError (inf sweeps), a TypeError (strings) or silently
+    # accepted (2.5 and True sweeps)
+    with pytest.raises(DomainError, match=match):
+        ENTRY_POINTS[entry](**kwargs)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_numpy_solver_arguments_are_accepted(entry):
+    res = ENTRY_POINTS[entry](tol=np.float64(1e-9), max_iter=np.int64(50))
+    if entry == "batch":
+        (res,) = res
+    assert res.converged and res.min_kl == i_project(joint(REF), UNIFORM_XY).min_kl
+
+
+def test_a_projection_builds_its_witness_when_it_is_read(monkeypatch):
+    # the witness is a validated JointPmf, built on first read and kept
+    ref = joint(REF)
+    checked = []
+    real = probcore._check_weights
+    monkeypatch.setattr(probcore, "_check_weights",
+                        lambda w, what: (checked.append(what), real(w, what))[1])
+    res = i_project(ref, UNIFORM_XY)
+    assert "JointPmf" not in checked
+    witness = res.argmin
+    assert isinstance(witness, JointPmf) and checked.count("JointPmf") == 1
+    assert res.argmin is witness and checked.count("JointPmf") == 1
+    assert (witness.axes, witness.alphabets) == (ref.axes, ref.alphabets)
+    # the bits the witness had when it was built with every projection
+    assert [float(v).hex() for v in witness.probs.reshape(-1)] == [
+        "0x1.999999999999ap-3", "0x1.3333333333333p-2", "0x1.3333333333333p-2",
+        "0x1.999999999999ap-3"]
 
 
 @pytest.mark.parametrize("step", [0.0, math.nan])
