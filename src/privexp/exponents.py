@@ -8,7 +8,9 @@ maximizes an inner I-projection value against a general alternative. The
 inner value builds the (U, Xh, X, Y) chains under both laws with one
 ``einsum`` each and takes its (U, Y) and (U, Xh) targets as axis sums of the
 null chain; the grid and the polish take every other joint of a pair from
-one kernel, ``probcore._pair_joints``. The search amplifies round-off, so
+one kernel, ``probcore._pair_joints`` (the polish packs a batch's joints
+into one buffer with ``_pair_cells`` and scores them in one pass of
+``_mi_cells``, with ``_mi_batch``'s bits). The search amplifies round-off, so
 this arithmetic order is part of its result: summing the polished pair's
 marginals in another order moved values by up to 0.069 bits, and summing
 the grid's reordered near-tied pairs and moved one value by 0.075 bits
@@ -27,9 +29,10 @@ size, so the polish scores a grid pair with the grid's bits.
 ``minimize`` (from ``lockstep``) runs SLSQP from a batch of starts in
 lockstep: it drives scipy's reverse-communication SLSQP kernel one member
 at a time, with the set-up ``scipy.optimize.minimize(method="SLSQP")``
-makes, and each round evaluates every member that asked for values in one
-batch and every member that asked for gradients in another, so each
-member ends with the bits its own scipy polish gives. Both searches take
+makes; each round differentiates every member that asked for gradients in
+one batch, steps those members on to their next point, and evaluates every
+live member in one batch, so each member ends with the bits its own scipy
+polish gives. Both searches take
 their grid pairs from one ranking, ``_TaiSpace.ranked``: the pairs within
 both budgets, best I(U;Y) first, ties in index order, so the grid stage
 is deterministic and ties break toward the lexicographically smallest
@@ -93,8 +96,12 @@ from .probcore import (
     _as_joint2,
     _as_joint_pair,
     _compositions,
+    _joint_views,
     _mi_batch,
+    _mi_cells,
+    _pair_cells,
     _pair_joints,
+    _sum_index,
     binary_entropy,
     binary_entropy_inv,
     chain_joint,  # unused here; kept as a module attribute for perfbench's probe
@@ -313,7 +320,7 @@ class _TaiSpace:
         block = max(1, _BLOCK_CELLS // cells)
         for lo in range(0, nm, block):
             hi = lo + block
-            j_xxh, j_uxh, j_uy = _pair_joints(p_xy, self.mechs[lo:hi, None], self.quants)
+            (j_xxh, j_uxh, j_uy), _ = _pair_joints(p_xy, self.mechs[lo:hi, None], self.quants)
             self.i_xxh[lo:hi] = _mi_batch(j_xxh[:, 0])
             self.i_uxh[lo:hi] = _mi_batch(j_uxh)
             self.i_uy[lo:hi] = _mi_batch(j_uy)
@@ -392,38 +399,39 @@ def _log(a: np.ndarray, floor: float = _LOG_FLOOR) -> np.ndarray:
     return np.log(np.maximum(a, floor))
 
 
-def _mi_grad(joint: np.ndarray, floor: float = _LOG_FLOOR, r=None, c=None) -> np.ndarray:
+def _mi_grad(joint: np.ndarray, floor: float = _LOG_FLOOR) -> np.ndarray:
     """d I / d joint in nats, up to a constant that cancels on the simplex.
 
     The exact derivative is log J(a,b) - log r(a) - log c(b) - 1 for row sums
     r and column sums c; every direction that keeps each channel row summing
-    to one moves the total mass by zero, so the -1 drops out. ``r`` (..., a,
-    1) and ``c`` (..., 1, b) are summed here unless the caller has them.
+    to one moves the total mass by zero, so the -1 drops out.
     """
-    if r is None:
-        r, c = joint.sum(axis=-1, keepdims=True), joint.sum(axis=-2, keepdims=True)
+    r, c = joint.sum(axis=-1, keepdims=True), joint.sum(axis=-2, keepdims=True)
     return _log(joint, floor) - _log(r, floor) - _log(c, floor)
 
 
 class _Points:
     """Channel pairs of one ``_ChannelPair`` evaluated as a batch, member i in row i.
 
-    ``mech`` (B, X, Xh) and ``quant`` (B, Xh, U) are the channels, ``joints``
-    their (X, Xh), (U, Xh) and (U, Y) joints from ``probcore._pair_joints``
-    (the first two alone for the Theorem-1 pair), ``sums`` the (row, column)
-    sums ``probcore._mi_batch`` divided each joint by, and ``info`` (B, k)
-    the k MI values of those joints in bits. The pair fills ``jac``,
-    ``projections`` and ``grads`` on first use.
+    ``mech`` (B, X, Xh) and ``quant`` (B, Xh, U) are the channels and
+    ``p_xh`` (B, Xh) the Xh marginal. ``cells`` (B, n) holds their (X, Xh),
+    (U, Xh) and (U, Y) joints back to back, from ``probcore._pair_cells``
+    (the first two alone for the Theorem-1 pair), ``shapes`` the joints'
+    (a, b), ``sums`` (B, m) the row and column sums ``probcore._mi_cells``
+    divided each joint by, and ``info`` (B, k) the k MI values of those
+    joints in bits. The pair fills ``jac``, ``projections`` and ``grads`` on
+    first use.
     """
 
-    def __init__(self, mech, quant, joints, sums, info):
-        self.mech, self.quant, self.joints, self.sums, self.info = mech, quant, joints, sums, info
+    def __init__(self, mech, quant, p_xh, cells, shapes, sums, info):
+        self.mech, self.quant, self.p_xh = mech, quant, p_xh
+        self.cells, self.shapes, self.sums, self.info = cells, shapes, sums, info
         self.jac = self.projections = self.grads = None
 
     def take(self, rows: np.ndarray) -> _Points:
         """The members ``rows`` as a batch of their own, with nothing filled yet."""
-        return _Points(self.mech[rows], self.quant[rows], tuple(j[rows] for j in self.joints),
-                       tuple((r[rows], c[rows]) for r, c in self.sums), self.info[rows])
+        return _Points(self.mech[rows], self.quant[rows], self.p_xh[rows], self.cells[rows],
+                       self.shapes, self.sums[rows], self.info[rows])
 
 
 class _ChannelPair:
@@ -435,15 +443,17 @@ class _ChannelPair:
     per row, to a ``_Points`` batch: the channels, clipped at 0 and each row
     divided by its sum, so a point off the simplex, such as an SLSQP iterate
     just past a face, still maps to two channels (every row sums to at least
-    1 before the division); their joints (``_joints``) from
-    ``probcore._pair_joints`` and (I(X;Xh), I(U;Xh), I(U;Y)) in bits from
-    ``probcore._mi_batch``, the grid's own arithmetic, so the polish scores a
-    grid pair with the grid's bits. ``jacobians`` gives their exact
-    gradients, one row each, computed once per batch from the same joints
-    and their row and column sums. A pair that does not score I(U;Y), as
-    the Theorem-1 pair does not, evaluates the first two joints alone and
-    gets the first two values and rows, with the same bits. The polish maximizes ``values``, here I(U;Y), with
-    gradients ``gradients`` to ``ftol``. A member gets the same bits in a
+    1 before the division); their joints from the grid's joint kernel,
+    written into one buffer (``probcore._pair_cells``), and (I(X;Xh),
+    I(U;Xh), I(U;Y)) in bits from ``probcore._mi_cells``, which has the bits
+    of the grid's ``_mi_batch``, so the polish scores a grid pair with the
+    grid's bits. ``jacobians`` gives their exact gradients, one row each,
+    computed once per batch from the same joints and their row and column
+    sums, whose floored logs take one pass over each buffer. A pair that
+    does not score I(U;Y) (``scores_uy`` false), as the Theorem-1 pair does
+    not, evaluates the first two joints alone and gets the first two values
+    and rows, with the same bits. The polish maximizes ``values``, here
+    I(U;Y), with gradients ``gradients`` to ``ftol``. A member gets the same bits in a
     batch of any size, so a single point is a batch of one: ``channels``,
     ``info``, ``jac``, ``value`` and ``grad`` read one.
 
@@ -458,6 +468,7 @@ class _ChannelPair:
 
     log_floor = _LOG_FLOOR
     ftol = 1e-12
+    scores_uy = True
 
     def __init__(self, p_xy: np.ndarray, kh: int, ku: int, bsc: bool = False):
         if bsc:  # a BSC pair is binary throughout
@@ -516,20 +527,16 @@ class _ChannelPair:
             qfree = thetas[:, self.mech_params:].reshape(-1, self.kh, self.ku - 1)
             mech = np.concatenate([mfree, 1 - mfree.sum(axis=-1, keepdims=True)], axis=-1)
             quant = np.concatenate([qfree, 1 - qfree.sum(axis=-1, keepdims=True)], axis=-1)
-        mech = np.clip(mech, 0.0, None)
-        quant = np.clip(quant, 0.0, None)
+        mech = np.maximum(mech, 0.0)  # what np.clip(mech, 0.0, None) calls
+        quant = np.maximum(quant, 0.0)
         mech = mech / mech.sum(axis=-1, keepdims=True)
         quant = quant / quant.sum(axis=-1, keepdims=True)
-        joints = self._joints(mech, quant)
-        parts = [_mi_batch(j, sums=True) for j in joints]
+        cells, joints, p_xh = _pair_cells(self.p_xy, mech, quant, self.scores_uy)
+        info, sums = _mi_cells(cells, joints)
         self._key = key
-        self._last = _Points(mech, quant, joints, tuple((r, c) for _, r, c in parts),
-                             np.stack([i for i, _, _ in parts], axis=-1))
+        self._last = _Points(mech, quant, p_xh, cells, tuple(j.shape[-2:] for j in joints), sums,
+                             info)
         return self._last
-
-    def _joints(self, mech: np.ndarray, quant: np.ndarray) -> tuple:
-        """The joints a batch scores: (X, Xh), (U, Xh) and (U, Y)."""
-        return _pair_joints(self.p_xy, mech, quant)
 
     def jacobians(self, pts: _Points) -> np.ndarray:
         """(B, k, n_free) gradients of the k values in ``pts.info``."""
@@ -563,13 +570,16 @@ class _ChannelPair:
         return self.gradients(self._at(theta))[0]
 
     def _gradient(self, pts: _Points) -> np.ndarray:
-        p, p_x, mech, quant = self.p_xy, self.p_x, pts.mech, pts.quant
-        j_xxh, j_uxh = pts.joints[:2]
-        (r_xxh, c_xxh), (r_uxh, c_uxh) = pts.sums[:2]
-        p_xh = p_x @ mech  # (B, h)
+        p, p_x, mech, quant, p_xh = self.p_xy, self.p_x, pts.mech, pts.quant, pts.p_xh
         fl = self.log_floor
-        g_xxh = _mi_grad(j_xxh, fl, r_xxh, c_xxh)
-        g_xhu = _mi_grad(j_uxh.mT, fl, c_uxh.mT, r_uxh.mT)
+        # every joint's log J - log r - log c (``_mi_grad``) in one pass over
+        # the batch's cells, from the floored logs of all cells and all sums
+        first, second = _log_sums_index(pts.shapes)
+        log_sums = _log(pts.sums, fl)
+        g = (_log(pts.cells, fl) - np.take(log_sums, first, axis=-1)) - np.take(
+            log_sums, second, axis=-1)
+        g_xxh, g_uxh, *g_uy = _joint_views(g, pts.shapes)
+        g_xhu = g_uxh.mT  # (B, h, u)
         # A row of a joint with no mass (an unused Xh or U symbol) has no
         # conditional of its own: mass moved into it brings the conditional of
         # where it came from, and log J - log r takes that conditional's log.
@@ -578,25 +588,47 @@ class _ChannelPair:
         unused_xh = p_xh <= 0
         if unused_xh.any():
             g_xhu[unused_xh] = (_log(quant, fl) - _log(p_xh[:, None] @ quant, fl))[unused_xh]
-        d_mech = [
-            p_x[:, None] * g_xxh,
-            # I(U;Xh) sees the mechanism only through the Xh marginal
-            p_x[:, None] * (quant * g_xhu).sum(axis=-1)[:, None],
-        ]
-        d_quant = [np.zeros_like(quant), p_xh[..., None] * g_xhu]
-        if len(pts.joints) == 3:  # the pair scores I(U;Y) too
-            (r_uy, c_uy) = pts.sums[2]
-            h = p @ _mi_grad(pts.joints[2], fl, r_uy, c_uy).mT  # (B, x, u)
-            unused_u = r_uy[..., 0] <= 0  # (B, u)
+        # row k of d_mech and d_quant: the slopes of value k over each channel
+        rows = 2 + len(g_uy)
+        d_mech = np.empty((len(mech), rows, *mech.shape[1:]))
+        d_quant = np.empty((len(quant), rows, *quant.shape[1:]))
+        np.multiply(p_x[:, None], g_xxh, out=d_mech[:, 0])
+        # I(U;Xh) sees the mechanism only through the Xh marginal
+        np.multiply(p_x[:, None], (quant * g_xhu).sum(axis=-1)[:, None], out=d_mech[:, 1])
+        d_quant[:, 0] = 0.0
+        np.multiply(p_xh[..., None], g_xhu, out=d_quant[:, 1])
+        if g_uy:  # the pair scores I(U;Y) too
+            h = p @ g_uy[0].mT  # (B, x, u)
+            lo = sum(a + b for a, b in pts.shapes[:2])  # where the (U, Y) row sums start
+            unused_u = pts.sums[:, lo:lo + self.ku] <= 0  # (B, u)
             if unused_u.any():
                 np.copyto(h, self._fresh_u, where=unused_u[:, None])
-            d_mech.append(h @ quant.mT)
-            d_quant.append(mech.mT @ h)
+            np.matmul(h, quant.mT, out=d_mech[:, 2])
+            np.matmul(mech.mT, h, out=d_quant[:, 2])
             if unused_u.any():
                 a_hy = mech.mT @ p  # joints of (Xh, Y)
-                np.copyto(d_quant[2], (a_hy * _mi_grad(a_hy, fl)).sum(axis=-1, keepdims=True),
+                np.copyto(d_quant[:, 2], (a_hy * _mi_grad(a_hy, fl)).sum(axis=-1, keepdims=True),
                           where=unused_u[:, None])
-        return self._free_grad(np.stack(d_mech, axis=1), np.stack(d_quant, axis=1)) * _LOG2E
+        return self._free_grad(d_mech, d_quant) * _LOG2E
+
+
+@functools.cache
+def _log_sums_index(shapes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of a batch's joints, the positions in its sums of the two
+    sums whose logs ``_ChannelPair._gradient`` subtracts, first and second.
+
+    Row then column, as ``_mi_grad`` takes them, but for the (U, Xh) joint,
+    the second of ``shapes``: its gradient is taken over (Xh, U), so its
+    Xh sum goes first.
+    """
+    rows, cols = _sum_index(shapes)
+    swap = np.zeros(len(rows), dtype=bool)
+    lo = shapes[0][0] * shapes[0][1]
+    swap[lo:lo + shapes[1][0] * shapes[1][1]] = True
+    first, second = np.where(swap, cols, rows), np.where(swap, rows, cols)
+    first.setflags(write=False)  # shared by every batch of these shapes
+    second.setflags(write=False)
+    return first, second
 
 
 @functools.cache
@@ -865,6 +897,7 @@ class _InnerPair(_ChannelPair):
 
     log_floor = 1e-7
     ftol = 1e-11  # the inner value is solved to residual 1e-9
+    scores_uy = False  # the search reads the two budgets, not I(U;Y)
 
     def __init__(self, p: np.ndarray, q_xy: JointPmf, kh: int, ku: int):
         super().__init__(p, kh, ku)
@@ -880,10 +913,6 @@ class _InnerPair(_ChannelPair):
             (("U", "Y"), null_chain.sum(axis=(2, 3))),
             (("U", "Xh"), null_chain.sum(axis=(3, 4))),
         ]
-
-    def _joints(self, mech: np.ndarray, quant: np.ndarray) -> tuple:
-        """(X, Xh) and (U, Xh) alone: the search reads the two budgets, not I(U;Y)."""
-        return _pair_joints(self.p_xy, mech, quant, uy=False)
 
     def project_many(self, mechs: np.ndarray, quants: np.ndarray) -> list:
         """Inner I-projections of stacked (mechanism, quantizer) pairs in one

@@ -60,7 +60,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -111,14 +111,20 @@ class MarginalConstraint:
 
 class _BuiltOnRead:
     """A dataclass field that may be given a zero-argument builder in place
-    of its value: the first read calls the builder and keeps what it returns."""
+    of its value: the first read calls the builder and keeps what it returns.
+    Without ``default`` the field is required."""
+
+    def __init__(self, default=MISSING):
+        self.default = default
 
     def __set_name__(self, owner, name):
         self.slot = "_" + name
 
     def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.slot)  # no default: the field stays required
+        if obj is None:  # the dataclass asks the class for the field's default
+            if self.default is MISSING:
+                raise AttributeError(self.slot)
+            return self.default
         value = obj.__dict__[self.slot]
         if callable(value):
             value = obj.__dict__[self.slot] = value()
@@ -136,10 +142,11 @@ class IProjectionResult:
     iterations: int
     converged: bool
     residual: float = 0.0
-    # dual ascent certificate, one value per sweep (nondecreasing)
-    dual_trace: tuple = field(default_factory=tuple)
+    # dual ascent certificate, one value per sweep (nondecreasing); the
+    # projections build it, and the duals, when first read
+    dual_trace: tuple = _BuiltOnRead(())
     # natural-log scaling factor of each constraint, in its target layout
-    duals: tuple = field(default_factory=tuple)
+    duals: tuple = _BuiltOnRead(())
 
 
 @functools.lru_cache(maxsize=64)
@@ -356,11 +363,22 @@ def _duals(targets: np.ndarray, lam: np.ndarray, restore: tuple) -> np.ndarray:
     return np.transpose(dual, restore)
 
 
+def _listed(trace: np.ndarray) -> tuple:
+    return tuple(trace.tolist())
+
+
+def _member_duals(views, i: int, log2_scales) -> tuple:
+    """Member ``i``'s duals, one per constraint of ``views``."""
+    return tuple(_duals(targets[i], lam, restore)
+                 for (_, _, _, targets, restore), lam in zip(views, log2_scales))
+
+
 def _project(names, alphabets, ref: np.ndarray, constraints, tol: float, max_iter: int) -> list:
     """Projections of a batch of references; a failed member is its error.
 
     A result's ``argmin`` is built, and validated as a ``JointPmf``, when it
-    is first read."""
+    is first read, and so are its ``dual_trace`` and ``duals``: a search that
+    ranks projections reads only ``min_kl``."""
     views = _constraint_views(names, ref.shape[1:], constraints)
     if not views:
         return [IProjectionResult(0.0, functools.partial(JointPmf, r, names, alphabets),
@@ -378,9 +396,8 @@ def _project(names, alphabets, ref: np.ndarray, constraints, tol: float, max_ite
             iterations=sweeps,
             converged=True,
             residual=resid,
-            dual_trace=tuple(trace.tolist()),
-            duals=tuple(_duals(targets[i], lam, restore)
-                        for (_, _, _, targets, restore), lam in zip(views, log2_scales)),
+            dual_trace=functools.partial(_listed, trace),
+            duals=functools.partial(_member_duals, views, i, log2_scales),
         )
     return out
 

@@ -1,8 +1,9 @@
 """SLSQP from many starts in lockstep, on scipy's reverse-communication kernel.
 
 ``minimize`` runs the iterations ``scipy.optimize.minimize(method="SLSQP")``
-would run from each start of a batch, one batch per channel pair, and
-evaluates the pair once per round for every start that asks. It drives
+would run from each start of a batch, one batch per channel pair. A start
+that receives its gradients goes on to its next point in the same round,
+so a round evaluates the pair once, for every start still running. It drives
 ``scipy.optimize._slsqplib.slsqp``, the C kernel that scipy's own SLSQP loop
 calls since scipy 1.16, and copies that loop's set-up (``_minimize_slsqp``):
 this module is the one place that depends on that kernel's calling
@@ -58,11 +59,16 @@ def minimize(pair, starts: np.ndarray, rate: float, leak: float,
     index sizes, and the constraints as the inequality rows -(I - upper)
     for the (leak, rate) budgets, then A x and -(A x - 1) for the row sums A
     of ``pair.feasible_set``. A round calls scipy's
-    reverse-communication kernel once per live member, then evaluates every
-    member that asked for its objective and constraints in one
-    ``pair.evaluate`` and every member that asked for gradients in one
-    ``pair.jacobians``. A member counts an objective evaluation only at a
-    point unequal to its last one, as scipy's ``ScalarFunction`` does.
+    reverse-communication kernel once per live member. The members that
+    ask for gradients (SLSQP asks for them at the point it evaluated last)
+    get them in one ``pair.jacobians`` of the last batch, or of the rows it
+    holds for them, and the kernel is called again for each of them at
+    once; then every live member has asked for its next point, and all of
+    them are evaluated in one ``pair.evaluate`` of views of one array of full
+    parameter vectors. A member gets the values and gradients it gets on its
+    own, in the order it asks for them, so it ends on the same bits; only the
+    number of batches falls. A member counts an objective evaluation only at
+    a point unequal to its last one, as scipy's ``ScalarFunction`` does.
     ``hold_mechanism`` keeps the mechanism's parameters at those of each
     start; ``x`` holds the rest. An infinite budget is replaced by a finite
     one no channel pair on these alphabets can reach, so SLSQP never sees an
@@ -80,7 +86,9 @@ def minimize(pair, starts: np.ndarray, rate: float, leak: float,
     upper = np.array([leak, rate], dtype=float)
     upper[np.isinf(upper)] = math.log2(max(pair.kh, pair.ku)) + 1.0
 
-    x = np.clip(starts[:, skip:], 0.0, hi)  # row i is member i's iterate
+    thetas = starts.copy()  # row i is member i's full parameter vector
+    x = thetas[:, skip:]  # and its free part, member i's iterate, moved by the kernel in place
+    np.clip(x, 0.0, hi, out=x)
     xl, xu = np.zeros(n), np.full(n, hi)
     f = np.empty(count)
     g = np.empty((count, n))
@@ -95,16 +103,17 @@ def minimize(pair, starts: np.ndarray, rate: float, leak: float,
                "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * pair.ftol, "exact": 0,
                "inconsistent": 0, "reset": 0, "iter": 0, "itermax": 200, "line": 0, "m": m,
                "meq": 0, "mode": 0, "n": n} for _ in range(count)]
+    kernel_args = [(g[i], big_c[i], d[i], x[i], mult[i], xl, xu, buffer[i], indices[i])
+                   for i in range(count)]
 
     def evaluated(sel: list):
         rows = _rows(sel)
-        thetas = starts[rows].copy()
-        thetas[:, skip:] = x[rows]
-        pts = pair.evaluate(thetas)
+        pts = pair.evaluate(thetas[rows])
         f[rows] = -pair.values(pts)
         d[rows, :2] = -(pts.info[:, :2] - upper)
         if row_sums is not None:
-            ax = np.array([np.dot(row_sums[0], x[i]) for i in sel])
+            # a matrix-vector product per member, as np.dot(A, x) computes it
+            ax = np.matmul(row_sums[0], x[rows, :, None])[..., 0]
             d[rows, 2:] = np.concatenate([ax, -(ax - 1.0)], axis=1)
         return pts
 
@@ -113,33 +122,33 @@ def minimize(pair, starts: np.ndarray, rate: float, leak: float,
         g[rows] = -pair.gradients(pts)[:, skip:]
         big_c[rows, :2] = -pair.jacobians(pts)[:, :2, skip:]
 
+    def stepped(sel: list) -> list:
+        """Call the kernel once for each member of ``sel``; those that ask for gradients."""
+        for i in sel:
+            slsqp(states[i], f[i], *kernel_args[i])
+        return [i for i in sel if states[i]["mode"] == -1]
+
     live = list(range(count))
     last = evaluated(live)
     differentiated(last, live)
     row_of = dict(zip(live, live))  # each member's row in ``last``
     seen = x.copy()  # each member's point at its last objective evaluation
     nfevs = np.ones(count, dtype=int)
-    kernel_args = [(g[i], big_c[i], d[i], x[i], mult[i], xl, xu, buffer[i], indices[i])
-                   for i in range(count)]
     while live:
-        to_differentiate, to_evaluate = [], []
-        for i in live:
-            slsqp(states[i], f[i], *kernel_args[i])
-            if states[i]["mode"] == -1:
-                to_differentiate.append(i)
-            elif states[i]["mode"] == 1:
-                to_evaluate.append(i)
-        # SLSQP asks for gradients only at the point it asked to evaluate last round
-        if to_differentiate:
-            rows_asked = [row_of[i] for i in to_differentiate]
-            differentiated(last if len(rows_asked) == len(last.info) else last.take(rows_asked),
-                           to_differentiate)
-        if to_evaluate:
-            rows = _rows(to_evaluate)
+        # SLSQP asks for gradients only at the point it evaluated last; a
+        # member that gets them is stepped again at once, so every live member
+        # asks for its next point in the round's one evaluation
+        asking = stepped(live)
+        while asking:
+            differentiated(last if len(asking) == len(last.info)
+                           else last.take([row_of[i] for i in asking]), asking)
+            asking = stepped(asking)
+        live = [i for i in live if states[i]["mode"] == 1]
+        if live:
+            rows = _rows(live)
             nfevs[rows] += (x[rows] != seen[rows]).any(axis=1)
             seen[rows] = x[rows]
-            last = evaluated(to_evaluate)
-            row_of = {i: k for k, i in enumerate(to_evaluate)}
-        live = [i for i in live if abs(states[i]["mode"]) == 1]
+            last = evaluated(live)
+            row_of = {i: k for k, i in enumerate(live)}
     return _Minimized(x, np.array([s["mode"] for s in states]),
                       np.array([s["iter"] for s in states]), nfevs)

@@ -438,7 +438,7 @@ class _Runner:
         self.p_xy = p
         self.q_xy = np.outer(self.p_x, p.sum(axis=0)) if q_xy is None else q
         # design-time targets, always built from the null law
-        _, self.target_ua, self.p_uy = _pair_joints(p, mech, quant)  # (U, A), (U, Y)
+        (_, self.target_ua, self.p_uy), _ = _pair_joints(p, mech, quant)  # (U, A), (U, Y)
         self.p_u = self.target_ua.sum(axis=1)
         # zero-probability symbols get a finite sentinel so k * log p stays
         # -huge for k > 0 and exactly 0 for k = 0

@@ -378,11 +378,11 @@ def test_a_fault_in_the_last_block_still_fails_the_grid(monkeypatch):
 
     def joints(p_xy, mech, quant):
         blocks.append(len(mech))
-        j_xxh, j_uxh, j_uy = real(p_xy, mech, quant)
+        (j_xxh, j_uxh, j_uy), p_xh = real(p_xy, mech, quant)
         if len(blocks) == fault_at[0]:  # U = Y on the last pair: 1 bit > I(X;Y)
             j_uy = j_uy.copy()
             j_uy[-1, -1] = [[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]]
-        return j_xxh, j_uxh, j_uy
+        return (j_xxh, j_uxh, j_uy), p_xh
 
     monkeypatch.setattr(exponents, "_pair_joints", joints)
     _TaiSpace(p, 3, SearchConfig(), _TAI_BUDGETS)
@@ -480,9 +480,10 @@ POINT_KINDS = ["interior", "face", "unused-xh", "unused-u", "bsc"]
 @settings(max_examples=60, deadline=None)
 def test_channel_pair_scores_a_point_with_the_grid_kernel(seed, kind):
     # the polish must score a grid pair with the grid's bits: the pair's
-    # information quantities are the one MI kernel over the one joint kernel
+    # information quantities have the bits of the grid's MI kernel over the
+    # grid's joint kernel
     pair, theta = random_pair_point(seed, kind)
-    joints = _pair_joints(pair.p_xy, *pair.channels(theta))
+    joints, _ = _pair_joints(pair.p_xy, *pair.channels(theta))
     assert pair.info(theta) == tuple(float(_mi_batch(j)) for j in joints)
     # the gradient is the same bits whichever call reaches the point first
     jac_first = pair.jac(theta).copy()
@@ -509,7 +510,7 @@ def test_channel_pair_scores_a_point_with_the_grid_kernel(seed, kind):
 
 def test_one_point_is_evaluated_once(monkeypatch):
     joint_calls, grad_calls = [], []
-    real_joints, real_gradient = exponents._pair_joints, _ChannelPair._gradient
+    real_joints, real_gradient = exponents._pair_cells, _ChannelPair._gradient
 
     def counting_joints(*args):
         joint_calls.append(1)
@@ -519,7 +520,7 @@ def test_one_point_is_evaluated_once(monkeypatch):
         grad_calls.append(1)
         return real_gradient(self, pts)
 
-    monkeypatch.setattr(exponents, "_pair_joints", counting_joints)
+    monkeypatch.setattr(exponents, "_pair_cells", counting_joints)
     monkeypatch.setattr(_ChannelPair, "_gradient", counting_gradient)
     p = np.array([[0.35, 0.10, 0.05], [0.05, 0.10, 0.35]])
     pair = _ChannelPair(p, 2, 3)
@@ -549,12 +550,12 @@ def test_one_polish_evaluates_each_slsqp_point_once(hold, monkeypatch):
     import scipy.optimize._slsqplib as slsqplib
 
     real_joints, real_gradient, real_kernel = (
-        exponents._pair_joints, _ChannelPair._gradient, slsqplib.slsqp)
+        exponents._pair_cells, _ChannelPair._gradient, slsqplib.slsqp)
     joint_rows, grad_rows, asked = [], [], []
 
-    def counting_joints(p, mech, quant):
+    def counting_joints(p, mech, quant, uy):
         joint_rows.append(len(mech))
-        return real_joints(p, mech, quant)
+        return real_joints(p, mech, quant, uy)
 
     def counting_gradient(self, pts):
         grad_rows.append(len(pts.info))
@@ -564,7 +565,7 @@ def test_one_polish_evaluates_each_slsqp_point_once(hold, monkeypatch):
         real_kernel(state, *args)
         asked.append((id(state), state["mode"]))
 
-    monkeypatch.setattr(exponents, "_pair_joints", counting_joints)
+    monkeypatch.setattr(exponents, "_pair_cells", counting_joints)
     monkeypatch.setattr(_ChannelPair, "_gradient", counting_gradient)
     monkeypatch.setattr(slsqplib, "slsqp", recording_kernel)
     p = np.array([[0.35, 0.10, 0.05], [0.05, 0.10, 0.35]])
@@ -586,6 +587,11 @@ def test_one_polish_evaluates_each_slsqp_point_once(hold, monkeypatch):
     rounds = max(Counter(state for state, _ in asked).values())
     assert len(joint_rows) <= rounds + 1 and len(grad_rows) <= rounds + 1
     assert max(joint_rows[1:]) > 1 and max(grad_rows[1:]) > 1
+    # a member that gets its gradients asks for its next point in the same
+    # round, so a round has one evaluation, whichever members ask: after the
+    # set-up, no more batches than the member that asks for values most often
+    value_requests = Counter(state for state, mode in asked if mode == 1)
+    assert len(joint_rows) <= 1 + max(value_requests.values())
 
 
 def scipy_polish(theta0, pair, rate, leak, hold_mechanism=False):
@@ -1108,11 +1114,63 @@ THM1_ALT_POLISH_PROJECTIONS = 276
 THM1_ALT_SWEEPS = 5649
 
 
+# The benchmark's four independence-testing queries (``tai-sweep``) and the
+# BSC-restricted query of ``privexp selftest``, frozen the same way: theta as
+# float.hex and the sha256 prefix of the mechanism and quantizer bytes. The
+# four queries' 48 polishes make 1,247 SLSQP iterations and 1,764 objective
+# evaluations; a change to how the lockstep driver batches its members keeps
+# all of these. The batches are counted too: the queries evaluate 483
+# batches of channel pairs and differentiate 300 (583 and 382 when a round
+# evaluated and differentiated its members separately).
+TAI_SWEEP_LAWS = {"dsbs": [[0.45, 0.05], [0.05, 0.45]],
+                  "law2x3": [[0.35, 0.10, 0.05], [0.05, 0.10, 0.35]]}
+TAI_SWEEP_BITS = {
+    ("dsbs", 0.25, 0.5): ("0x1.807ffad3fc51ap-4", "0a43084f4b3d739c"),
+    ("dsbs", 1.0, 0.25): ("0x1.3ffe573d8d7ccp-3", "05d3c491a1be1a78"),
+    ("law2x3", 0.25, 0.5): ("0x1.0d05ad2191d25p-4", "e21cd9cd275f28b7"),
+    ("law2x3", 1.0, 0.25): ("0x1.bfd3329f48fafp-4", "c5542133a23ad5ed"),
+}
+TAI_SWEEP_NIT, TAI_SWEEP_NFEV = 1247, 1764
+TAI_SWEEP_BATCHES = (483, 300)
+TAI_BSC_BITS = ("0x1.6d2f5f2633e15p-3", "e721ccf7c2ff97e9")  # DSBS(0.1) at (0.5, 0.5)
+
+
 def bytes_digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     return h.hexdigest()[:16]
+
+
+def test_tai_sweep_queries_keep_their_bits_and_their_slsqp_counts(monkeypatch):
+    real, runs = exponents.minimize, []
+    real_cells, real_gradient, batches = exponents._pair_cells, _ChannelPair._gradient, []
+
+    def counting(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    def counting_cells(*args):
+        batches.append("evaluate")
+        return real_cells(*args)
+
+    def counting_gradient(self, pts):
+        batches.append("gradient")
+        return real_gradient(self, pts)
+
+    monkeypatch.setattr(exponents, "minimize", counting)
+    monkeypatch.setattr(exponents, "_pair_cells", counting_cells)
+    monkeypatch.setattr(_ChannelPair, "_gradient", counting_gradient)
+    for (law, rate, leak), (theta, channels) in TAI_SWEEP_BITS.items():
+        res = tai_exponent(JointPmf(np.array(TAI_SWEEP_LAWS[law]), ("X", "Y")), rate, leak)
+        assert float(res.theta).hex() == theta, (law, rate, leak)
+        assert bytes_digest(res.mechanism.matrix, res.quantizer.matrix) == channels
+    assert len(runs) == len(TAI_SWEEP_BITS)
+    assert (sum(r.nit for r in runs), sum(r.nfev for r in runs)) == (TAI_SWEEP_NIT, TAI_SWEEP_NFEV)
+    assert (batches.count("evaluate"), batches.count("gradient")) == TAI_SWEEP_BATCHES
+    res = tai_exponent(dsbs(0.1), 0.5, 0.5, SearchConfig(restrict_bsc=True))
+    assert (float(res.theta).hex(),
+            bytes_digest(res.mechanism.matrix, res.quantizer.matrix)) == TAI_BSC_BITS
 
 
 def test_theorem1_queries_keep_their_bits_and_their_projection_counts(monkeypatch):
@@ -1138,6 +1196,32 @@ def test_theorem1_queries_keep_their_bits_and_their_projection_counts(monkeypatc
     assert sum(sweeps) == THM1_ALT_SWEEPS
 
 
+# the dual traces and duals of the 64 shortlisted projections of the
+# (NULL, ALT) query at (0.25, 0.25), as the search makes them: sha256 prefix
+# of their bytes, member after member
+THM1_ALT_SHORTLIST_DUALS = "c69e9cb4038d203c"
+
+
+def test_shortlist_projections_build_their_duals_when_first_read():
+    p, q = alt_pair()
+    space = _space_for(np.asarray(p.probs), 4, THM1_SEARCH, _THM1_BUDGETS)
+    order = space.ranked(0.25, 0.25)
+    shortlist = np.concatenate([order[:48], order[48::len(order) // 16][:16]])
+    results = _InnerPair(np.asarray(p.probs), q, 2, 4).project_many(*space.pair(shortlist))
+    assert len(results) == 64 and None not in results
+    # ranking the shortlist reads min_kl alone, which builds neither
+    assert all(callable(res.__dict__["_dual_trace"]) and callable(res.__dict__["_duals"])
+               for res in results)
+    h = hashlib.sha256()
+    for res in results:
+        h.update(np.asarray(res.dual_trace, dtype=float).tobytes())
+        for dual in res.duals:
+            h.update(np.ascontiguousarray(dual).tobytes())
+    assert h.hexdigest()[:16] == THM1_ALT_SHORTLIST_DUALS
+    # a read keeps what it built
+    assert all(res.duals is res.duals and type(res.dual_trace) is tuple for res in results)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_the_theorem1_pair_scores_the_budgets_with_the_channel_pair_bits(seed):
@@ -1155,7 +1239,7 @@ def test_the_theorem1_pair_scores_the_budgets_with_the_channel_pair_bits(seed):
     thetas = np.stack([random_point(rng, full, k) for k in kinds])
     for batch in (thetas, thetas[:1]):
         mine, theirs = inner.evaluate(batch), full.evaluate(batch)
-        assert mine.info.shape == (len(batch), 2) and len(mine.joints) == 2
+        assert mine.info.shape == (len(batch), 2) and len(mine.shapes) == 2
         assert mine.info.tobytes() == theirs.info[:, :2].tobytes()
         assert inner.jacobians(mine).tobytes() == full.jacobians(theirs)[:, :2].tobytes()
     assert inner.info(thetas[0]) == full.info(thetas[0])[:2]

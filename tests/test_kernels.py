@@ -99,3 +99,21 @@ def test_a_missing_kernel_file_refuses_the_import_naming_the_scipy_floor():
     with pytest.raises(ImportError, match=r"scipy>=1\.16"):
         _kernels._extension("scipy.optimize._no_such_kernel")
     assert "scipy.optimize._no_such_kernel" not in sys.modules
+
+
+# scipy releases checked against what ``_kernels`` and ``lockstep`` take from
+# scipy's private modules: the three extension files ``_kernels`` loads and
+# the calling convention of the SLSQP kernel ``lockstep`` drives
+CHECKED_SCIPY = ("1.17.1",)
+
+
+def test_scipy_is_a_release_the_private_kernels_were_checked_on():
+    import scipy
+
+    assert scipy.__version__ in CHECKED_SCIPY, (
+        f"scipy {scipy.__version__} is not among the checked releases {CHECKED_SCIPY}. "
+        "Re-verify that tests/test_exponents.py::"
+        "test_lockstep_driver_follows_scipy_slsqp_member_by_member passes and that "
+        "privexp._kernels loads scipy.special._special_ufuncs, scipy.optimize._slsqplib "
+        "and scipy.optimize._zeros (the other tests of this file), then add the release "
+        "to CHECKED_SCIPY and to the README's dependency paragraph")

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privexp
+from privexp import probcore
 from privexp import (
     Channel,
     DimensionMismatch,
@@ -104,6 +105,43 @@ def test_mutual_information_axis_symmetry(dsbs01):
         assert mutual_information(j, "X") == pytest.approx(
             mutual_information(j, "Y"), abs=1e-12
         )
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_packed_joints_score_with_the_bits_of_each_joint_alone(seed):
+    # up to four joints of up to 9 x 9 cells (numpy sums 8 or more contiguous
+    # terms pairwise), some with zero cells or a zero row, over a batch of 1
+    # to 13 members. Some are given transposed, as the (U, Xh) joint is, whose
+    # sides have |U| <= |X| + 2 <= 7 and |Xh| = |X| <= 5 cells: the sums of a
+    # transposed joint have the bits of a C-ordered one only below 8 cells
+    rng = np.random.default_rng(seed)
+    lead = (int(rng.integers(1, 14)),)
+    joints = []
+    for _ in range(int(rng.integers(1, 5))):
+        transposed = bool(rng.integers(2))
+        a, b = (int(k) for k in rng.integers(1, 8 if transposed else 10, size=2))
+        j = rng.dirichlet(np.ones(a * b), size=lead).reshape(*lead, a, b)
+        j[rng.random(j.shape) < rng.choice([0.0, 0.3])] = 0.0
+        j[..., int(rng.integers(a)), :] *= rng.integers(2)
+        joints.append(j.swapaxes(-1, -2).copy().swapaxes(-1, -2) if transposed else j)
+    shapes = [j.shape[-2:] for j in joints]
+    cells = np.empty((*lead, sum(a * b for a, b in shapes)))
+    views = probcore._joint_views(cells, shapes)
+    for view, j in zip(views, joints):
+        view[...] = j
+    info, sums = probcore._mi_cells(cells, views)
+    lo = 0
+    for k, j in enumerate(joints):
+        assert info[..., k].tobytes() == probcore._mi_batch(j).tobytes()
+        a, b = j.shape[-2:]
+        assert sums[..., lo:lo + a].tobytes() == j.sum(axis=-1).tobytes()
+        assert sums[..., lo + a:lo + a + b].tobytes() == j.sum(axis=-2).tobytes()
+        lo += a + b
+    rows, cols = probcore._sum_index(tuple(shapes))
+    assert np.array_equal(sums[..., rows] * sums[..., cols],
+                          np.concatenate([(j.sum(axis=-1, keepdims=True) * j.sum(
+                              axis=-2, keepdims=True)).reshape(*lead, -1) for j in joints], -1))
 
 
 # ---------------------------------------------------------------------------
