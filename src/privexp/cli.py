@@ -164,7 +164,7 @@ def _method_inputs(args) -> tuple[_Method, dict]:
     for flag in _SEARCH_FLAGS + ("--q", "--null", "--alt", "--rate", "--leak"):
         if _flag_value(args, flag) is not None and flag not in method.needs + method.takes:
             if flag == "--restrict-bsc" and method.search is not None:
-                # the search's own refusal: only the tai search has a BSC grid
+                # the search's own refusal: only the tai search has a BSC restriction
                 _refuse_bsc_restriction(replace(method.search, restrict_bsc=True))
             raise DomainError(f"{flag} does not apply to method {args.method!r}")
     values = {flag: _flag_value(args, flag) for flag in method.needs}
@@ -317,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common_search(p):
         p.add_argument("--grid-step", type=float, default=None)
         p.add_argument("--restrict-bsc", action="store_true",
-                       help="binary tai search only: both channels symmetric")
+                       help="binary tai only: the optimum over symmetric channel pairs, "
+                            "solved exactly without a grid (refuses --grid-step)")
 
     p = sub.add_parser("exponent", help="single exponent query")
     p.add_argument("--method", required=True, choices=list(_METHODS))

@@ -4,67 +4,41 @@ The single-letter objects here are optimizations over two finite channels: a
 privacy mechanism (X to Xh) constrained by I(X;Xh) <= L and a quantizer
 (Xh to U) constrained by I(U;Xh) <= R. ``tai_exponent`` maximizes I(U;Y)
 (testing against independence, where this is exact); ``theorem1_lower_bound``
-maximizes an inner I-projection value against a general alternative. The
-inner value builds the (U, Xh, X, Y) chains under both laws with one
-``einsum`` each and takes its (U, Y) and (U, Xh) targets as axis sums of the
-null chain; the grid and the polish take every other joint of a pair from
-one kernel, ``probcore._pair_joints`` (the polish packs a batch's joints
-into one buffer with ``_pair_cells`` and scores them in one pass of
-``_mi_cells``, with ``_mi_batch``'s bits). The search amplifies round-off, so
-this arithmetic order is part of its result: summing the polished pair's
-marginals in another order moved values by up to 0.069 bits, and summing
-the grid's reordered near-tied pairs and moved one value by 0.075 bits
-(CHANGES.md).
+maximizes an inner I-projection value against a general alternative. Every
+joint of a channel pair but the Theorem-1 chains comes from one kernel,
+``probcore._pair_joints``, and every information has ``_mi_batch``'s bits.
+The search amplifies round-off, so this arithmetic order is part of its
+result: summing the polished pair's marginals in another order moved values
+by up to 0.069 bits, and summing the grid's reordered near-tied pairs moved
+one value by 0.075 bits (CHANGES.md).
 
 Search strategy: a coarse lexicographic grid over channel rows (candidates
-violating a constraint are discarded, never relaxed) supplies seeds, and a
-sequential-quadratic (SLSQP) polish takes a seed along the active-constraint
-ridge. Both searches see a channel pair through ``_ChannelPair``, which
-owns its free-parameter layout, its SLSQP bounds and its objective
-(``_InnerPair`` for Theorem 1); its parameter map clips at zero and
-renormalizes each row, so a step past a simplex face still scores a valid
-channel pair. A pair evaluates a batch of points at once, with the grid's
-joint and MI kernels, and a point gets the same bits in a batch of any
-size, so the polish scores a grid pair with the grid's bits.
-``minimize`` (from ``lockstep``) runs SLSQP from a batch of starts in
-lockstep: it drives scipy's reverse-communication SLSQP kernel one member
-at a time, with the set-up ``scipy.optimize.minimize(method="SLSQP")``
-makes; each round differentiates every member that asked for gradients in
-one batch, steps those members on to their next point, and evaluates every
-live member in one batch, so each member ends with the bits its own scipy
-polish gives. Both searches take
-their grid pairs from one ranking, ``_TaiSpace.ranked``: the pairs within
-both budgets, best I(U;Y) first, ties in index order, so the grid stage
-is deterministic and ties break toward the lexicographically smallest
-parameter vector.
-``tai_exponent`` polishes the distinct leading values of that ranking with
-the exact gradients of I(U;Y), I(U;Xh) and I(X;Xh), each seed from three
-start depths, all twelve polishes in one ``minimize`` call, and ranks only
-the prefix it reads. ``theorem1_lower_bound``, whose inner value is an
-I-projection, scores a shortlist of the ranking and polishes the best pair
-twice, the quantizer alone and then both channels, each a ``minimize`` call
-on a batch of one. Every projection it makes, of the shortlist or of a
-polish iterate, is one batched iterative-scaling call on a ``_Points``
-batch (``_InnerPair.project_many``; a member gets the same bits in a batch
-of any size), and a failed projection comes back as a value. A polish
-iterate evaluates the two budgets, not I(U;Y), and one projection. Its
-gradient is exact too: by the envelope theorem it comes from the duals of
-the same projection (``_thm1_gradient``), so an SLSQP iterate costs one
-projection.
+violating a constraint are discarded, never relaxed) supplies seeds, ranked
+by ``_TaiSpace.ranked``: the pairs within both budgets, best I(U;Y) first,
+ties in index order, so ties break toward the lexicographically smallest
+parameter vector. A sequential-quadratic (SLSQP) polish takes a seed along
+the active-constraint ridge. Both searches see a channel pair through
+``_ChannelPair`` (``_InnerPair`` for Theorem 1), which scores a batch of
+points at once, a point with the same bits in a batch of any size, and
+polish a batch of starts in lockstep with ``minimize`` (from ``lockstep``).
+``tai_exponent`` polishes the ``_TOP_K`` distinct leading values of the
+ranking, each from three start depths, in one ``minimize`` call.
+``theorem1_lower_bound`` projects a shortlist of the ranking in one batch
+and polishes the best pair twice, the quantizer alone and then both
+channels. Under ``SearchConfig.restrict_bsc``, ``tai_exponent`` searches
+nothing: the optimum over pairs of binary symmetric channels comes from two
+root solves (``_symmetric_optimum``).
+
 Alphabet sizes, grid budgets, the seed count and the shortlist are fixed
 per method; a ``SearchConfig`` sets only the grid step and the BSC
 restriction. Grid information quantities are cached per (law, cardinality,
-step, budgets); a binary-X independence grid has about 95,000 pairs and
-builds in a fraction of a second, but a ternary-X grid takes over a second,
-so repeated queries against one instance pay only a feasibility mask and a
-sort of the feasible pairs (for ``tai_exponent``, of the prefix it reads).
-A grid is built in blocks of whole mechanisms of about 2**16 joint cells,
-each checked for data processing as it is built, so the build's
-temporaries take a few megabytes: the 1000 x 1000
-ternary grid keeps 15.4 MiB and peaks at 17.8 MiB under ``tracemalloc``
-(447 MiB when built in blocks of 10**6 pairs). Infinite budgets are
-accepted. A grid of more than 2**26 pairs, which every |X| >= 6 law needs,
-is refused with ``TooLarge`` before it is built.
+step, budgets), so repeated queries against one instance pay only a
+feasibility mask and a sort of the feasible pairs: a binary-X independence
+grid has about 95,000 pairs and builds in a fraction of a second, a
+ternary-X grid takes over a second. A grid is built in blocks of whole
+mechanisms (``_BLOCK_CELLS``), so its temporaries take a few megabytes.
+Infinite budgets are accepted. A grid of more than 2**26 pairs, which every
+|X| >= 6 law needs, is refused with ``TooLarge`` before it is built.
 """
 
 from __future__ import annotations
@@ -127,7 +101,8 @@ FEAS_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the grid-plus-polish channel search."""
+    """Knobs for the channel searches: the grid step, and the restriction of
+    ``tai_exponent`` to symmetric channels, which takes no grid step."""
 
     grid_step: float = 0.1
     restrict_bsc: bool = False
@@ -144,7 +119,7 @@ THM1_SEARCH = SearchConfig(grid_step=1 / 8)
 
 
 def _refuse_bsc_restriction(cfg: SearchConfig) -> None:
-    """The Theorem-1 searches have no symmetric-channel grid to restrict to."""
+    """The Theorem-1 searches have no restriction to symmetric channels."""
     if cfg.restrict_bsc:
         raise DomainError("restrict_bsc applies only to the independence-testing search")
 
@@ -173,6 +148,14 @@ _INNER_SHORTLIST = 48
 
 @dataclass(frozen=True, eq=False)
 class ExponentResult:
+    """An exponent in bits and, from a channel search, its witness, with
+    ``rate_mi`` = I(U;Xh) and ``leak_mi`` = I(X;Xh) at the returned channels.
+
+    ``grid_step`` is the lattice actually searched: the mechanism lattice
+    for ``tai``, the quantizer lattice for ``thm1`` and ``cor2``, and None
+    for a closed form, the symmetric (``restrict_bsc``) optimum included.
+    """
+
     theta: float
     bound_kind: str  # "exact" or "lower_bound"
     rate: float | None = None
@@ -264,21 +247,6 @@ def _channel_grid(n_in: int, n_out: int, m: int) -> tuple[np.ndarray, float]:
     return mats, 1.0 / m  # the lattice searched: a step of 0.3 gives thirds
 
 
-def _bsc_grid(step: float, budget: int) -> tuple[np.ndarray, float]:
-    """Binary symmetric channels whose crossovers split [0, 1/2] into m parts.
-
-    m = round(1/(2 step)), at least 2, with the step doubled until the
-    m + 1 crossovers fit the budget; the lattice searched is 1/(2m).
-    """
-    eff = step
-    while round(0.5 / eff) + 1 > budget:
-        eff *= 2.0
-    m = max(2, round(0.5 / eff))
-    a = np.linspace(0.0, 0.5, m + 1)
-    mats = np.stack([np.stack([1 - a, a], axis=1), np.stack([a, 1 - a], axis=1)], axis=1)
-    return mats, 0.5 / m
-
-
 class _TaiSpace:
     """Grid candidates and their information quantities for one instance.
 
@@ -292,23 +260,17 @@ class _TaiSpace:
         kx = p_xy.shape[0]
         self.i_xy = _mi_batch(p_xy)
         mech_budget, quant_budget = budgets
-        if cfg.restrict_bsc:
-            if kx != 2 or u_size != 2:
-                raise DimensionMismatch("BSC restriction needs binary alphabets")
-            self.mechs, self.mech_step = _bsc_grid(cfg.grid_step, mech_budget)
-            self.quants, self.quant_step = _bsc_grid(cfg.grid_step, quant_budget)
-        else:
-            mech_m, n_mechs = _lattice(kx, kx, cfg.grid_step, mech_budget)
-            quant_m, n_quants = _lattice(kx, u_size, cfg.grid_step, quant_budget)
-            if mechs_override is not None:
-                n_mechs = len(mechs_override)
-            if n_mechs * n_quants > _MAX_GRID_PAIRS:
-                raise TooLarge(f"the search grid for |X| = {kx} has {n_mechs * n_quants:,} "
-                               f"channel pairs, above the cap of 2**26")
-            self.mechs, self.mech_step = (
-                _channel_grid(kx, kx, mech_m) if mechs_override is None
-                else (mechs_override, cfg.grid_step))
-            self.quants, self.quant_step = _channel_grid(kx, u_size, quant_m)
+        mech_m, n_mechs = _lattice(kx, kx, cfg.grid_step, mech_budget)
+        quant_m, n_quants = _lattice(kx, u_size, cfg.grid_step, quant_budget)
+        if mechs_override is not None:
+            n_mechs = len(mechs_override)
+        if n_mechs * n_quants > _MAX_GRID_PAIRS:
+            raise TooLarge(f"the search grid for |X| = {kx} has {n_mechs * n_quants:,} "
+                           f"channel pairs, above the cap of 2**26")
+        self.mechs, self.mech_step = (
+            _channel_grid(kx, kx, mech_m) if mechs_override is None
+            else (mechs_override, cfg.grid_step))
+        self.quants, self.quant_step = _channel_grid(kx, u_size, quant_m)
         nm = self.mechs.shape[0]
         nq = self.quants.shape[0]
         self.i_xxh = np.empty(nm)
@@ -374,7 +336,6 @@ def _space_for(
         u_size,
         cfg.grid_step,
         budgets,
-        cfg.restrict_bsc,
         None if mechs_override is None else mechs_override.tobytes(),
     )
     space = _SPACE_CACHE.get(key)
@@ -438,12 +399,12 @@ class _ChannelPair:
     """A (mechanism, quantizer) pair on one law as a function of its free parameters.
 
     The free parameters are every channel row but its last entry, the
-    mechanism's ``mech_params`` first, or the two crossovers of a BSC pair;
-    ``free`` builds them. ``evaluate`` maps stacked parameter vectors, one
-    per row, to a ``_Points`` batch: the channels, clipped at 0 and each row
-    divided by its sum, so a point off the simplex, such as an SLSQP iterate
-    just past a face, still maps to two channels (every row sums to at least
-    1 before the division); their joints from the grid's joint kernel,
+    mechanism's ``mech_params`` first; ``free`` builds them. ``evaluate``
+    maps stacked parameter vectors, one per row, to a ``_Points`` batch: the
+    channels, clipped at 0 and each row divided by its sum, so a point off
+    the simplex, such as an SLSQP iterate just past a face, still maps to
+    two channels (every row sums to at least 1 before the division); their
+    joints from the grid's joint kernel,
     written into one buffer (``probcore._pair_cells``), and (I(X;Xh),
     I(U;Xh), I(U;Y)) in bits from ``probcore._mi_cells``, which has the bits
     of the grid's ``_mi_batch``, so the polish scores a grid pair with the
@@ -454,8 +415,8 @@ class _ChannelPair:
     not, evaluates the first two joints alone and gets the first two values
     and rows, with the same bits. The polish maximizes ``values``, here
     I(U;Y), with gradients ``gradients`` to ``ftol``. A member gets the same bits in a
-    batch of any size, so a single point is a batch of one: ``channels``,
-    ``info``, ``jac``, ``value`` and ``grad`` read one.
+    batch of any size, so a single point is a batch of one: ``channels``
+    and ``info`` read one.
 
     The pair remembers its last batch, keyed on the bytes of the float64
     parameters, so the objective, the constraints and their Jacobians at
@@ -470,48 +431,34 @@ class _ChannelPair:
     ftol = 1e-12
     scores_uy = True
 
-    def __init__(self, p_xy: np.ndarray, kh: int, ku: int, bsc: bool = False):
-        if bsc:  # a BSC pair is binary throughout
-            kh = ku = 2
+    def __init__(self, p_xy: np.ndarray, kh: int, ku: int):
         self.p_xy = p_xy
         self.p_x = p_xy.sum(axis=1)
         self.kx, self.kh, self.ku = p_xy.shape[0], kh, ku
-        self.bsc = bsc
-        self.mech_params = 1 if bsc else self.kx * (kh - 1)
-        self.n_free = 2 if bsc else self.mech_params + kh * (ku - 1)
+        self.mech_params = self.kx * (kh - 1)
+        self.n_free = self.mech_params + kh * (ku - 1)
         # the (x, 1) slope of I(U;Y) into an unused U symbol through the
         # mechanism, a constant of the law (see ``_gradient``)
         self._fresh_u = (p_xy * _mi_grad(p_xy, self.log_floor)).sum(axis=1, keepdims=True)
         self._key = self._last = None
 
     def free(self, mech: np.ndarray, quant: np.ndarray) -> np.ndarray:
-        if self.bsc:
-            return np.array([mech[0, 1], quant[0, 1]])
         return np.concatenate([mech[:, :-1].reshape(-1), quant[:, :-1].reshape(-1)])
 
     def _free_grad(self, d_mech: np.ndarray, d_quant: np.ndarray) -> np.ndarray:
         """Chain gradients over full channel matrices to the free parameters.
 
         Leading axes are kept. A free entry moves its own cell and, the other
-        way, the last entry of its row; a crossover moves the off-diagonal
-        cells and, the other way, the diagonal ones.
+        way, the last entry of its row.
         """
-        if self.bsc:
-            flip = np.array([[-1.0, 1.0], [1.0, -1.0]])
-            return np.stack([(d_mech * flip).sum(axis=(-2, -1)),
-                             (d_quant * flip).sum(axis=(-2, -1))], axis=-1)
         return np.concatenate([
             (d_mech[..., :-1] - d_mech[..., -1:]).reshape(*d_mech.shape[:-2], -1),
             (d_quant[..., :-1] - d_quant[..., -1:]).reshape(*d_quant.shape[:-2], -1),
         ], axis=-1)
 
-    def feasible_set(self, skip: int) -> tuple[float, tuple | None]:
-        """Upper SLSQP bound of each free parameter after the first ``skip``
-        (the lower is 0), and their ``_row_sums`` (None for a BSC pair, whose
-        bounds suffice)."""
-        if self.bsc:
-            return 0.5, None
-        return 1.0, _row_sums(self.kx, self.kh, self.ku, skip)
+    def row_sums(self, skip: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_row_sums`` of the free parameters after the first ``skip``."""
+        return _row_sums(self.kx, self.kh, self.ku, skip)
 
     def evaluate(self, thetas: np.ndarray) -> _Points:
         """The batch of the parameter vectors stacked in ``thetas`` (B, n_free);
@@ -519,14 +466,10 @@ class _ChannelPair:
         key = thetas.tobytes()
         if key == self._key:
             return self._last
-        if self.bsc:
-            mech, quant = (np.stack([np.stack([1 - a, a], axis=-1), np.stack([a, 1 - a], axis=-1)],
-                                    axis=-2) for a in thetas.T)
-        else:
-            mfree = thetas[:, :self.mech_params].reshape(-1, self.kx, self.kh - 1)
-            qfree = thetas[:, self.mech_params:].reshape(-1, self.kh, self.ku - 1)
-            mech = np.concatenate([mfree, 1 - mfree.sum(axis=-1, keepdims=True)], axis=-1)
-            quant = np.concatenate([qfree, 1 - qfree.sum(axis=-1, keepdims=True)], axis=-1)
+        mfree = thetas[:, :self.mech_params].reshape(-1, self.kx, self.kh - 1)
+        qfree = thetas[:, self.mech_params:].reshape(-1, self.kh, self.ku - 1)
+        mech = np.concatenate([mfree, 1 - mfree.sum(axis=-1, keepdims=True)], axis=-1)
+        quant = np.concatenate([qfree, 1 - qfree.sum(axis=-1, keepdims=True)], axis=-1)
         mech = np.maximum(mech, 0.0)  # what np.clip(mech, 0.0, None) calls
         quant = np.maximum(quant, 0.0)
         mech = mech / mech.sum(axis=-1, keepdims=True)
@@ -559,15 +502,6 @@ class _ChannelPair:
 
     def info(self, theta: np.ndarray) -> tuple[float, float, float]:
         return tuple(float(i) for i in self._at(theta).info[0])
-
-    def jac(self, theta: np.ndarray) -> np.ndarray:
-        return self.jacobians(self._at(theta))[0]
-
-    def value(self, theta: np.ndarray) -> float:
-        return float(self.values(self._at(theta))[0])
-
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.gradients(self._at(theta))[0]
 
     def _gradient(self, pts: _Points) -> np.ndarray:
         p, p_x, mech, quant, p_xh = self.p_xy, self.p_x, pts.mech, pts.quant, pts.p_xh
@@ -690,6 +624,38 @@ _SEED_SCAN = 4096
 _START_DEPTHS = (0.0, 1e-6, 1e-3)
 
 
+def _symmetric_optimum(p: np.ndarray, rate: float, leak: float):
+    """The best pair of binary symmetric channels and its (I(X;Xh), I(U;Xh), I(U;Y)).
+
+    On [0, 1/2] a larger crossover degrades a BSC, and BSC(a) then BSC(b)
+    is BSC(a * b), so I(X;Xh) falls in the mechanism's a, I(U;Y) falls in
+    a and b, and I(U;Xh) rises in a. The optimum is the smallest a within
+    the leak budget, then the smallest b within the rate budget: bisections
+    that keep their feasible end (1/2, a constant channel, counts as one),
+    on the bits that give the reported values, so both budgets hold exactly.
+    """
+    if p.shape[0] != 2:
+        raise DimensionMismatch("BSC restriction needs binary alphabets")
+
+    def bsc(a: float) -> np.ndarray:  # Channel.bsc's checks would quadruple the solve's time
+        return np.array([[1.0 - a, a], [a, 1.0 - a]])
+
+    def mi(a: float, b: float, k: int) -> float:  # I(X;Xh), I(U;Xh), I(U;Y) for k = 0, 1, 2
+        return float(_mi_batch(_pair_joints(p, bsc(a), bsc(b), k == 2)[0][k]))
+
+    def smallest(feasible) -> float:
+        lo, hi = 0.0, 0.5
+        if feasible(lo):
+            return lo
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+        return hi
+
+    a = smallest(lambda a: mi(a, 0.0, 0) <= leak)
+    b = smallest(lambda b: mi(a, b, 1) <= rate)
+    return bsc(a), bsc(b), [mi(a, b, k) for k in range(3)]
+
+
 def tai_exponent(
     p_xy: JointPmf,
     rate: float,
@@ -699,50 +665,59 @@ def tai_exponent(
     """Optimal exponent against the product alternative (independence testing).
 
     Maximizes I(U;Y) over mechanism and quantizer grids subject to
-    I(U;Xh) <= rate and I(X;Xh) <= leak, with |Xh| = |X| and |U| = |X| + 1
-    (2 under ``cfg.restrict_bsc``). Each of the ``_TOP_K`` distinct leading
-    grid values seeds SLSQP polishes of both channels with exact gradients,
-    one from each of the ``_START_DEPTHS``; all of them run in lockstep in
-    one ``minimize`` call, and the best feasible point wins, compared seed by
-    seed and depth by depth.
+    I(U;Xh) <= rate and I(X;Xh) <= leak, with |Xh| = |X| and |U| = |X| + 1.
+    Each of the ``_TOP_K`` distinct leading grid values seeds SLSQP polishes
+    of both channels with exact gradients, one from each of the
+    ``_START_DEPTHS``; all of them run in lockstep in one ``minimize`` call,
+    and the best feasible point wins, compared seed by seed and depth by
+    depth. ``cfg.restrict_bsc`` (binary X) takes the optimum over symmetric
+    pairs instead, from ``_symmetric_optimum``, which has no grid step.
     """
     cfg = cfg or SearchConfig()
     check_budgets(rate, leak)
     p = _as_joint2(p_xy)
-    pair = _ChannelPair(p, p.shape[0], p.shape[0] + 1, cfg.restrict_bsc)
-    space = _space_for(p, pair.ku, cfg, _TAI_BUDGETS)
+    if cfg.restrict_bsc:
+        if cfg.grid_step != SearchConfig.grid_step:
+            raise DomainError(f"restrict_bsc is solved without a grid and takes no grid_step "
+                              f"(got {cfg.grid_step!r})")
+        mech, quant, (i_xxh, i_uxh, i_uy) = _symmetric_optimum(p, rate, leak)
+        best_val, step = i_uy, None
+    else:
+        pair = _ChannelPair(p, p.shape[0], p.shape[0] + 1)
+        space = _space_for(p, pair.ku, cfg, _TAI_BUDGETS)
 
-    # relabelings of one channel pair tie exactly, so near-equal grid values
-    # mark the same basin; seeding only distinct values spreads the restarts
-    seeds: list[int] = []
-    seed_vals: list[float] = []
-    for i in space.ranked(rate, leak, _SEED_SCAN)[:_SEED_SCAN]:
-        v = space.i_uy.flat[i]
-        if all(abs(v - w) > 1e-10 for w in seed_vals):
-            seeds.append(int(i))
-            seed_vals.append(float(v))
-        if len(seeds) >= _TOP_K:
-            break
+        # relabelings of one channel pair tie exactly, so near-equal grid values
+        # mark the same basin; seeding only distinct values spreads the restarts
+        seeds: list[int] = []
+        seed_vals: list[float] = []
+        for i in space.ranked(rate, leak, _SEED_SCAN)[:_SEED_SCAN]:
+            v = space.i_uy.flat[i]
+            if all(abs(v - w) > 1e-10 for w in seed_vals):
+                seeds.append(int(i))
+                seed_vals.append(float(v))
+            if len(seeds) >= _TOP_K:
+                break
 
-    mechs, quants = space.pair(np.array(seeds))
-    grid = np.array([pair.free(mech, quant) for mech, quant in zip(mechs, quants)])
-    starts = np.array([pair.free((1 - eps) * mech + eps / mech.shape[1],
-                                 (1 - eps) * quant + eps / quant.shape[1])
-                       for mech, quant in zip(mechs, quants) for eps in _START_DEPTHS])
-    polished = _slsqp_polish(starts, pair, rate, leak)
-    best_val = -1.0
-    best_theta = None
-    for k, (theta, val) in enumerate(zip(grid, pair.values(pair.evaluate(grid)))):
-        val = float(val)
-        for res in polished[k * len(_START_DEPTHS):(k + 1) * len(_START_DEPTHS)]:
-            if res is not None and res[0] > val:
-                val, theta = res
-        if val > best_val:
-            best_val, best_theta = val, theta
+        mechs, quants = space.pair(np.array(seeds))
+        grid = np.array([pair.free(mech, quant) for mech, quant in zip(mechs, quants)])
+        starts = np.array([pair.free((1 - eps) * mech + eps / mech.shape[1],
+                                     (1 - eps) * quant + eps / quant.shape[1])
+                           for mech, quant in zip(mechs, quants) for eps in _START_DEPTHS])
+        polished = _slsqp_polish(starts, pair, rate, leak)
+        best_val = -1.0
+        best_theta = None
+        for k, (theta, val) in enumerate(zip(grid, pair.values(pair.evaluate(grid)))):
+            val = float(val)
+            for res in polished[k * len(_START_DEPTHS):(k + 1) * len(_START_DEPTHS)]:
+                if res is not None and res[0] > val:
+                    val, theta = res
+            if val > best_val:
+                best_val, best_theta = val, theta
 
-    mech, quant = pair.channels(best_theta)
-    i_xxh, i_uxh, i_uy = pair.info(best_theta)
-    if not i_uy <= min(i_uxh, space.i_xy) + 1e-8:
+        mech, quant = pair.channels(best_theta)
+        i_xxh, i_uxh, i_uy = pair.info(best_theta)
+        step = space.mech_step
+    if not i_uy <= min(i_uxh, float(_mi_batch(p))) + 1e-8:
         raise InvariantViolation(
             f"data-processing violation at the returned point: I(U;Y)={i_uy!r}"
         )
@@ -755,7 +730,7 @@ def tai_exponent(
         quantizer=Channel(quant),
         rate_mi=i_uxh,
         leak_mi=i_xxh,
-        grid_step=space.mech_step,
+        grid_step=step,
     )
 
 
@@ -960,8 +935,8 @@ def theorem1_lower_bound(
     projected as one batch. The best shortlisted pair is polished by SLSQP
     with the mechanism held fixed, then over both channels.
     ``fixed_mechanism`` pins the mechanism and keeps only the first pass.
-    The search runs with |Xh| = |X| and |U| = |X| + 2; it has no BSC
-    restriction and refuses ``cfg.restrict_bsc``.
+    The search runs with |Xh| = |X| and |U| = |X| + 2; it has no
+    restriction to symmetric channels and refuses ``cfg.restrict_bsc``.
     """
     cfg = cfg or THM1_SEARCH
     check_budgets(rate, leak)

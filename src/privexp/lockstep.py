@@ -56,14 +56,14 @@ def minimize(pair, starts: np.ndarray, rate: float, leak: float,
     ``scipy.optimize.minimize(method="SLSQP")`` runs from its start, with
     the set-up of scipy's ``_minimize_slsqp``: the start clipped to the
     bounds, ``acc = pair.ftol``, 200 iterations at most, its buffer and
-    index sizes, and the constraints as the inequality rows -(I - upper)
-    for the (leak, rate) budgets, then A x and -(A x - 1) for the row sums A
-    of ``pair.feasible_set``. A round calls scipy's
-    reverse-communication kernel once per live member. The members that
-    ask for gradients (SLSQP asks for them at the point it evaluated last)
-    get them in one ``pair.jacobians`` of the last batch, or of the rows it
-    holds for them, and the kernel is called again for each of them at
-    once; then every live member has asked for its next point, and all of
+    index sizes, the free parameters bounded to [0, 1], and the constraints
+    as the inequality rows -(I - upper) for the (leak, rate) budgets, then
+    A x and -(A x - 1) for the row sums A of ``pair.row_sums``. A round
+    calls scipy's reverse-communication kernel once per live member. The
+    members that ask for gradients (SLSQP asks for them at the point it
+    evaluated last) get them in one ``pair.jacobians`` of the last batch, or
+    of the rows it holds for them, and the kernel is called again for each
+    of them at once; then every live member has asked for its next point, and all of
     them are evaluated in one ``pair.evaluate`` of views of one array of full
     parameter vectors. A member gets the values and gradients it gets on its
     own, in the order it asks for them, so it ends on the same bits; only the
@@ -80,22 +80,21 @@ def minimize(pair, starts: np.ndarray, rate: float, leak: float,
     """
     slsqp = slsqplib.slsqp
     skip = pair.mech_params if hold_mechanism else 0
-    hi, row_sums = pair.feasible_set(skip)
+    row_sums, both_sums = pair.row_sums(skip)
     count, n = starts.shape[0], starts.shape[1] - skip
-    m = 2 if row_sums is None else 2 + 2 * len(row_sums[0])
+    m = 2 + 2 * len(row_sums)
     upper = np.array([leak, rate], dtype=float)
     upper[np.isinf(upper)] = math.log2(max(pair.kh, pair.ku)) + 1.0
 
     thetas = starts.copy()  # row i is member i's full parameter vector
     x = thetas[:, skip:]  # and its free part, member i's iterate, moved by the kernel in place
-    np.clip(x, 0.0, hi, out=x)
-    xl, xu = np.zeros(n), np.full(n, hi)
+    np.clip(x, 0.0, 1.0, out=x)
+    xl, xu = np.zeros(n), np.ones(n)
     f = np.empty(count)
     g = np.empty((count, n))
     big_c = np.zeros((count, n, m)).swapaxes(1, 2)  # each member's (m, n) in Fortran order
     d = np.empty((count, m))
-    if row_sums is not None:
-        big_c[:, 2:] = row_sums[1]
+    big_c[:, 2:] = both_sums
     mult = np.zeros((count, m + 2 * n + 2))
     buffer = np.zeros((count, n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28))
     indices = np.zeros((count, m + 2 * n + 2), dtype=np.int32)
@@ -111,10 +110,9 @@ def minimize(pair, starts: np.ndarray, rate: float, leak: float,
         pts = pair.evaluate(thetas[rows])
         f[rows] = -pair.values(pts)
         d[rows, :2] = -(pts.info[:, :2] - upper)
-        if row_sums is not None:
-            # a matrix-vector product per member, as np.dot(A, x) computes it
-            ax = np.matmul(row_sums[0], x[rows, :, None])[..., 0]
-            d[rows, 2:] = np.concatenate([ax, -(ax - 1.0)], axis=1)
+        # a matrix-vector product per member, as np.dot(A, x) computes it
+        ax = np.matmul(row_sums, x[rows, :, None])[..., 0]
+        d[rows, 2:] = np.concatenate([ax, -(ax - 1.0)], axis=1)
         return pts
 
     def differentiated(pts, sel: list) -> None:

@@ -177,6 +177,8 @@ class JointPmf:
 
     def marginal(self, *names: str) -> "JointPmf | Pmf":
         """Marginal over the named axes, in the order given."""
+        if len(set(names)) != len(names):
+            raise DimensionMismatch(f"repeated axis names in {names}")
         keep = [self.axis_index(n) for n in names]
         drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
         m = self.probs.sum(axis=drop)
@@ -432,8 +434,9 @@ def total_variation(p: Pmf | JointPmf | np.ndarray, q: Pmf | JointPmf | np.ndarr
 # types (empirical distributions) and typicality
 
 
-def _symbols(seq) -> np.ndarray:
-    """A symbol sequence as int64, refusing values that are not integers.
+def _symbols(seq, what: str = "symbol") -> np.ndarray:
+    """A sequence of symbols (or of other ``what``) as int64, refusing values
+    that are not integers.
 
     A cast alone would truncate 1.9 to 1; integral floats such as 2.0 pass.
     """
@@ -444,8 +447,8 @@ def _symbols(seq) -> np.ndarray:
         bad = a[~np.isfinite(a) | (a != np.round(a))]
         if bad.size == 0:
             return a.astype(np.int64)
-        raise DomainError(f"symbol {float(bad.flat[0])!r} is not an integer")
-    raise DomainError(f"symbols must be integers, got {a.dtype} values")
+        raise DomainError(f"{what} {float(bad.flat[0])!r} is not an integer")
+    raise DomainError(f"{what}s must be integers, got {a.dtype} values")
 
 
 def empirical_type(
@@ -473,9 +476,10 @@ def empirical_type(
     if alphabet_sizes is None:
         sizes = [int(a.max()) + 1 for a in arrs]
     else:
-        sizes = [int(k) for k in alphabet_sizes]
-        if len(sizes) != len(arrs):
+        sizes = _symbols(alphabet_sizes, "alphabet size")
+        if sizes.shape != (len(arrs),):
             raise LengthMismatch("one alphabet size per sequence required")
+        sizes = sizes.tolist()
         for a, k in zip(arrs, sizes):
             if a.max() >= k:
                 raise DomainError(f"symbol {int(a.max())} outside declared alphabet of size {k}")
@@ -538,6 +542,8 @@ def compose(channel: Channel, p: Pmf) -> JointPmf:
 
 def marginalize(joint: JointPmf, axis: str | int) -> Pmf:
     """Single-axis marginal as a Pmf."""
+    if isinstance(axis, int) and not -len(joint.axes) <= axis < len(joint.axes):
+        raise DimensionMismatch(f"no axis {axis} in a rank-{len(joint.axes)} joint")
     name = joint.axes[axis] if isinstance(axis, int) else axis
     out = joint.marginal(name)
     if not isinstance(out, Pmf):

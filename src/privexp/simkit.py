@@ -65,6 +65,7 @@ import numpy as np
 from ._kernels import gammaln
 from .errors import (
     DegenerateConfig,
+    DimensionMismatch,
     DomainError,
     EmptySample,
     InvariantViolation,
@@ -87,6 +88,9 @@ __all__ = [
 ]
 
 CODEBOOK_CAP = 2**24
+# codeword entries of a materialized codebook: each entry is drawn from a
+# float64 uniform, so a codebook at the cap peaks at about 1.2 GB
+CODEBOOK_ENTRY_CAP = 2**26
 FIXED_MODE_CAP = 2**18
 TABLE_BUDGET = 2_000_000
 # trials per batch x n x mechanism outputs; a batch peaks at about 40 bytes
@@ -330,12 +334,24 @@ def generate_codebook(p_u: Pmf, n: int, rate: float, seed: int) -> Codebook:
     """Draw floor(2^{n rate}) i.i.d. codewords from p_u, reproducibly.
 
     Refuses configurations whose codebook does not fit the materialization
-    cap and reports the largest blocklength that would.
+    cap and reports the largest blocklength that would, and codebooks of
+    more than ``CODEBOOK_ENTRY_CAP`` entries.
     """
+    if not isinstance(p_u, Pmf):
+        raise DimensionMismatch(f"p_u must be a Pmf, got {type(p_u).__name__}")
+    for key, value in (("blocklength", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{key} must be an integer, got {value!r}")
     if n < 1:
         raise DomainError("blocklength must be at least 1")
-    if not rate >= 0.0:  # NaN fails too
-        raise DomainError(f"rate {rate!r} must be nonnegative")
+    if seed < 0:
+        raise DomainError(f"seed {seed} must be nonnegative")
+    # NaN fails too
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not rate >= 0.0:
+        raise DomainError(f"rate {rate!r} must be a nonnegative number")
+    if n > CODEBOOK_ENTRY_CAP:  # checked first, so that n * rate below is a float
+        raise SizeOverflow(f"blocklength {n} exceeds the cap of {CODEBOOK_ENTRY_CAP} "
+                           f"codebook entries")
     exponent = n * rate
     if exponent > math.log2(CODEBOOK_CAP) + 1e-9:
         max_n = int(math.log2(CODEBOOK_CAP) / rate)
@@ -344,6 +360,9 @@ def generate_codebook(p_u: Pmf, n: int, rate: float, seed: int) -> Codebook:
             f"cap; at rate {rate} the largest feasible blocklength is n = {max_n}"
         )
     m = max(1, int(math.floor(2.0**exponent)))
+    if m * n > CODEBOOK_ENTRY_CAP:
+        raise SizeOverflow(f"{m} codewords of length {n} exceed the cap of "
+                           f"{CODEBOOK_ENTRY_CAP} codebook entries")
     rng = _stream(seed, 0)
     cdf = np.cumsum(np.asarray(p_u.probs, dtype=float))
     entries = _categorical(cdf, rng.random((m, n))).astype(np.int16)

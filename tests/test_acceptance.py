@@ -58,8 +58,9 @@ def test_criterion_1_closed_form_vs_search_grid(criterion):
     carry a witness pair that meets both budgets and attains the reported
     value. An asymmetric mechanism can beat the closed form when R far
     exceeds L (see test_asymmetric_mechanism_beats_symmetric_closed_form).
-    The closed form is the optimum over symmetric pairs, so the search
-    restricted to them must match it within 1e-2 on both sides.
+    The closed form is the optimum over symmetric pairs, so the exponent
+    restricted to them (two root solves, no grid) must match it within 1e-2
+    on both sides.
     """
     cfg = SearchConfig(grid_step=0.02)
     source = dsbs(Q_NOISE)
@@ -89,7 +90,7 @@ def test_criterion_1_closed_form_vs_search_grid(criterion):
         if leak_mi > l + 1e-6 or rate_mi > r + 1e-6 or abs(value - res.theta) > 1e-9:
             unverified.append((r, l, leak_mi, rate_mi, value, res.theta))
 
-    bsc_cfg = SearchConfig(grid_step=0.02, restrict_bsc=True)
+    bsc_cfg = SearchConfig(restrict_bsc=True)
     bsc_gap = max(
         abs(tai_exponent(source, r, l, bsc_cfg).theta - binary_tai_exponent(Q_NOISE, r, l))
         for r in rates

@@ -339,7 +339,7 @@ def test_refinement_flag_is_unknown(command, null_law_path, capsys):
 
 @pytest.mark.parametrize("method", ["thm1", "cor2"])
 def test_general_alternative_refuses_restrict_bsc(method, null_law_path, capsys):
-    # the Theorem-1 search has no symmetric-channel grid; it once ignored the flag
+    # the Theorem-1 search has no symmetric restriction; it once ignored the flag
     code = cli.main(["exponent", "--method", method, "--null", null_law_path,
                      "--alt", null_law_path, "--rate", "0.25", "--leak", "0.5",
                      "--restrict-bsc"])
@@ -554,13 +554,16 @@ def test_integer_mu_is_accepted_as_a_number(tmp_path, sim_config_path):
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
-def test_bsc_search_at_grid_step_one_finds_the_closed_form(null_law_path, capsys):
-    # its crossovers were once {0} alone: no pair met the budgets, exit 3
+def test_bsc_restriction_refuses_a_grid_step(null_law_path, capsys):
+    # the symmetric optimum is solved without a grid, so a step would be ignored
     assert cli.main(["exponent", "--method", "tai", "--null", null_law_path, "--rate", "0.5",
-                     "--leak", "0.5", "--restrict-bsc", "--grid-step", "1.0"]) == 0
+                     "--leak", "0.5", "--restrict-bsc", "--grid-step", "1.0"]) == cli.CONFIG_EXIT
+    assert capsys.readouterr().err.startswith("error: restrict_bsc is solved without a grid")
+    assert cli.main(["exponent", "--method", "tai", "--null", null_law_path, "--rate", "0.5",
+                     "--leak", "0.5", "--restrict-bsc"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["theta_bits"] == pytest.approx(binary_tai_exponent(0.1, 0.5, 0.5), abs=1e-9)
-    assert payload["grid_step"] == 0.25
+    assert payload["theta_bits"] == pytest.approx(binary_tai_exponent(0.1, 0.5, 0.5), abs=1e-12)
+    assert payload["grid_step"] is None
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan", "5e-324"])
@@ -771,7 +774,7 @@ run_memoryless_scheme(SchemeConfig(n=8, mu=0.35, rate=1.0, seed=1, trials=20,
                                    scheme_kind="memoryless"), p)
 loaded = lambda: sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules)
 before = loaded()
-tai_exponent(p, 0.5, 0.5, SearchConfig(restrict_bsc=True))
+tai_exponent(p, 0.5, 0.5, SearchConfig(grid_step=0.5))
 print(json.dumps([before, loaded(), "scipy.optimize._slsqplib" in sys.modules]))
 """
 

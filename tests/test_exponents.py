@@ -50,7 +50,6 @@ from privexp.exponents import (
     _MAX_GRID_PAIRS,
     _InnerPair,
     _TaiSpace,
-    _bsc_grid,
     _lattice,
     _slsqp_polish,
     _space_for,
@@ -272,30 +271,11 @@ def test_bsc_restricted_search_recovers_closed_form():
         assert got == pytest.approx(binary_tai_exponent(0.1, r, l), abs=1e-9)
 
 
-@pytest.mark.parametrize("step", [1e-300, 1e-4, 0.02, 0.1, 0.3, 0.4, 0.7, 1.0])
-def test_bsc_crossovers_split_the_half_interval(step):
-    mats, lattice = _bsc_grid(step, _TAI_BUDGETS[0])
-    a = mats[:, 0, 1]
-    assert a[0] == 0.0 and a[-1] == 0.5 and np.all(np.diff(a) > 0)
-    assert np.allclose(np.diff(a), lattice, rtol=0.0, atol=1e-15)
-    assert 3 <= len(a) <= _TAI_BUDGETS[0]
-    assert np.array_equal(mats[:, 1, 0], a) and np.array_equal(mats[:, 0, 0], 1 - a)
-
-
-@pytest.mark.parametrize("step", [0.01, 0.02, 0.05, 0.1, 1 / 8, 1 / 4])
-def test_bsc_crossovers_at_a_step_that_divides_one_half_are_its_multiples(step):
-    a = _bsc_grid(step, _TAI_BUDGETS[0])[0][:, 0, 1]
-    assert np.array_equal(a, np.arange(round(0.5 / step) + 1) * step)
-
-
-@pytest.mark.parametrize("step", [0.3, 0.7, 1.0])
-def test_bsc_search_at_a_coarse_step_recovers_closed_form(step):
-    # crossovers once ran past 1/2: {0, 0.7} at 0.7 gave 0.0119, and {0}
-    # alone at 1.0 left no pair within the budgets
-    cfg = SearchConfig(grid_step=step, restrict_bsc=True)
-    res = tai_exponent(dsbs(0.1), 0.5, 0.5, cfg)
-    assert res.theta == pytest.approx(binary_tai_exponent(0.1, 0.5, 0.5), abs=1e-9)
-    assert res.grid_step == 0.25
+def test_bsc_restriction_has_no_grid_and_refuses_a_grid_step():
+    res = tai_exponent(dsbs(0.1), 0.5, 0.5, SearchConfig(restrict_bsc=True))
+    assert (res.bound_kind, res.grid_step) == ("exact", None)
+    with pytest.raises(DomainError, match="^restrict_bsc is solved without a grid"):
+        tai_exponent(dsbs(0.1), 0.5, 0.5, SearchConfig(grid_step=0.3, restrict_bsc=True))
 
 
 def test_search_monotone_in_budgets():
@@ -326,7 +306,7 @@ def test_default_grids_on_a_binary_law():
 def test_grid_cache_keeps_the_newest_grids(monkeypatch):
     monkeypatch.setattr(exponents, "_SPACE_CACHE", {})
     cap = exponents._SPACE_CACHE_MAX
-    cfg = SearchConfig(grid_step=0.25, restrict_bsc=True)  # 3 x 3 BSC pairs
+    cfg = SearchConfig(grid_step=1.0)  # 4 x 4 deterministic channel pairs
     laws = [np.asarray(dsbs(eps).probs) for eps in np.linspace(0.1, 0.5, cap + 1)]
     spaces = [_space_for(p, 2, cfg, _TAI_BUDGETS) for p in laws]
     assert len(exponents._SPACE_CACHE) == cap
@@ -393,23 +373,37 @@ def test_a_fault_in_the_last_block_still_fails_the_grid(monkeypatch):
     assert sum(blocks) == 121
 
 
-@given(st.integers(0, 2**32 - 1), st.booleans())
+# a pair's values and slopes at one point, read as the polish reads a batch
+def at(pair: _ChannelPair, theta) -> exponents._Points:
+    """The point ``theta`` as a batch of one."""
+    return pair.evaluate(np.asarray(theta, dtype=float)[None])
+
+
+def jac_at(pair: _ChannelPair, theta) -> np.ndarray:
+    return pair.jacobians(at(pair, theta))[0]
+
+
+def value_at(pair: _ChannelPair, theta) -> float:
+    return float(pair.values(at(pair, theta))[0])
+
+
+def grad_at(pair: _ChannelPair, theta) -> np.ndarray:
+    return pair.gradients(at(pair, theta))[0]
+
+
+@given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_channel_pair_jacobian_matches_central_differences(seed, bsc):
+def test_channel_pair_jacobian_matches_central_differences(seed):
     rng = np.random.default_rng(seed)
-    kx, ky = (2, int(rng.integers(2, 4))) if bsc else rng.integers(2, 4, size=2)
+    kx, ky = rng.integers(2, 4, size=2)
     p = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
-    if bsc:
-        pair = _ChannelPair(p, 2, 2, bsc)
-        theta = rng.uniform(0.05, 0.45, size=2)
-    else:
-        kh, ku = int(rng.integers(2, 4)), int(rng.integers(2, 5))
-        # interior rows, so that no central-difference step leaves the simplex
-        mech = 0.5 * rng.dirichlet(np.ones(kh), size=kx) + 0.5 / kh
-        quant = 0.5 * rng.dirichlet(np.ones(ku), size=kh) + 0.5 / ku
-        pair = _ChannelPair(p, kh, ku)
-        theta = pair.free(mech, quant)
-    jac = pair.jac(theta)
+    kh, ku = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    # interior rows, so that no central-difference step leaves the simplex
+    mech = 0.5 * rng.dirichlet(np.ones(kh), size=kx) + 0.5 / kh
+    quant = 0.5 * rng.dirichlet(np.ones(ku), size=kh) + 0.5 / ku
+    pair = _ChannelPair(p, kh, ku)
+    theta = pair.free(mech, quant)
+    jac = jac_at(pair, theta)
     step = 1e-6
     for i in range(theta.size):
         e = np.zeros_like(theta)
@@ -426,7 +420,7 @@ def test_channel_pair_jacobian_into_unused_symbols_is_one_sided():
     quant = np.array([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8], [0.7, 0.0, 0.3]])
     pair = _ChannelPair(p, 3, 3)
     theta = pair.free(mech, quant)
-    jac = pair.jac(theta)
+    jac = jac_at(pair, theta)
     base = np.array(pair.info(theta))
     step = 1e-7
     for i in range(theta.size):
@@ -440,22 +434,13 @@ def random_pair_point(seed: int, kind: str):
     """A law up to 3x3, a channel pair on it and a point of the given kind."""
     rng = np.random.default_rng(seed)
     kx, ky = (int(k) for k in rng.integers(2, 4, size=2))
-    if kind == "bsc":
-        kx = 2
     p = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
-    if kind == "bsc":
-        pair = _ChannelPair(p, 2, 2, True)
-    else:
-        pair = _ChannelPair(p, kx, int(rng.integers(2, 5)))
+    pair = _ChannelPair(p, kx, int(rng.integers(2, 5)))
     return pair, random_point(rng, pair, kind)
 
 
 def random_point(rng, pair: _ChannelPair, kind: str) -> np.ndarray:
-    """A point of the given kind for ``pair``: BSC crossovers for a BSC pair."""
-    if kind == "bsc":
-        theta = rng.uniform(0.0, 0.5, size=2)
-        theta[rng.integers(2)] = rng.choice([0.0, 0.5, theta[0]])
-        return theta
+    """A point of the given kind for ``pair``."""
     kx, kh, ku = pair.kx, pair.kh, pair.ku
     mech = rng.dirichlet(np.ones(kh), size=kx)
     quant = rng.dirichlet(np.ones(ku), size=kh)
@@ -473,7 +458,7 @@ def random_point(rng, pair: _ChannelPair, kind: str) -> np.ndarray:
     return pair.free(mech, quant)
 
 
-POINT_KINDS = ["interior", "face", "unused-xh", "unused-u", "bsc"]
+POINT_KINDS = ["interior", "face", "unused-xh", "unused-u"]
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(POINT_KINDS))
@@ -486,15 +471,15 @@ def test_channel_pair_scores_a_point_with_the_grid_kernel(seed, kind):
     joints, _ = _pair_joints(pair.p_xy, *pair.channels(theta))
     assert pair.info(theta) == tuple(float(_mi_batch(j)) for j in joints)
     # the gradient is the same bits whichever call reaches the point first
-    jac_first = pair.jac(theta).copy()
+    jac_first = jac_at(pair, theta).copy()
     other, _ = random_pair_point(seed, kind)
-    other.value(theta)
-    assert other.jac(theta).tobytes() == jac_first.tobytes()
+    value_at(other, theta)
+    assert jac_at(other, theta).tobytes() == jac_first.tobytes()
     # a batch gives each member the bits of its own batch of one: this point
-    # stacked with points of every kind the pair takes (BSC points for a BSC
-    # pair), and members taken from the batch as the lockstep polish takes them
+    # stacked with points of every kind, and members taken from the batch as
+    # the lockstep polish takes them
     rng = np.random.default_rng(seed)
-    kinds = ["bsc"] * 4 if pair.bsc else [k for k in POINT_KINDS if k != "bsc"] * 2
+    kinds = POINT_KINDS * 2
     thetas = np.stack([theta, *(random_point(rng, pair, k) for k in kinds)])
     batch = pair.evaluate(thetas)
     jac = pair.jacobians(batch)
@@ -527,14 +512,14 @@ def test_one_point_is_evaluated_once(monkeypatch):
     theta = pair.free(np.array([[0.8, 0.2], [0.3, 0.7]]),
                       np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]]))
     pair.channels(theta)
-    pair.value(theta)
-    pair.grad(theta)
+    value_at(pair, theta)
+    grad_at(pair, theta)
     pair.info(theta)
-    pair.jac(theta)
-    pair.value(theta)
+    jac_at(pair, theta)
+    value_at(pair, theta)
     assert (len(joint_calls), len(grad_calls)) == (1, 1)
     # the memo keys on the point's values, not on the array object
-    pair.jac(theta.copy())
+    jac_at(pair, theta.copy())
     pair.info(np.array(theta.tolist()))
     assert (len(joint_calls), len(grad_calls)) == (1, 1)
     moved = theta.copy()
@@ -615,26 +600,23 @@ def scipy_polish(theta0, pair, rate, leak, hold_mechanism=False):
 
     upper = np.array([leak, rate], dtype=float)
     upper[np.isinf(upper)] = math.log2(max(pair.kh, pair.ku)) + 1.0
-    hi, rows = pair.feasible_set(skip)
+    a, a_both = pair.row_sums(skip)
+
+    def row_sums(x):
+        ax = np.dot(a, x)
+        return np.concatenate([ax, -(ax - 1.0)])
+
     constraints = [{
         "type": "ineq",
         "fun": lambda x: -(np.asarray(pair.info(full(x))[:2]) - upper),
-        "jac": lambda x: -pair.jac(full(x))[:2, skip:],
-    }]
-    if rows is not None:
-        a, a_both = rows
-
-        def row_sums(x):
-            ax = np.dot(a, x)
-            return np.concatenate([ax, -(ax - 1.0)])
-
-        constraints.append({"type": "ineq", "fun": row_sums, "jac": lambda x: a_both})
+        "jac": lambda x: -jac_at(pair, full(x))[:2, skip:],
+    }, {"type": "ineq", "fun": row_sums, "jac": lambda x: a_both}]
     return minimize(
-        lambda x: -pair.value(full(x)),
+        lambda x: -value_at(pair, full(x)),
         theta0[skip:].copy(),
-        jac=lambda x: -pair.grad(full(x))[skip:],
+        jac=lambda x: -grad_at(pair, full(x))[skip:],
         method="SLSQP",
-        bounds=[(0.0, hi)] * (theta0.size - skip),
+        bounds=[(0.0, 1.0)] * (theta0.size - skip),
         constraints=constraints,
         options={"maxiter": 200, "ftol": pair.ftol},
     )
@@ -656,8 +638,11 @@ def mixed_ternary_starts():
 
 
 def bsc_starts():
-    pair = _ChannelPair(dsbs(0.1).probs, 2, 2, True)
-    starts = np.array([[0.0, 0.5], [0.1, 0.3], [0.5, 0.0], [0.25, 0.25], [0.0, 0.0]])
+    """Starts at pairs of binary symmetric channels on DSBS(0.1), among them
+    identity and constant channels on either side."""
+    pair = _ChannelPair(dsbs(0.1).probs, 2, 2)
+    starts = np.array([pair.free(Channel.bsc(a).matrix, Channel.bsc(b).matrix)
+                       for a, b in [(0.0, 0.5), (0.1, 0.3), (0.5, 0.0), (0.25, 0.25), (0.0, 0.0)]])
     return pair, starts, 0.25, 0.5, False
 
 
@@ -690,7 +675,7 @@ def test_zero_row_and_column_give_a_finite_value_without_warnings():
         res = tai_exponent(law, 0.5, 0.25)
         # a vertex of both channel simplices, where many log arguments are floored
         pair = _ChannelPair(np.asarray(law.probs), 3, 4)
-        jac = pair.jac(pair.free(np.eye(3), np.eye(3, 4)))
+        jac = jac_at(pair, pair.free(np.eye(3), np.eye(3, 4)))
     assert math.isfinite(res.theta) and 0.0 <= res.theta <= 0.25 + 1e-9
     assert np.all(np.isfinite(jac))
 
@@ -901,7 +886,7 @@ def check_central_differences(seed, monkeypatch):
     quant = 0.5 * rng.dirichlet(np.ones(ku), size=kx) + 0.5 / ku
     pair = inner_pair(p, q, kx, ku)
     theta = pair.free(mech, quant)
-    grad = pair.grad(theta)
+    grad = grad_at(pair, theta)
     tight_values(monkeypatch)
     pair = inner_pair(p, q, kx, ku)
     # the tightly solved values still carry about 5e-14 of noise, which a
@@ -909,7 +894,7 @@ def check_central_differences(seed, monkeypatch):
     # 0-999, at 1e-5 1 of seeds 0-2999 and at 3e-5 none, where the O(step^2)
     # truncation stays below 5e-11
     step = 3e-5
-    central = [(pair.value(theta + e) - pair.value(theta - e)) / (2 * step)
+    central = [(value_at(pair, theta + e) - value_at(pair, theta - e)) / (2 * step)
                for e in step * np.eye(theta.size)]
     np.testing.assert_allclose(grad, central, atol=5e-9)
 
@@ -938,14 +923,14 @@ def test_theorem1_gradient_on_simplex_faces_is_one_sided(face, monkeypatch):
     mech, quant = (np.array(m) for m in THM1_FACES[face])
     pair = inner_pair(NULL, ALT, 2, 4)
     theta = pair.free(mech, quant)
-    grad = pair.grad(theta)
+    grad = grad_at(pair, theta)
     assert np.all(np.isfinite(grad))
     tight_values(monkeypatch)
     pair = inner_pair(NULL, ALT, 2, 4)
-    base = pair.value(theta)
+    base = value_at(pair, theta)
     step = 1e-6
-    forward = [2 * (pair.value(theta + e) - base) / step
-               - (pair.value(theta + 2 * e) - base) / (2 * step)
+    forward = [2 * (value_at(pair, theta + e) - base) / step
+               - (value_at(pair, theta + 2 * e) - base) / (2 * step)
                for e in step * np.eye(theta.size)]
     np.testing.assert_allclose(grad, forward, atol=5e-9)
     if face.startswith("unused-xh"):
@@ -961,8 +946,8 @@ NO_Y1 = [[0.5, 0.0], [0.5, 0.0]]
 def test_failed_inner_projection_scores_the_sentinel_with_zero_gradient():
     pair = inner_pair(NULL, NO_Y1, 2, 4)
     theta = pair.free(np.full((2, 2), 0.5), np.full((2, 4), 0.25))
-    assert pair.value(theta) == -1e3
-    assert np.array_equal(pair.grad(theta), np.zeros(theta.size))
+    assert value_at(pair, theta) == -1e3
+    assert np.array_equal(grad_at(pair, theta), np.zeros(theta.size))
 
 
 def test_a_polish_that_ends_outside_the_budgets_scores_nothing(monkeypatch):
@@ -1089,7 +1074,7 @@ def test_both_searches_call_the_solver_through_the_module_attribute(monkeypatch)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(exponents, "minimize", counting)
-    tai_exponent(dsbs(0.1), 0.5, 0.5, SearchConfig(restrict_bsc=True))
+    tai_exponent(dsbs(0.1), 0.5, 0.5)
     tai_calls = len(calls)
     assert tai_calls > 0
     theorem1_lower_bound(*alt_pair(), 0.1, 0.1)
@@ -1116,7 +1101,9 @@ THM1_ALT_SWEEPS = 5649
 
 # The benchmark's four independence-testing queries (``tai-sweep``) and the
 # BSC-restricted query of ``privexp selftest``, frozen the same way: theta as
-# float.hex and the sha256 prefix of the mechanism and quantizer bytes. The
+# float.hex and the sha256 prefix of the mechanism and quantizer bytes (the
+# restricted query is two root solves; the grid search they replaced gave
+# 0x1.6d2f5f2633e15p-3 and channels e721ccf7c2ff97e9). The
 # four queries' 48 polishes make 1,247 SLSQP iterations and 1,764 objective
 # evaluations; a change to how the lockstep driver batches its members keeps
 # all of these. The batches are counted too: the queries evaluate 483
@@ -1132,7 +1119,7 @@ TAI_SWEEP_BITS = {
 }
 TAI_SWEEP_NIT, TAI_SWEEP_NFEV = 1247, 1764
 TAI_SWEEP_BATCHES = (483, 300)
-TAI_BSC_BITS = ("0x1.6d2f5f2633e15p-3", "e721ccf7c2ff97e9")  # DSBS(0.1) at (0.5, 0.5)
+TAI_BSC_BITS = ("0x1.6d2f5f26329f9p-3", "b184c3ba7d58c610")  # DSBS(0.1) at (0.5, 0.5)
 
 
 def bytes_digest(*arrays) -> str:
@@ -1235,7 +1222,7 @@ def test_the_theorem1_pair_scores_the_budgets_with_the_channel_pair_bits(seed):
     inner = inner_pair(p, q, kx, kx + 2)
     full = _ChannelPair(p, kx, kx + 2)
     full.log_floor = inner.log_floor  # the floor sets the slopes on a face
-    kinds = [k for k in POINT_KINDS if k != "bsc"] * 2
+    kinds = POINT_KINDS * 2
     thetas = np.stack([random_point(rng, full, k) for k in kinds])
     for batch in (thetas, thetas[:1]):
         mine, theirs = inner.evaluate(batch), full.evaluate(batch)

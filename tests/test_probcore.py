@@ -288,6 +288,30 @@ def test_channel_constructors():
         Channel(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("sizes, match", [
+    ([2.5], "^alphabet size 2.5 is not an integer$"),
+    (["3"], "^alphabet sizes must be integers, got <U1 values$"),
+], ids=["fractional", "text"])
+def test_empirical_type_refuses_non_integer_alphabet_sizes(sizes, match):
+    # a size of 2.5 was truncated to 2
+    with pytest.raises(DomainError, match=match):
+        empirical_type([0, 1], alphabet_sizes=sizes)
+    assert empirical_type([0, 1], alphabet_sizes=[3.0]).shape == (3, 1)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda j: j.marginal("X", "X"), r"^repeated axis names in \('X', 'X'\)$"),
+    (lambda j: marginalize(j, 5), "^no axis 5 in a rank-2 joint$"),
+    (lambda j: marginalize(j, -3), "^no axis -3 in a rank-2 joint$"),
+], ids=["repeated-name", "index-5", "index-minus-3"])
+def test_marginals_refuse_axes_the_joint_does_not_have(build, match):
+    # numpy's ValueError (repeated axis) and an IndexError leaked out before
+    joint = compose(Channel.bsc(0.1), Pmf(np.array([0.7, 0.3])))
+    with pytest.raises(DimensionMismatch, match=match):
+        build(joint)
+    assert np.array_equal(marginalize(joint, -1).probs, marginalize(joint, "Y").probs)
+
+
 def test_cascade_of_symmetric_channels():
     a, b = 0.1, 0.2
     cascaded = Channel.bsc(a).cascade(Channel.bsc(b))
@@ -617,6 +641,10 @@ _HALF_ROWS = Channel(np.full((3, 2), 0.5))  # a channel with three inputs
     (lambda: empirical_type(), LengthMismatch, "need at least one sequence"),
     (lambda: empirical_type([0, 1], [1, 0], alphabet_sizes=[2]), LengthMismatch,
      "one alphabet size per sequence required"),
+    (lambda: empirical_type([0, 1], alphabet_sizes=2), LengthMismatch,
+     "one alphabet size per sequence required"),
+    (lambda: empirical_type([0, 1], alphabet_sizes=[[2, 2]]), LengthMismatch,
+     "one alphabet size per sequence required"),
     (lambda: total_variation(np.full(2, 0.5), np.full(3, 1 / 3)), DimensionMismatch,
      r"shape mismatch \(2,\) vs \(3,\)"),
     (lambda: chain_joint(_DSBS, _HALF_ROWS, Channel.identity(2)), DimensionMismatch,
@@ -626,7 +654,8 @@ _HALF_ROWS = Channel(np.full((3, 2), 0.5))  # a channel with three inputs
 ], ids=["pmf-matrix", "pmf-alphabet", "joint-axes", "joint-alphabets", "axis-index",
         "channel-vector", "channel-alphabets", "channel-no-inputs", "channel-no-outputs",
         "identity-zero", "identity-negative", "identity-fraction", "normalized-negative",
-        "type-no-sequence", "type-sizes", "tv-shapes", "chain-mechanism", "chain-quantizer"])
+        "type-no-sequence", "type-sizes", "type-size-scalar", "type-sizes-nested",
+        "tv-shapes", "chain-mechanism", "chain-quantizer"])
 def test_malformed_input_is_refused(build, error, match):
     # an empty channel was once built, and taken by SchemeConfig as a mechanism;
     # identity(-1) and identity(2.5) leaked numpy's ValueError and TypeError

@@ -1,16 +1,25 @@
 """Relations the exponents must satisfy between queries, whatever their values.
 
-Each law is one of the first three Dirichlet(1) draws of ``default_rng(11)``.
-A miss here is a search defect: the tolerances sit above the round-off the
-searches were seen to reach (1.45e-11 for relabelling, 3.06e-9 for
-independence, 4.6e-13 for Theorem 1 above Corollary 2, 3e-16 for the
-witness's informations recomputed) and are not to be widened to pass.
+The searches run on the first three Dirichlet(1) draws of ``default_rng(11)``;
+the optimum over binary symmetric channels on DSBS(0.1) and on twelve
+Dirichlet(1) binary laws of ``default_rng(3)``. A miss here is a defect: the
+tolerances sit above the round-off that was seen (1.45e-11 for relabelling,
+3.06e-9 for independence, 4.6e-13 for Theorem 1 above Corollary 2, 3e-16 for
+the witness's informations recomputed, 3.3e-14 for the symmetric optimum
+against the binary closed form) and are not to be widened to pass.
 """
 
 import numpy as np
 import pytest
 
-from privexp import JointPmf, corollary2_bound, tai_exponent, theorem1_lower_bound
+from privexp import (
+    JointPmf,
+    SearchConfig,
+    binary_tai_exponent,
+    corollary2_bound,
+    tai_exponent,
+    theorem1_lower_bound,
+)
 from privexp.exponents import FEAS_SLACK
 
 
@@ -97,3 +106,88 @@ def test_the_returned_witness_obeys_data_processing(law, rate, leak):
     assert i_uy <= i_uxh <= rate + FEAS_SLACK
     assert i_xxh <= leak + FEAS_SLACK
     assert i_uy <= mi_bits(p)
+
+
+# ---------------------------------------------------------------------------
+# the optimum over binary symmetric channels (``restrict_bsc``)
+
+SYMMETRIC = SearchConfig(restrict_bsc=True)
+# twelve Dirichlet(1) binary laws from default_rng(3), at five budget pairs
+def _binary_laws() -> list:
+    rng = np.random.default_rng(3)
+    return [rng.dirichlet(np.ones(4)).reshape(2, 2) for _ in range(12)]
+
+
+BINARY_LAWS = _binary_laws()
+BINARY_POINTS = [(0.25, 0.25), (0.5, 0.1), (0.1, 0.5), (0.5, 0.5), (1.0, 0.25)]
+
+
+def h2(t: np.ndarray) -> np.ndarray:
+    """Binary entropy in bits, elementwise."""
+    t = np.clip(t, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = [np.where(s > 0, -s * np.log2(s), 0.0) for s in (t, 1.0 - t)]
+    return terms[0] + terms[1]
+
+
+def conv(a, b):
+    return a * (1.0 - b) + (1.0 - a) * b
+
+
+def crossover_scan(p: np.ndarray, rate: float, leak: float, points: int = 201) -> float:
+    """The best I(U;Y) over BSC(a) then BSC(b) on a points x points grid of
+    crossovers in [0, 1/2], among the pairs within both budgets."""
+    a = np.linspace(0.0, 0.5, points)[:, None]
+    b = np.linspace(0.0, 0.5, points)[None, :]
+    x1 = p[1].sum()  # P(X = 1)
+    p_y = p.sum(axis=0)
+    xh1 = conv(x1, a)  # P(Xh = 1)
+    leak_mi = h2(xh1) - h2(a)
+    rate_mi = h2(conv(xh1, b)) - h2(b)
+    c = conv(a, b)  # U is X through BSC(c)
+    value = h2(conv(x1, c)) - sum(w * h2(conv(p[1, y] / w, c)) for y, w in enumerate(p_y))
+    within = (leak_mi <= leak) & (rate_mi <= rate)
+    return float(value[within].max())
+
+
+def test_symmetric_optimum_is_the_binary_closed_form_on_the_criterion_1_grid():
+    source = joint([[0.45, 0.05], [0.05, 0.45]])
+    for rate in (0.1, 0.25, 0.5, 1.0):
+        for leak in (round(0.05 * k, 2) for k in range(1, 21)):
+            theta = tai_exponent(source, rate, leak, SYMMETRIC).theta
+            assert abs(theta - binary_tai_exponent(0.1, rate, leak)) <= 1e-12, (rate, leak)
+
+
+@pytest.mark.parametrize("law", range(len(BINARY_LAWS)))
+def test_symmetric_optimum_is_non_decreasing_in_each_budget(law):
+    p = joint(BINARY_LAWS[law])
+    budgets = [0.0, 0.01, 0.1, 0.25, 0.5, 1.0, np.inf]
+    for fixed in (0.1, 0.5):
+        by_rate = [tai_exponent(p, r, fixed, SYMMETRIC).theta for r in budgets]
+        by_leak = [tai_exponent(p, fixed, l, SYMMETRIC).theta for l in budgets]
+        assert by_rate == sorted(by_rate) and by_leak == sorted(by_leak), (fixed, by_rate, by_leak)
+
+
+@pytest.mark.parametrize("rate, leak", BINARY_POINTS)
+@pytest.mark.parametrize("law", range(len(BINARY_LAWS)))
+def test_symmetric_optimum_is_at_least_a_crossover_scan(law, rate, leak):
+    # the scan's arithmetic is its own, so a tie may differ by round-off
+    p = BINARY_LAWS[law]
+    theta = tai_exponent(joint(p), rate, leak, SYMMETRIC).theta
+    assert theta >= crossover_scan(p, rate, leak) - 1e-12
+
+
+@pytest.mark.parametrize("rate, leak", BINARY_POINTS)
+@pytest.mark.parametrize("law", range(len(BINARY_LAWS)))
+def test_symmetric_witness_meets_both_budgets_exactly(law, rate, leak):
+    p = BINARY_LAWS[law]
+    res = tai_exponent(joint(p), rate, leak, SYMMETRIC)
+    assert res.rate_mi <= rate and res.leak_mi <= leak
+    # the witness is a pair of BSCs whose informations are the reported ones
+    mech, quant = res.mechanism.matrix, res.quantizer.matrix
+    for channel in (mech, quant):
+        assert channel[0, 1] == channel[1, 0] and channel[0, 0] == channel[1, 1]
+    x_xh = p.sum(axis=1)[:, None] * mech
+    assert abs(mi_bits(x_xh) - res.leak_mi) <= 1e-12
+    assert abs(mi_bits(x_xh.sum(axis=0)[:, None] * quant) - res.rate_mi) <= 1e-12
+    assert abs(mi_bits(quant.T @ mech.T @ p) - res.theta) <= 1e-12

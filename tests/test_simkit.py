@@ -329,6 +329,26 @@ def test_codebook_cap_reports_feasible_blocklength():
         generate_codebook(Pmf.uniform(2), 100, 1.0, 1)
 
 
+@pytest.mark.parametrize("args, error, match", [
+    ((Pmf.uniform(2), 4, 0.5, -3), DomainError, "seed -3 must be nonnegative"),
+    ((Pmf.uniform(2), 4, 0.5, 1.5), DomainError, "seed must be an integer, got 1.5"),
+    ((Pmf.uniform(2), 2.5, 0.5, 1), DomainError, "blocklength must be an integer, got 2.5"),
+    ((Pmf.uniform(2), 4, "0.5", 1), DomainError, "rate '0.5' must be a nonnegative number"),
+    ((JointPmf(np.full((2, 2), 0.25), ("U", "V")), 4, 0.5, 1), DimensionMismatch,
+     "p_u must be a Pmf, got JointPmf"),
+    ((Pmf.uniform(2), 10**12, 0.0, 1), SizeOverflow,
+     "blocklength 1000000000000 exceeds the cap of 67108864 codebook entries"),
+    ((Pmf.uniform(2), 24, 1.0, 1), SizeOverflow,
+     "16777216 codewords of length 24 exceed the cap of 67108864 codebook entries"),
+], ids=["seed-negative", "seed-fraction", "n-fraction", "rate-text", "joint-law", "n-huge",
+        "entries"])
+def test_codebook_refuses_inputs_it_cannot_draw(args, error, match):
+    # a bare ValueError, TypeErrors, a law flattened into 4 symbols and a
+    # 7.28 TiB MemoryError before
+    with pytest.raises(error, match=f"^{match}$"):
+        generate_codebook(*args)
+
+
 def test_fixed_mode_cap(dsbs01):
     cfg = memoryless_cfg(n=40, rate=0.5, fixed_codebook=True)
     with pytest.raises(TooLarge):
