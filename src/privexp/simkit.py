@@ -19,11 +19,14 @@ codewords per trial and scanning them. An explicit single-codebook mode
 (``fixed_codebook``) exists for small M as an independent cross-check; only
 that mode and ``generate_codebook`` are bound by the materialization caps.
 
-Trials are split into batches; batch b consumes its own counter-based
-stream (spawn key b+1, key 0 is reserved for codebook generation), so a
-report is reproducible bit-for-bit from its seed. The batch count is
-derived, not configured: ``DEFAULT_BATCHES`` (or one batch per trial below
-that), raised only as far as ``BATCH_CELL_CAP`` requires.
+Trials are split into batches, and a batch is one array pass. Batch b
+draws from its own counter-based stream (spawn key b+1, key 0 is reserved
+for codebook generation), so a report is reproducible bit-for-bit from its
+seed. The batch count is derived, not configured: a batch takes as many
+trials as fit in ``BATCH_CELLS`` cells (trials x n x mechanism outputs), at
+least one, and a run splits its trials evenly over the fewest batches that
+hold them. So the batch size fixes the streams: another ``BATCH_CELLS``
+gives other draws from the same law.
 
 Each batch draws from its stream in this order:
 
@@ -38,20 +41,12 @@ Each batch draws from its stream in this order:
 4. the allocation chain: one array-valued ``hypergeometric`` call per
    (u, y) link, over every class of every encoded trial of the batch.
 
-Consecutive batches run together as one array pass of up to
-``PASS_CELLS`` cells. A pass concatenates its batches' draws and runs every
-step above on all its rows at once, except the allocation chain, which
-makes each link's call per batch, on that batch's rows and stream. So a
-report does not depend on how batches are grouped into passes, and the
-fixed cost of the array steps is paid per pass, not per batch.
-
 The receiver's decision is then a TV distance per row. In fixed-codebook
 mode steps 2-4 are replaced by a per-trial scan of the codebook, so the
 memoryless scheme draws exactly 2n uniforms per trial, as a trial-by-trial
-loop would. A pass holds the arrays of all its trials at once and takes a
-second batch only within ``PASS_CELLS``, so ``BATCH_CELL_CAP`` bounds
-trials per pass x n x mechanism outputs in every mode; a blocklength at
-which a single trial passes it is refused.
+loop would. A batch holds the arrays of all its trials at once; a
+blocklength at which a single trial passes ``BATCH_CELL_CAP`` cells is
+refused.
 """
 
 from __future__ import annotations
@@ -93,17 +88,16 @@ CODEBOOK_CAP = 2**24
 CODEBOOK_ENTRY_CAP = 2**26
 FIXED_MODE_CAP = 2**18
 TABLE_BUDGET = 2_000_000
-# trials per batch x n x mechanism outputs; a batch peaks at about 40 bytes
-# per cell (ka = 2), so about 170 MB at the cap
+# trials per batch x n x mechanism outputs: a batch is one array pass of up
+# to this many cells, or of one trial. On the 6,000-trial runs of the
+# benchmark 2^14 measured slower; 2^17 and 2^18 were up to 10% faster but
+# raised the peak memory by 1.5 and 4 MB
+BATCH_CELLS = 2**16
+# n x mechanism outputs of one trial; a batch peaks at about 40 bytes per
+# cell (ka = 2), so a one-trial batch at the cap takes about 170 MB
 BATCH_CELL_CAP = 2**22
-# batches of a run that fits the cap; the count fixes each report's streams
-DEFAULT_BATCHES = 100
-# trials per pass x n x mechanism outputs: consecutive batches share one
-# array pass up to this many cells; 2^14 and 2^18 measured slower, and
-# 2^18 raised the peak memory of 6,000-trial runs by about 8 MB
-PASS_CELLS = 2**16
-# trials of one run; a 10^5-trial memoryless run at n = 24 takes about 0.3 s
-# on 2 cores, about 3 us per trial, so the cap is about 5 minutes
+# trials of one run; a 10^5-trial memoryless run at n = 24 takes 74 batches
+# and about 0.3 s on 2 cores, 3.0 us per trial, so the cap is about 5 minutes
 TRIAL_CAP = 10**8
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -238,7 +232,11 @@ def wilson_interval(
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    # center and half agree at k = 0 and k = n only up to round-off, which
+    # left the estimate outside its own interval; the bounds there are 0 and 1
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 def _stirling_error(z: float) -> float:
@@ -432,7 +430,7 @@ def _build_tables(
 
 
 @dataclass
-class _PassResult:
+class _BatchResult:
     pool: np.ndarray
     accepts: int
     observer_escapes: int
@@ -466,14 +464,15 @@ class _Runner:
         self.mech_cdf = np.cumsum(mech, axis=1)
         law = p if cfg.hypothesis == "null" else self.q_xy
         self.law_cdf = np.cumsum(law.reshape(-1))
-        # a batch holds arrays of trials x n x ka entries; checked before n
-        # meets a float, which a huge integer n would overflow
-        max_rows = BATCH_CELL_CAP // (cfg.n * self.ka)
-        if max_rows == 0:
+        # a trial holds arrays of n x ka entries; checked before n meets a
+        # float, which a huge integer n would overflow
+        per_trial = cfg.n * self.ka
+        if per_trial > BATCH_CELL_CAP:
             raise TooLarge(
                 f"one trial at n = {cfg.n} with {self.ka} mechanism outputs "
                 f"exceeds the {BATCH_CELL_CAP}-cell batch cap; reduce the blocklength"
             )
+        self.batches = -(-cfg.trials // max(1, BATCH_CELLS // per_trial))
         # codeword count: exact below 2^53 so the no-cover Bernoulli matches
         # an explicit codebook bit for bit; beyond that only log M is needed
         exponent = cfg.n * cfg.rate
@@ -483,7 +482,6 @@ class _Runner:
         else:
             self.m_count = None
             self.log_m = exponent * math.log(2.0)
-        self.batches = max(min(DEFAULT_BATCHES, cfg.trials), -(-cfg.trials // max_rows))
         self.tables: dict[tuple[int, ...], _TypicalTables] = {}
         self.codebook = None
         if cfg.fixed_codebook:
@@ -504,43 +502,23 @@ class _Runner:
             self.tables[n_a] = tab
         return tab
 
-    def passes(self) -> list[tuple[int, list[int]]]:
-        """The run's batches as (first batch, trials of each batch) passes.
+    def run_batch(self, b: int, trials: int) -> _BatchResult:
+        """Run batch b of ``trials`` trials as one array pass.
 
-        A pass takes consecutive batches while their trials x n x mechanism
-        outputs stay within ``PASS_CELLS``; it always holds at least one.
-        """
-        per_trial = self.cfg.n * self.ka
-        out: list[tuple[int, list[int]]] = []
-        cells = 0
-        for b, t in enumerate(_split_trials(self.cfg.trials, self.batches)):
-            if out and cells + t * per_trial <= PASS_CELLS:
-                out[-1][1].append(t)
-                cells += t * per_trial
-            else:
-                out.append((b, [t]))
-                cells = t * per_trial
-        return out
-
-    def run_pass(self, first: int, sizes: list[int]) -> _PassResult:
-        """Run batches first, first + 1, ... as one array pass.
-
-        ``sizes`` holds each batch's trial count. Batch b draws only from its
-        own stream b + 1, in the order of the module docstring, so a pass
-        gives the same trials as running its batches one at a time.
+        The batch draws only from its own stream b + 1, in the order of the
+        module docstring.
         """
         cfg = self.cfg
-        trials = sum(sizes)
-        streams = [_stream(cfg.seed, first + i + 1) for i in range(len(sizes))]
-        live, xhat, y, pool = self._sanitize(streams, sizes)
+        rng = _stream(cfg.seed, b + 1)
+        live, xhat, y, pool = self._sanitize(rng, trials)
         if self.codebook is None:
-            encoded, uy = self._encode_ensemble(xhat, y, streams, sizes, live)
+            encoded, uy = self._encode_ensemble(xhat, y, rng, live)
         else:
             encoded, uy = self._encode_fixed_rows(xhat, y)
         tv_uy = 0.5 * np.abs(uy / cfg.n - self.p_uy).reshape(-1, self.ku * self.ky).sum(axis=1)
         accepts = int(np.count_nonzero(_in_ball(tv_uy, cfg.mu)))
         escapes = trials - int(np.count_nonzero(live))
-        return _PassResult(
+        return _BatchResult(
             pool=pool,
             accepts=accepts,
             observer_escapes=escapes,
@@ -548,18 +526,18 @@ class _Runner:
             receiver_rejects=encoded - accepts,
         )
 
-    def _sanitize(self, streams, sizes):
-        """Source draw, observer gate and mechanism of a pass.
+    def _sanitize(self, rng, trials):
+        """Source draw, observer gate and mechanism of a batch.
 
         Returns the rows that pass the gate, their sanitized and Y
         sequences, and the pooled (X, Xh) symbol counts.
         """
         cfg = self.cfg
         n = cfg.n
-        draws = np.concatenate([rng.random((t, 2 * n)) for rng, t in zip(streams, sizes)])
+        draws = rng.random((trials, 2 * n))
         x, y = np.divmod(_categorical(self.law_cdf, draws[:, :n]), self.ky)
         mech_u = draws[:, n:]
-        live = np.ones(draws.shape[0], dtype=bool)
+        live = np.ones(trials, dtype=bool)
         if cfg.scheme_kind == "general":
             # escape sequence 0^n: no codeword can be jointly typical with it
             # at any sane radius, so the decision is Hhat = 1
@@ -587,7 +565,7 @@ class _Runner:
             log_fail = -math.exp(min(self.log_m + tab.log_p_succ, 700.0))
         return math.exp(log_fail)
 
-    def _encode_ensemble(self, xhat, y, streams, sizes, live):
+    def _encode_ensemble(self, xhat, y, rng, live):
         """Encoder failure, table draw and allocation with the codebook
         integrated out; returns the number of encoded trials and their
         (U, Y) count tables."""
@@ -599,9 +577,7 @@ class _Runner:
             key = np.unique(key, return_inverse=True)[1] * (self.cfg.n + 1) + col
         _, first, group = np.unique(key, return_index=True, return_inverse=True)
         tabs = [self.tables_for(tuple(n_a[i].tolist())) for i in first]
-        fail_u, table_u = np.concatenate(
-            [rng.random((2, t)) for rng, t in zip(streams, sizes)], axis=1
-        )[:, live]
+        fail_u, table_u = rng.random((2, live.size))[:, live]
         p_fail = np.array([self._fail_prob(tab) for tab in tabs])
         ok = fail_u >= p_fail[group]
         k_tables = np.empty((xhat.shape[0], self.ku, self.ka), dtype=np.int64)
@@ -610,39 +586,31 @@ class _Runner:
             if sel.size:
                 idx = np.searchsorted(tab.cum, table_u[sel] * tab.cum[-1], side="right")
                 k_tables[sel] = tab.tables[np.minimum(idx, tab.cum.size - 1)]
-        # encoded rows of each batch, which stay contiguous and in batch order
-        batch = np.repeat(np.arange(len(sizes)), sizes)[live][ok]
-        ends = np.cumsum(np.bincount(batch, minlength=len(sizes)))
         # Y counts of each class of each encoded trial
         class_y = _row_counts(xhat * self.ky + y, self.ka * self.ky).reshape(-1, self.ka, self.ky)
-        uy = self._allocate(k_tables[ok], class_y[ok], streams, ends)
+        uy = self._allocate(k_tables[ok], class_y[ok], rng)
         return int(np.count_nonzero(ok)), uy
 
-    def _allocate(self, k_tables, remaining, streams, ends) -> np.ndarray:
+    def _allocate(self, k_tables, remaining, rng) -> np.ndarray:
         """Joint (U, Y) counts of the accepted codewords.
 
         Inside class a the codeword places k_tables[:, u, a] copies of each u
         on the class's positions uniformly at random, so the Y values under
         each u follow a multivariate hypergeometric law. It is drawn as a
         chain of univariate draws over (u, y); each link is one array-valued
-        call per batch, over every encoded trial and class of that batch
-        (rows up to ``ends[b]``) with the batch's own stream. ``remaining``
+        call over every encoded trial and class of the batch. ``remaining``
         holds the Y counts of each class not yet covered by a codeword
         symbol and is used up in place.
         """
         rows = remaining.shape[0]
         ky = self.ky
         uy = np.zeros((rows, self.ku, ky), dtype=np.int64)
-        spans = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
         for u in range(self.ku - 1):
             take = k_tables[:, u, :].copy()
             rest = remaining.sum(axis=2)
             for v in range(ky - 1):
                 rest -= remaining[:, :, v]
-                h = np.concatenate([
-                    rng.hypergeometric(remaining[s, :, v], rest[s], take[s])
-                    for rng, s in zip(streams, spans)
-                ])
+                h = rng.hypergeometric(remaining[:, :, v], rest, take)
                 remaining[:, :, v] -= h
                 take -= h
                 uy[:, u, v] = h.sum(axis=1)
@@ -686,7 +654,8 @@ def _plugin_mi_bits(counts: np.ndarray) -> float:
 
 def _execute(runner: _Runner) -> SimReport:
     cfg = runner.cfg
-    results = [runner.run_pass(first, sizes) for first, sizes in runner.passes()]
+    results = [runner.run_batch(b, trials)
+               for b, trials in enumerate(_split_trials(cfg.trials, runner.batches))]
 
     accepts = sum(r.accepts for r in results)
     counters = {
@@ -716,7 +685,8 @@ def _execute(runner: _Runner) -> SimReport:
         beta_hat = accepts / cfg.trials
         ci = wilson_interval(accepts, cfg.trials)
         upper = _clopper_pearson_upper(accepts, cfg.trials)
-        exponent = (-math.log2(beta_hat) / cfg.n) if beta_hat > 0 else None
+        # + 0.0 turns the -0.0 of beta_hat = 1 into 0.0 and keeps every other value
+        exponent = (-math.log2(beta_hat) / cfg.n + 0.0) if beta_hat > 0 else None
 
     return SimReport(
         scheme=cfg.scheme_kind,

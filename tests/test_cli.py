@@ -240,6 +240,18 @@ def test_simulate_same_seed_same_bytes(tmp_path, sim_config_path):
     assert outs[0] == outs[1]
 
 
+def test_simulate_reports_a_zero_exponent_without_a_sign(tmp_path, sim_config_path):
+    # at mu = 1 every trial is accepted, so beta_hat = 1, whose exponent
+    # -log2(1) / n once printed as -0.0
+    out = tmp_path / "run.json"
+    assert cli.main(["simulate", "--config", sim_config_path, "--mu", "1",
+                     "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '"beta_hat": 1.0' in text
+    assert '"empirical_exponent": 0.0' in text and "-0.0" not in text
+    assert json.loads(text)["beta_ci95"][1] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

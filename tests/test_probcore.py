@@ -590,6 +590,33 @@ def test_only_the_kernel_loader_imports_scipy_when_the_package_loads():
     assert found  # the loader's own import is seen, so the check can fail
 
 
+def test_simkit_draws_only_through_its_stream():
+    # every report is reproducible from its seed only if each random number
+    # comes from a stream that ``_stream`` opens: no default_rng, no legacy
+    # global np.random state and no random module
+    path = Path(privexp.simkit.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    stream = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_stream")
+    inside = {id(node) for node in ast.walk(stream)}
+    found, seen = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            (seen if id(node) in inside else found).append(f"np.random:{node.lineno}")
+            continue
+        else:
+            continue
+        found += [f"{name}:{node.lineno}" for name in names
+                  if name.split(".")[0] == "random" or name.startswith("numpy.random")]
+    assert found == []
+    assert seen  # the stream's own use is seen, so the check can fail
+
+
 def test_each_public_name_is_declared_by_one_module():
     # the package star-imports each module's __all__, where a name that two
     # modules declare would be shadowed without a word

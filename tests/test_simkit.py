@@ -75,7 +75,7 @@ def test_fixed_codebook_mode_is_deterministic(dsbs01):
     a = run_memoryless_scheme(cfg, dsbs01)
     b = run_memoryless_scheme(cfg, dsbs01)
     assert a.to_dict() == b.to_dict()
-    assert a.beta_hat == pytest.approx(0.05525, abs=1e-12)
+    assert a.beta_hat == pytest.approx(0.0605, abs=1e-12)
 
 
 Q_NON_PRODUCT = [[0.2, 0.3], [0.25, 0.25]]
@@ -88,27 +88,28 @@ QUANT3 = [[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]]
 def test_ensemble_streams_are_frozen(dsbs01):
     # pinned values: a change to any draw of the ensemble mode moves them
     rep = run_memoryless_scheme(memoryless_cfg(), dsbs01)
-    assert rep.beta_hat == 0.1095
+    assert rep.beta_hat == 706 / 6000
     assert rep.counters == {
-        "observer_escapes": 0, "encoder_failures": 2294, "receiver_rejects": 3049,
+        "observer_escapes": 0, "encoder_failures": 2352, "receiver_rejects": 2942,
     }
     cfg = SchemeConfig(n=12, mu=0.35, rate=0.5, seed=11, trials=6000, hypothesis="alt",
                        mechanism=BSC_HALF_BIT, quantizer=BSC_HALF_BIT,
                        scheme_kind="general")
     rep = run_general_scheme(cfg, dsbs01, JointPmf(np.array(Q_NON_PRODUCT), ("X", "Y")))
-    assert rep.beta_hat == 0.3755
+    assert rep.beta_hat == 2257 / 6000
     assert rep.counters == {
-        "observer_escapes": 2284, "encoder_failures": 2920, "receiver_rejects": 827,
+        "observer_escapes": 2308, "encoder_failures": 2948, "receiver_rejects": 795,
     }
 
 
 @pytest.mark.parametrize("case", ["memoryless", "general", "ternary-y", "fixed", "log-space",
                                   "ternary-xhat", "ternary-xhat-general"])
 def test_reports_do_not_depend_on_the_pass_size(case, dsbs01, monkeypatch):
-    # a pass of one batch is the batch-at-a-time run; every batch draws
-    # from its own stream, so grouping batches into passes changes nothing.
-    # A mechanism with three outputs gives class-size keys of three parts,
-    # which the encoder renumbers between parts.
+    # the batch size fixes the streams, so a run of one trial per batch and
+    # a run at the default size draw different trials from the same law: their
+    # rates must agree within 4 sigma, read off their Wilson intervals. A
+    # mechanism with three outputs gives class-size keys of three parts, which
+    # the encoder renumbers between parts.
     q = JointPmf(np.array(Q_NON_PRODUCT), ("X", "Y"))
     mech = Channel(MECH)
     p3, q3 = (JointPmf(np.array(a), ("X", "Y")) for a in (P_XY3, Q3))
@@ -130,28 +131,47 @@ def test_reports_do_not_depend_on_the_pass_size(case, dsbs01, monkeypatch):
         "ternary-xhat-general": lambda: run_general_scheme(
             memoryless_cfg(scheme_kind="general", **three), p3, q3),
     }
-    reports = []
-    for cells in (1, simkit.PASS_CELLS, 2**22):
-        monkeypatch.setattr(simkit, "PASS_CELLS", cells)
-        reports.append(runs[case]().to_dict())
-    assert reports[0] == reports[1] == reports[2]
+    rates, sigmas = [], []
+    for cells in (1, simkit.BATCH_CELLS):
+        monkeypatch.setattr(simkit, "BATCH_CELLS", cells)
+        rep = runs[case]()
+        accepts = round(rep.beta_hat * rep.trials)
+        lo, hi = wilson_interval(accepts, rep.trials)
+        rates.append(accepts / rep.trials)
+        sigmas.append((hi - lo) / (2 * 1.959963984540054))
+    assert abs(rates[0] - rates[1]) <= 4.0 * math.hypot(*sigmas)
 
 
-def test_many_batches_share_few_array_passes(dsbs01, monkeypatch):
-    # 100 batches of 60 trials at n = 24 fit 22 to a pass of 2^16 cells
-    calls = {"passes": 0, "streams": 0}
+def test_a_run_opens_one_stream_per_batch(dsbs01, monkeypatch):
+    # 6,000 trials at n = 24 with a binary mechanism fit 1,365 to a batch of
+    # 2^16 cells: five batches, each one stream and, for binary U and Y, one
+    # hypergeometric call. Batch b draws from spawn key b + 1
+    keys, calls, batches = [], [], []
+    open_stream, run_one = simkit._stream, simkit._Runner.run_batch
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    class Counted(np.random.Generator):
+        def hypergeometric(self, *args):
+            calls.append(self.bit_generator.seed_seq.spawn_key)
+            return super().hypergeometric(*args)
 
-    monkeypatch.setattr(simkit._Runner, "run_pass", counted("passes", simkit._Runner.run_pass))
-    monkeypatch.setattr(simkit, "_stream", counted("streams", simkit._stream))
-    run_memoryless_scheme(memoryless_cfg(n=24, trials=6000), dsbs01)
-    assert calls["streams"] == 100
-    assert calls["passes"] <= 6
+    def stream(seed, key):
+        keys.append(key)
+        return Counted(open_stream(seed, key).bit_generator)
+
+    def run_batch(runner, b, trials):
+        batches.append(b)
+        return run_one(runner, b, trials)
+
+    cfg = memoryless_cfg(n=24, trials=6000)
+    plain = run_memoryless_scheme(cfg, dsbs01)
+    with monkeypatch.context() as m:
+        m.setattr(simkit._Runner, "run_batch", run_batch)
+        m.setattr(simkit, "_stream", stream)
+        counted = run_memoryless_scheme(cfg, dsbs01)
+    assert counted == plain
+    assert batches == [0, 1, 2, 3, 4]
+    assert keys == [1, 2, 3, 4, 5]
+    assert calls == [(1,), (2,), (3,), (4,), (5,)]
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 9, 40])
@@ -276,19 +296,18 @@ def test_counters_partition_the_trials(kind, fixed, n, rate, dsbs01, monkeypatch
                        fixed_codebook=fixed)
     q = JointPmf(np.array([[0.2, 0.3], [0.25, 0.25]]), ("X", "Y"))
     alt = q if kind == "general" else None
+    # batches of at most 18 trials: 34 of them, of 18 or 17 trials, so each
+    # unit checked below is a many-trial batch of an uneven split
+    monkeypatch.setattr(simkit, "BATCH_CELLS", 18 * n * 2)
     runner = simkit._Runner(cfg, dsbs01, alt)
     assert (runner.m_count is None) == (n * rate >= 53)
     totals = dict.fromkeys(
         ["accepts", "observer_escapes", "encoder_failures", "receiver_rejects"], 0
     )
-    # passes of three 6-trial batches, so each unit checked below is a
-    # several-batch pass and the run has many of them
-    monkeypatch.setattr(simkit, "PASS_CELLS", 20 * n * runner.ka)
-    passes = runner.passes()
-    assert len(passes) == 34 and passes[0] == (0, [6, 6, 6])
-    for first, sizes in passes:
-        res = runner.run_pass(first, sizes)
-        t = sum(sizes)
+    sizes = simkit._split_trials(cfg.trials, runner.batches)
+    assert len(sizes) == 34 and sorted(set(sizes)) == [17, 18]
+    for b, t in enumerate(sizes):
+        res = runner.run_batch(b, t)
         # an escape is also an encoder failure, and every trial ends once
         assert res.accepts + res.encoder_failures + res.receiver_rejects == t
         assert res.observer_escapes <= res.encoder_failures
@@ -362,19 +381,48 @@ def test_trial_count_is_capped():
         memoryless_cfg(trials=simkit.TRIAL_CAP + 1)
 
 
-def test_batch_count_grows_only_past_the_cell_cap(dsbs01):
-    # the cap holds 87,381 trials per batch at n = 24 with 2 mechanism
-    # outputs: 100 batches cover 8,738,100 trials, one more trial needs 101
-    def batches(**kw):
-        return simkit._Runner(memoryless_cfg(**kw), dsbs01, None).batches
+def test_batch_count_grows_only_past_the_cell_cap(dsbs01, monkeypatch):
+    # 2^16 cells hold 1,365 trials at n = 24 with 2 mechanism outputs: 1,365
+    # trials run as one batch, one more trial needs two. A trial of more than
+    # 2^16 cells is a batch of its own, and one of more than 2^22 is refused
+    run_one = simkit._Runner.run_batch
 
-    assert batches(n=24, trials=8_738_100) == 100
-    assert batches(n=24, trials=8_738_101) == 101
-    assert batches(trials=37) == 37
+    def sizes(**kw):
+        seen = []
+
+        def run_batch(runner, b, trials):
+            seen.append(trials)
+            return run_one(runner, b, trials)
+
+        with monkeypatch.context() as m:
+            m.setattr(simkit._Runner, "run_batch", run_batch)
+            run_memoryless_scheme(memoryless_cfg(**kw), dsbs01)
+        return seen
+
+    assert sizes(n=24, trials=1365) == [1365]
+    assert sizes(n=24, trials=1366) == [683, 683]
+    assert sizes(n=24, trials=6000) == [1200] * 5
+    assert sizes(trials=37) == [37]
+    # one codeword, scanned per trial: the ensemble's tables would pass their budget
+    assert sizes(n=2**15 + 1, rate=0.0, trials=3, fixed_codebook=True) == [1, 1, 1]
     with pytest.raises(TooLarge, match="reduce the blocklength$"):
-        batches(n=2**21 + 1, trials=1)  # one trial alone is 2n > 2^22 cells
+        sizes(n=2**21 + 1, trials=1)  # one trial alone is 2n > 2^22 cells
     with pytest.raises(TooLarge, match="reduce the blocklength$"):
-        batches(n=10**400, trials=1)  # once an OverflowError from n * rate
+        sizes(n=10**400, trials=1)  # once an OverflowError from n * rate
+
+
+@given(st.integers(1, 2**20), st.integers(1, 4), st.integers(1, 200_000))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_batches_split_the_trials_within_the_cell_budget(n, ka, trials):
+    # the fewest batches of at most BATCH_CELLS cells, or of one trial each
+    cfg = memoryless_cfg(n=n, trials=trials, mechanism=Channel(np.full((2, ka), 1 / ka)),
+                         quantizer=Channel(np.full((ka, 2), 0.5)))
+    runner = simkit._Runner(cfg, dsbs(0.1), None)
+    sizes = simkit._split_trials(trials, runner.batches)
+    assert sum(sizes) == trials and min(sizes) >= 1
+    assert all(t * n * ka <= simkit.BATCH_CELLS or t == 1 for t in sizes)
+    per_batch = max(1, simkit.BATCH_CELLS // (n * ka))
+    assert (runner.batches - 1) * per_batch < trials
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +605,25 @@ def test_wilson_interval_anchor():
     assert wilson_interval(np.int64(50), np.int64(100)) == (lo, hi)
     with pytest.raises(DomainError):
         wilson_interval(1, 0)
+
+
+def test_wilson_interval_at_the_ends_holds_its_estimate():
+    # round-off once put the bound at k = 0 above 0 (2.8e-17) and the one at
+    # k = n below 1 (0.9999999999999999) in 1,695 of these 6,000 cases
+    for trials in range(1, 3001):
+        for successes in (0, trials):
+            lo, hi = wilson_interval(successes, trials)
+            assert 0.0 <= lo <= successes / trials <= hi <= 1.0
+    assert wilson_interval(0, 7)[0] == 0.0 and wilson_interval(7, 7)[1] == 1.0
+
+
+@given(st.integers(1, simkit.TRIAL_CAP).flatmap(
+    lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_wilson_interval_holds_its_estimate(counts):
+    successes, trials = counts
+    lo, hi = wilson_interval(successes, trials)
+    assert 0.0 <= lo <= successes / trials <= hi <= 1.0
 
 
 @pytest.mark.parametrize("successes, trials, z, match", [
