@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,11 +28,9 @@ from . import __version__
 from .errors import DomainError, Infeasible, TooLarge, ToolkitError
 from .euclid import binary_euclid_approx, euclid_tai_approx
 from .exponents import (
-    THM1_SEARCH,
-    SearchConfig,
-    _refuse_bsc_restriction,
     binary_tai_exponent,
     corollary2_bound,
+    symmetric_tai_exponent,
     tai_exponent,
     theorem1_lower_bound,
     zero_rate_exponent,
@@ -121,27 +119,26 @@ def _emit_manifest(args: argparse.Namespace, started: float) -> None:
 
 
 class _Method(NamedTuple):
-    """An exponent method: the flags it needs, the search flags it also
-    takes, its default search config (None: no search) and its call, which
-    gets the needed values in order (laws loaded), then the config."""
+    """An exponent method: the flags it needs, whether it is a search (and
+    takes ``--grid-step``) and its call, which gets the needed values in
+    order (laws loaded), and ``grid_step`` by keyword when the flag is given."""
 
     needs: tuple[str, ...]
-    takes: tuple[str, ...]
-    search: SearchConfig | None
+    searches: bool
     call: Callable  # a lambda, so that it finds the module's names at call time
 
 
-_SEARCH_FLAGS = ("--grid-step", "--restrict-bsc")
 _METHODS = {
-    "thm1": _Method(("--null", "--alt", "--rate", "--leak"), ("--grid-step",), THM1_SEARCH,
-                    lambda *a: theorem1_lower_bound(*a)),
-    "tai": _Method(("--null", "--rate", "--leak"), _SEARCH_FLAGS, SearchConfig(),
-                   lambda *a: tai_exponent(*a)),
-    "zero-rate": _Method(("--null", "--alt"), (), None, lambda *a: zero_rate_exponent(*a)),
-    "binary": _Method(("--q", "--rate", "--leak"), (), None,
+    "thm1": _Method(("--null", "--alt", "--rate", "--leak"), True,
+                    lambda *a, **k: theorem1_lower_bound(*a, **k)),
+    "tai": _Method(("--null", "--rate", "--leak"), True, lambda *a, **k: tai_exponent(*a, **k)),
+    "bsc": _Method(("--null", "--rate", "--leak"), False,
+                   lambda *a: symmetric_tai_exponent(*a)),
+    "zero-rate": _Method(("--null", "--alt"), False, lambda *a: zero_rate_exponent(*a)),
+    "binary": _Method(("--q", "--rate", "--leak"), False,
                       lambda *a: binary_tai_exponent(*a)),
-    "cor2": _Method(("--null", "--alt", "--rate"), ("--grid-step",), THM1_SEARCH,
-                    lambda *a: corollary2_bound(*a)),
+    "cor2": _Method(("--null", "--alt", "--rate"), True,
+                    lambda *a, **k: corollary2_bound(*a, **k)),
 }
 # the methods whose needs the sweep subcommand's flags cover
 _SWEEP_METHODS = [m for m, e in _METHODS.items()
@@ -150,57 +147,46 @@ _SWEEP_METHODS = [m for m, e in _METHODS.items()
 
 def _flag_value(args, flag: str):
     """The flag's value, or None when it is not given (``--q 0`` is given)."""
-    value = getattr(args, flag[2:].replace("-", "_"), None)
-    return None if value is False else value
+    return getattr(args, flag[2:].replace("-", "_"), None)
 
 
-def _method_inputs(args) -> tuple[_Method, dict]:
-    """The method's entry and its call's arguments, keyed by flag, in order.
+def _method_inputs(args) -> tuple[_Method, dict, dict]:
+    """The method's entry, its call's arguments keyed by flag, in order, and
+    its keyword arguments: ``grid_step`` when ``--grid-step`` is given.
 
-    A flag the entry does not list is refused, search flags first, and then
-    a needed flag that is missing; laws are loaded last.
+    A flag the entry does not take is refused, ``--grid-step`` first, and
+    then a needed flag that is missing; laws are loaded last.
     """
     method = _METHODS[args.method]
-    for flag in _SEARCH_FLAGS + ("--q", "--null", "--alt", "--rate", "--leak"):
-        if _flag_value(args, flag) is not None and flag not in method.needs + method.takes:
-            if flag == "--restrict-bsc" and method.search is not None:
-                # the search's own refusal: only the tai search has a BSC restriction
-                _refuse_bsc_restriction(replace(method.search, restrict_bsc=True))
+    takes = method.needs + (("--grid-step",) if method.searches else ())
+    for flag in ("--grid-step", "--q", "--null", "--alt", "--rate", "--leak"):
+        if _flag_value(args, flag) is not None and flag not in takes:
             raise DomainError(f"{flag} does not apply to method {args.method!r}")
     values = {flag: _flag_value(args, flag) for flag in method.needs}
     for flag, value in values.items():
         if value is None:
             raise DomainError(f"{flag} is required for method {args.method!r}")
-    if method.search is not None:
-        values["cfg"] = _search_config(args)
     for flag in ("--null", "--alt"):
         if flag in values:
             values[flag] = _load_joint(values[flag])
-    return method, values
-
-
-def _search_config(args) -> SearchConfig:
-    """The method's default search config with the given search flags applied."""
-    # each search flag is named after its SearchConfig field
-    given = {flag[2:].replace("-", "_"): _flag_value(args, flag) for flag in _SEARCH_FLAGS}
-    return replace(_METHODS[args.method].search,
-                   **{k: v for k, v in given.items() if v is not None})
+    search = {} if args.grid_step is None else {"grid_step": args.grid_step}
+    return method, values, search
 
 
 def _cmd_exponent(args) -> dict:
-    method, values = _method_inputs(args)
-    res = method.call(*values.values())
+    method, values, search = _method_inputs(args)
+    res = method.call(*values.values(), **search)
     body = {"theta_bits": res} if isinstance(res, float) else res.to_dict()
     return {"method": args.method, **body}
 
 
 def _cmd_sweep(args) -> tuple[list[str], list[tuple]]:
-    method, values = _method_inputs(args)
+    method, values, search = _method_inputs(args)
     leaks = _parse_values(args.leak)
     rows = []
     for r in _parse_values(args.rate):
         for l in leaks:
-            res = method.call(*{**values, "--rate": r, "--leak": l}.values())
+            res = method.call(*{**values, "--rate": r, "--leak": l}.values(), **search)
             rows.append((r, l, res if isinstance(res, float) else res.theta))
     return ["rate", "leak", "theta_bits"], rows
 
@@ -282,9 +268,7 @@ def _cmd_selftest(args) -> dict:
         "binary_closed_form": binary_euclid_approx(0.1, 0.01, 0.01),
         "solver": euclid_tai_approx(dsbs, 0.01, 0.01).value,
     }
-    results["tai_search_bsc"] = tai_exponent(
-        dsbs, 0.5, 0.5, SearchConfig(restrict_bsc=True)
-    ).theta
+    results["tai_search_bsc"] = symmetric_tai_exponent(dsbs, 0.5, 0.5).theta
 
     mech = Channel.identity(2)
     cfg = SchemeConfig(
@@ -315,10 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_search(p):
-        p.add_argument("--grid-step", type=float, default=None)
-        p.add_argument("--restrict-bsc", action="store_true",
-                       help="binary tai only: the optimum over symmetric channel pairs, "
-                            "solved exactly without a grid (refuses --grid-step)")
+        p.add_argument("--grid-step", type=float, default=None,
+                       help="grid step of the search methods (tai, thm1, cor2)")
 
     p = sub.add_parser("exponent", help="single exponent query")
     p.add_argument("--method", required=True, choices=list(_METHODS))

@@ -25,14 +25,14 @@ polish a batch of starts in lockstep with ``minimize`` (from ``lockstep``).
 ranking, each from three start depths, in one ``minimize`` call.
 ``theorem1_lower_bound`` projects a shortlist of the ranking in one batch
 and polishes the best pair twice, the quantizer alone and then both
-channels. Under ``SearchConfig.restrict_bsc``, ``tai_exponent`` searches
-nothing: the optimum over pairs of binary symmetric channels comes from two
-root solves (``_symmetric_optimum``).
+channels. ``symmetric_tai_exponent`` searches nothing: the optimum over
+pairs of binary symmetric channels comes from two root solves
+(``_symmetric_optimum``).
 
 Alphabet sizes, grid budgets, the seed count and the shortlist are fixed
-per method; a ``SearchConfig`` sets only the grid step and the BSC
-restriction. Grid information quantities are cached per (law, cardinality,
-step, budgets), so repeated queries against one instance pay only a
+per method; a search's one setting is its ``grid_step``, checked by
+``_check_grid_step``. Grid information quantities are cached per (law,
+cardinality, step, budgets), so repeated queries against one instance pay only a
 feasibility mask and a sort of the feasible pairs: a binary-X independence
 grid has about 95,000 pairs and builds in a fraction of a second, a
 ternary-X grid takes over a second. A grid is built in blocks of whole
@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -84,10 +85,10 @@ from .probcore import (
 )
 
 __all__ = [
-    "SearchConfig",
     "ExponentResult",
     "binary_tai_exponent",
     "tai_exponent",
+    "symmetric_tai_exponent",
     "zero_rate_exponent",
     "theorem1_lower_bound",
     "corollary2_bound",
@@ -97,31 +98,6 @@ log = logging.getLogger(__name__)
 
 _LOG2E = math.log2(math.e)
 FEAS_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the channel searches: the grid step, and the restriction of
-    ``tai_exponent`` to symmetric channels, which takes no grid step."""
-
-    grid_step: float = 0.1
-    restrict_bsc: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.grid_step) and 0.0 < self.grid_step <= 1.0):
-            raise DomainError(f"grid_step {self.grid_step!r} outside (0, 1]")
-        if math.isinf(1.0 / self.grid_step):  # the lattice needs 1/step parts
-            raise DomainError(f"grid_step {self.grid_step!r} is too small: 1/step overflows")
-
-
-# defaults of the Theorem-1 and Corollary-2 searches
-THM1_SEARCH = SearchConfig(grid_step=1 / 8)
-
-
-def _refuse_bsc_restriction(cfg: SearchConfig) -> None:
-    """The Theorem-1 searches have no restriction to symmetric channels."""
-    if cfg.restrict_bsc:
-        raise DomainError("restrict_bsc applies only to the independence-testing search")
 
 
 # (mechanism, quantizer) caps on the number of candidates per channel grid;
@@ -152,8 +128,9 @@ class ExponentResult:
     ``rate_mi`` = I(U;Xh) and ``leak_mi`` = I(X;Xh) at the returned channels.
 
     ``grid_step`` is the lattice actually searched: the mechanism lattice
-    for ``tai``, the quantizer lattice for ``thm1`` and ``cor2``, and None
-    for a closed form, the symmetric (``restrict_bsc``) optimum included.
+    for ``tai_exponent``, the quantizer lattice for ``theorem1_lower_bound``
+    and ``corollary2_bound``, and None for a closed form,
+    ``symmetric_tai_exponent`` included.
     """
 
     theta: float
@@ -255,13 +232,13 @@ class _TaiSpace:
     (mechanism, quantizer) product, mechanism-major.
     """
 
-    def __init__(self, p_xy: np.ndarray, u_size: int, cfg: SearchConfig,
+    def __init__(self, p_xy: np.ndarray, u_size: int, grid_step: float,
                  budgets: tuple[int, int], mechs_override: np.ndarray | None = None):
         kx = p_xy.shape[0]
         self.i_xy = _mi_batch(p_xy)
         mech_budget, quant_budget = budgets
-        mech_m, n_mechs = _lattice(kx, kx, cfg.grid_step, mech_budget)
-        quant_m, n_quants = _lattice(kx, u_size, cfg.grid_step, quant_budget)
+        mech_m, n_mechs = _lattice(kx, kx, grid_step, mech_budget)
+        quant_m, n_quants = _lattice(kx, u_size, grid_step, quant_budget)
         if mechs_override is not None:
             n_mechs = len(mechs_override)
         if n_mechs * n_quants > _MAX_GRID_PAIRS:
@@ -269,7 +246,7 @@ class _TaiSpace:
                            f"channel pairs, above the cap of 2**26")
         self.mechs, self.mech_step = (
             _channel_grid(kx, kx, mech_m) if mechs_override is None
-            else (mechs_override, cfg.grid_step))
+            else (mechs_override, grid_step))
         self.quants, self.quant_step = _channel_grid(kx, u_size, quant_m)
         nm = self.mechs.shape[0]
         nq = self.quants.shape[0]
@@ -319,6 +296,17 @@ class _TaiSpace:
         return self.mechs[m], self.quants[q]
 
 
+def _check_grid_step(grid_step: float) -> None:
+    """Refuse a grid step that is not a number in (0, 1] with a finite
+    1/step, which the lattice needs; a str, None or bool is not a number."""
+    if isinstance(grid_step, bool) or not isinstance(grid_step, numbers.Real):
+        raise DomainError(f"grid_step {grid_step!r} must be a number")
+    if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
+        raise DomainError(f"grid_step {grid_step!r} outside (0, 1]")
+    if math.isinf(1.0 / grid_step):
+        raise DomainError(f"grid_step {grid_step!r} is too small: 1/step overflows")
+
+
 _SPACE_CACHE: dict = {}
 _SPACE_CACHE_MAX = 4
 
@@ -326,21 +314,22 @@ _SPACE_CACHE_MAX = 4
 def _space_for(
     p_xy: np.ndarray,
     u_size: int,
-    cfg: SearchConfig,
+    grid_step: float,
     budgets: tuple[int, int],
     mechs_override: np.ndarray | None = None,
 ) -> _TaiSpace:
+    _check_grid_step(grid_step)
     key = (
         p_xy.tobytes(),
         p_xy.shape,
         u_size,
-        cfg.grid_step,
+        grid_step,
         budgets,
         None if mechs_override is None else mechs_override.tobytes(),
     )
     space = _SPACE_CACHE.get(key)
     if space is None:
-        space = _TaiSpace(p_xy, u_size, cfg, budgets, mechs_override)
+        space = _TaiSpace(p_xy, u_size, grid_step, budgets, mechs_override)
         if len(_SPACE_CACHE) >= _SPACE_CACHE_MAX:
             _SPACE_CACHE.pop(next(iter(_SPACE_CACHE)))
         _SPACE_CACHE[key] = space
@@ -656,73 +645,17 @@ def _symmetric_optimum(p: np.ndarray, rate: float, leak: float):
     return bsc(a), bsc(b), [mi(a, b, k) for k in range(3)]
 
 
-def tai_exponent(
-    p_xy: JointPmf,
-    rate: float,
-    leak: float,
-    cfg: SearchConfig | None = None,
-) -> ExponentResult:
-    """Optimal exponent against the product alternative (independence testing).
-
-    Maximizes I(U;Y) over mechanism and quantizer grids subject to
-    I(U;Xh) <= rate and I(X;Xh) <= leak, with |Xh| = |X| and |U| = |X| + 1.
-    Each of the ``_TOP_K`` distinct leading grid values seeds SLSQP polishes
-    of both channels with exact gradients, one from each of the
-    ``_START_DEPTHS``; all of them run in lockstep in one ``minimize`` call,
-    and the best feasible point wins, compared seed by seed and depth by
-    depth. ``cfg.restrict_bsc`` (binary X) takes the optimum over symmetric
-    pairs instead, from ``_symmetric_optimum``, which has no grid step.
-    """
-    cfg = cfg or SearchConfig()
-    check_budgets(rate, leak)
-    p = _as_joint2(p_xy)
-    if cfg.restrict_bsc:
-        if cfg.grid_step != SearchConfig.grid_step:
-            raise DomainError(f"restrict_bsc is solved without a grid and takes no grid_step "
-                              f"(got {cfg.grid_step!r})")
-        mech, quant, (i_xxh, i_uxh, i_uy) = _symmetric_optimum(p, rate, leak)
-        best_val, step = i_uy, None
-    else:
-        pair = _ChannelPair(p, p.shape[0], p.shape[0] + 1)
-        space = _space_for(p, pair.ku, cfg, _TAI_BUDGETS)
-
-        # relabelings of one channel pair tie exactly, so near-equal grid values
-        # mark the same basin; seeding only distinct values spreads the restarts
-        seeds: list[int] = []
-        seed_vals: list[float] = []
-        for i in space.ranked(rate, leak, _SEED_SCAN)[:_SEED_SCAN]:
-            v = space.i_uy.flat[i]
-            if all(abs(v - w) > 1e-10 for w in seed_vals):
-                seeds.append(int(i))
-                seed_vals.append(float(v))
-            if len(seeds) >= _TOP_K:
-                break
-
-        mechs, quants = space.pair(np.array(seeds))
-        grid = np.array([pair.free(mech, quant) for mech, quant in zip(mechs, quants)])
-        starts = np.array([pair.free((1 - eps) * mech + eps / mech.shape[1],
-                                     (1 - eps) * quant + eps / quant.shape[1])
-                           for mech, quant in zip(mechs, quants) for eps in _START_DEPTHS])
-        polished = _slsqp_polish(starts, pair, rate, leak)
-        best_val = -1.0
-        best_theta = None
-        for k, (theta, val) in enumerate(zip(grid, pair.values(pair.evaluate(grid)))):
-            val = float(val)
-            for res in polished[k * len(_START_DEPTHS):(k + 1) * len(_START_DEPTHS)]:
-                if res is not None and res[0] > val:
-                    val, theta = res
-            if val > best_val:
-                best_val, best_theta = val, theta
-
-        mech, quant = pair.channels(best_theta)
-        i_xxh, i_uxh, i_uy = pair.info(best_theta)
-        step = space.mech_step
+def _tai_result(p_xy: JointPmf, p: np.ndarray, rate: float, leak: float, theta: float,
+                mech: np.ndarray, quant: np.ndarray, info, step: float | None) -> ExponentResult:
+    """The independence-testing result at the returned pair, whose
+    (I(X;Xh), I(U;Xh), I(U;Y)) is ``info``, after a data-processing check."""
+    i_xxh, i_uxh, i_uy = info
     if not i_uy <= min(i_uxh, float(_mi_batch(p))) + 1e-8:
         raise InvariantViolation(
             f"data-processing violation at the returned point: I(U;Y)={i_uy!r}"
         )
     return ExponentResult(
-        theta=max(best_val, 0.0),
+        theta=max(theta, 0.0),
         bound_kind="exact",
         rate=rate,
         leak=leak,
@@ -732,6 +665,74 @@ def tai_exponent(
         leak_mi=i_xxh,
         grid_step=step,
     )
+
+
+def tai_exponent(
+    p_xy: JointPmf,
+    rate: float,
+    leak: float,
+    grid_step: float = 0.1,
+) -> ExponentResult:
+    """Optimal exponent against the product alternative (independence testing).
+
+    Maximizes I(U;Y) over mechanism and quantizer grids on the
+    ``grid_step`` lattice subject to I(U;Xh) <= rate and I(X;Xh) <= leak,
+    with |Xh| = |X| and |U| = |X| + 1. Each of the ``_TOP_K`` distinct
+    leading grid values seeds SLSQP polishes of both channels with exact
+    gradients, one from each of the ``_START_DEPTHS``; all of them run in
+    lockstep in one ``minimize`` call, and the best feasible point wins,
+    compared seed by seed and depth by depth. ``symmetric_tai_exponent``
+    gives the optimum over symmetric pairs instead.
+    """
+    check_budgets(rate, leak)
+    p = _as_joint2(p_xy)
+    pair = _ChannelPair(p, p.shape[0], p.shape[0] + 1)
+    space = _space_for(p, pair.ku, grid_step, _TAI_BUDGETS)
+
+    # relabelings of one channel pair tie exactly, so near-equal grid values
+    # mark the same basin; seeding only distinct values spreads the restarts
+    seeds: list[int] = []
+    seed_vals: list[float] = []
+    for i in space.ranked(rate, leak, _SEED_SCAN)[:_SEED_SCAN]:
+        v = space.i_uy.flat[i]
+        if all(abs(v - w) > 1e-10 for w in seed_vals):
+            seeds.append(int(i))
+            seed_vals.append(float(v))
+        if len(seeds) >= _TOP_K:
+            break
+
+    mechs, quants = space.pair(np.array(seeds))
+    grid = np.array([pair.free(mech, quant) for mech, quant in zip(mechs, quants)])
+    starts = np.array([pair.free((1 - eps) * mech + eps / mech.shape[1],
+                                 (1 - eps) * quant + eps / quant.shape[1])
+                       for mech, quant in zip(mechs, quants) for eps in _START_DEPTHS])
+    polished = _slsqp_polish(starts, pair, rate, leak)
+    best_val = -1.0
+    best_theta = None
+    for k, (theta, val) in enumerate(zip(grid, pair.values(pair.evaluate(grid)))):
+        val = float(val)
+        for res in polished[k * len(_START_DEPTHS):(k + 1) * len(_START_DEPTHS)]:
+            if res is not None and res[0] > val:
+                val, theta = res
+        if val > best_val:
+            best_val, best_theta = val, theta
+
+    mech, quant = pair.channels(best_theta)
+    return _tai_result(p_xy, p, rate, leak, best_val, mech, quant, pair.info(best_theta),
+                       space.mech_step)
+
+
+def symmetric_tai_exponent(p_xy: JointPmf, rate: float, leak: float) -> ExponentResult:
+    """Optimal exponent against independence over pairs of binary symmetric
+    channels (binary X), from ``_symmetric_optimum``'s two root solves.
+
+    Not a search: the result has ``grid_step`` None, and both budgets hold
+    exactly at the returned pair.
+    """
+    check_budgets(rate, leak)
+    p = _as_joint2(p_xy)
+    mech, quant, info = _symmetric_optimum(p, rate, leak)
+    return _tai_result(p_xy, p, rate, leak, info[2], mech, quant, info, None)
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +924,7 @@ def theorem1_lower_bound(
     q_xy: JointPmf,
     rate: float,
     leak: float,
-    cfg: SearchConfig | None = None,
+    grid_step: float = 1 / 8,
     fixed_mechanism: np.ndarray | None = None,
 ) -> ExponentResult:
     """Achievable exponent against a general alternative.
@@ -935,12 +936,10 @@ def theorem1_lower_bound(
     projected as one batch. The best shortlisted pair is polished by SLSQP
     with the mechanism held fixed, then over both channels.
     ``fixed_mechanism`` pins the mechanism and keeps only the first pass.
-    The search runs with |Xh| = |X| and |U| = |X| + 2; it has no
-    restriction to symmetric channels and refuses ``cfg.restrict_bsc``.
+    The search runs with |Xh| = |X| and |U| = |X| + 2, its grids on the
+    ``grid_step`` lattice.
     """
-    cfg = cfg or THM1_SEARCH
     check_budgets(rate, leak)
-    _refuse_bsc_restriction(cfg)
     p, _ = _as_joint_pair(p_xy, q_xy)
     kx, ky = p.shape
     u_size = kx + 2
@@ -949,7 +948,7 @@ def theorem1_lower_bound(
         override = Channel(fixed_mechanism).matrix[None]
         if override.shape[1:] != (kx, kx):
             raise DimensionMismatch("fixed mechanism shape mismatch")
-    space = _space_for(p, u_size, cfg, _THM1_BUDGETS, override)
+    space = _space_for(p, u_size, grid_step, _THM1_BUDGETS, override)
 
     order = space.ranked(rate, leak)
     shortlist = order[:_INNER_SHORTLIST]
@@ -999,7 +998,7 @@ def corollary2_bound(
     p_xy: JointPmf,
     q_xy: JointPmf,
     rate: float,
-    cfg: SearchConfig | None = None,
+    grid_step: float = 1 / 8,
 ) -> ExponentResult:
     """General-alternative lower bound with the mechanism pinned to identity.
 
@@ -1009,6 +1008,6 @@ def corollary2_bound(
     """
     kx = _as_joint2(p_xy).shape[0]
     res = theorem1_lower_bound(
-        p_xy, q_xy, rate, math.log2(kx) + 1.0, cfg, fixed_mechanism=np.eye(kx)
+        p_xy, q_xy, rate, math.log2(kx) + 1.0, grid_step, fixed_mechanism=np.eye(kx)
     )
     return replace(res, leak=None, leak_mi=None)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -74,16 +75,25 @@ def _check_weights(w: np.ndarray, what: str) -> None:
 
 
 def check_budgets(rate: float, leak: float, *, finite: bool = False) -> None:
-    """Refuse a negative or NaN rate or leak budget, naming it.
+    """Refuse a rate or leak budget that is not a number (a str, None or
+    bool), or is negative or NaN, naming it.
 
     ``inf`` passes unless ``finite`` is set: the exact exponents saturate at
     infinite budgets, the small-budget approximations do not.
     """
     for name, value in (("rate", rate), ("leak", leak)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} {value!r} must be a number")
         # written so that NaN fails
         if not (0.0 <= value < math.inf if finite else value >= 0.0):
             kind = "finite and nonnegative" if finite else "nonnegative"
             raise DomainError(f"{name} {value!r} must be {kind}")
+
+
+def _check_size(k: int, what: str) -> None:
+    """Refuse an alphabet size that is not a positive integer; a bool is not one."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise DomainError(f"{what} size {k!r} must be a positive integer")
 
 
 def _default_labels(k: int) -> tuple[int, ...]:
@@ -118,6 +128,7 @@ class Pmf:
 
     @classmethod
     def uniform(cls, k: int, alphabet: tuple = ()) -> "Pmf":
+        _check_size(k, "uniform")
         return cls(np.full(k, 1.0 / k), alphabet)
 
     @classmethod
@@ -234,8 +245,7 @@ class Channel:
 
     @classmethod
     def identity(cls, k: int) -> "Channel":
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise DomainError(f"identity size {k!r} must be a positive integer")
+        _check_size(k, "identity")
         return cls(np.eye(k))
 
     def cascade(self, then: "Channel") -> "Channel":

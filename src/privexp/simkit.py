@@ -732,7 +732,12 @@ def empirical_privacy(mechanism: Channel, samples) -> float:
     """Plug-in mutual information of pooled (raw, sanitized) symbol pairs."""
     kx, ka = mechanism.matrix.shape
     counts = np.zeros((kx, ka), dtype=np.int64)
-    for x_seq, xhat_seq in samples:
+    for sample in samples:
+        try:
+            x_seq, xhat_seq = sample
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise DimensionMismatch("each sample must be a (raw, sanitized) pair of "
+                                    "sequences") from None
         xa = _symbols(x_seq)
         ha = _symbols(xhat_seq)
         if xa.shape != ha.shape:

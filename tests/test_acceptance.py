@@ -25,7 +25,6 @@ from privexp import (
     MarginalConstraint,
     Pmf,
     SchemeConfig,
-    SearchConfig,
     binary_euclid_approx,
     binary_tai_exponent,
     brute_force_i_project,
@@ -38,6 +37,7 @@ from privexp import (
     mutual_information,
     run_general_scheme,
     run_memoryless_scheme,
+    symmetric_tai_exponent,
     tai_exponent,
     zero_rate_exponent,
 )
@@ -62,7 +62,6 @@ def test_criterion_1_closed_form_vs_search_grid(criterion):
     restricted to them (two root solves, no grid) must match it within 1e-2
     on both sides.
     """
-    cfg = SearchConfig(grid_step=0.02)
     source = dsbs(Q_NOISE)
     rates = [0.1, 0.25, 0.5, 1.0]
     leaks = [round(0.05 * k, 2) for k in range(1, 21)]
@@ -71,7 +70,7 @@ def test_criterion_1_closed_form_vs_search_grid(criterion):
     results = {}
     for r in rates:
         for l in leaks:
-            res = tai_exponent(source, r, l, cfg)
+            res = tai_exponent(source, r, l, grid_step=0.02)
             results[r, l] = res
             diff = res.theta - binary_tai_exponent(Q_NOISE, r, l)
             if diff > 1e-2:
@@ -90,9 +89,8 @@ def test_criterion_1_closed_form_vs_search_grid(criterion):
         if leak_mi > l + 1e-6 or rate_mi > r + 1e-6 or abs(value - res.theta) > 1e-9:
             unverified.append((r, l, leak_mi, rate_mi, value, res.theta))
 
-    bsc_cfg = SearchConfig(restrict_bsc=True)
     bsc_gap = max(
-        abs(tai_exponent(source, r, l, bsc_cfg).theta - binary_tai_exponent(Q_NOISE, r, l))
+        abs(symmetric_tai_exponent(source, r, l).theta - binary_tai_exponent(Q_NOISE, r, l))
         for r in rates
         for l in leaks
     )

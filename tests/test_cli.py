@@ -2,16 +2,18 @@
 
 import ast
 import csv
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privexp import (
     Channel,
@@ -19,18 +21,17 @@ from privexp import (
     JointPmf,
     Pmf,
     SchemeConfig,
-    SearchConfig,
     binary_tai_exponent,
     cli,
     corollary2_bound,
     dump_json,
     mutual_information,
     run_general_scheme,
+    symmetric_tai_exponent,
     tai_exponent,
     theorem1_lower_bound,
     zero_rate_exponent,
 )
-from privexp.exponents import THM1_SEARCH
 
 # a non-product alternative, entrywise positive
 ALT = [[0.2, 0.3], [0.25, 0.25]]
@@ -126,6 +127,16 @@ def test_general_alternative_payloads_match_the_library(
         argv += ["--rate", "0.25"]
         res = corollary2_bound(dsbs01, alt, 0.25)
     assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == as_json({"method": method, **res.to_dict()})
+
+
+@pytest.mark.parametrize("method", ["tai", "bsc"])
+def test_independence_payloads_match_the_library(method, dsbs01, null_law_path, capsys):
+    # run without --grid-step, a search gets its function's own default
+    call = {"tai": tai_exponent, "bsc": symmetric_tai_exponent}[method]
+    assert cli.main(["exponent", "--method", method, "--null", null_law_path,
+                     "--rate", "0.25", "--leak", "0.5"]) == 0
+    res = call(dsbs01, 0.25, 0.5)
     assert json.loads(capsys.readouterr().out) == as_json({"method": method, **res.to_dict()})
 
 
@@ -316,9 +327,9 @@ def test_missing_method_argument_is_a_config_error():
     (Pmf(np.array([0.5, 0.5])), ["--method", "zero-rate", "--alt", "{alt}"],
      "{null} does not hold a joint law"),
     (JointPmf(np.full((3, 2), 1 / 6), ("X", "Y")),
-     ["--method", "tai", "--rate", "0.5", "--leak", "0.5", "--restrict-bsc"],
+     ["--method", "bsc", "--rate", "0.5", "--leak", "0.5"],
      "BSC restriction needs binary alphabets"),
-], ids=["null-is-a-pmf", "restrict-bsc-ternary"])
+], ids=["null-is-a-pmf", "bsc-ternary"])
 def test_a_null_law_that_does_not_fit_is_a_config_error(law, argv, match, tmp_path,
                                                         alt_law_path, capsys):
     null = tmp_path / "law.json"
@@ -349,18 +360,7 @@ def test_refinement_flag_is_unknown(command, null_law_path, capsys):
     assert "unrecognized arguments: --refine-rounds" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", ["thm1", "cor2"])
-def test_general_alternative_refuses_restrict_bsc(method, null_law_path, capsys):
-    # the Theorem-1 search has no symmetric restriction; it once ignored the flag
-    code = cli.main(["exponent", "--method", method, "--null", null_law_path,
-                     "--alt", null_law_path, "--rate", "0.25", "--leak", "0.5",
-                     "--restrict-bsc"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: restrict_bsc")
-
-
-@pytest.mark.parametrize("flag", [["--grid-step", "0.3"], ["--restrict-bsc"]],
-                         ids=["grid-step", "restrict-bsc"])
+@pytest.mark.parametrize("flag", [["--grid-step", "0.3"]], ids=["grid-step"])
 @pytest.mark.parametrize("argv", [
     ["exponent", "--method", "binary", "--q", "0.1", "--rate", "0.5", "--leak", "0.5"],
     ["exponent", "--method", "zero-rate", "--rate", "0.5", "--leak", "0.5"],
@@ -413,25 +413,27 @@ def test_unused_flags_are_refused(argv, flag, null_law_path, capsys):
 _METHOD_ARGV = {
     ("exponent", "binary"): {"--q": "0.1", "--rate": "0.5", "--leak": "0.5"},
     ("exponent", "tai"): {"--null": "LAW", "--rate": "0.5", "--leak": "0.5"},
+    ("exponent", "bsc"): {"--null": "LAW", "--rate": "0.5", "--leak": "0.5"},
     ("exponent", "zero-rate"): {"--null": "LAW", "--alt": "LAW"},
     ("exponent", "thm1"): {"--null": "LAW", "--alt": "LAW", "--rate": "0.5", "--leak": "0.5"},
     ("exponent", "cor2"): {"--null": "LAW", "--alt": "LAW", "--rate": "0.25"},
     ("sweep", "binary"): {"--q": "0.1", "--rate": "0.5", "--leak": "0.5"},
     ("sweep", "tai"): {"--null": "LAW", "--rate": "0.5", "--leak": "0.5"},
+    ("sweep", "bsc"): {"--null": "LAW", "--rate": "0.5", "--leak": "0.5"},
 }
 _SUBCOMMAND_FLAGS = {
-    "exponent": {"--grid-step": "0.3", "--restrict-bsc": None, "--q": "0", "--null": "LAW",
-                 "--alt": "LAW", "--rate": "0.5", "--leak": "0"},
-    "sweep": {"--grid-step": "0.3", "--restrict-bsc": None, "--q": "0", "--null": "LAW"},
+    "exponent": {"--grid-step": "0.3", "--q": "0", "--null": "LAW", "--alt": "LAW",
+                 "--rate": "0.5", "--leak": "0"},
+    "sweep": {"--grid-step": "0.3", "--q": "0", "--null": "LAW"},
 }
-_SEARCH_TAKES = {"tai": {"--grid-step", "--restrict-bsc"}, "thm1": {"--grid-step"},
-                 "cor2": {"--grid-step"}}
+# the searches, which alone take --grid-step
+_SEARCHES = {"tai", "thm1", "cor2"}
 
 
 def _argv(command, method, flags, law):
     argv = [command, "--method", method]
     for flag, value in flags.items():
-        argv += [flag] if value is None else [flag, law if value == "LAW" else value]
+        argv += [flag, law if value == "LAW" else value]
     return argv
 
 
@@ -457,19 +459,66 @@ def test_each_needed_flag_is_required(command, method, flag, null_law_path, caps
 
 @pytest.mark.parametrize("command, method, flag", [
     (c, m, f) for (c, m), flags in _METHOD_ARGV.items() for f in _SUBCOMMAND_FLAGS[c]
-    if f not in flags and f not in _SEARCH_TAKES.get(m, ())
+    if f not in flags and not (f == "--grid-step" and m in _SEARCHES)
 ])
 def test_each_flag_outside_the_method_is_refused(command, method, flag, null_law_path,
                                                  tmp_path, capsys):
     flags = {**_METHOD_ARGV[command, method], flag: _SUBCOMMAND_FLAGS[command][flag]}
     out = tmp_path / "out"
     assert _exit_code(_argv(command, method, flags, null_law_path) + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    if flag == "--restrict-bsc" and method in _SEARCH_TAKES:  # the search's own message
-        assert err.startswith("error: restrict_bsc applies only")
-    else:
-        assert err == f"error: {flag} does not apply to method {method!r}\n"
+    assert capsys.readouterr().err == f"error: {flag} does not apply to method {method!r}\n"
     assert not out.exists()
+
+
+def test_the_method_table_takes_a_grid_step_where_the_library_does():
+    # a method is a search, and takes --grid-step, exactly when the function
+    # its call runs has a grid_step parameter, whose default is the only one
+    for name, method in cli._METHODS.items():
+        (function,) = method.call.__code__.co_names
+        params = inspect.signature(getattr(cli, function)).parameters
+        assert method.searches == ("grid_step" in params), name
+
+
+# values drawn for a flag of a fuzzed command line; a law flag may also name the law file
+_FUZZ_VALUES = ["0", "0.5", "1", "inf", "-1", "nan", "5e-324", "abc", ""]
+_FUZZ_FLAGS = sorted({"--grid-step"}.union(*(m.needs for m in cli._METHODS.values())))
+
+
+@pytest.fixture(scope="module")
+def fuzz_law_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "dsbs.json"
+    dump_json(JointPmf(np.array([[0.45, 0.05], [0.05, 0.45]]), ("X", "Y")), path)
+    return str(path)
+
+
+@st.composite
+def _fuzzed_argv(draw, law):
+    """A command line of a method from the table: any of its needed flags
+    left out and any other flag added, so that whole queries are drawn too."""
+    command = draw(st.sampled_from(["exponent", "sweep"]))
+    methods = list(cli._METHODS) if command == "exponent" else cli._SWEEP_METHODS
+    method = draw(st.sampled_from(methods))
+    needs = cli._METHODS[method].needs
+    left_out = draw(st.sets(st.sampled_from(needs)))
+    added = draw(st.sets(st.sampled_from([f for f in _FUZZ_FLAGS if f not in needs])))
+    argv = [command, "--method", method]
+    for flag in _FUZZ_FLAGS:
+        if flag in added or (flag in needs and flag not in left_out):
+            values = st.sampled_from(_FUZZ_VALUES)
+            if flag in ("--null", "--alt"):
+                values = st.just(law) | values
+            argv += [flag, draw(values)]
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_fuzzed_method_flags_never_end_in_a_traceback(fuzz_law_path, data):
+    # every flag of every method present or absent, with numbers, non-numbers
+    # and the law file as values: a result, a config error, an infeasible
+    # query or a size cap, and never an exception out of main
+    argv = data.draw(_fuzzed_argv(fuzz_law_path))
+    assert _exit_code(argv) in (0, 2, 3, 4), argv
 
 
 def test_a_zero_needed_value_is_given(capsys):
@@ -566,13 +615,9 @@ def test_integer_mu_is_accepted_as_a_number(tmp_path, sim_config_path):
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
-def test_bsc_restriction_refuses_a_grid_step(null_law_path, capsys):
-    # the symmetric optimum is solved without a grid, so a step would be ignored
-    assert cli.main(["exponent", "--method", "tai", "--null", null_law_path, "--rate", "0.5",
-                     "--leak", "0.5", "--restrict-bsc", "--grid-step", "1.0"]) == cli.CONFIG_EXIT
-    assert capsys.readouterr().err.startswith("error: restrict_bsc is solved without a grid")
-    assert cli.main(["exponent", "--method", "tai", "--null", null_law_path, "--rate", "0.5",
-                     "--leak", "0.5", "--restrict-bsc"]) == 0
+def test_bsc_method_is_the_closed_form_without_a_grid(null_law_path, capsys):
+    assert cli.main(["exponent", "--method", "bsc", "--null", null_law_path, "--rate", "0.5",
+                     "--leak", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["theta_bits"] == pytest.approx(binary_tai_exponent(0.1, 0.5, 0.5), abs=1e-12)
     assert payload["grid_step"] is None
@@ -637,24 +682,6 @@ def test_non_finite_range_is_a_config_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: range '")
     assert "Traceback" not in err
-
-
-def test_thm1_flags_keep_the_theorem1_defaults():
-    # flags are applied on top of the method's own defaults, so restating a
-    # default value changes nothing
-    for method in ("thm1", "cor2"):
-        args = cli._build_parser().parse_args(
-            ["exponent", "--method", method, "--grid-step", str(THM1_SEARCH.grid_step)]
-        )
-        assert cli._search_config(args) == THM1_SEARCH
-    args = cli._build_parser().parse_args(
-        ["exponent", "--method", "thm1", "--grid-step", "0.25"]
-    )
-    assert cli._search_config(args) == replace(THM1_SEARCH, grid_step=0.25)
-    args = cli._build_parser().parse_args(
-        ["sweep", "--method", "tai", "--rate", "1", "--leak", "1", "--grid-step", "0.1"]
-    )
-    assert cli._search_config(args) == SearchConfig(grid_step=0.1)
 
 
 def test_malformed_config_is_a_config_error(tmp_path):
@@ -769,7 +796,7 @@ def test_trial_cap_maps_to_exit_four(sim_config_path, capsys):
 _LIGHT_COMMANDS = """
 import contextlib, io, json, sys
 import numpy as np
-from privexp import Channel, JointPmf, SchemeConfig, SearchConfig, cli
+from privexp import Channel, JointPmf, SchemeConfig, cli
 from privexp import run_memoryless_scheme, tai_exponent
 null, alt = sys.argv[1:3]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -786,7 +813,7 @@ run_memoryless_scheme(SchemeConfig(n=8, mu=0.35, rate=1.0, seed=1, trials=20,
                                    scheme_kind="memoryless"), p)
 loaded = lambda: sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules)
 before = loaded()
-tai_exponent(p, 0.5, 0.5, SearchConfig(grid_step=0.5))
+tai_exponent(p, 0.5, 0.5, grid_step=0.5)
 print(json.dumps([before, loaded(), "scipy.optimize._slsqplib" in sys.modules]))
 """
 

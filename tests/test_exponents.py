@@ -1,12 +1,13 @@
 """Exponent optimizers: closed forms, search anchors, bounds, and witnesses."""
 
 import hashlib
+import inspect
 import math
+import re
 import time
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +26,6 @@ from privexp import (
     JointPmf,
     MarginalConstraint,
     NonpositiveAlternative,
-    SearchConfig,
     SupportMismatch,
     TooLarge,
     binary_entropy,
@@ -36,13 +36,13 @@ from privexp import (
     kl_divergence,
     mutual_information,
     star,
+    symmetric_tai_exponent,
     tai_exponent,
     theorem1_lower_bound,
     zero_rate_exponent,
 )
 from privexp import exponents, iproject
 from privexp.exponents import (
-    THM1_SEARCH,
     _TAI_BUDGETS,
     _THM1_BUDGETS,
     _ChannelPair,
@@ -55,6 +55,10 @@ from privexp.exponents import (
     _space_for,
 )
 from privexp.probcore import _mi_batch, _pair_joints
+
+# the searches' default grid steps, read where they are set
+TAI_STEP = inspect.signature(tai_exponent).parameters["grid_step"].default
+THM1_STEP = inspect.signature(theorem1_lower_bound).parameters["grid_step"].default
 
 # search values frozen from deterministic runs of this package's optimizer;
 # the (1, 1) anchor coincides with the closed form 1 - h_b(0.1)
@@ -140,6 +144,18 @@ def test_nan_budgets_are_domain_errors(budget, dsbs01, product_uniform):
     assert binary_tai_exponent(0.1, math.inf, math.inf) == binary_tai_exponent(
         0.1, 1.0, 1.0
     )
+
+
+@pytest.mark.parametrize("value", ["a", None, True], ids=["str", "none", "bool"])
+@pytest.mark.parametrize("budget", ["rate", "leak"])
+def test_budgets_that_are_not_numbers_are_domain_errors(budget, value, dsbs01):
+    # "a" and None were once a bare TypeError, and True ran as a 1-bit budget
+    b = {"rate": 0.5, "leak": 0.5, budget: value}
+    match = f"^{budget} {re.escape(repr(value))} must be a number$"
+    with pytest.raises(DomainError, match=match):
+        binary_tai_exponent(0.1, b["rate"], b["leak"])
+    with pytest.raises(DomainError, match=match):
+        tai_exponent(dsbs01, b["rate"], b["leak"])
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +283,13 @@ def test_asymmetric_mechanism_beats_symmetric_closed_form():
 
 def test_bsc_restricted_search_recovers_closed_form():
     for r, l in [(0.5, 0.1), (0.5, 0.5)]:
-        got = tai_exponent(dsbs(0.1), r, l, SearchConfig(restrict_bsc=True)).theta
+        got = symmetric_tai_exponent(dsbs(0.1), r, l).theta
         assert got == pytest.approx(binary_tai_exponent(0.1, r, l), abs=1e-9)
 
 
-def test_bsc_restriction_has_no_grid_and_refuses_a_grid_step():
-    res = tai_exponent(dsbs(0.1), 0.5, 0.5, SearchConfig(restrict_bsc=True))
+def test_symmetric_optimum_has_no_grid():
+    res = symmetric_tai_exponent(dsbs(0.1), 0.5, 0.5)
     assert (res.bound_kind, res.grid_step) == ("exact", None)
-    with pytest.raises(DomainError, match="^restrict_bsc is solved without a grid"):
-        tai_exponent(dsbs(0.1), 0.5, 0.5, SearchConfig(grid_step=0.3, restrict_bsc=True))
 
 
 def test_search_monotone_in_budgets():
@@ -288,17 +302,17 @@ def test_search_monotone_in_budgets():
 def test_ternary_search_anchor_and_binary_grid_size():
     res = tai_exponent(JointPmf(np.array(TERNARY), ("X", "Y")), 0.5, 0.25)
     assert res.theta == pytest.approx(TAI_TERNARY_R05_L025, abs=1e-9)
-    space = _space_for(np.asarray(dsbs(0.1).probs), 3, SearchConfig(), _TAI_BUDGETS)
+    space = _space_for(np.asarray(dsbs(0.1).probs), 3, TAI_STEP, _TAI_BUDGETS)
     assert space.mechs.shape[0] * space.quants.shape[0] <= 100_000
 
 
 def test_default_grids_on_a_binary_law():
     # pins the per-method budget constants: a drifted one changes a grid size
     p = np.asarray(dsbs(0.1).probs)
-    tai = _space_for(p, 3, SearchConfig(), _TAI_BUDGETS)
+    tai = _space_for(p, 3, TAI_STEP, _TAI_BUDGETS)
     assert (tai.mechs.shape[0], tai.quants.shape[0]) == (121, 784)
     assert (tai.mech_step, tai.quant_step) == (0.1, 1 / 6)
-    thm1 = _space_for(p, 4, THM1_SEARCH, _THM1_BUDGETS)
+    thm1 = _space_for(p, 4, THM1_STEP, _THM1_BUDGETS)
     assert (thm1.mechs.shape[0], thm1.quants.shape[0]) == (81, 400)
     assert (thm1.mech_step, thm1.quant_step) == (1 / 8, 1 / 3)
 
@@ -306,32 +320,32 @@ def test_default_grids_on_a_binary_law():
 def test_grid_cache_keeps_the_newest_grids(monkeypatch):
     monkeypatch.setattr(exponents, "_SPACE_CACHE", {})
     cap = exponents._SPACE_CACHE_MAX
-    cfg = SearchConfig(grid_step=1.0)  # 4 x 4 deterministic channel pairs
+    step = 1.0  # 4 x 4 deterministic channel pairs
     laws = [np.asarray(dsbs(eps).probs) for eps in np.linspace(0.1, 0.5, cap + 1)]
-    spaces = [_space_for(p, 2, cfg, _TAI_BUDGETS) for p in laws]
+    spaces = [_space_for(p, 2, step, _TAI_BUDGETS) for p in laws]
     assert len(exponents._SPACE_CACHE) == cap
     # a hit is the same object, found by value; the first law was evicted
-    assert _space_for(laws[-1].copy(), 2, cfg, _TAI_BUDGETS) is spaces[-1]
-    rebuilt = _space_for(laws[0], 2, cfg, _TAI_BUDGETS)
+    assert _space_for(laws[-1].copy(), 2, step, _TAI_BUDGETS) is spaces[-1]
+    rebuilt = _space_for(laws[0], 2, step, _TAI_BUDGETS)
     assert rebuilt is not spaces[0]
     # rebuilding it evicted the oldest entry left, the second law
     assert len(exponents._SPACE_CACHE) == cap
-    assert _space_for(laws[2], 2, cfg, _TAI_BUDGETS) is spaces[2]
-    assert _space_for(laws[1], 2, cfg, _TAI_BUDGETS) is not spaces[1]
+    assert _space_for(laws[2], 2, step, _TAI_BUDGETS) is spaces[2]
+    assert _space_for(laws[1], 2, step, _TAI_BUDGETS) is not spaces[1]
 
 
 GRID_ARRAYS = ("mechs", "quants", "i_xxh", "i_uxh", "i_uy")
 
 
-@pytest.mark.parametrize("shape, u_size, cfg, budgets", [
-    ((2, 3), 3, SearchConfig(), _TAI_BUDGETS),
-    ((3, 2), 5, THM1_SEARCH, _THM1_BUDGETS),
+@pytest.mark.parametrize("shape, u_size, step, budgets", [
+    ((2, 3), 3, TAI_STEP, _TAI_BUDGETS),
+    ((3, 2), 5, THM1_STEP, _THM1_BUDGETS),
 ], ids=["tai-2x3", "thm1-3x2"])
-def test_grid_arrays_do_not_depend_on_the_block_size(monkeypatch, shape, u_size, cfg, budgets):
+def test_grid_arrays_do_not_depend_on_the_block_size(monkeypatch, shape, u_size, step, budgets):
     p = np.random.default_rng(5).dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
-    default = _TaiSpace(p, u_size, cfg, budgets)
+    default = _TaiSpace(p, u_size, step, budgets)
     monkeypatch.setattr(exponents, "_BLOCK_CELLS", 1)  # one mechanism per block
-    single = _TaiSpace(p, u_size, cfg, budgets)
+    single = _TaiSpace(p, u_size, step, budgets)
     for name in GRID_ARRAYS:
         assert getattr(single, name).tobytes() == getattr(default, name).tobytes(), name
 
@@ -341,7 +355,7 @@ def test_the_grid_build_keeps_its_temporaries_small():
     # pairs, its temporaries once peaked at 447 MiB
     tracemalloc.start()
     try:
-        space = _TaiSpace(np.array(TERNARY), 4, SearchConfig(), _TAI_BUDGETS)
+        space = _TaiSpace(np.array(TERNARY), 4, TAI_STEP, _TAI_BUDGETS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -365,11 +379,11 @@ def test_a_fault_in_the_last_block_still_fails_the_grid(monkeypatch):
         return (j_xxh, j_uxh, j_uy), p_xh
 
     monkeypatch.setattr(exponents, "_pair_joints", joints)
-    _TaiSpace(p, 3, SearchConfig(), _TAI_BUDGETS)
+    _TaiSpace(p, 3, TAI_STEP, _TAI_BUDGETS)
     assert len(blocks) > 1 and sum(blocks) == 121
     fault_at[0], blocks[:] = len(blocks), []
     with pytest.raises(InvariantViolation, match="^data-processing violation in grid$"):
-        _TaiSpace(p, 3, SearchConfig(), _TAI_BUDGETS)
+        _TaiSpace(p, 3, TAI_STEP, _TAI_BUDGETS)
     assert sum(blocks) == 121
 
 
@@ -680,14 +694,15 @@ def test_zero_row_and_column_give_a_finite_value_without_warnings():
     assert np.all(np.isfinite(jac))
 
 
-@pytest.mark.parametrize("field, value", [
-    ("grid_step", 0.0), ("grid_step", -1.0), ("grid_step", 1.5),
-    ("grid_step", float("nan")), ("grid_step", float("inf")),
-    ("grid_step", 5e-324),  # 1/step overflows; once an OverflowError traceback
-])
-def test_search_config_rejects_out_of_domain_fields(field, value):
-    with pytest.raises(DomainError, match=field):
-        SearchConfig(**{field: value})
+@pytest.mark.parametrize("step, match", [
+    (0.0, "outside"), (-1.0, "outside"), (1.5, "outside"), (float("nan"), "outside"),
+    (float("inf"), "outside"),
+    (5e-324, "too small"),  # 1/step overflows; once an OverflowError traceback
+    ("0.5", "must be a number"), (None, "must be a number"), (True, "must be a number"),
+], ids=["0.0", "-1.0", "1.5", "nan", "inf", "5e-324", "str", "none", "bool"])
+def test_grid_step_outside_its_domain_is_refused(step, match):
+    with pytest.raises(DomainError, match=f"^grid_step {re.escape(repr(step))} .*{match}"):
+        tai_exponent(dsbs(0.1), 0.5, 0.5, grid_step=step)
 
 
 def coarsening_loop(rows, k, step, budget):
@@ -776,7 +791,7 @@ def test_search_input_validation():
 
 def test_result_reports_the_lattice_searched():
     # a step of 0.3 puts the grid rows on thirds; it once reported 0.3
-    assert tai_exponent(dsbs(0.1), 0.5, 0.5, SearchConfig(grid_step=0.3)).grid_step == 1 / 3
+    assert tai_exponent(dsbs(0.1), 0.5, 0.5, grid_step=0.3).grid_step == 1 / 3
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +986,7 @@ def shortlist_pairs(p, q, rate, leak):
     """The Theorem-1 search's inner pair and its shortlisted (mechanism, quantizer) stacks."""
     p_xy, q_xy = (JointPmf(np.asarray(a, dtype=float), ("X", "Y")) for a in (p, q))
     kx = p_xy.shape[0]
-    space = _space_for(p_xy.probs, kx + 2, THM1_SEARCH, _THM1_BUDGETS)
+    space = _space_for(p_xy.probs, kx + 2, THM1_STEP, _THM1_BUDGETS)
     order = space.ranked(rate, leak)
     shortlist = np.concatenate([order[:48], order[48::max(1, len(order) // 16)][:16]])
     return _InnerPair(p_xy.probs, q_xy, kx, kx + 2), *space.pair(shortlist)
@@ -1155,7 +1170,7 @@ def test_tai_sweep_queries_keep_their_bits_and_their_slsqp_counts(monkeypatch):
     assert len(runs) == len(TAI_SWEEP_BITS)
     assert (sum(r.nit for r in runs), sum(r.nfev for r in runs)) == (TAI_SWEEP_NIT, TAI_SWEEP_NFEV)
     assert (batches.count("evaluate"), batches.count("gradient")) == TAI_SWEEP_BATCHES
-    res = tai_exponent(dsbs(0.1), 0.5, 0.5, SearchConfig(restrict_bsc=True))
+    res = symmetric_tai_exponent(dsbs(0.1), 0.5, 0.5)
     assert (float(res.theta).hex(),
             bytes_digest(res.mechanism.matrix, res.quantizer.matrix)) == TAI_BSC_BITS
 
@@ -1191,7 +1206,7 @@ THM1_ALT_SHORTLIST_DUALS = "c69e9cb4038d203c"
 
 def test_shortlist_projections_build_their_duals_when_first_read():
     p, q = alt_pair()
-    space = _space_for(np.asarray(p.probs), 4, THM1_SEARCH, _THM1_BUDGETS)
+    space = _space_for(np.asarray(p.probs), 4, THM1_STEP, _THM1_BUDGETS)
     order = space.ranked(0.25, 0.25)
     shortlist = np.concatenate([order[:48], order[48::len(order) // 16][:16]])
     results = _InnerPair(np.asarray(p.probs), q, 2, 4).project_many(*space.pair(shortlist))
@@ -1232,15 +1247,6 @@ def test_the_theorem1_pair_scores_the_budgets_with_the_channel_pair_bits(seed):
     assert inner.info(thetas[0]) == full.info(thetas[0])[:2]
 
 
-def test_lower_bound_refuses_the_bsc_restriction(product_uniform):
-    with pytest.raises(DomainError, match="restrict_bsc"):
-        theorem1_lower_bound(dsbs(0.1), product_uniform, 0.5, 0.5,
-                             replace(THM1_SEARCH, restrict_bsc=True))
-    with pytest.raises(DomainError, match="restrict_bsc"):
-        corollary2_bound(dsbs(0.1), product_uniform, 0.5,
-                         replace(THM1_SEARCH, restrict_bsc=True))
-
-
 @pytest.mark.parametrize("mech, match", [
     ([[1.0, 0.0], [np.nan, 0.5]], "row 1: non-finite"),
     ([[1.2, -0.2], [0.0, 1.0]], "row 0: negative"),
@@ -1253,8 +1259,7 @@ def test_fixed_mechanism_must_be_a_channel(mech, match, product_uniform):
 
 
 @pytest.mark.parametrize("search, match", [
-    (lambda p: tai_exponent(JointPmf(np.full((3, 2), 1 / 6), ("X", "Y")), 0.5, 0.5,
-                            SearchConfig(restrict_bsc=True)),
+    (lambda p: symmetric_tai_exponent(JointPmf(np.full((3, 2), 1 / 6), ("X", "Y")), 0.5, 0.5),
      "BSC restriction needs binary alphabets"),
     (lambda p: theorem1_lower_bound(dsbs(0.1), p, 0.5, 0.5, fixed_mechanism=np.eye(3)),
      "fixed mechanism shape mismatch"),

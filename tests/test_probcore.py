@@ -663,6 +663,9 @@ _HALF_ROWS = Channel(np.full((3, 2), 0.5))  # a channel with three inputs
     (lambda: Channel.identity(0), DomainError, "identity size 0 must be a positive integer"),
     (lambda: Channel.identity(-1), DomainError, "identity size -1 must be"),
     (lambda: Channel.identity(2.5), DomainError, "identity size 2.5 must be"),
+    (lambda: Pmf.uniform(0), DomainError, "uniform size 0 must be a positive integer"),
+    (lambda: Pmf.uniform(-1), DomainError, "uniform size -1 must be"),
+    (lambda: Pmf.uniform(2.5), DomainError, "uniform size 2.5 must be"),
     (lambda: Pmf.normalized([-1, 2]), InvalidDistribution,
      "weights must be finite and nonnegative"),
     (lambda: empirical_type(), LengthMismatch, "need at least one sequence"),
@@ -680,12 +683,14 @@ _HALF_ROWS = Channel(np.full((3, 2), 0.5))  # a channel with three inputs
      "quantizer input alphabet does not match Xh"),
 ], ids=["pmf-matrix", "pmf-alphabet", "joint-axes", "joint-alphabets", "axis-index",
         "channel-vector", "channel-alphabets", "channel-no-inputs", "channel-no-outputs",
-        "identity-zero", "identity-negative", "identity-fraction", "normalized-negative",
+        "identity-zero", "identity-negative", "identity-fraction", "uniform-zero",
+        "uniform-negative", "uniform-fraction", "normalized-negative",
         "type-no-sequence", "type-sizes", "type-size-scalar", "type-sizes-nested",
         "tv-shapes", "chain-mechanism", "chain-quantizer"])
 def test_malformed_input_is_refused(build, error, match):
     # an empty channel was once built, and taken by SchemeConfig as a mechanism;
-    # identity(-1) and identity(2.5) leaked numpy's ValueError and TypeError
+    # identity(-1) and identity(2.5) leaked numpy's ValueError and TypeError,
+    # and uniform(0), (-1) and (2.5) a ZeroDivisionError, ValueError and TypeError
     with pytest.raises(error, match=f"^{match}"):
         build()
 

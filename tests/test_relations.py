@@ -14,9 +14,9 @@ import pytest
 
 from privexp import (
     JointPmf,
-    SearchConfig,
     binary_tai_exponent,
     corollary2_bound,
+    symmetric_tai_exponent,
     tai_exponent,
     theorem1_lower_bound,
 )
@@ -109,9 +109,8 @@ def test_the_returned_witness_obeys_data_processing(law, rate, leak):
 
 
 # ---------------------------------------------------------------------------
-# the optimum over binary symmetric channels (``restrict_bsc``)
+# the optimum over binary symmetric channels (``symmetric_tai_exponent``)
 
-SYMMETRIC = SearchConfig(restrict_bsc=True)
 # twelve Dirichlet(1) binary laws from default_rng(3), at five budget pairs
 def _binary_laws() -> list:
     rng = np.random.default_rng(3)
@@ -154,7 +153,7 @@ def test_symmetric_optimum_is_the_binary_closed_form_on_the_criterion_1_grid():
     source = joint([[0.45, 0.05], [0.05, 0.45]])
     for rate in (0.1, 0.25, 0.5, 1.0):
         for leak in (round(0.05 * k, 2) for k in range(1, 21)):
-            theta = tai_exponent(source, rate, leak, SYMMETRIC).theta
+            theta = symmetric_tai_exponent(source, rate, leak).theta
             assert abs(theta - binary_tai_exponent(0.1, rate, leak)) <= 1e-12, (rate, leak)
 
 
@@ -163,8 +162,8 @@ def test_symmetric_optimum_is_non_decreasing_in_each_budget(law):
     p = joint(BINARY_LAWS[law])
     budgets = [0.0, 0.01, 0.1, 0.25, 0.5, 1.0, np.inf]
     for fixed in (0.1, 0.5):
-        by_rate = [tai_exponent(p, r, fixed, SYMMETRIC).theta for r in budgets]
-        by_leak = [tai_exponent(p, fixed, l, SYMMETRIC).theta for l in budgets]
+        by_rate = [symmetric_tai_exponent(p, r, fixed).theta for r in budgets]
+        by_leak = [symmetric_tai_exponent(p, fixed, l).theta for l in budgets]
         assert by_rate == sorted(by_rate) and by_leak == sorted(by_leak), (fixed, by_rate, by_leak)
 
 
@@ -173,7 +172,7 @@ def test_symmetric_optimum_is_non_decreasing_in_each_budget(law):
 def test_symmetric_optimum_is_at_least_a_crossover_scan(law, rate, leak):
     # the scan's arithmetic is its own, so a tie may differ by round-off
     p = BINARY_LAWS[law]
-    theta = tai_exponent(joint(p), rate, leak, SYMMETRIC).theta
+    theta = symmetric_tai_exponent(joint(p), rate, leak).theta
     assert theta >= crossover_scan(p, rate, leak) - 1e-12
 
 
@@ -181,7 +180,7 @@ def test_symmetric_optimum_is_at_least_a_crossover_scan(law, rate, leak):
 @pytest.mark.parametrize("law", range(len(BINARY_LAWS)))
 def test_symmetric_witness_meets_both_budgets_exactly(law, rate, leak):
     p = BINARY_LAWS[law]
-    res = tai_exponent(joint(p), rate, leak, SYMMETRIC)
+    res = symmetric_tai_exponent(joint(p), rate, leak)
     assert res.rate_mi <= rate and res.leak_mi <= leak
     # the witness is a pair of BSCs whose informations are the reported ones
     mech, quant = res.mechanism.matrix, res.quantizer.matrix

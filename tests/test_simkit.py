@@ -592,6 +592,14 @@ def test_empirical_privacy_refuses_symbols_outside_the_mechanism(pair, match):
         empirical_privacy(IDENT, [pair])
 
 
+@pytest.mark.parametrize("samples", [[1], [([0], [0], [0])]], ids=["number", "triple"])
+def test_empirical_privacy_refuses_a_sample_that_is_not_a_pair(samples):
+    # once a bare TypeError or ValueError from unpacking the sample
+    match = r"^each sample must be a \(raw, sanitized\) pair"
+    with pytest.raises(DimensionMismatch, match=match):
+        empirical_privacy(IDENT, samples)
+
+
 # ---------------------------------------------------------------------------
 # interval helpers and config validation
 
