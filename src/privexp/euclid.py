@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     ZeroSupport,
 )
-from .probcore import JointPmf, Pmf, _as_joint2, check_budgets
+from .probcore import JointPmf, Pmf, _as_joint2, _floats, _number, check_budgets
 
 __all__ = [
     "chi2_divergence_approx",
@@ -42,8 +42,8 @@ def chi2_divergence_approx(p, q) -> float:
     Accurate when p is close to q. Entries must be finite and the reference
     strictly positive.
     """
-    pa = np.asarray(p.probs if isinstance(p, Pmf) else p, dtype=float)
-    qa = np.asarray(q.probs if isinstance(q, Pmf) else q, dtype=float)
+    pa = _floats(p.probs if isinstance(p, Pmf) else p, "p")
+    qa = _floats(q.probs if isinstance(q, Pmf) else q, "q")
     if pa.shape != qa.shape:
         raise DimensionMismatch(f"shape mismatch: {pa.shape} vs {qa.shape}")
     if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(qa))):
@@ -129,7 +129,6 @@ def euclid_tai_approx(p_xy: JointPmf, rate: float, leak: float) -> EuclidResult:
 
 def binary_euclid_approx(q_noise: float, rate: float, leak: float) -> float:
     """Closed form of the quadratic approximation for the symmetric binary case."""
-    if not 0.0 <= q_noise <= 1.0:
-        raise DomainError(f"noise {q_noise!r} outside [0, 1]")
+    _number(q_noise, "noise", 0, 1)
     check_budgets(rate, leak, finite=True)
     return (2.0 / _LOG2E) * (1.0 - 2.0 * q_noise) ** 2 * rate * leak

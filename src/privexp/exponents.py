@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -76,6 +75,7 @@ from .probcore import (
     _mi_cells,
     _pair_cells,
     _pair_joints,
+    _number,
     _sum_index,
     binary_entropy,
     binary_entropy_inv,
@@ -175,8 +175,7 @@ def binary_tai_exponent(q_noise: float, rate: float, leak: float) -> float:
     Rates and leaks above one bit saturate; the binary alphabets cannot use
     more.
     """
-    if not 0.0 <= q_noise <= 1.0:
-        raise DomainError(f"noise {q_noise!r} outside [0, 1]")
+    _number(q_noise, "noise", 0, 1)
     check_budgets(rate, leak)
     r = min(rate, 1.0)
     l = min(leak, 1.0)
@@ -298,12 +297,8 @@ class _TaiSpace:
 
 def _check_grid_step(grid_step: float) -> None:
     """Refuse a grid step that is not a number in (0, 1] with a finite
-    1/step, which the lattice needs; a str, None or bool is not a number."""
-    if isinstance(grid_step, bool) or not isinstance(grid_step, numbers.Real):
-        raise DomainError(f"grid_step {grid_step!r} must be a number")
-    if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
-        raise DomainError(f"grid_step {grid_step!r} outside (0, 1]")
-    if math.isinf(1.0 / grid_step):
+    1/step, which the lattice needs."""
+    if math.isinf(1.0 / _number(grid_step, "grid_step", 0, 1, lo_open=True)):
         raise DomainError(f"grid_step {grid_step!r} is too small: 1/step overflows")
 
 
@@ -925,7 +920,6 @@ def theorem1_lower_bound(
     rate: float,
     leak: float,
     grid_step: float = 1 / 8,
-    fixed_mechanism: np.ndarray | None = None,
 ) -> ExponentResult:
     """Achievable exponent against a general alternative.
 
@@ -935,19 +929,20 @@ def theorem1_lower_bound(
     since the projection is the expensive step, and the shortlist is
     projected as one batch. The best shortlisted pair is polished by SLSQP
     with the mechanism held fixed, then over both channels.
-    ``fixed_mechanism`` pins the mechanism and keeps only the first pass.
     The search runs with |Xh| = |X| and |U| = |X| + 2, its grids on the
     ``grid_step`` lattice.
     """
+    return _theorem1_search(p_xy, q_xy, rate, leak, grid_step, pin_identity=False)
+
+
+def _theorem1_search(p_xy, q_xy, rate, leak, grid_step, pin_identity: bool) -> ExponentResult:
+    """``theorem1_lower_bound``'s search, or with ``pin_identity`` its
+    first pass alone over quantizers behind the identity mechanism."""
     check_budgets(rate, leak)
     p, _ = _as_joint_pair(p_xy, q_xy)
     kx, ky = p.shape
     u_size = kx + 2
-    override = None
-    if fixed_mechanism is not None:
-        override = Channel(fixed_mechanism).matrix[None]
-        if override.shape[1:] != (kx, kx):
-            raise DimensionMismatch("fixed mechanism shape mismatch")
+    override = np.eye(kx)[None] if pin_identity else None
     space = _space_for(p, u_size, grid_step, _THM1_BUDGETS, override)
 
     order = space.ranked(rate, leak)
@@ -969,7 +964,7 @@ def theorem1_lower_bound(
 
     # the quantizer alone first: a joint pass from the grid point can stop in
     # a worse basin
-    for hold in (True,) if fixed_mechanism is not None else (True, False):
+    for hold in (True,) if pin_identity else (True, False):
         (polished,) = _slsqp_polish(best_theta[None], pair, rate, leak, hold)
         if polished is not None and polished[0] > best_val:
             best_val, best_theta = polished
@@ -1007,7 +1002,5 @@ def corollary2_bound(
     binds. The reported result carries no leak budget.
     """
     kx = _as_joint2(p_xy).shape[0]
-    res = theorem1_lower_bound(
-        p_xy, q_xy, rate, math.log2(kx) + 1.0, grid_step, fixed_mechanism=np.eye(kx)
-    )
+    res = _theorem1_search(p_xy, q_xy, rate, math.log2(kx) + 1.0, grid_step, pin_identity=True)
     return replace(res, leak=None, leak_mi=None)

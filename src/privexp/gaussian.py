@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InfeasibleBeta
-from .probcore import check_budgets
+from .errors import InfeasibleBeta
+from .probcore import _number, check_budgets
 
 __all__ = ["GaussianQuery", "gaussian_tai_exponent", "gaussian_achievable_at_beta"]
 
@@ -39,8 +39,7 @@ class GaussianQuery:
     leak: float
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise DomainError(f"correlation {self.rho!r} outside [0, 1]")
+        _number(self.rho, "correlation", 0, 1)
         check_budgets(self.rate, self.leak)
 
 
@@ -65,6 +64,7 @@ def gaussian_achievable_at_beta(q: GaussianQuery, beta_sq: float) -> float:
     boundary saturates the rate budget and attains the closed form; the upper
     one leaves the description empty and yields zero.
     """
+    _number(beta_sq, "beta_sq")  # its range is InfeasibleBeta's
     shrink_l = _shrink(q.leak)
     lo = (1.0 - _shrink(q.rate)) * shrink_l
     hi = shrink_l

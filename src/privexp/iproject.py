@@ -58,8 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import sys
 from dataclasses import MISSING, dataclass
 
 import numpy as np
@@ -67,14 +65,14 @@ import numpy as np
 from ._kernels import xlogy
 from .errors import (
     DimensionMismatch,
-    DomainError,
     Infeasible,
     InvariantViolation,
     SupportMismatch,
     TooLarge,
     ToolkitError,
 )
-from .probcore import MASS_ATOL, JointPmf, _check_weights, _kl_bits
+from .probcore import (MASS_ATOL, JointPmf, _check_weights, _count, _floats, _kl_bits, _law,
+                       _number)
 
 __all__ = [
     "MarginalConstraint",
@@ -84,7 +82,6 @@ __all__ = [
 ]
 
 _LOG2E = math.log2(math.e)
-_FLOAT_MAX = sys.float_info.max
 
 PLATEAU_SWEEPS = 100
 ORACLE_MAX_FREE_DIM = 3
@@ -99,7 +96,7 @@ class MarginalConstraint:
     name: str = ""
 
     def __post_init__(self):
-        t = np.asarray(self.target, dtype=float)
+        t = _floats(self.target, "constraint target")
         object.__setattr__(self, "target", t)
         object.__setattr__(self, "axes", tuple(self.axes))
         if t.ndim != len(self.axes):
@@ -402,14 +399,16 @@ def _project(names, alphabets, ref: np.ndarray, constraints, tol: float, max_ite
     return out
 
 
-def _check_solver(tol: float, max_iter: int) -> None:
-    """Refuse a ``tol`` that is not a finite positive number and a
-    ``max_iter`` that is not an integer of at least 1; a bool is neither."""
-    # the range test also fails NaN, inf and an int past the float range
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol <= _FLOAT_MAX:
-        raise DomainError(f"tol {tol!r} must be a finite positive number")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise DomainError(f"max_iter {max_iter!r} must be an integer of at least 1")
+def _checked(reference, constraints) -> list:
+    """``constraints`` as a list, refusing a reference that is not a
+    ``JointPmf`` and a constraint that is not a ``MarginalConstraint``."""
+    _law(reference, JointPmf, "reference")
+    try:
+        constraints = list(constraints)
+    except TypeError:  # not iterable
+        raise DimensionMismatch(f"constraints must be a collection, got "
+                                f"{type(constraints).__name__}") from None
+    return [_law(c, MarginalConstraint, "constraint") for c in constraints]
 
 
 def i_project(
@@ -424,7 +423,9 @@ def i_project(
     marginal has none, and Infeasible when residuals stop shrinking above
     ``tol`` (contradictory constraints) or ``max_iter`` sweeps pass.
     """
-    _check_solver(tol, max_iter)
+    _number(tol, "tol", 0, math.inf, lo_open=True, hi_open=True)
+    _count(max_iter, "max_iter", 1)
+    constraints = _checked(reference, constraints)
     ref = np.asarray(reference.probs, dtype=float)
     (res,) = _project(reference.axes, reference.alphabets, ref[None],
                       [(c.axes, c.target[None]) for c in constraints], tol, max_iter)
@@ -468,7 +469,8 @@ def _i_project_batch(
     that ended it (returned, not raised). A member that is not a
     distribution raises ``InvalidDistribution``.
     """
-    _check_solver(tol, max_iter)
+    _number(tol, "tol", 0, math.inf, lo_open=True, hi_open=True)
+    _count(max_iter, "max_iter", 1)
     refs = np.asarray(refs, dtype=float)
     if refs.ndim < 3:
         raise DimensionMismatch(f"a batch of references needs >= 3 axes, got {refs.shape}")
@@ -519,8 +521,8 @@ def brute_force_i_project(
     null-space basis, so ``grid_step`` is a Euclidean step in probability
     space. Free dimension above ORACLE_MAX_FREE_DIM raises TooLarge.
     """
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise DomainError(f"grid_step {grid_step!r} must be finite and positive")
+    _number(grid_step, "grid_step", 0, math.inf, lo_open=True, hi_open=True)
+    constraints = _checked(reference, constraints)
     from scipy.linalg import null_space
     from scipy.optimize import linprog
 

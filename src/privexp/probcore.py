@@ -22,8 +22,9 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -74,26 +75,61 @@ def _check_weights(w: np.ndarray, what: str) -> None:
         raise InvalidDistribution(f"{what}: total mass {total!r} not 1 within {MASS_ATOL}")
 
 
+def _number(value, what: str, lo=None, hi=None, *, lo_open: bool = False,
+            hi_open: bool = False) -> float:
+    """``value`` as a float, or a ``DomainError`` naming ``what``.
+
+    A bool, str, None, list or array is not a number, nor is an integer that
+    has no float. A bound left None is not tested, and NaN falls outside
+    every interval.
+    """
+    if type(value) is float:  # the common case, and the hot paths'
+        x = value
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} {value!r} must be a number")
+    else:
+        try:
+            x = float(value)
+        except OverflowError:
+            raise DomainError(f"{what} is too large for a float") from None
+    if ((lo is not None and not (lo < x if lo_open else lo <= x))
+            or (hi is not None and not (x < hi if hi_open else x <= hi))):
+        raise DomainError(f"{what} {value!r} outside {'(' if lo_open else '['}"
+                          f"{-math.inf if lo is None else lo}, {math.inf if hi is None else hi}"
+                          f"{')' if hi_open else ']'}")
+    return x
+
+
+def _count(value, what: str, lo=None, hi=None) -> int:
+    """``value`` as an int, or a ``DomainError``: ``_number``'s rule for
+    integers, whose bounds are compared exactly. A count past the float range
+    passes, so a cap after it refuses it; a size or count that is computed
+    with takes ``sys.maxsize``, numpy's largest array length, as ``hi``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} {value!r} must be an integer")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise DomainError(f"{what} {value!r} outside [{-math.inf if lo is None else lo}, "
+                          f"{math.inf if hi is None else hi}]")
+    return int(value)
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array, or a ``DomainError`` naming ``what`` when
+    numpy cannot read it as numbers (a str, a ragged list)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be an array of numbers") from None
+
+
 def check_budgets(rate: float, leak: float, *, finite: bool = False) -> None:
-    """Refuse a rate or leak budget that is not a number (a str, None or
-    bool), or is negative or NaN, naming it.
+    """Refuse a rate or leak budget that is not a nonnegative number, naming it.
 
     ``inf`` passes unless ``finite`` is set: the exact exponents saturate at
     infinite budgets, the small-budget approximations do not.
     """
-    for name, value in (("rate", rate), ("leak", leak)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise DomainError(f"{name} {value!r} must be a number")
-        # written so that NaN fails
-        if not (0.0 <= value < math.inf if finite else value >= 0.0):
-            kind = "finite and nonnegative" if finite else "nonnegative"
-            raise DomainError(f"{name} {value!r} must be {kind}")
-
-
-def _check_size(k: int, what: str) -> None:
-    """Refuse an alphabet size that is not a positive integer; a bool is not one."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"{what} size {k!r} must be a positive integer")
+    _number(rate, "rate", 0, math.inf, hi_open=finite)
+    _number(leak, "leak", 0, math.inf, hi_open=finite)
 
 
 def _default_labels(k: int) -> tuple[int, ...]:
@@ -108,7 +144,7 @@ class Pmf:
     alphabet: tuple = ()
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = _floats(self.probs, "Pmf probs")
         if p.ndim != 1:
             raise DimensionMismatch(f"Pmf expects a vector, got shape {p.shape}")
         object.__setattr__(self, "probs", p)
@@ -128,18 +164,20 @@ class Pmf:
 
     @classmethod
     def uniform(cls, k: int, alphabet: tuple = ()) -> "Pmf":
-        _check_size(k, "uniform")
+        k = _count(k, "uniform size", 1, sys.maxsize)
         return cls(np.full(k, 1.0 / k), alphabet)
 
     @classmethod
     def binary(cls, p_one: float) -> "Pmf":
+        p_one = _number(p_one, "p_one", 0, 1)
         return cls(np.array([1.0 - p_one, p_one]))
 
     @classmethod
     def normalized(cls, weights: Iterable[float], alphabet: tuple = ()) -> "Pmf":
         """Build from nonnegative weights, dividing by their sum explicitly."""
-        w = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights,
-                       dtype=float)
+        if isinstance(weights, Iterable) and not isinstance(weights, np.ndarray):
+            weights = list(weights)  # a generator, say
+        w = _floats(weights, "weights")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise InvalidDistribution("weights must be finite and nonnegative")
         total = w.sum()
@@ -160,7 +198,7 @@ class JointPmf:
     alphabets: tuple = ()
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = _floats(self.probs, "JointPmf probs")
         if p.ndim < 2:
             raise DimensionMismatch(f"JointPmf expects >= 2 axes, got shape {p.shape}")
         object.__setattr__(self, "probs", p)
@@ -217,7 +255,7 @@ class Channel:
     output_alphabet: tuple = ()
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _floats(self.matrix, "Channel matrix")
         if m.ndim != 2:
             raise DimensionMismatch(f"Channel expects a matrix, got shape {m.shape}")
         if 0 in m.shape:
@@ -238,15 +276,12 @@ class Channel:
 
     @classmethod
     def bsc(cls, crossover: float) -> "Channel":
-        if not 0.0 <= crossover <= 1.0:
-            raise DomainError(f"crossover {crossover!r} outside [0, 1]")
-        e = float(crossover)
+        e = _number(crossover, "crossover", 0, 1)
         return cls(np.array([[1.0 - e, e], [e, 1.0 - e]]))
 
     @classmethod
     def identity(cls, k: int) -> "Channel":
-        _check_size(k, "identity")
-        return cls(np.eye(k))
+        return cls(np.eye(_count(k, "identity size", 1, sys.maxsize)))
 
     def cascade(self, then: "Channel") -> "Channel":
         """Feed this channel's output into ``then``."""
@@ -276,7 +311,7 @@ def _entropy_bits(p: np.ndarray) -> float:
 
 def entropy(p: Pmf | JointPmf) -> float:
     """Shannon entropy in bits."""
-    return _entropy_bits(np.asarray(p.probs))
+    return _entropy_bits(np.asarray(_law(p, (Pmf, JointPmf), "p").probs))
 
 
 def _kl_bits(p: np.ndarray, q: np.ndarray) -> float:
@@ -296,7 +331,8 @@ def kl_divergence(p: Pmf | JointPmf, q: Pmf | JointPmf) -> float:
     Returns +inf when p puts mass outside the support of q (absolute
     continuity violated); never raises for that case.
     """
-    pa, qa = np.asarray(p.probs), np.asarray(q.probs)
+    pa = np.asarray(_law(p, (Pmf, JointPmf), "p").probs)
+    qa = np.asarray(_law(q, (Pmf, JointPmf), "q").probs)
     if pa.shape != qa.shape:
         raise DimensionMismatch(f"shape mismatch {pa.shape} vs {qa.shape}")
     return _kl_bits(pa.reshape(-1), qa.reshape(-1))
@@ -388,7 +424,7 @@ def _mi_bits(joint: np.ndarray) -> float:
 
 def mutual_information(joint: JointPmf, axis: str | None = None) -> float:
     """I(first axis ; remaining axes) in bits, or pick the left axis by name."""
-    p = joint.probs
+    p = _law(joint, JointPmf, "joint").probs
     if axis is not None:
         p = np.moveaxis(p, joint.axis_index(axis), 0)
     return _mi_bits(p)
@@ -396,8 +432,7 @@ def mutual_information(joint: JointPmf, axis: str | None = None) -> float:
 
 def binary_entropy(p: float) -> float:
     """h_b(p) in bits."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"binary_entropy argument {p!r} outside [0, 1]")
+    p = _number(p, "binary_entropy argument", 0, 1)
     if p in (0.0, 1.0):
         return 0.0
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
@@ -405,8 +440,7 @@ def binary_entropy(p: float) -> float:
 
 def binary_entropy_inv(h: float) -> float:
     """Inverse of h_b on [0, 1/2], accurate to 1e-10 in the argument."""
-    if not 0.0 <= h <= 1.0:
-        raise DomainError(f"binary_entropy_inv argument {h!r} outside [0, 1]")
+    h = _number(h, "binary_entropy_inv argument", 0, 1)
     if h == 0.0:
         return 0.0
     if h == 1.0:
@@ -425,16 +459,15 @@ def binary_entropy_inv(h: float) -> float:
 
 def star(a: float, b: float) -> float:
     """Binary convolution a*b = a(1-b) + (1-a)b."""
-    for v in (a, b):
-        if not 0.0 <= v <= 1.0:  # NaN fails the comparison too
-            raise DomainError(f"star argument {v!r} outside [0, 1]")
+    a = _number(a, "star argument", 0, 1)
+    b = _number(b, "star argument", 0, 1)
     return a * (1.0 - b) + (1.0 - a) * b
 
 
 def total_variation(p: Pmf | JointPmf | np.ndarray, q: Pmf | JointPmf | np.ndarray) -> float:
     """Total variation distance, 0.5 * sum of absolute differences."""
-    pa = np.asarray(p.probs if hasattr(p, "probs") else p, dtype=float)
-    qa = np.asarray(q.probs if hasattr(q, "probs") else q, dtype=float)
+    pa = _floats(p.probs if hasattr(p, "probs") else p, "p")
+    qa = _floats(q.probs if hasattr(q, "probs") else q, "q")
     if pa.shape != qa.shape:
         raise DimensionMismatch(f"shape mismatch {pa.shape} vs {qa.shape}")
     return float(0.5 * np.abs(pa - qa).sum())
@@ -531,8 +564,7 @@ def _in_ball(tv, radius: float):
 def is_typical(observed: JointPmf | Pmf | np.ndarray, target: JointPmf | Pmf | np.ndarray,
                mu: float) -> bool:
     """Closed typicality ball: true iff tv(observed, target) <= mu, within ``TYPICAL_SLACK``."""
-    if not mu >= 0.0:  # written so that NaN fails
-        raise DomainError(f"typicality radius {mu!r} must be nonnegative")
+    _number(mu, "typicality radius", 0)
     return _in_ball(total_variation(observed, target), mu)
 
 
@@ -542,6 +574,8 @@ def is_typical(observed: JointPmf | Pmf | np.ndarray, target: JointPmf | Pmf | n
 
 def compose(channel: Channel, p: Pmf) -> JointPmf:
     """Joint law of (input, output) when ``p`` feeds ``channel``."""
+    _law(channel, Channel, "channel")
+    _law(p, Pmf, "p")
     if channel.shape[0] != p.size:
         raise DimensionMismatch(
             f"channel has {channel.shape[0]} inputs, pmf has {p.size} symbols"
@@ -552,6 +586,7 @@ def compose(channel: Channel, p: Pmf) -> JointPmf:
 
 def marginalize(joint: JointPmf, axis: str | int) -> Pmf:
     """Single-axis marginal as a Pmf."""
+    _law(joint, JointPmf, "joint")
     if isinstance(axis, int) and not -len(joint.axes) <= axis < len(joint.axes):
         raise DimensionMismatch(f"no axis {axis} in a rank-{len(joint.axes)} joint")
     name = joint.axes[axis] if isinstance(axis, int) else axis
@@ -559,6 +594,15 @@ def marginalize(joint: JointPmf, axis: str | int) -> Pmf:
     if not isinstance(out, Pmf):
         raise InvariantViolation(f"single-axis marginal of {name!r} is not a Pmf")
     return out
+
+
+def _law(value, kind, what: str):
+    """``value`` if it is a ``kind`` (a law class or a tuple of them), else a
+    ``DimensionMismatch`` naming ``what`` and the type it has."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise DimensionMismatch(f"{what} must be a {names}, got {type(value).__name__}")
+    return value
 
 
 def _as_joint2(law) -> np.ndarray:
@@ -584,6 +628,8 @@ def chain_joint(p_xy: JointPmf, mechanism: Channel, quantizer: Channel) -> Joint
     the law ``p_xy``.
     """
     kx, ky = _as_joint2(p_xy).shape
+    _law(mechanism, Channel, "mechanism")
+    _law(quantizer, Channel, "quantizer")
     if mechanism.shape[0] != kx:
         raise DimensionMismatch("mechanism input alphabet does not match X")
     if quantizer.shape[0] != mechanism.shape[1]:
@@ -718,6 +764,7 @@ def load_json(path) -> Pmf | JointPmf | Channel:
 
 
 def dump_json(obj: Pmf | JointPmf | Channel, path) -> None:
+    _law(obj, (Pmf, JointPmf, Channel), "obj")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

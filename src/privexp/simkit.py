@@ -52,7 +52,7 @@ refused.
 from __future__ import annotations
 
 import math
-import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +68,7 @@ from .errors import (
     TooLarge,
 )
 from .probcore import (Channel, JointPmf, Pmf, _as_joint2, _as_joint_pair, _compositions,
-                       _in_ball, _pair_joints)
+                       _count, _in_ball, _law, _number, _pair_joints)
 from .probcore import _mi_bits, _symbols  # plug-in estimates share the exact MI kernel
 
 __all__ = [
@@ -119,19 +119,14 @@ class SchemeConfig:
     fixed_codebook: bool = False
 
     def __post_init__(self):
-        # kinds first, as a JSON config gives them: a bool is an int, and a
-        # float count would be truncated
-        for key in ("n", "seed", "trials", "mu", "rate", "mu_prime"):
-            value, count = getattr(self, key), key in ("n", "seed", "trials")
-            kind, what = (numbers.Integral, "an integer") if count else (numbers.Real, "a number")
-            if value is None and key == "mu_prime":
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise DomainError(f"config key {key!r} must be {what}, got {value!r}")
-            try:  # float() of an integer past the float range overflows
-                object.__setattr__(self, key, int(value) if count else float(value))
-            except OverflowError:
-                raise DomainError(f"config key {key!r} is too large for a float") from None
+        # counts and kinds first, as a JSON config gives them (a bool is an
+        # int, and a float count would be truncated), stored as int and
+        # float; the ranges of mu, rate and mu_prime come after the trial cap
+        for key, lo in (("n", 1), ("seed", 0), ("trials", 1)):
+            object.__setattr__(self, key, _count(getattr(self, key), f"config key {key!r}", lo))
+        for key in ("mu", "rate", "mu_prime"):
+            if key != "mu_prime" or self.mu_prime is not None:
+                object.__setattr__(self, key, _number(getattr(self, key), f"config key {key!r}"))
         if not isinstance(self.fixed_codebook, bool):
             raise DomainError(
                 f"config key 'fixed_codebook' must be true or false, got {self.fixed_codebook!r}"
@@ -140,27 +135,18 @@ class SchemeConfig:
             if not isinstance(getattr(self, key), Channel):
                 got = type(getattr(self, key)).__name__
                 raise DomainError(f"config key {key!r} must be a channel, got {got}")
-        if self.seed < 0:
-            raise DomainError(f"seed {self.seed} must be nonnegative")
-        if self.n < 1:
-            raise DomainError("blocklength must be at least 1")
-        if self.trials < 1:
-            raise DomainError("need at least one trial")
         if self.trials > TRIAL_CAP:
             raise TooLarge(f"{self.trials} trials exceed the cap of {TRIAL_CAP} per run")
-        # written so that NaN fails each check
-        if not self.mu >= 0.0:
-            raise DomainError(f"typicality radius {self.mu!r} must be nonnegative")
-        if not self.rate >= 0.0:
-            raise DomainError(f"rate {self.rate!r} must be nonnegative")
+        _number(self.mu, "config key 'mu'", 0)
+        _number(self.rate, "config key 'rate'", 0)
         if self.hypothesis not in ("null", "alt"):
             raise DomainError(f"unknown hypothesis {self.hypothesis!r}")
         if self.scheme_kind not in ("general", "memoryless"):
             raise DomainError(f"unknown scheme kind {self.scheme_kind!r}")
         if self.mechanism.matrix.shape[1] != self.quantizer.matrix.shape[0]:
             raise DomainError("mechanism output and quantizer input sizes differ")
-        if self.mu_prime is not None and not self.mu_prime > self.mu:
-            raise DomainError(f"conditional radius {self.mu_prime!r} must exceed mu")
+        if self.mu_prime is not None:
+            _number(self.mu_prime, "config key 'mu_prime'", self.mu, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -210,24 +196,12 @@ class SimReport:
         }
 
 
-def _check_counts(successes: int, trials: int) -> None:
-    """Refuse a binomial count pair other than integers 0 <= successes <= trials, trials >= 1."""
-    for name, count in (("successes", successes), ("trials", trials)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise DomainError(f"{name} {count!r} is not an integer count")
-    if trials < 1:
-        raise DomainError("trials must be positive")
-    if not 0 <= successes <= trials:
-        raise DomainError(f"successes {successes!r} outside [0, {trials}]")
-
-
 def wilson_interval(
     successes: int, trials: int, z: float = 1.959963984540054
 ) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    _check_counts(successes, trials)
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z {z!r} must be finite and positive")
+    _count(successes, "successes", 0, _count(trials, "trials", 1, sys.maxsize))
+    _number(z, "z", 0, math.inf, lo_open=True, hi_open=True)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -284,8 +258,8 @@ def _clopper_pearson_upper(successes: int, trials: int) -> float:
     is decreasing and convex, so every step lands short of the root and the
     steps shrink until round-off stops them.
     """
-    _check_counts(successes, trials)
-    k, n = int(successes), int(trials)
+    n = _count(trials, "trials", 1, sys.maxsize)
+    k = _count(successes, "successes", 0, n)
     if k == n:
         return 1.0
     if k == 0:
@@ -335,18 +309,10 @@ def generate_codebook(p_u: Pmf, n: int, rate: float, seed: int) -> Codebook:
     cap and reports the largest blocklength that would, and codebooks of
     more than ``CODEBOOK_ENTRY_CAP`` entries.
     """
-    if not isinstance(p_u, Pmf):
-        raise DimensionMismatch(f"p_u must be a Pmf, got {type(p_u).__name__}")
-    for key, value in (("blocklength", n), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{key} must be an integer, got {value!r}")
-    if n < 1:
-        raise DomainError("blocklength must be at least 1")
-    if seed < 0:
-        raise DomainError(f"seed {seed} must be nonnegative")
-    # NaN fails too
-    if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not rate >= 0.0:
-        raise DomainError(f"rate {rate!r} must be a nonnegative number")
+    _law(p_u, Pmf, "p_u")
+    _count(n, "blocklength", 1)
+    _count(seed, "seed", 0)
+    _number(rate, "rate", 0)
     if n > CODEBOOK_ENTRY_CAP:  # checked first, so that n * rate below is a float
         raise SizeOverflow(f"blocklength {n} exceeds the cap of {CODEBOOK_ENTRY_CAP} "
                            f"codebook entries")
@@ -730,7 +696,12 @@ def run_memoryless_scheme(cfg: SchemeConfig, p_xy: JointPmf) -> SimReport:
 
 def empirical_privacy(mechanism: Channel, samples) -> float:
     """Plug-in mutual information of pooled (raw, sanitized) symbol pairs."""
-    kx, ka = mechanism.matrix.shape
+    kx, ka = _law(mechanism, Channel, "mechanism").matrix.shape
+    try:
+        samples = iter(samples)
+    except TypeError:
+        raise DimensionMismatch("samples must be a collection of (raw, sanitized) pairs, got "
+                                f"{type(samples).__name__}") from None
     counts = np.zeros((kx, ka), dtype=np.int64)
     for sample in samples:
         try:

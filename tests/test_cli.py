@@ -576,13 +576,13 @@ def test_simulate_refuses_a_mu_past_the_float_range(tmp_path, sim_config_path, c
 @pytest.mark.parametrize("key, value, match", [
     ("fixed_codebok", True, "unknown config key 'fixed_codebok'"),
     ("fixed_codebook", "no", "config key 'fixed_codebook' must be true or false"),
-    ("trials", 2.9, "config key 'trials' must be an integer"),
-    ("n", 10.0, "config key 'n' must be an integer"),
-    ("seed", "7", "config key 'seed' must be an integer"),
-    ("mu", True, "config key 'mu' must be a number, got True"),
-    ("rate", "0.5", "config key 'rate' must be a number, got '0.5'"),
-    ("mu_prime", True, "config key 'mu_prime' must be a number, got True"),
-    ("mu_prime", "0.8", "config key 'mu_prime' must be a number, got '0.8'"),
+    ("trials", 2.9, "config key 'trials' 2.9 must be an integer"),
+    ("n", 10.0, "config key 'n' 10.0 must be an integer"),
+    ("seed", "7", "config key 'seed' '7' must be an integer"),
+    ("mu", True, "config key 'mu' True must be a number"),
+    ("rate", "0.5", "config key 'rate' '0.5' must be a number"),
+    ("mu_prime", True, "config key 'mu_prime' True must be a number"),
+    ("mu_prime", "0.8", "config key 'mu_prime' '0.8' must be a number"),
 ], ids=["misspelt-key", "string-bool", "float-trials", "float-n", "string-seed",
         "bool-mu", "string-rate", "bool-mu-prime", "string-mu-prime"])
 def test_bad_simulate_config_values_are_refused(key, value, match, tmp_path,
@@ -604,7 +604,7 @@ def test_missing_rate_is_named(tmp_path, sim_config_path, capsys):
     path.write_text(json.dumps(raw))
     assert cli.main(["simulate", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(
-        "error: config key 'rate' must be a number, got None")
+        "error: config key 'rate' None must be a number")
 
 
 def test_integer_mu_is_accepted_as_a_number(tmp_path, sim_config_path):
@@ -637,7 +637,7 @@ def test_nan_radius_is_a_config_error(sim_config_path, capsys):
     code = cli.main(["simulate", "--config", sim_config_path, "--mu", "nan"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: typicality radius nan")
+    assert err.startswith("error: config key 'mu' nan outside [0, inf]")
     assert "Traceback" not in err
 
 

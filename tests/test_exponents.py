@@ -21,7 +21,6 @@ from privexp import (
     DimensionMismatch,
     DomainError,
     Infeasible,
-    InvalidDistribution,
     InvariantViolation,
     JointPmf,
     MarginalConstraint,
@@ -1247,23 +1246,10 @@ def test_the_theorem1_pair_scores_the_budgets_with_the_channel_pair_bits(seed):
     assert inner.info(thetas[0]) == full.info(thetas[0])[:2]
 
 
-@pytest.mark.parametrize("mech, match", [
-    ([[1.0, 0.0], [np.nan, 0.5]], "row 1: non-finite"),
-    ([[1.2, -0.2], [0.0, 1.0]], "row 0: negative"),
-    ([[0.9, 0.9], [0.9, 0.9]], "row 0: total mass 1.8"),
-], ids=["nan", "negative", "mass-1.8"])
-def test_fixed_mechanism_must_be_a_channel(mech, match, product_uniform):
-    with pytest.raises(InvalidDistribution, match=match):
-        theorem1_lower_bound(dsbs(0.1), product_uniform, 0.5, 0.5,
-                             fixed_mechanism=np.array(mech))
-
-
 @pytest.mark.parametrize("search, match", [
     (lambda p: symmetric_tai_exponent(JointPmf(np.full((3, 2), 1 / 6), ("X", "Y")), 0.5, 0.5),
      "BSC restriction needs binary alphabets"),
-    (lambda p: theorem1_lower_bound(dsbs(0.1), p, 0.5, 0.5, fixed_mechanism=np.eye(3)),
-     "fixed mechanism shape mismatch"),
-], ids=["bsc-ternary", "fixed-mechanism-3x3"])
+], ids=["bsc-ternary"])
 def test_searches_refuse_alphabets_that_do_not_fit(search, match, product_uniform):
     with pytest.raises(DimensionMismatch, match=f"^{match}$"):
         search(product_uniform)

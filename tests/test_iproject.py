@@ -254,9 +254,9 @@ ENTRY_POINTS = {"i_project": lambda **solver: i_project(joint(REF), UNIFORM_XY, 
     ({"max_iter": 2.5}, "^max_iter 2.5 must be an integer"),
     ({"max_iter": True}, "^max_iter True must be an integer"),
     ({"max_iter": "5"}, "^max_iter '5' must be an integer"),
-    ({"tol": "1e-9"}, "^tol '1e-9' must be a finite positive number"),
-    ({"tol": True}, "^tol True must be a finite positive number"),
-    ({"tol": 10**400}, "^tol 1000.* must be a finite positive number"),
+    ({"tol": "1e-9"}, "^tol '1e-9' must be a number"),
+    ({"tol": True}, "^tol True must be a number"),
+    ({"tol": 10**400}, "^tol is too large for a float"),
 ], ids=["inf-sweeps", "fractional-sweeps", "bool-sweeps", "str-sweeps", "str-tol", "bool-tol",
         "huge-int-tol"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -17,26 +17,39 @@ from privexp import (
     Channel,
     DimensionMismatch,
     DomainError,
+    GaussianQuery,
     InvalidDistribution,
     JointPmf,
     LengthMismatch,
+    MarginalConstraint,
     Pmf,
+    SchemeConfig,
     ToolkitError,
     binary_entropy,
     binary_entropy_inv,
+    binary_euclid_approx,
+    binary_tai_exponent,
+    brute_force_i_project,
     chain_joint,
+    chi2_divergence_approx,
     compose,
     dump_json,
+    empirical_privacy,
     empirical_type,
     entropy,
     from_dict,
+    gaussian_achievable_at_beta,
+    generate_codebook,
+    i_project,
     is_typical,
     kl_divergence,
     load_json,
     marginalize,
     mutual_information,
     star,
+    tai_exponent,
     total_variation,
+    wilson_interval,
 )
 
 finite_probs = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -590,6 +603,21 @@ def test_only_the_kernel_loader_imports_scipy_when_the_package_loads():
     assert found  # the loader's own import is seen, so the check can fail
 
 
+def test_only_probcore_imports_numbers():
+    # what counts as a number is decided once, by probcore's _number and
+    # _count; a module that imports ``numbers`` is writing its own rule
+    src = Path(privexp.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == "numbers" or name.startswith("numbers.") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert [f for f in found if not f.startswith("probcore.py:")] == []
+    assert found  # probcore's own import is seen, so the check can fail
+
+
 def test_simkit_draws_only_through_its_stream():
     # every report is reproducible from its seed only if each random number
     # comes from a stream that ``_stream`` opens: no default_rng, no legacy
@@ -660,11 +688,11 @@ _HALF_ROWS = Channel(np.full((3, 2), 0.5))  # a channel with three inputs
      r"Channel needs an input and an output, got shape \(0, 2\)"),
     (lambda: Channel(np.zeros((2, 0))), DimensionMismatch,
      r"Channel needs an input and an output, got shape \(2, 0\)"),
-    (lambda: Channel.identity(0), DomainError, "identity size 0 must be a positive integer"),
-    (lambda: Channel.identity(-1), DomainError, "identity size -1 must be"),
+    (lambda: Channel.identity(0), DomainError, r"identity size 0 outside \[1, "),
+    (lambda: Channel.identity(-1), DomainError, "identity size -1 outside"),
     (lambda: Channel.identity(2.5), DomainError, "identity size 2.5 must be"),
-    (lambda: Pmf.uniform(0), DomainError, "uniform size 0 must be a positive integer"),
-    (lambda: Pmf.uniform(-1), DomainError, "uniform size -1 must be"),
+    (lambda: Pmf.uniform(0), DomainError, r"uniform size 0 outside \[1, "),
+    (lambda: Pmf.uniform(-1), DomainError, "uniform size -1 outside"),
     (lambda: Pmf.uniform(2.5), DomainError, "uniform size 2.5 must be"),
     (lambda: Pmf.normalized([-1, 2]), InvalidDistribution,
      "weights must be finite and nonnegative"),
@@ -681,18 +709,138 @@ _HALF_ROWS = Channel(np.full((3, 2), 0.5))  # a channel with three inputs
      "mechanism input alphabet does not match X"),
     (lambda: chain_joint(_DSBS, Channel.identity(2), _HALF_ROWS), DimensionMismatch,
      "quantizer input alphabet does not match Xh"),
+    # arrays that are not numbers
+    (lambda: Pmf("a"), DomainError, "Pmf probs must be an array of numbers$"),
+    (lambda: JointPmf("ab"), DomainError, "JointPmf probs must be an array of numbers$"),
+    (lambda: Channel("a"), DomainError, "Channel matrix must be an array of numbers$"),
+    (lambda: MarginalConstraint(("X",), "a"), DomainError,
+     "constraint target must be an array of numbers$"),
+    (lambda: total_variation("a", np.full(2, 0.5)), DomainError,
+     "p must be an array of numbers$"),
+    (lambda: chi2_divergence_approx("a", np.full(2, 0.5)), DomainError,
+     "p must be an array of numbers$"),
+    (lambda: Pmf.normalized(None), InvalidDistribution, "weights must be finite"),
+    (lambda: Pmf.normalized(["a", "b"]), DomainError, "weights must be an array of numbers$"),
+    # laws of the wrong type
+    (lambda: entropy(5), DimensionMismatch, "p must be a Pmf or JointPmf, got int$"),
+    (lambda: kl_divergence(Pmf.uniform(2), [0.5, 0.5]), DimensionMismatch,
+     "q must be a Pmf or JointPmf, got list$"),
+    (lambda: mutual_information(np.full((2, 2), 0.25)), DimensionMismatch,
+     "joint must be a JointPmf, got ndarray$"),
+    (lambda: marginalize(Pmf.uniform(2), 0), DimensionMismatch,
+     "joint must be a JointPmf, got Pmf$"),
+    (lambda: compose(np.eye(2), Pmf.uniform(2)), DimensionMismatch,
+     "channel must be a Channel, got ndarray$"),
+    (lambda: compose(Channel.identity(2), [0.5, 0.5]), DimensionMismatch,
+     "p must be a Pmf, got list$"),
+    (lambda: chain_joint(_DSBS, np.eye(2), Channel.identity(2)), DimensionMismatch,
+     "mechanism must be a Channel, got ndarray$"),
+    (lambda: chain_joint(_DSBS, Channel.identity(2), None), DimensionMismatch,
+     "quantizer must be a Channel, got NoneType$"),
+    (lambda: i_project(_DSBS.probs, []), DimensionMismatch,
+     "reference must be a JointPmf, got ndarray$"),
+    (lambda: i_project(_DSBS, [("X", [0.5, 0.5])]), DimensionMismatch,
+     "constraint must be a MarginalConstraint, got tuple$"),
+    (lambda: i_project(_DSBS, 5), DimensionMismatch, "constraints must be a collection, got int$"),
+    (lambda: brute_force_i_project(Pmf.uniform(2), []), DimensionMismatch,
+     "reference must be a JointPmf, got Pmf$"),
+    (lambda: brute_force_i_project(_DSBS, [None]), DimensionMismatch,
+     "constraint must be a MarginalConstraint, got NoneType$"),
+    (lambda: empirical_privacy(np.eye(2), [([0], [0])]), DimensionMismatch,
+     "mechanism must be a Channel, got ndarray$"),
+    (lambda: empirical_privacy(Channel.identity(2), 5), DimensionMismatch,
+     r"samples must be a collection of \(raw, sanitized\) pairs, got int$"),
+    (lambda: dump_json({"kind": "pmf"}, "unused.json"), DimensionMismatch,
+     "obj must be a Pmf or JointPmf or Channel, got dict$"),
 ], ids=["pmf-matrix", "pmf-alphabet", "joint-axes", "joint-alphabets", "axis-index",
         "channel-vector", "channel-alphabets", "channel-no-inputs", "channel-no-outputs",
         "identity-zero", "identity-negative", "identity-fraction", "uniform-zero",
         "uniform-negative", "uniform-fraction", "normalized-negative",
         "type-no-sequence", "type-sizes", "type-size-scalar", "type-sizes-nested",
-        "tv-shapes", "chain-mechanism", "chain-quantizer"])
-def test_malformed_input_is_refused(build, error, match):
+        "tv-shapes", "chain-mechanism", "chain-quantizer",
+        "pmf-text", "joint-text", "channel-text", "target-text", "tv-text", "chi2-text",
+        "normalized-none", "normalized-text",
+        "entropy-int", "kl-list", "mi-array", "marginalize-pmf", "compose-array",
+        "compose-list", "chain-array-mechanism", "chain-none-quantizer", "project-array",
+        "project-tuple-constraint", "project-int-constraints", "oracle-pmf",
+        "oracle-none-constraint", "privacy-array-mechanism", "privacy-int-samples",
+        "dump-dict"])
+def test_malformed_input_is_refused(build, error, match, tmp_path, monkeypatch):
     # an empty channel was once built, and taken by SchemeConfig as a mechanism;
     # identity(-1) and identity(2.5) leaked numpy's ValueError and TypeError,
-    # and uniform(0), (-1) and (2.5) a ZeroDivisionError, ValueError and TypeError
+    # and uniform(0), (-1) and (2.5) a ZeroDivisionError, ValueError and TypeError;
+    # the text arrays were numpy's ValueError, normalized(None) a TypeError, and
+    # each law of the wrong type an AttributeError or TypeError
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(error, match=f"^{match}"):
         build()
+    assert list(tmp_path.iterdir()) == []  # dump_json opens no file for what it refuses
+
+
+# one value of each kind that is not a number in a domain: text, None, a
+# bool, NaN, an infinity, a list, an array and an integer that has no float
+_NOT_NUMBERS = {"str": "a", "none": None, "bool": True, "nan": math.nan, "minus-inf": -math.inf,
+                "list": [0.1], "array": np.array([0.1, 0.2]), "huge-int": 10**400}
+_RATE_ONLY = GaussianQuery(0.5, 0.5, 0.5)
+_CONFIG = dict(n=12, mu=0.3, rate=1.0, seed=5, trials=6000, hypothesis="alt",
+               mechanism=Channel.identity(2), quantizer=Channel.identity(2),
+               scheme_kind="memoryless")
+_SCALAR_ARGUMENTS = {
+    "budgets-rate": lambda v: binary_tai_exponent(0.1, v, 0.5),
+    "budgets-leak": lambda v: binary_tai_exponent(0.1, 0.5, v),
+    "tai-rate": lambda v: tai_exponent(_DSBS, v, 0.5),
+    "tai-grid-step": lambda v: tai_exponent(_DSBS, 0.5, 0.5, grid_step=v),
+    "tai-noise": lambda v: binary_tai_exponent(v, 0.5, 0.5),
+    "euclid-noise": lambda v: binary_euclid_approx(v, 0.5, 0.5),
+    "euclid-rate": lambda v: binary_euclid_approx(0.1, v, 0.5),
+    "euclid-leak": lambda v: binary_euclid_approx(0.1, 0.5, v),
+    "binary-entropy": binary_entropy,
+    "binary-entropy-inv": binary_entropy_inv,
+    "star-a": lambda v: star(v, 0.1),
+    "star-b": lambda v: star(0.1, v),
+    "bsc": Channel.bsc,
+    "identity": Channel.identity,
+    "uniform": Pmf.uniform,
+    "binary-pmf": Pmf.binary,
+    "gaussian-rho": lambda v: GaussianQuery(v, 0.5, 0.5),
+    "gaussian-rate": lambda v: GaussianQuery(0.5, v, 0.5),
+    "gaussian-beta": lambda v: gaussian_achievable_at_beta(_RATE_ONLY, v),
+    "typical-radius": lambda v: is_typical(np.full(2, 0.5), np.full(2, 0.5), v),
+    "wilson-successes": lambda v: wilson_interval(v, 10),
+    "wilson-trials": lambda v: wilson_interval(5, v),
+    "wilson-z": lambda v: wilson_interval(5, 10, v),
+    "project-tol": lambda v: i_project(_DSBS, [], tol=v),
+    "project-max-iter": lambda v: i_project(_DSBS, [], max_iter=v),
+    "oracle-grid-step": lambda v: brute_force_i_project(_DSBS, [], grid_step=v),
+    "codebook-n": lambda v: generate_codebook(Pmf.uniform(2), v, 0.5, 1),
+    "codebook-rate": lambda v: generate_codebook(Pmf.uniform(2), 4, v, 1),
+    "codebook-seed": lambda v: generate_codebook(Pmf.uniform(2), 4, 0.5, v),
+    **{f"config-{key}": lambda v, key=key: SchemeConfig(**{**_CONFIG, key: v})
+       for key in ("n", "mu", "rate", "seed", "trials", "mu_prime")},
+}
+
+
+# the values of the pool that mean something there: the default radius, and
+# integers past the float range where any integer will do (a seed, a sweep
+# budget) or where a cap refuses it later (a config's blocklength, TooLarge
+# when it runs)
+_MEANINGFUL = {("config-mu_prime", "none"), ("config-seed", "huge-int"),
+               ("codebook-seed", "huge-int"), ("project-max-iter", "huge-int"),
+               ("config-n", "huge-int")}
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS, ids=_NOT_NUMBERS)
+@pytest.mark.parametrize("site", _SCALAR_ARGUMENTS, ids=_SCALAR_ARGUMENTS)
+def test_scalar_arguments_refuse_what_is_not_in_their_domain(site, value):
+    # each public scalar goes through probcore's _number or _count; before
+    # them, binary_tai_exponent("a", ...) was a TypeError, star(True, 0.1)
+    # returned 0.9 and a rate of 10**400 passed its check into an OverflowError
+    call = _SCALAR_ARGUMENTS[site]
+    if (site, value) in _MEANINGFUL:
+        call(_NOT_NUMBERS[value])
+    else:
+        with pytest.raises(ToolkitError):
+            call(_NOT_NUMBERS[value])
 
 
 def test_identity_takes_a_numpy_integer_size():

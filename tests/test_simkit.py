@@ -349,10 +349,10 @@ def test_codebook_cap_reports_feasible_blocklength():
 
 
 @pytest.mark.parametrize("args, error, match", [
-    ((Pmf.uniform(2), 4, 0.5, -3), DomainError, "seed -3 must be nonnegative"),
-    ((Pmf.uniform(2), 4, 0.5, 1.5), DomainError, "seed must be an integer, got 1.5"),
-    ((Pmf.uniform(2), 2.5, 0.5, 1), DomainError, "blocklength must be an integer, got 2.5"),
-    ((Pmf.uniform(2), 4, "0.5", 1), DomainError, "rate '0.5' must be a nonnegative number"),
+    ((Pmf.uniform(2), 4, 0.5, -3), DomainError, r"seed -3 outside \[0, inf\]"),
+    ((Pmf.uniform(2), 4, 0.5, 1.5), DomainError, "seed 1.5 must be an integer"),
+    ((Pmf.uniform(2), 2.5, 0.5, 1), DomainError, "blocklength 2.5 must be an integer"),
+    ((Pmf.uniform(2), 4, "0.5", 1), DomainError, "rate '0.5' must be a number"),
     ((JointPmf(np.full((2, 2), 0.25), ("U", "V")), 4, 0.5, 1), DimensionMismatch,
      "p_u must be a Pmf, got JointPmf"),
     ((Pmf.uniform(2), 10**12, 0.0, 1), SizeOverflow,
@@ -639,10 +639,13 @@ def test_wilson_interval_holds_its_estimate(counts):
     (5, 10, math.inf, "^z inf "),
     (5, 10, 0.0, "^z 0.0 "),
     (5, 10, -1.96, "^z -1.96 "),
-    (2.5, 10, 1.96, "^successes 2.5 is not"),
-    (5, 10.0, 1.96, "^trials 10.0 is not"),
-    (True, 10, 1.96, "^successes True is not"),
-])
+    (2.5, 10, 1.96, "^successes 2.5 must be an integer"),
+    (5, 10.0, 1.96, "^trials 10.0 must be an integer"),
+    (True, 10, 1.96, "^successes True must be an integer"),
+], ids=["5-10-nan-^z nan ", "5-10-inf-^z inf ", "5-10-0.0-^z 0.0 ", "5-10--1.96-^z -1.96 ",
+        # the ids the cases were first collected under, kept stable
+        "2.5-10-1.96-^successes 2.5 is not", "5-10.0-1.96-^trials 10.0 is not",
+        "True-10-1.96-^successes True is not"])
 def test_wilson_interval_refuses_bad_counts_and_z(successes, trials, z, match):
     # once z = nan gave (0.0, 1.0) and 2.5 successes gave an interval
     with pytest.raises(DomainError, match=match):
@@ -753,12 +756,12 @@ def test_general_gate_cannot_cover_the_simplex(dsbs01, product_uniform):
 
 @pytest.mark.parametrize("field, value, match", [
     ("fixed_codebook", "no", "config key 'fixed_codebook' must be true or false, got 'no'"),
-    ("mu", True, "config key 'mu' must be a number, got True"),
-    ("n", True, "config key 'n' must be an integer, got True"),
-    ("n", 2.9, "config key 'n' must be an integer, got 2.9"),
-    ("trials", 10.5, "config key 'trials' must be an integer, got 10.5"),
-    ("seed", 1.5, "config key 'seed' must be an integer, got 1.5"),
-    ("seed", -1, "seed -1 must be nonnegative"),
+    ("mu", True, "config key 'mu' True must be a number"),
+    ("n", True, "config key 'n' True must be an integer"),
+    ("n", 2.9, "config key 'n' 2.9 must be an integer"),
+    ("trials", 10.5, "config key 'trials' 10.5 must be an integer"),
+    ("seed", 1.5, "config key 'seed' 1.5 must be an integer"),
+    ("seed", -1, "config key 'seed' -1 outside [0, inf]"),
     ("rate", 10**400, "config key 'rate' is too large for a float"),
     ("mechanism", np.eye(2), "config key 'mechanism' must be a channel, got ndarray"),
     ("quantizer", IDENT.to_dict(), "config key 'quantizer' must be a channel, got dict"),
@@ -814,7 +817,7 @@ THREE_OUTPUTS = Channel(np.full((2, 3), 1 / 3))
                                   JointPmf(np.full((2, 3), 1 / 6), ("X", "Y"))),
      AlphabetMismatch, r"joint shapes differ: \(2, 2\) vs \(2, 3\)"),
     (lambda p: generate_codebook(Pmf.uniform(2), 0, 1.0, 1),
-     DomainError, "blocklength must be at least 1"),
+     DomainError, r"blocklength 0 outside \[1, inf\]"),
     (lambda p: run_memoryless_scheme(
         memoryless_cfg(n=60, rate=0.5, mechanism=THREE_OUTPUTS,
                        quantizer=Channel(np.full((3, 3), 1 / 3))), p),
