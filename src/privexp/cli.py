@@ -131,7 +131,7 @@ class _Method(NamedTuple):
 _METHODS = {
     "thm1": _Method(("--null", "--alt", "--rate", "--leak"), True,
                     lambda *a, **k: theorem1_lower_bound(*a, **k)),
-    "tai": _Method(("--null", "--rate", "--leak"), True, lambda *a, **k: tai_exponent(*a, **k)),
+    "tai": _Method(("--null", "--rate", "--leak"), False, lambda *a: tai_exponent(*a)),
     "bsc": _Method(("--null", "--rate", "--leak"), False,
                    lambda *a: symmetric_tai_exponent(*a)),
     "zero-rate": _Method(("--null", "--alt"), False, lambda *a: zero_rate_exponent(*a)),
@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common_search(p):
         p.add_argument("--grid-step", type=float, default=None,
-                       help="grid step of the search methods (tai, thm1, cor2)")
+                       help="grid step of the grid searches (thm1, cor2)")
 
     p = sub.add_parser("exponent", help="single exponent query")
     p.add_argument("--method", required=True, choices=list(_METHODS))

@@ -12,33 +12,28 @@ result: summing the polished pair's marginals in another order moved values
 by up to 0.069 bits, and summing the grid's reordered near-tied pairs moved
 one value by 0.075 bits (CHANGES.md).
 
-Search strategy: a coarse lexicographic grid over channel rows (candidates
-violating a constraint are discarded, never relaxed) supplies seeds, ranked
-by ``_TaiSpace.ranked``: the pairs within both budgets, best I(U;Y) first,
-ties in index order, so ties break toward the lexicographically smallest
-parameter vector. A sequential-quadratic (SLSQP) polish takes a seed along
-the active-constraint ridge. Both searches see a channel pair through
-``_ChannelPair`` (``_InnerPair`` for Theorem 1), which scores a batch of
-points at once, a point with the same bits in a batch of any size, and
-polish a batch of starts in lockstep with ``minimize`` (from ``lockstep``).
-``tai_exponent`` polishes the ``_TOP_K`` distinct leading values of the
-ranking, each from three start depths, in one ``minimize`` call.
-``theorem1_lower_bound`` projects a shortlist of the ranking in one batch
-and polishes the best pair twice, the quantizer alone and then both
+Search strategy. A sequential-quadratic (SLSQP) polish takes a start along
+the active-constraint ridge, where the two channels move together. Both
+searches see a channel pair through ``_ChannelPair`` (``_InnerPair`` for
+Theorem 1), which scores a batch of points at once, each with the bits it
+gets alone, and polish a batch of starts in lockstep with ``minimize``
+(from ``lockstep``). ``tai_exponent`` builds no grid: it polishes the
+identity pair and one rare-flag pair per source symbol, each contracted
+into the budgets (``_contract``), and contracts the best polished point
+again, so its witness meets both budgets exactly. ``theorem1_lower_bound`` seeds
+from a coarse lexicographic grid over channel rows (a pair over a budget is
+discarded, never relaxed), ranked by ``_TaiSpace.ranked``, best I(U;Y)
+first, ties in index order; it projects a shortlist of the ranking in one
+batch and polishes the best pair, the quantizer alone and then both
 channels. ``symmetric_tai_exponent`` searches nothing: the optimum over
-pairs of binary symmetric channels comes from two root solves
-(``_symmetric_optimum``).
+pairs of binary symmetric channels is two root solves.
 
-Alphabet sizes, grid budgets, the seed count and the shortlist are fixed
-per method; a search's one setting is its ``grid_step``, checked by
-``_check_grid_step``. Grid information quantities are cached per (law,
-cardinality, step, budgets), so repeated queries against one instance pay only a
-feasibility mask and a sort of the feasible pairs: a binary-X independence
-grid has about 95,000 pairs and builds in a fraction of a second, a
-ternary-X grid takes over a second. A grid is built in blocks of whole
-mechanisms (``_BLOCK_CELLS``), so its temporaries take a few megabytes.
-Infinite budgets are accepted. A grid of more than 2**26 pairs, which every
-|X| >= 6 law needs, is refused with ``TooLarge`` before it is built.
+Sizes, grid budgets and the shortlist are fixed per method; the Theorem-1
+searches' one setting is their ``grid_step``. Grids are cached per (law,
+cardinality, step, budgets) and built in blocks of whole mechanisms
+(``_BLOCK_CELLS``). Infinite budgets are accepted. |X| >= 6 is refused with
+``TooLarge``: its grid exceeds 2**26 pairs, and the independence search
+keeps that domain (``_TAI_MAX_X``).
 """
 
 from __future__ import annotations
@@ -101,23 +96,22 @@ FEAS_SLACK = 1e-9
 
 
 # (mechanism, quantizer) caps on the number of candidates per channel grid;
-# the effective step is coarsened until the grid fits. Ternary X needs 1000
-# each: at 200 both grids collapse to deterministic rows and the search finds
-# nothing. The Theorem-1 inner I-projection makes every grid pair costly.
-_TAI_BUDGETS = (1000, 1000)
+# the effective step is coarsened until the grid fits. The Theorem-1 inner
+# I-projection makes every grid pair costly.
 _THM1_BUDGETS = (300, 800)
 # cap on a search grid's (mechanism, quantizer) pairs. A step cannot coarsen
 # past 1, so from |X| = 5 the grids outgrow their budgets; the cap keeps every
-# |X| <= 5 grid (Theorem 1 at |X| = 5: 3,125 x 16,807 pairs) and refuses
-# |X| >= 6 (5.5e9 pairs for the independence search) before building it.
+# |X| <= 5 grid (3,125 x 16,807 pairs at |X| = 5) and refuses |X| >= 6
+# (1.2e10 pairs) before building it.
 _MAX_GRID_PAIRS = 2**26
+# the largest |X| of the independence search, the grid searches' domain: a
+# start's lockstep buffers hold about 8 n^2 floats for n = |X|(2|X| - 1)
+_TAI_MAX_X = 5
 # joint cells per block of the grid build. A block is whole mechanisms, as
 # many as keep the block's widest joints within this many cells, or one
 # mechanism when its pairs alone need more; the build's temporaries scale
 # with a block, not with the grid
 _BLOCK_CELLS = 2**16
-# distinct grid values polished by the independence-testing search
-_TOP_K = 4
 # general-alternative search: shortlisted pairs that get the inner solver
 _INNER_SHORTLIST = 48
 
@@ -127,10 +121,9 @@ class ExponentResult:
     """An exponent in bits and, from a channel search, its witness, with
     ``rate_mi`` = I(U;Xh) and ``leak_mi`` = I(X;Xh) at the returned channels.
 
-    ``grid_step`` is the lattice actually searched: the mechanism lattice
-    for ``tai_exponent``, the quantizer lattice for ``theorem1_lower_bound``
-    and ``corollary2_bound``, and None for a closed form,
-    ``symmetric_tai_exponent`` included.
+    ``grid_step`` is the lattice actually searched, the quantizer lattice of
+    ``theorem1_lower_bound`` and ``corollary2_bound``; it is None for
+    ``tai_exponent``, which builds no grid, and for a closed form.
     """
 
     theta: float
@@ -216,11 +209,10 @@ def _lattice(n_in: int, n_out: int, step: float, budget: int) -> tuple[int, int]
     return m, math.comb(m + n_out - 1, n_out - 1) ** n_in
 
 
-def _channel_grid(n_in: int, n_out: int, m: int) -> tuple[np.ndarray, float]:
+def _channel_grid(n_in: int, n_out: int, m: int) -> np.ndarray:
     rows = _compositions(m, n_out) / m  # pmf rows on the 1/m lattice, lexicographic
     idx = list(product(range(rows.shape[0]), repeat=n_in))
-    mats = rows[np.asarray(idx)]  # (N, n_in, n_out), lexicographic
-    return mats, 1.0 / m  # the lattice searched: a step of 0.3 gives thirds
+    return rows[np.asarray(idx)]  # (N, n_in, n_out), lexicographic
 
 
 class _TaiSpace:
@@ -235,20 +227,16 @@ class _TaiSpace:
                  budgets: tuple[int, int], mechs_override: np.ndarray | None = None):
         kx = p_xy.shape[0]
         self.i_xy = _mi_batch(p_xy)
-        mech_budget, quant_budget = budgets
-        mech_m, n_mechs = _lattice(kx, kx, grid_step, mech_budget)
-        quant_m, n_quants = _lattice(kx, u_size, grid_step, quant_budget)
-        if mechs_override is not None:
-            n_mechs = len(mechs_override)
+        mech_m, n_mechs = _lattice(kx, kx, grid_step, budgets[0])
+        quant_m, n_quants = _lattice(kx, u_size, grid_step, budgets[1])
+        n_mechs = n_mechs if mechs_override is None else len(mechs_override)
         if n_mechs * n_quants > _MAX_GRID_PAIRS:
             raise TooLarge(f"the search grid for |X| = {kx} has {n_mechs * n_quants:,} "
                            f"channel pairs, above the cap of 2**26")
-        self.mechs, self.mech_step = (
-            _channel_grid(kx, kx, mech_m) if mechs_override is None
-            else (mechs_override, grid_step))
-        self.quants, self.quant_step = _channel_grid(kx, u_size, quant_m)
-        nm = self.mechs.shape[0]
-        nq = self.quants.shape[0]
+        self.mechs = _channel_grid(kx, kx, mech_m) if mechs_override is None else mechs_override
+        self.quants = _channel_grid(kx, u_size, quant_m)
+        self.quant_step = 1.0 / quant_m  # the lattice searched: a step of 0.3 gives thirds
+        nm, nq = len(self.mechs), len(self.quants)
         self.i_xxh = np.empty(nm)
         self.i_uxh = np.empty((nm, nq))
         self.i_uy = np.empty((nm, nq))
@@ -267,14 +255,12 @@ class _TaiSpace:
             if not np.all(self.i_uy[lo:hi] <= cap + 1e-8):
                 raise InvariantViolation("data-processing violation in grid")
 
-    def ranked(self, rate: float, leak: float, limit: int | None = None) -> np.ndarray:
+    def ranked(self, rate: float, leak: float) -> np.ndarray:
         """Flat indices of the pairs within both budgets, best I(U;Y) first.
 
         The sort is stable, so ties keep index order and the lexicographically
-        smallest pair leads. With ``limit`` only a prefix of that order comes
-        back: the ``limit`` best pairs and every pair tied with the last of
-        them, cut by ``np.partition`` before the sort. Never empty: with no
-        pair within the budgets it raises ``Infeasible``.
+        smallest pair leads. Never empty: with no pair within the budgets it
+        raises ``Infeasible``.
         """
         feasible = np.flatnonzero(
             (self.i_xxh[:, None] <= leak + FEAS_SLACK) & (self.i_uxh <= rate + FEAS_SLACK)
@@ -282,9 +268,6 @@ class _TaiSpace:
         if feasible.size == 0:
             raise Infeasible("no feasible channel pair on the search grid")
         keys = -self.i_uy.reshape(-1)[feasible]
-        if limit is not None and limit < keys.size:
-            kept = keys <= np.partition(keys, limit - 1)[limit - 1]
-            feasible, keys = feasible[kept], keys[kept]
         order = np.argsort(keys, kind="stable")
         del keys  # before the gather, which would otherwise hold one more grid-sized array
         return feasible[order]
@@ -295,33 +278,18 @@ class _TaiSpace:
         return self.mechs[m], self.quants[q]
 
 
-def _check_grid_step(grid_step: float) -> None:
-    """Refuse a grid step that is not a number in (0, 1] with a finite
-    1/step, which the lattice needs."""
-    if math.isinf(1.0 / _number(grid_step, "grid_step", 0, 1, lo_open=True)):
-        raise DomainError(f"grid_step {grid_step!r} is too small: 1/step overflows")
-
-
 _SPACE_CACHE: dict = {}
 _SPACE_CACHE_MAX = 4
 
 
-def _space_for(
-    p_xy: np.ndarray,
-    u_size: int,
-    grid_step: float,
-    budgets: tuple[int, int],
-    mechs_override: np.ndarray | None = None,
-) -> _TaiSpace:
-    _check_grid_step(grid_step)
-    key = (
-        p_xy.tobytes(),
-        p_xy.shape,
-        u_size,
-        grid_step,
-        budgets,
-        None if mechs_override is None else mechs_override.tobytes(),
-    )
+def _space_for(p_xy: np.ndarray, u_size: int, grid_step: float, budgets: tuple[int, int],
+               mechs_override: np.ndarray | None = None) -> _TaiSpace:
+    """The cached grid of these arguments, after refusing a grid step that is
+    not a number in (0, 1] with a finite 1/step, which the lattice needs."""
+    if math.isinf(1.0 / _number(grid_step, "grid_step", 0, 1, lo_open=True)):
+        raise DomainError(f"grid_step {grid_step!r} is too small: 1/step overflows")
+    key = (p_xy.tobytes(), p_xy.shape, u_size, grid_step, budgets,
+           None if mechs_override is None else mechs_override.tobytes())
     space = _SPACE_CACHE.get(key)
     if space is None:
         space = _TaiSpace(p_xy, u_size, grid_step, budgets, mechs_override)
@@ -385,22 +353,18 @@ class _ChannelPair:
     The free parameters are every channel row but its last entry, the
     mechanism's ``mech_params`` first; ``free`` builds them. ``evaluate``
     maps stacked parameter vectors, one per row, to a ``_Points`` batch: the
-    channels, clipped at 0 and each row divided by its sum, so a point off
-    the simplex, such as an SLSQP iterate just past a face, still maps to
-    two channels (every row sums to at least 1 before the division); their
-    joints from the grid's joint kernel,
-    written into one buffer (``probcore._pair_cells``), and (I(X;Xh),
-    I(U;Xh), I(U;Y)) in bits from ``probcore._mi_cells``, which has the bits
-    of the grid's ``_mi_batch``, so the polish scores a grid pair with the
-    grid's bits. ``jacobians`` gives their exact gradients, one row each,
-    computed once per batch from the same joints and their row and column
-    sums, whose floored logs take one pass over each buffer. A pair that
-    does not score I(U;Y) (``scores_uy`` false), as the Theorem-1 pair does
-    not, evaluates the first two joints alone and gets the first two values
-    and rows, with the same bits. The polish maximizes ``values``, here
-    I(U;Y), with gradients ``gradients`` to ``ftol``. A member gets the same bits in a
-    batch of any size, so a single point is a batch of one: ``channels``
-    and ``info`` read one.
+    channels, clipped at 0 and each row divided by its sum (so an SLSQP
+    iterate just past a face still maps to two channels), their joints in
+    one buffer (``probcore._pair_cells``) and (I(X;Xh), I(U;Xh), I(U;Y)) in
+    bits from ``probcore._mi_cells``, with the bits of the grid's
+    ``_mi_batch``, so a grid pair scores its grid bits. ``jacobians`` gives
+    their exact gradients, one row each, once per batch from the same joints
+    and sums, whose floored logs take one pass over each buffer. A pair
+    that does not score I(U;Y) (``scores_uy`` false, the Theorem-1 pair)
+    evaluates the first two joints alone, with the same bits. The polish
+    maximizes ``values``, here I(U;Y), with ``gradients`` to ``ftol``. A
+    member gets the same bits in a batch of any size, so a single point is
+    a batch of one: ``channels`` and ``info`` read one.
 
     The pair remembers its last batch, keyed on the bytes of the float64
     parameters, so the objective, the constraints and their Jacobians at
@@ -427,7 +391,11 @@ class _ChannelPair:
         self._key = self._last = None
 
     def free(self, mech: np.ndarray, quant: np.ndarray) -> np.ndarray:
-        return np.concatenate([mech[:, :-1].reshape(-1), quant[:, :-1].reshape(-1)])
+        """The free parameters of ``mech`` and ``quant``, whose leading axes broadcast."""
+        lead = np.broadcast_shapes(mech.shape[:-2], quant.shape[:-2])
+        parts = [c[..., :-1] for c in (mech, quant)]
+        return np.concatenate([np.broadcast_to(c, (*lead, *c.shape[-2:])).reshape(*lead, -1)
+                               for c in parts], axis=-1)
 
     def _free_grad(self, d_mech: np.ndarray, d_quant: np.ndarray) -> np.ndarray:
         """Chain gradients over full channel matrices to the free parameters.
@@ -450,8 +418,8 @@ class _ChannelPair:
         key = thetas.tobytes()
         if key == self._key:
             return self._last
-        mfree = thetas[:, :self.mech_params].reshape(-1, self.kx, self.kh - 1)
-        qfree = thetas[:, self.mech_params:].reshape(-1, self.kh, self.ku - 1)
+        mfree = thetas[:, :self.mech_params].reshape(len(thetas), self.kx, self.kh - 1)
+        qfree = thetas[:, self.mech_params:].reshape(len(thetas), self.kh, self.ku - 1)
         mech = np.concatenate([mfree, 1 - mfree.sum(axis=-1, keepdims=True)], axis=-1)
         quant = np.concatenate([qfree, 1 - qfree.sum(axis=-1, keepdims=True)], axis=-1)
         mech = np.maximum(mech, 0.0)  # what np.clip(mech, 0.0, None) calls
@@ -569,8 +537,8 @@ def _row_sums(kx: int, kh: int, ku: int, skip: int) -> tuple[np.ndarray, np.ndar
     return rows, both
 
 
-def _slsqp_polish(starts, pair, rate, leak, hold_mechanism=False) -> list:
-    """SLSQP maximization of ``pair.value`` from each row of ``starts``, within both budgets.
+def _slsqp_polish(start, pair, rate, leak, hold_mechanism=False):
+    """SLSQP maximization of ``pair.values`` from ``start``, within both budgets.
 
     The optimum sits where the information constraints are active, and
     moving along that boundary needs the mechanism and the quantizer to move
@@ -579,33 +547,81 @@ def _slsqp_polish(starts, pair, rate, leak, hold_mechanism=False) -> list:
     and the budget constraints take ``pair``'s exact gradients. ``pair.ftol``
     sits above the noise of its value: an objective solved only to some
     residual cannot be polished below it, and a tighter ``ftol`` just runs
-    to the 200-iteration cap. All starts run in one ``minimize`` call.
-    Returns, per start, (value, theta) of the final point when it meets both
-    budgets, else None; the caller keeps whichever point scores higher.
+    to the 200-iteration cap. Returns (value, theta) of the final point when
+    it meets both budgets within ``FEAS_SLACK``, else None; the caller keeps
+    whichever point scores higher.
     """
-    res = minimize(pair, starts, rate, leak, hold_mechanism)
-    thetas = starts.copy()
-    thetas[:, pair.mech_params if hold_mechanism else 0:] = np.clip(res.x, 0.0, None)
-    pts = pair.evaluate(thetas)
-    keep = ~((pts.info[:, 0] > leak + FEAS_SLACK) | (pts.info[:, 1] > rate + FEAS_SLACK))
-    values = np.zeros(len(thetas))
-    if keep.any():  # an empty batch is not scored
-        values[keep] = pair.values(pts if keep.all() else pts.take(np.flatnonzero(keep)))
-    return [(float(v), theta) if ok else None for v, theta, ok in zip(values, thetas, keep)]
+    theta = start.copy()
+    theta[pair.mech_params if hold_mechanism else 0:] = np.clip(
+        minimize(pair, start[None], rate, leak, hold_mechanism).x[0], 0.0, None)
+    pts = pair.evaluate(theta[None])
+    if pts.info[0, 0] > leak + FEAS_SLACK or pts.info[0, 1] > rate + FEAS_SLACK:
+        return None
+    return float(pair.values(pts)[0]), theta
 
 
 # ---------------------------------------------------------------------------
 # testing against independence
 
-# grid pairs scanned for distinct seed values, best first
-_SEED_SCAN = 4096
-# Each seed is polished from the grid pair and from copies mixed this far
-# toward uniform rows. A grid pair sits on simplex faces, where the exact
-# slopes are the floored -inf of the log; from there the polish can stop in
-# a worse basin than a start just inside does, and which start wins varies
-# by law (on 3x3 laws the grid pair alone lost up to 0.02 bits against the
-# finite-difference polish; these three starts lost nothing).
+# Each start is polished from itself and from copies mixed this far toward
+# uniform rows: from a simplex face (slopes of floored -inf) the polish can stop
+# in a worse basin, and on 176 queries no two depths did the work of three.
 _START_DEPTHS = (0.0, 1e-6, 1e-3)
+# the mixing weights ``_contract`` scores first, dense at both ends, and the
+# points it then scores inside the rung where a channel first fits
+_LADDER = np.concatenate([[0.0], 2.0 ** np.arange(-52, 0), 1.0 - 2.0 ** np.arange(-2, -53, -1),
+                          [1.0]])
+_RUNG_POINTS = 64
+
+
+def _contract(pair: _ChannelPair, mech, quant, rate: float, leak: float, mech_to=None,
+              quant_to=None) -> np.ndarray:
+    """Free parameters of the stacked pairs ``mech`` (B, X, Xh) and ``quant``
+    (B, Xh, U), each channel mixed toward constant rows until its budget holds.
+
+    First the mechanism, toward rows ``mech_to`` (B, Xh), by the smallest
+    weight w with I(X;Xh) <= leak; then the quantizer, toward rows
+    ``quant_to`` (B, U), until I(U;Xh) <= rate. Rows default to the
+    channel's own output marginal, which the mixing leaves fixed, so each
+    step moves its own budget alone. An information is convex along the
+    segment and 0 at its constant end, so w = 1 fits, but for round-off at
+    a zero budget. Each w is tested on the bits the pair reports, so both
+    budgets hold exactly in floating point: the first rung of ``_LADDER``
+    that fits, then the first of ``_RUNG_POINTS`` points inside it.
+    """
+    mech_to = pair.p_x @ mech if mech_to is None else mech_to
+    quant_to = (mech_to[:, None] @ quant)[:, 0] if quant_to is None else quant_to
+
+    def mixed(chan, to, k, budget, free):
+        def first_fit(w):  # per member, the first of its weights (B, W) that fits, else its last
+            mix = (1 - w)[..., None, None] * chan[:, None] + w[..., None, None] * to[:, None, None]
+            info = pair.evaluate(free(mix).reshape(-1, pair.n_free)).info[:, k]
+            fits = info.reshape(w.shape) <= budget
+            return w[np.arange(len(w)), np.where(fits.any(axis=1), fits.argmax(axis=1), -1)]
+
+        hi = first_fit(np.broadcast_to(_LADDER, (len(chan), len(_LADDER))))
+        lo = _LADDER[np.maximum(np.searchsorted(_LADDER, hi) - 1, 0)]
+        inside = np.arange(1, _RUNG_POINTS + 1) / _RUNG_POINTS
+        w = first_fit(lo[:, None] + (hi - lo)[:, None] * inside)
+        return (1 - w)[:, None, None] * chan + w[:, None, None] * to[:, None]
+
+    mech = mixed(mech, mech_to, 0, leak, lambda m: pair.free(m, quant[:, None]))
+    quant = mixed(quant, quant_to, 1, rate, lambda q: pair.free(mech[:, None], q))
+    return pair.free(mech, quant)
+
+
+def _tai_starts(p_x: np.ndarray, ku: int):
+    """``_contract``'s arguments for the independence search's starts: the
+    identity pair toward the product of its marginals, then per source
+    symbol x a rare flag, x to Xh = 1 and every other symbol to 0, with
+    U = Xh, toward all-to-0 channels."""
+    kx = len(p_x)
+    labels = np.eye(kx, dtype=int)[range(kx) if kx > 1 else []]  # flag x: x to 1, the rest to 0
+    mech = np.concatenate([np.eye(kx)[None], np.eye(kx)[labels]])
+    mech_to, quant_to = np.zeros((len(mech), kx)), np.zeros((len(mech), ku))
+    mech_to[0], quant_to[0, :kx] = p_x, p_x
+    mech_to[1:, 0] = quant_to[1:, 0] = 1.0
+    return mech, np.tile(np.eye(kx, ku), (len(mech), 1, 1)), mech_to, quant_to
 
 
 def _symmetric_optimum(p: np.ndarray, rate: float, leak: float):
@@ -640,17 +656,19 @@ def _symmetric_optimum(p: np.ndarray, rate: float, leak: float):
     return bsc(a), bsc(b), [mi(a, b, k) for k in range(3)]
 
 
-def _tai_result(p_xy: JointPmf, p: np.ndarray, rate: float, leak: float, theta: float,
-                mech: np.ndarray, quant: np.ndarray, info, step: float | None) -> ExponentResult:
+def _tai_result(p_xy: JointPmf, p: np.ndarray, rate: float, leak: float, mech: np.ndarray,
+                quant: np.ndarray, info) -> ExponentResult:
     """The independence-testing result at the returned pair, whose
-    (I(X;Xh), I(U;Xh), I(U;Y)) is ``info``, after a data-processing check."""
+    (I(X;Xh), I(U;Xh), I(U;Y)) is ``info``, after a data-processing check.
+    Theta is clamped to [0, min(R, L)], where data processing puts I(U;Y):
+    past a budget it is round-off, as at a constant pair at a zero budget."""
     i_xxh, i_uxh, i_uy = info
     if not i_uy <= min(i_uxh, float(_mi_batch(p))) + 1e-8:
         raise InvariantViolation(
             f"data-processing violation at the returned point: I(U;Y)={i_uy!r}"
         )
     return ExponentResult(
-        theta=max(theta, 0.0),
+        theta=min(max(i_uy, 0.0), rate, leak),
         bound_kind="exact",
         rate=rate,
         leak=leak,
@@ -658,63 +676,43 @@ def _tai_result(p_xy: JointPmf, p: np.ndarray, rate: float, leak: float, theta: 
         quantizer=Channel(quant),
         rate_mi=i_uxh,
         leak_mi=i_xxh,
-        grid_step=step,
     )
 
 
-def tai_exponent(
-    p_xy: JointPmf,
-    rate: float,
-    leak: float,
-    grid_step: float = 0.1,
-) -> ExponentResult:
+def tai_exponent(p_xy: JointPmf, rate: float, leak: float) -> ExponentResult:
     """Optimal exponent against the product alternative (independence testing).
 
-    Maximizes I(U;Y) over mechanism and quantizer grids on the
-    ``grid_step`` lattice subject to I(U;Xh) <= rate and I(X;Xh) <= leak,
-    with |Xh| = |X| and |U| = |X| + 1. Each of the ``_TOP_K`` distinct
-    leading grid values seeds SLSQP polishes of both channels with exact
-    gradients, one from each of the ``_START_DEPTHS``; all of them run in
-    lockstep in one ``minimize`` call, and the best feasible point wins,
-    compared seed by seed and depth by depth. ``symmetric_tai_exponent``
-    gives the optimum over symmetric pairs instead.
+    Maximizes I(U;Y) subject to I(U;Xh) <= rate and I(X;Xh) <= leak, with
+    |Xh| = |X| and |U| = |X| + 1. The ``_tai_starts``, contracted into the
+    budgets, seed SLSQP polishes of both channels with exact gradients, one
+    from each of the ``_START_DEPTHS``, in lockstep in one ``minimize``
+    call. The best polished point is contracted into the budgets toward its
+    own marginals and competes with the starts, so the pair returned meets
+    both budgets exactly. No grid is built: ``grid_step`` is None.
     """
     check_budgets(rate, leak)
     p = _as_joint2(p_xy)
-    pair = _ChannelPair(p, p.shape[0], p.shape[0] + 1)
-    space = _space_for(p, pair.ku, grid_step, _TAI_BUDGETS)
-
-    # relabelings of one channel pair tie exactly, so near-equal grid values
-    # mark the same basin; seeding only distinct values spreads the restarts
-    seeds: list[int] = []
-    seed_vals: list[float] = []
-    for i in space.ranked(rate, leak, _SEED_SCAN)[:_SEED_SCAN]:
-        v = space.i_uy.flat[i]
-        if all(abs(v - w) > 1e-10 for w in seed_vals):
-            seeds.append(int(i))
-            seed_vals.append(float(v))
-        if len(seeds) >= _TOP_K:
-            break
-
-    mechs, quants = space.pair(np.array(seeds))
-    grid = np.array([pair.free(mech, quant) for mech, quant in zip(mechs, quants)])
-    starts = np.array([pair.free((1 - eps) * mech + eps / mech.shape[1],
-                                 (1 - eps) * quant + eps / quant.shape[1])
-                       for mech, quant in zip(mechs, quants) for eps in _START_DEPTHS])
-    polished = _slsqp_polish(starts, pair, rate, leak)
-    best_val = -1.0
-    best_theta = None
-    for k, (theta, val) in enumerate(zip(grid, pair.values(pair.evaluate(grid)))):
-        val = float(val)
-        for res in polished[k * len(_START_DEPTHS):(k + 1) * len(_START_DEPTHS)]:
-            if res is not None and res[0] > val:
-                val, theta = res
-        if val > best_val:
-            best_val, best_theta = val, theta
-
-    mech, quant = pair.channels(best_theta)
-    return _tai_result(p_xy, p, rate, leak, best_val, mech, quant, pair.info(best_theta),
-                       space.mech_step)
+    kx = p.shape[0]
+    if kx > _TAI_MAX_X:
+        raise TooLarge(f"the independence search takes |X| <= {_TAI_MAX_X}, not |X| = {kx}")
+    pair = _ChannelPair(p, kx, kx + 1)
+    mech, quant, mech_to, quant_to = _tai_starts(pair.p_x, pair.ku)
+    starts = _contract(pair, mech, quant, rate, leak, mech_to, quant_to)
+    pts = pair.evaluate(starts)
+    eps = np.array(_START_DEPTHS)[:, None, None]
+    deep = pair.free((1 - eps) * pts.mech[:, None] + eps / kx,
+                     (1 - eps) * pts.quant[:, None] + eps / pair.ku)
+    polished = np.clip(minimize(pair, deep.reshape(-1, pair.n_free), rate, leak).x, 0.0, None)
+    pts = pair.evaluate(polished)  # its best point within FEAS_SLACK, contracted
+    near = (pts.info[:, 0] <= leak + FEAS_SLACK) & (pts.info[:, 1] <= rate + FEAS_SLACK)
+    top = [np.argmax(np.where(near, pts.info[:, 2], -np.inf))]
+    thetas = np.concatenate([starts, _contract(pair, pts.mech[top], pts.quant[top], rate, leak)])
+    # round-off can leave a zero budget unmet even at a constant pair, which
+    # then ends the contraction; such a pair wins only when every pair is one
+    info = pair.evaluate(thetas).info
+    fits = (info[:, 0] <= leak) & (info[:, 1] <= rate)
+    best = thetas[np.argmax(np.where(fits | ~fits.any(), info[:, 2], -np.inf))]
+    return _tai_result(p_xy, p, rate, leak, *pair.channels(best), pair.info(best))
 
 
 def symmetric_tai_exponent(p_xy: JointPmf, rate: float, leak: float) -> ExponentResult:
@@ -727,7 +725,7 @@ def symmetric_tai_exponent(p_xy: JointPmf, rate: float, leak: float) -> Exponent
     check_budgets(rate, leak)
     p = _as_joint2(p_xy)
     mech, quant, info = _symmetric_optimum(p, rate, leak)
-    return _tai_result(p_xy, p, rate, leak, info[2], mech, quant, info, None)
+    return _tai_result(p_xy, p, rate, leak, mech, quant, info)
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +963,7 @@ def _theorem1_search(p_xy, q_xy, rate, leak, grid_step, pin_identity: bool) -> E
     # the quantizer alone first: a joint pass from the grid point can stop in
     # a worse basin
     for hold in (True,) if pin_identity else (True, False):
-        (polished,) = _slsqp_polish(best_theta[None], pair, rate, leak, hold)
+        polished = _slsqp_polish(best_theta, pair, rate, leak, hold)
         if polished is not None and polished[0] > best_val:
             best_val, best_theta = polished
 

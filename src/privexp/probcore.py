@@ -75,6 +75,18 @@ def _check_weights(w: np.ndarray, what: str) -> None:
         raise InvalidDistribution(f"{what}: total mass {total!r} not 1 within {MASS_ATOL}")
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or for an integer too long for Python to print
+    (``sys.get_int_max_str_digits()``, 4,300 digits by default), its digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        n = abs(value)
+        digits = int(math.log10(n)) + 1  # the float log may round across a power of 10
+        digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))
+        return f"<{digits:,}-digit integer>"
+
+
 def _number(value, what: str, lo=None, hi=None, *, lo_open: bool = False,
             hi_open: bool = False) -> float:
     """``value`` as a float, or a ``DomainError`` naming ``what``.
@@ -94,7 +106,7 @@ def _number(value, what: str, lo=None, hi=None, *, lo_open: bool = False,
             raise DomainError(f"{what} is too large for a float") from None
     if ((lo is not None and not (lo < x if lo_open else lo <= x))
             or (hi is not None and not (x < hi if hi_open else x <= hi))):
-        raise DomainError(f"{what} {value!r} outside {'(' if lo_open else '['}"
+        raise DomainError(f"{what} {_shown(value)} outside {'(' if lo_open else '['}"
                           f"{-math.inf if lo is None else lo}, {math.inf if hi is None else hi}"
                           f"{')' if hi_open else ']'}")
     return x
@@ -108,7 +120,7 @@ def _count(value, what: str, lo=None, hi=None) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{what} {value!r} must be an integer")
     if (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise DomainError(f"{what} {value!r} outside [{-math.inf if lo is None else lo}, "
+        raise DomainError(f"{what} {_shown(value)} outside [{-math.inf if lo is None else lo}, "
                           f"{math.inf if hi is None else hi}]")
     return int(value)
 

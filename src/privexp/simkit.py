@@ -68,7 +68,7 @@ from .errors import (
     TooLarge,
 )
 from .probcore import (Channel, JointPmf, Pmf, _as_joint2, _as_joint_pair, _compositions,
-                       _count, _in_ball, _law, _number, _pair_joints)
+                       _count, _in_ball, _law, _number, _pair_joints, _shown)
 from .probcore import _mi_bits, _symbols  # plug-in estimates share the exact MI kernel
 
 __all__ = [
@@ -136,7 +136,7 @@ class SchemeConfig:
                 got = type(getattr(self, key)).__name__
                 raise DomainError(f"config key {key!r} must be a channel, got {got}")
         if self.trials > TRIAL_CAP:
-            raise TooLarge(f"{self.trials} trials exceed the cap of {TRIAL_CAP} per run")
+            raise TooLarge(f"{_shown(self.trials)} trials exceed the cap of {TRIAL_CAP} per run")
         _number(self.mu, "config key 'mu'", 0)
         _number(self.rate, "config key 'rate'", 0)
         if self.hypothesis not in ("null", "alt"):
@@ -314,7 +314,7 @@ def generate_codebook(p_u: Pmf, n: int, rate: float, seed: int) -> Codebook:
     _count(seed, "seed", 0)
     _number(rate, "rate", 0)
     if n > CODEBOOK_ENTRY_CAP:  # checked first, so that n * rate below is a float
-        raise SizeOverflow(f"blocklength {n} exceeds the cap of {CODEBOOK_ENTRY_CAP} "
+        raise SizeOverflow(f"blocklength {_shown(n)} exceeds the cap of {CODEBOOK_ENTRY_CAP} "
                            f"codebook entries")
     exponent = n * rate
     if exponent > math.log2(CODEBOOK_CAP) + 1e-9:

@@ -70,7 +70,7 @@ def test_criterion_1_closed_form_vs_search_grid(criterion):
     results = {}
     for r in rates:
         for l in leaks:
-            res = tai_exponent(source, r, l, grid_step=0.02)
+            res = tai_exponent(source, r, l)
             results[r, l] = res
             diff = res.theta - binary_tai_exponent(Q_NOISE, r, l)
             if diff > 1e-2:

@@ -132,7 +132,7 @@ def test_general_alternative_payloads_match_the_library(
 
 @pytest.mark.parametrize("method", ["tai", "bsc"])
 def test_independence_payloads_match_the_library(method, dsbs01, null_law_path, capsys):
-    # run without --grid-step, a search gets its function's own default
+    # neither takes a grid step: the payload is the library's result as it is
     call = {"tai": tai_exponent, "bsc": symmetric_tai_exponent}[method]
     assert cli.main(["exponent", "--method", method, "--null", null_law_path,
                      "--rate", "0.25", "--leak", "0.5"]) == 0
@@ -345,9 +345,7 @@ def test_a_search_grid_above_the_cap_exits_four(tmp_path, capsys):
     dump_json(JointPmf(np.full((6, 2), 1 / 12), ("X", "Y")), null)
     assert cli.main(["exponent", "--method", "tai", "--null", str(null),
                      "--rate", "0.5", "--leak", "0.5"]) == cli.SIZE_EXIT
-    assert capsys.readouterr().err == (
-        "error: the search grid for |X| = 6 has 5,489,031,744 channel pairs, "
-        "above the cap of 2**26\n")
+    assert capsys.readouterr().err == "error: the independence search takes |X| <= 5, not |X| = 6\n"
 
 
 @pytest.mark.parametrize("command", ["exponent", "sweep"])
@@ -365,9 +363,11 @@ def test_refinement_flag_is_unknown(command, null_law_path, capsys):
     ["exponent", "--method", "binary", "--q", "0.1", "--rate", "0.5", "--leak", "0.5"],
     ["exponent", "--method", "zero-rate", "--rate", "0.5", "--leak", "0.5"],
     ["sweep", "--method", "binary", "--q", "0.1", "--rate", "0.5", "--leak", "0.5"],
-], ids=["exponent-binary", "exponent-zero-rate", "sweep-binary"])
+    ["exponent", "--method", "tai", "--rate", "0.5", "--leak", "0.5"],
+], ids=["exponent-binary", "exponent-zero-rate", "sweep-binary", "exponent-tai"])
 def test_search_flags_are_refused_without_a_search(argv, flag, null_law_path, capsys):
-    # these methods run no grid search; they once printed a value and ignored the flag
+    # these methods run no grid search; they once printed a value and ignored
+    # the flag, and the independence search polishes structured starts
     if "zero-rate" in argv:
         argv = argv + ["--null", null_law_path, "--alt", null_law_path]
     assert cli.main(argv + flag) == 2
@@ -426,8 +426,8 @@ _SUBCOMMAND_FLAGS = {
                  "--rate": "0.5", "--leak": "0"},
     "sweep": {"--grid-step": "0.3", "--q": "0", "--null": "LAW"},
 }
-# the searches, which alone take --grid-step
-_SEARCHES = {"tai", "thm1", "cor2"}
+# the grid searches, which alone take --grid-step
+_SEARCHES = {"thm1", "cor2"}
 
 
 def _argv(command, method, flags, law):
@@ -624,8 +624,8 @@ def test_bsc_method_is_the_closed_form_without_a_grid(null_law_path, capsys):
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan", "5e-324"])
-def test_bad_grid_step_is_a_config_error(step, null_law_path, capsys):
-    code = cli.main(["exponent", "--method", "tai", "--null", null_law_path,
+def test_bad_grid_step_is_a_config_error(step, null_law_path, alt_law_path, capsys):
+    code = cli.main(["exponent", "--method", "thm1", "--null", null_law_path, "--alt", alt_law_path,
                      "--rate", "0.5", "--leak", "0.5", "--grid-step", step])
     assert code == 2
     err = capsys.readouterr().err
@@ -797,7 +797,7 @@ _LIGHT_COMMANDS = """
 import contextlib, io, json, sys
 import numpy as np
 from privexp import Channel, JointPmf, SchemeConfig, cli
-from privexp import run_memoryless_scheme, tai_exponent
+from privexp import run_memoryless_scheme, theorem1_lower_bound
 null, alt = sys.argv[1:3]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
@@ -813,7 +813,7 @@ run_memoryless_scheme(SchemeConfig(n=8, mu=0.35, rate=1.0, seed=1, trials=20,
                                    scheme_kind="memoryless"), p)
 loaded = lambda: sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules)
 before = loaded()
-tai_exponent(p, 0.5, 0.5, grid_step=0.5)
+theorem1_lower_bound(p, p, 0.5, 0.5, grid_step=0.5)
 print(json.dumps([before, loaded(), "scipy.optimize._slsqplib" in sys.modules]))
 """
 

@@ -42,22 +42,23 @@ from privexp import (
 )
 from privexp import exponents, iproject
 from privexp.exponents import (
-    _TAI_BUDGETS,
     _THM1_BUDGETS,
     _ChannelPair,
     _fit_step,
     _MAX_GRID_PAIRS,
     _InnerPair,
     _TaiSpace,
+    _contract,
     _lattice,
     _slsqp_polish,
     _space_for,
 )
 from privexp.probcore import _mi_batch, _pair_joints
 
-# the searches' default grid steps, read where they are set
-TAI_STEP = inspect.signature(tai_exponent).parameters["grid_step"].default
+# the Theorem-1 searches' default grid step, read where it is set
 THM1_STEP = inspect.signature(theorem1_lower_bound).parameters["grid_step"].default
+# a grid of 1000 x 1000 pairs on a ternary law, the largest the grid tests build
+BIG_STEP, BIG_BUDGETS = 0.1, (1000, 1000)
 
 # search values frozen from deterministic runs of this package's optimizer;
 # the (1, 1) anchor coincides with the closed form 1 - h_b(0.1)
@@ -179,24 +180,17 @@ def _space_from(vals, feasible):
     return space
 
 
-@pytest.mark.parametrize("limit", [1, 7, 200, 1000])
-def test_ranked_matches_full_stable_argsort(limit):
+@pytest.mark.parametrize("prefix", [1, 7, 200, 1000])
+def test_ranked_matches_full_stable_argsort(prefix):
     rng = np.random.default_rng(11)
-    # coarse values force exact ties across the cut; -1 marks infeasible pairs,
-    # and the largest limit exceeds the number of feasible ones
+    # coarse values force exact ties; -1 marks infeasible pairs, and the
+    # largest prefix exceeds the number of feasible ones
     vals = rng.integers(0, 5, size=(40, 30)) / 4.0
     feasible = rng.random(vals.shape) >= 0.3
     masked = np.where(feasible, vals, -1.0)
-    space = _space_from(vals, feasible)
-    for bounded in (False, True):
-        ranked = space.ranked(0.5, 0.5, limit if bounded else None)
-        got = ranked[:limit]
-        np.testing.assert_array_equal(got, _argsort_reference(masked, limit))
-        assert got.size == min(limit, int(feasible.sum()))
-        # a bounded ranking is a prefix of the full one that keeps every tie at the cut
-        np.testing.assert_array_equal(ranked, _argsort_reference(masked, ranked.size))
-        if bounded and limit < feasible.sum():
-            assert ranked.size == int(np.sum(masked >= vals.flat[got[-1]])) > limit
+    ranked = _space_from(vals, feasible).ranked(0.5, 0.5)
+    np.testing.assert_array_equal(ranked[:prefix], _argsort_reference(masked, prefix))
+    assert ranked.size == int(feasible.sum())
 
 
 def test_ranked_with_few_feasible_entries():
@@ -208,10 +202,6 @@ def test_ranked_with_few_feasible_entries():
     got = space.ranked(0.5, 0.5)
     np.testing.assert_array_equal(got, [17, 3, 22, 9])
     np.testing.assert_array_equal(got, _argsort_reference(masked, 10))
-    # a limit above the feasible count keeps them all; a limit of 2 cuts
-    # between the tied 3 and 22 and keeps both
-    np.testing.assert_array_equal(space.ranked(0.5, 0.5, 10), got)
-    np.testing.assert_array_equal(space.ranked(0.5, 0.5, 2), [17, 3, 22])
     mech, quant = space.pair(got[0])
     assert (mech.item(), quant.item()) == divmod(int(got[0]), 5)
     with pytest.raises(Infeasible, match="no feasible channel pair"):
@@ -298,22 +288,21 @@ def test_search_monotone_in_budgets():
     assert lo <= mid + 1e-9 <= hi + 2e-9
 
 
-def test_ternary_search_anchor_and_binary_grid_size():
+def test_ternary_search_anchor_and_binary_grid_size(monkeypatch):
     res = tai_exponent(JointPmf(np.array(TERNARY), ("X", "Y")), 0.5, 0.25)
     assert res.theta == pytest.approx(TAI_TERNARY_R05_L025, abs=1e-9)
-    space = _space_for(np.asarray(dsbs(0.1).probs), 3, TAI_STEP, _TAI_BUDGETS)
-    assert space.mechs.shape[0] * space.quants.shape[0] <= 100_000
+    # the independence search builds no grid: a binary query adds none to the cache
+    monkeypatch.setattr(exponents, "_SPACE_CACHE", {})
+    assert tai_exponent(dsbs(0.1), 0.5, 0.5).grid_step is None
+    assert exponents._SPACE_CACHE == {}
 
 
 def test_default_grids_on_a_binary_law():
     # pins the per-method budget constants: a drifted one changes a grid size
     p = np.asarray(dsbs(0.1).probs)
-    tai = _space_for(p, 3, TAI_STEP, _TAI_BUDGETS)
-    assert (tai.mechs.shape[0], tai.quants.shape[0]) == (121, 784)
-    assert (tai.mech_step, tai.quant_step) == (0.1, 1 / 6)
     thm1 = _space_for(p, 4, THM1_STEP, _THM1_BUDGETS)
     assert (thm1.mechs.shape[0], thm1.quants.shape[0]) == (81, 400)
-    assert (thm1.mech_step, thm1.quant_step) == (1 / 8, 1 / 3)
+    assert thm1.quant_step == 1 / 3
 
 
 def test_grid_cache_keeps_the_newest_grids(monkeypatch):
@@ -321,23 +310,23 @@ def test_grid_cache_keeps_the_newest_grids(monkeypatch):
     cap = exponents._SPACE_CACHE_MAX
     step = 1.0  # 4 x 4 deterministic channel pairs
     laws = [np.asarray(dsbs(eps).probs) for eps in np.linspace(0.1, 0.5, cap + 1)]
-    spaces = [_space_for(p, 2, step, _TAI_BUDGETS) for p in laws]
+    spaces = [_space_for(p, 2, step, _THM1_BUDGETS) for p in laws]
     assert len(exponents._SPACE_CACHE) == cap
     # a hit is the same object, found by value; the first law was evicted
-    assert _space_for(laws[-1].copy(), 2, step, _TAI_BUDGETS) is spaces[-1]
-    rebuilt = _space_for(laws[0], 2, step, _TAI_BUDGETS)
+    assert _space_for(laws[-1].copy(), 2, step, _THM1_BUDGETS) is spaces[-1]
+    rebuilt = _space_for(laws[0], 2, step, _THM1_BUDGETS)
     assert rebuilt is not spaces[0]
     # rebuilding it evicted the oldest entry left, the second law
     assert len(exponents._SPACE_CACHE) == cap
-    assert _space_for(laws[2], 2, step, _TAI_BUDGETS) is spaces[2]
-    assert _space_for(laws[1], 2, step, _TAI_BUDGETS) is not spaces[1]
+    assert _space_for(laws[2], 2, step, _THM1_BUDGETS) is spaces[2]
+    assert _space_for(laws[1], 2, step, _THM1_BUDGETS) is not spaces[1]
 
 
 GRID_ARRAYS = ("mechs", "quants", "i_xxh", "i_uxh", "i_uy")
 
 
 @pytest.mark.parametrize("shape, u_size, step, budgets", [
-    ((2, 3), 3, TAI_STEP, _TAI_BUDGETS),
+    ((2, 3), 3, BIG_STEP, BIG_BUDGETS),
     ((3, 2), 5, THM1_STEP, _THM1_BUDGETS),
 ], ids=["tai-2x3", "thm1-3x2"])
 def test_grid_arrays_do_not_depend_on_the_block_size(monkeypatch, shape, u_size, step, budgets):
@@ -354,7 +343,7 @@ def test_the_grid_build_keeps_its_temporaries_small():
     # pairs, its temporaries once peaked at 447 MiB
     tracemalloc.start()
     try:
-        space = _TaiSpace(np.array(TERNARY), 4, TAI_STEP, _TAI_BUDGETS)
+        space = _TaiSpace(np.array(TERNARY), 4, BIG_STEP, BIG_BUDGETS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -378,11 +367,11 @@ def test_a_fault_in_the_last_block_still_fails_the_grid(monkeypatch):
         return (j_xxh, j_uxh, j_uy), p_xh
 
     monkeypatch.setattr(exponents, "_pair_joints", joints)
-    _TaiSpace(p, 3, TAI_STEP, _TAI_BUDGETS)
+    _TaiSpace(p, 3, BIG_STEP, BIG_BUDGETS)
     assert len(blocks) > 1 and sum(blocks) == 121
     fault_at[0], blocks[:] = len(blocks), []
     with pytest.raises(InvariantViolation, match="^data-processing violation in grid$"):
-        _TaiSpace(p, 3, TAI_STEP, _TAI_BUDGETS)
+        _TaiSpace(p, 3, BIG_STEP, BIG_BUDGETS)
     assert sum(blocks) == 121
 
 
@@ -681,6 +670,32 @@ def test_lockstep_driver_follows_scipy_slsqp_member_by_member(case):
         assert nits[0] < 10 and 100 <= nits[-2] < 200 and refs[2].status == 9
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_contraction_meets_both_budgets_exactly_by_the_smallest_weight(seed):
+    rng = np.random.default_rng(seed)
+    kx, ky = rng.integers(2, 4, size=2)
+    pair = _ChannelPair(rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky), kx, kx + 1)
+    mech = rng.dirichlet(np.full(kx, 0.3), size=(3, kx))
+    quant = rng.dirichlet(np.full(kx + 1, 0.3), size=(3, kx))
+    before = pair.evaluate(pair.free(mech, quant)).info
+    leak, rate = rng.uniform(0.0, 1.0, size=2) * before[:, :2].max(axis=0) + 1e-6
+    thetas = _contract(pair, mech, quant, rate, leak)
+    pts = pair.evaluate(thetas)
+    assert np.all(pts.info[:, 0] <= leak) and np.all(pts.info[:, 1] <= rate)
+    for i in range(3):
+        if before[i, 0] <= leak and before[i, 1] <= rate:  # a pair within both is kept
+            assert np.array_equal(thetas[i], pair.free(mech[i], quant[i]))
+        elif before[i, 0] > leak:
+            # every weight below the one taken by more than 1/64 of it leaks too
+            # much: the mechanism's rows toward its own Xh marginal
+            step = pair.p_x @ mech[i] - mech[i]
+            k = np.unravel_index(np.argmax(abs(step)), step.shape)
+            w = (pts.mech[i] - mech[i])[k] / step[k]
+            less = mech[i] + 0.98 * w * step
+            assert pair.evaluate(pair.free(less, quant[i])[None]).info[0, 0] > leak
+
+
 def test_zero_row_and_column_give_a_finite_value_without_warnings():
     law = JointPmf(np.array([[0.4, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.0]]), ("X", "Y"))
     with warnings.catch_warnings():
@@ -693,6 +708,12 @@ def test_zero_row_and_column_give_a_finite_value_without_warnings():
     assert np.all(np.isfinite(jac))
 
 
+def test_a_one_symbol_source_gives_zero():
+    # its mechanism has no free parameter; the search once raised numpy's ValueError
+    res = tai_exponent(JointPmf(np.array([[0.3, 0.7]]), ("X", "Y")), 0.5, 0.5)
+    assert (res.theta, res.rate_mi, res.leak_mi) == (0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("step, match", [
     (0.0, "outside"), (-1.0, "outside"), (1.5, "outside"), (float("nan"), "outside"),
     (float("inf"), "outside"),
@@ -701,7 +722,7 @@ def test_zero_row_and_column_give_a_finite_value_without_warnings():
 ], ids=["0.0", "-1.0", "1.5", "nan", "inf", "5e-324", "str", "none", "bool"])
 def test_grid_step_outside_its_domain_is_refused(step, match):
     with pytest.raises(DomainError, match=f"^grid_step {re.escape(repr(step))} .*{match}"):
-        tai_exponent(dsbs(0.1), 0.5, 0.5, grid_step=step)
+        theorem1_lower_bound(*alt_pair(), 0.5, 0.5, grid_step=step)
 
 
 def coarsening_loop(rows, k, step, budget):
@@ -740,7 +761,7 @@ def test_a_tiny_grid_step_fits_at_once():
     # |U| = |X| + 2) take the finest lattice that fits, as a small step does
     start = time.perf_counter()
     for kx in (2, 3):
-        for k_out, budget in ((kx, _TAI_BUDGETS[0]), (kx + 1, _TAI_BUDGETS[1]),
+        for k_out, budget in ((kx, BIG_BUDGETS[0]), (kx + 1, BIG_BUDGETS[1]),
                               (kx, _THM1_BUDGETS[0]), (kx + 2, _THM1_BUDGETS[1])):
             assert _fit_step(kx, k_out, 1e-300, budget) == coarsening_loop(kx, k_out, 1e-3, budget)
     assert time.perf_counter() - start < 0.5
@@ -752,12 +773,10 @@ def _grid_pairs(kx, u_size, budgets, step):
 
 def test_the_grid_cap_keeps_every_grid_up_to_five_source_symbols():
     # a step cannot coarsen past 1, so from |X| = 5 the grids outgrow their budgets
-    assert _grid_pairs(5, 6, _TAI_BUDGETS, 0.1) == 3125 * 7776
     assert _grid_pairs(5, 7, _THM1_BUDGETS, 1 / 8) == 3125 * 16807
     for kx in (2, 3, 4, 5):
-        assert _grid_pairs(kx, kx + 1, _TAI_BUDGETS, 0.1) <= _MAX_GRID_PAIRS
         assert _grid_pairs(kx, kx + 2, _THM1_BUDGETS, 1 / 8) <= _MAX_GRID_PAIRS
-    assert _grid_pairs(6, 7, _TAI_BUDGETS, 0.1) == 46656 * 117649 > _MAX_GRID_PAIRS
+    assert _grid_pairs(6, 8, _THM1_BUDGETS, 1 / 8) == 46656 * 262144 > _MAX_GRID_PAIRS
 
 
 @pytest.mark.parametrize("kx", [6, 8])
@@ -766,7 +785,9 @@ def test_a_grid_above_the_cap_is_refused_before_it_is_built(kx, search):
     # a 6x2 law once ended in a MemoryError for a 40.9 GiB grid array
     p = JointPmf(np.full((kx, 2), 1.0 / (2 * kx)), ("X", "Y"))
     start = time.perf_counter()
-    with pytest.raises(TooLarge, match=rf"^the search grid for \|X\| = {kx} has [\d,]+ channel pairs"):
+    match = (rf"^the independence search takes \|X\| <= 5, not \|X\| = {kx}$" if search == "tai"
+             else rf"^the search grid for \|X\| = {kx} has [\d,]+ channel pairs")
+    with pytest.raises(TooLarge, match=match):
         if search == "tai":
             tai_exponent(p, 0.5, 0.5)
         else:
@@ -790,7 +811,7 @@ def test_search_input_validation():
 
 def test_result_reports_the_lattice_searched():
     # a step of 0.3 puts the grid rows on thirds; it once reported 0.3
-    assert tai_exponent(dsbs(0.1), 0.5, 0.5, grid_step=0.3).grid_step == 1 / 3
+    assert theorem1_lower_bound(*alt_pair(), 0.5, 0.5, grid_step=0.3).grid_step == 1 / 3
 
 
 # ---------------------------------------------------------------------------
@@ -969,7 +990,7 @@ def test_a_polish_that_ends_outside_the_budgets_scores_nothing(monkeypatch):
     monkeypatch.setattr(exponents, "minimize", lambda pair, starts, *args: SimpleNamespace(x=starts))
     pair = inner_pair(NULL, ALT, 2, 4)
     start = pair.free(np.eye(2), np.eye(2, 4))
-    assert _slsqp_polish(start[None], pair, 0.1, 0.1) == [None]
+    assert _slsqp_polish(start, pair, 0.1, 0.1) is None
 
 
 def test_a_search_whose_every_inner_projection_fails_is_infeasible():
@@ -1118,21 +1139,21 @@ THM1_ALT_SWEEPS = 5649
 # float.hex and the sha256 prefix of the mechanism and quantizer bytes (the
 # restricted query is two root solves; the grid search they replaced gave
 # 0x1.6d2f5f2633e15p-3 and channels e721ccf7c2ff97e9). The
-# four queries' 48 polishes make 1,247 SLSQP iterations and 1,764 objective
-# evaluations; a change to how the lockstep driver batches its members keeps
-# all of these. The batches are counted too: the queries evaluate 483
-# batches of channel pairs and differentiate 300 (583 and 382 when a round
-# evaluated and differentiated its members separately).
+# four queries' 36 polishes, three per structured start, make 859 SLSQP
+# iterations and 1,419 objective evaluations; a change to how the lockstep
+# driver batches its members keeps all of these. The batches are counted
+# too: the queries evaluate 373 batches of channel pairs, 48 of them outside
+# the polish (32 score the contractions' weights), and differentiate 262.
 TAI_SWEEP_LAWS = {"dsbs": [[0.45, 0.05], [0.05, 0.45]],
                   "law2x3": [[0.35, 0.10, 0.05], [0.05, 0.10, 0.35]]}
 TAI_SWEEP_BITS = {
-    ("dsbs", 0.25, 0.5): ("0x1.807ffad3fc51ap-4", "0a43084f4b3d739c"),
-    ("dsbs", 1.0, 0.25): ("0x1.3ffe573d8d7ccp-3", "05d3c491a1be1a78"),
-    ("law2x3", 0.25, 0.5): ("0x1.0d05ad2191d25p-4", "e21cd9cd275f28b7"),
-    ("law2x3", 1.0, 0.25): ("0x1.bfd3329f48fafp-4", "c5542133a23ad5ed"),
+    ("dsbs", 0.25, 0.5): ("0x1.807ffad3f831ep-4", "00e799391262d25c"),
+    ("dsbs", 1.0, 0.25): ("0x1.3ffe573d8d162p-3", "92c59bfcc1edbe90"),
+    ("law2x3", 0.25, 0.5): ("0x1.0d05ad218d3f1p-4", "1713a81849038869"),
+    ("law2x3", 1.0, 0.25): ("0x1.bfd3329f421d0p-4", "386af87572bf9682"),
 }
-TAI_SWEEP_NIT, TAI_SWEEP_NFEV = 1247, 1764
-TAI_SWEEP_BATCHES = (483, 300)
+TAI_SWEEP_NIT, TAI_SWEEP_NFEV = 859, 1419
+TAI_SWEEP_BATCHES = (373, 262)
 TAI_BSC_BITS = ("0x1.6d2f5f26329f9p-3", "b184c3ba7d58c610")  # DSBS(0.1) at (0.5, 0.5)
 
 

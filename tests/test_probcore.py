@@ -48,6 +48,7 @@ from privexp import (
     mutual_information,
     star,
     tai_exponent,
+    theorem1_lower_bound,
     total_variation,
     wilson_interval,
 )
@@ -778,9 +779,12 @@ def test_malformed_input_is_refused(build, error, match, tmp_path, monkeypatch):
 
 
 # one value of each kind that is not a number in a domain: text, None, a
-# bool, NaN, an infinity, a list, an array and an integer that has no float
+# bool, NaN, an infinity, a list, an array, an integer that has no float and
+# one too long for Python to print (over 4,300 digits), which a message shows
+# by its digit count
 _NOT_NUMBERS = {"str": "a", "none": None, "bool": True, "nan": math.nan, "minus-inf": -math.inf,
-                "list": [0.1], "array": np.array([0.1, 0.2]), "huge-int": 10**400}
+                "list": [0.1], "array": np.array([0.1, 0.2]), "huge-int": 10**400,
+                "giant-int": 10**5000}
 _RATE_ONLY = GaussianQuery(0.5, 0.5, 0.5)
 _CONFIG = dict(n=12, mu=0.3, rate=1.0, seed=5, trials=6000, hypothesis="alt",
                mechanism=Channel.identity(2), quantizer=Channel.identity(2),
@@ -789,7 +793,9 @@ _SCALAR_ARGUMENTS = {
     "budgets-rate": lambda v: binary_tai_exponent(0.1, v, 0.5),
     "budgets-leak": lambda v: binary_tai_exponent(0.1, 0.5, v),
     "tai-rate": lambda v: tai_exponent(_DSBS, v, 0.5),
-    "tai-grid-step": lambda v: tai_exponent(_DSBS, 0.5, 0.5, grid_step=v),
+    # a grid search's step, under the name of the independence search, which
+    # took one until it polished structured starts
+    "tai-grid-step": lambda v: theorem1_lower_bound(_DSBS, _DSBS, 0.5, 0.5, grid_step=v),
     "tai-noise": lambda v: binary_tai_exponent(v, 0.5, 0.5),
     "euclid-noise": lambda v: binary_euclid_approx(v, 0.5, 0.5),
     "euclid-rate": lambda v: binary_euclid_approx(0.1, v, 0.5),
@@ -824,9 +830,9 @@ _SCALAR_ARGUMENTS = {
 # integers past the float range where any integer will do (a seed, a sweep
 # budget) or where a cap refuses it later (a config's blocklength, TooLarge
 # when it runs)
-_MEANINGFUL = {("config-mu_prime", "none"), ("config-seed", "huge-int"),
-               ("codebook-seed", "huge-int"), ("project-max-iter", "huge-int"),
-               ("config-n", "huge-int")}
+_MEANINGFUL = {("config-mu_prime", "none"),
+               *((site, big) for big in ("huge-int", "giant-int")
+                 for site in ("config-seed", "codebook-seed", "project-max-iter", "config-n"))}
 
 
 @pytest.mark.parametrize("value", _NOT_NUMBERS, ids=_NOT_NUMBERS)
