@@ -114,6 +114,8 @@ _TAI_MAX_X = 5
 _BLOCK_CELLS = 2**16
 # general-alternative search: shortlisted pairs that get the inner solver
 _INNER_SHORTLIST = 48
+# shortlisted inner values this close to the best tie with it
+_TIE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -771,7 +773,7 @@ def _thm1_gradient(p, q, mech, quant, duals) -> tuple[np.ndarray, np.ndarray]:
     The inner value is the dual optimum of a linear-family I-projection, so
     by the envelope theorem its derivative is sum_c <lam_c, dt_c> - E_P*[d
     log R], for the constraint targets t_c, their duals lam_c (X, (U,Y) and
-    (U,Xh), natural-log scaling factors), the reference chain R and the
+    (U,Xh), in natural logs), the reference chain R and the
     projection P* = R exp(lam). The expectation is taken from the scales,
     E_P*[d log R / d mech(x,h)] = sum_{u,y} quant(h,u) q(x,y) F(u,h,x,y),
     so a zero channel entry needs no division.
@@ -832,7 +834,12 @@ def _thm1_gradient(p, q, mech, quant, duals) -> tuple[np.ndarray, np.ndarray]:
 
 
 _CHAIN_AXES = ("U", "Xh", "X", "Y")
-_INNER_SOLVER = {"tol": 1e-9, "max_iter": 20_000}
+# a projection takes 3-6 Newton steps, the last one after its residual is
+# within tol; on a face, where the dual optimum is at infinity, the residual
+# falls about e-fold a step (20 steps from the face's reference), and a
+# member that has not halved it in 20 steps has plateaued, so the cap only
+# bounds a projection that crawls
+_INNER_SOLVER = {"tol": 1e-9, "max_iter": 200}
 # a pair whose inner projection fails this way scores None
 _INNER_FAILURES = (Infeasible, SupportMismatch)
 
@@ -841,7 +848,7 @@ class _InnerPair(_ChannelPair):
     """A channel pair scored by the Theorem-1 inner value, with its exact gradient.
 
     Every Theorem-1 projection goes through ``project_many``, one batched
-    iterative-scaling call for stacked pairs, whose failures come back as
+    damped-Newton call for stacked pairs, whose failures come back as
     None. ``projections`` scores a ``_Points`` batch with one such call on
     first use, and the batch keeps the results and their gradients, so one
     SLSQP iterate costs one projection. A pair whose projection fails
@@ -865,7 +872,7 @@ class _InnerPair(_ChannelPair):
     """
 
     log_floor = 1e-7
-    ftol = 1e-11  # the inner value is solved to residual 1e-9
+    ftol = 1e-11  # the inner value is solved to residual 1e-9, then one more Newton step
     scores_uy = False  # the search reads the two budgets, not I(U;Y)
 
     def __init__(self, p: np.ndarray, q_xy: JointPmf, kh: int, ku: int):
@@ -885,7 +892,7 @@ class _InnerPair(_ChannelPair):
 
     def project_many(self, mechs: np.ndarray, quants: np.ndarray) -> list:
         """Inner I-projections of stacked (mechanism, quantizer) pairs in one
-        batched iterative-scaling call, None for each pair whose projection fails."""
+        batched damped-Newton call, None for each pair whose projection fails."""
         ref, cons = self._problems(mechs, quants)
         out = _i_project_batch(ref, _CHAIN_AXES, self._alphabets, cons, **_INNER_SOLVER)
         for i, res in enumerate(out):
@@ -951,14 +958,26 @@ def _theorem1_search(p_xy, q_xy, rate, leak, grid_step, pin_identity: bool) -> E
 
     pair = _InnerPair(p, q_xy, kx, u_size)
 
-    # shortlisted pairs are feasible grid points, so only the inner value ranks them
-    best_val, best_theta = -math.inf, None
+    # shortlisted pairs are feasible grid points, so only the inner value
+    # ranks them. Values within round-off of the best tie with it (pairs
+    # that relabel U do), and the first of those in shortlist order is the
+    # start, unless every value ties, as when no feasible grid pair is
+    # informative: the shortlist then ranks nothing, and the start is the
+    # identity pair contracted into the budgets.
     mechs, quants = space.pair(shortlist)
-    for mech, quant, res in zip(mechs, quants, pair.project_many(mechs, quants)):
-        if res is not None and res.min_kl > best_val:
-            best_val, best_theta = res.min_kl, pair.free(mech, quant)
-    if best_theta is None:
+    values = np.array([-math.inf if res is None else res.min_kl
+                       for res in pair.project_many(mechs, quants)])
+    if values.max() == -math.inf:
         raise Infeasible("inner projection failed on every shortlisted pair")
+    tied = values >= values.max() - _TIE
+    best = int(np.argmax(tied))
+    best_val, best_theta = values[best], pair.free(mechs[best], quants[best])
+    if np.count_nonzero(tied) == np.count_nonzero(values > -math.inf):
+        mech, quant, mech_to, quant_to = _tai_starts(pair.p_x, u_size)
+        start = _contract(pair, mech[:1], quant[:1], rate, leak, mech_to[:1], quant_to[:1])
+        value = pair.values(pair.evaluate(start))[0]
+        if value > -1e3:  # its projection did not fail
+            best_val, best_theta = value, start[0]
 
     # the quantizer alone first: a joint pass from the grid point can stop in
     # a worse basin

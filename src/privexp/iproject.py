@@ -1,52 +1,71 @@
 """Information projection onto intersections of fixed-marginal families.
 
-``i_project`` runs cyclic iterative scaling: each step rescales the current
-tensor so one marginal matches its target exactly. For linear
-(fixed-marginal) constraint families this is coordinate ascent on the
-concave dual of the projection problem, so the dual objective is
-nondecreasing step by step and converges to the primal minimum. A sweep
-costs one reduction, one ratio, one in-place rescale and one dual increment
-per constraint. The dual value is recorded every sweep and a decrease
-raises ``InvariantViolation``; the primal value D(iterate || ref), which is
-not monotone in general, is computed once, at convergence.
+``i_project`` runs damped Newton ascent on the concave dual of the
+projection (Csiszar 1975),
 
-Around the sweeps a call does little. The layout of a set of constraints
+    max_lam  sum_c <t_c, lam_c> - log sum R exp(sum_c lam_c),
+
+with one dual per constraint cell, t_c the targets and R the reference.
+The iterate is the distribution p = R exp(A'lam) / Z, where A' sums each
+constraint's duals into the reference cells; the dual's gradient is the
+targets less p's marginals, and its Hessian is A diag(p) A' less a rank-one
+term. A step solves the Hessian system without that term (the solution
+differs only in the direction that shifts every dual of one constraint,
+which does not move p), scaled to a unit diagonal plus a ridge of 1e-12,
+and a backtracking line search halves the step until the dual rises by a
+share of its slope. Near the optimum the steps are full and converge
+quadratically; where the optimum lies on a face of the simplex, and the
+dual optimum is at infinity, the residual falls about e-fold a step. The
+dual value after each step is recorded and a decrease raises
+``InvariantViolation``; the primal value D(iterate || ref) is computed
+once, at convergence.
+
+Before the first step a call drops every cell with a zero reference or
+under a zero target: those cells stay 0, a zero-target cell's dual is
+``-inf``, and a positive target cell left with no cell is a
+``SupportMismatch``. The constraints are redundant (every constraint fixes
+the mass; two constraints may fix one marginal), so the Newton step moves
+only a basis of the duals: in order, each dual whose live cells are
+independent of those before it (``_basis``, cached per support pattern).
+The others keep their start value. A member stops one step after its
+residual, the largest total-variation gap between a constrained marginal
+and its target, first falls within ``tol``, which puts the residual near
+round-off. A member whose residual has not halved in ``PLATEAU_STEPS``
+steps, or that reaches ``max_iter``, is ``Infeasible``.
+
+Around the steps a call does little. The layout of a set of constraints
 (axes to sum out, broadcast shapes, the transposes of the targets) is
 planned once per (axis names, shape, constraint axes) and cached
-(``_plan``), so the Theorem-1 polish, which projects on one layout at every
-iterate, plans nothing. The references and targets of a batch are checked
-with one sum and one minimum per array, and only a batch that fails is
-checked member by member, for the message that names the bad member. The
-primal value and the duals skip their zero-cell masks when every cell is
-positive, with the same sums in the same order. The witness ``argmin`` is
-built, and validated as a ``JointPmf``, only when a caller reads it.
+(``_plan``), and so is the 0/1 matrix A of each layout (``_design``), so
+the Theorem-1 polish, which projects on one layout at every iterate, plans
+nothing. The references and targets of a batch are checked together, with
+one minimum and one sum per member and array, and only a batch that fails
+is checked array by array and member by member, for the message that
+names the bad member. The witness ``argmin`` is built, and validated as a
+``JointPmf``, only when a caller reads it.
 
-The scaling loop (``_scale``) runs on a batch: references and targets
-carry a leading batch axis, and every member shares the reference axes
-and the constraint axes. ``i_project`` is a batch of one, and
-``_i_project_batch`` projects many problems in one call and returns a
-member's failure as a value. The Theorem-1 search makes every projection
-through it: its shortlist in one call and each polish iterate as a batch of
-one; ``zero_rate_exponent`` calls ``i_project``. Every check holds per member:
-references and targets must be distributions (``InvalidDistribution``
-otherwise), and a member leaves the batch when it converges, fails the
-support check before the first sweep, loses support during scaling,
-plateaus or reaches ``max_iter``; the others sweep on. Its dual trace is
-checked when it leaves, so a decrease in any sweep it completed raises
-``InvariantViolation``. A member takes the same sweeps and gets the same
-bits as it would alone, since each member's cells are reduced in the order
-of a lone C-contiguous array. A sweep's dual increment is a dot product
-over all of a constraint's cells, zero-target cells included, and the
-next sweep starts from the first constraint's marginal that the residual
-check has just summed.
+The solver (``_solve``) runs on a batch: references and targets carry a
+leading batch axis, and every member shares the reference axes and the
+constraint axes. ``i_project`` is a batch of one, and ``_i_project_batch``
+projects many problems in one call and returns a member's failure as a
+value. The Theorem-1 search makes every projection through it: its
+shortlist in one call and each polish iterate as a batch of one;
+``zero_rate_exponent`` and ``privexp selftest`` call ``i_project``. Every
+check holds per member: references and targets must be distributions
+(``InvalidDistribution`` otherwise), and a member leaves the batch when it
+converges, fails the support check, plateaus or reaches ``max_iter``; the
+others step on, with stacked Hessian solves and a line search per member.
+Its dual trace is checked when it leaves. A member takes the same steps
+and gets the same bits as it would alone: its rows are reduced, multiplied
+and solved as a lone member's are.
 
-The dual variables are the accumulated natural-log scaling factors, one
-array per constraint in its target layout: the projection is
-``ref * exp(sum of the duals broadcast over the reference axes)``, and
-``sum_c <t_c, duals_c>`` is ``min_kl`` in nats. A cell with zero target has
-dual ``-inf``. Because the projection value is the dual optimum, these are
-its derivatives with respect to the targets (the envelope theorem), which
-the Theorem-1 search uses for its gradient.
+The duals are returned in natural logs, one array per constraint in its
+target layout, with log Z taken into the first constraint's: the projection
+is ``ref * exp(sum of the duals broadcast over the reference axes)``, and
+``sum_c <t_c, duals_c>`` is the last dual value, in nats. A cell with zero
+target has dual ``-inf``. Because the projection value is the dual optimum,
+these are its derivatives with respect to the targets (the envelope
+theorem), which the Theorem-1 search uses for its gradient.
 
 ``brute_force_i_project`` is the independent oracle: it parameterizes the
 feasible polytope explicitly (particular solution plus null-space basis) and
@@ -61,6 +80,9 @@ import math
 from dataclasses import MISSING, dataclass
 
 import numpy as np
+# the stacked LAPACK solve under np.linalg.solve, without its wrapper's
+# checks: a singular matrix gives NaN, which the line search refuses
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from ._kernels import xlogy
 from .errors import (
@@ -83,7 +105,11 @@ __all__ = [
 
 _LOG2E = math.log2(math.e)
 
-PLATEAU_SWEEPS = 100
+PLATEAU_STEPS = 20  # a member whose residual has not halved in this many steps fails
+RIDGE = 1e-12  # added to the unit diagonal of the scaled Newton matrix
+ARMIJO = 1e-4  # the share of the dual's slope a step must gain
+DUAL_NOISE = 1e-14  # round-off of a dual value, which a step may lose
+MAX_HALVINGS = 40  # line-search halvings before a member stays put for a step
 ORACLE_MAX_FREE_DIM = 3
 
 
@@ -136,13 +162,13 @@ class IProjectionResult:
     min_kl: float
     # a JointPmf; the projections build theirs when it is first read
     argmin: JointPmf = _BuiltOnRead()
-    iterations: int
+    iterations: int  # Newton steps
     converged: bool
     residual: float = 0.0
-    # dual ascent certificate, one value per sweep (nondecreasing); the
-    # projections build it, and the duals, when first read
+    # dual ascent certificate, in bits, one value per Newton step
+    # (nondecreasing); the projections build it, and the duals, when first read
     dual_trace: tuple = _BuiltOnRead(())
-    # natural-log scaling factor of each constraint, in its target layout
+    # natural-log dual of each constraint, in its target layout
     duals: tuple = _BuiltOnRead(())
 
 
@@ -202,172 +228,254 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1)
 
 
+@dataclass(frozen=True, eq=False)
+class _Design:
+    """What every Newton step on one constraint layout shares.
+
+    ``M`` is the 0/1 matrix that sums the cells of a reference (rows, in C
+    order) into the cells of the constraints (columns, constraint after
+    constraint, each in its ascending layout), and ``MT`` its transpose;
+    ``starts`` holds the first column of each constraint and ``first`` the
+    end of the first constraint's columns. ``eye`` is the identity of a
+    Newton matrix's size and ``ridged`` is 1 with ``1 + RIDGE`` on the
+    diagonal."""
+
+    M: np.ndarray
+    MT: np.ndarray
+    starts: np.ndarray
+    first: int
+    eye: np.ndarray
+    ridged: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _design(shape: tuple[int, ...], keeps: tuple) -> _Design:
+    """The ``_Design`` of the constraints on the ascending axis ids ``keeps``
+    over a reference of cell ``shape``."""
+    n = math.prod(shape)
+    cells = np.indices(shape).reshape(len(shape), n)
+    blocks, starts = [], [0]
+    for keep in keeps:
+        own = tuple(shape[i] for i in keep)
+        block = np.zeros((n, math.prod(own)))
+        block[np.arange(n), np.ravel_multi_index(tuple(cells[i] for i in keep), own)
+              if keep else 0] = 1.0
+        blocks.append(block)
+        starts.append(starts[-1] + block.shape[1])
+    M = np.hstack(blocks)
+    m = M.shape[1]
+    return _Design(M, np.ascontiguousarray(M.T), np.array(starts[:-1]), starts[1],
+                   np.eye(m), 1.0 + RIDGE * np.eye(m))
+
+
+@functools.lru_cache(maxsize=1024)
+def _basis(shape: tuple[int, ...], keeps: tuple, live: bytes) -> np.ndarray:
+    """The duals that the Newton step moves: the columns of ``_design``'s
+    ``M``, restricted to the ``live`` cells (one byte per cell), that are
+    independent of the columns before them. The others are redundant, since
+    every constraint fixes the mass and two constraints may fix one
+    marginal, or have no live cell; they stay where they are."""
+    cols = _design(shape, keeps).M[np.frombuffer(live, dtype=bool)]
+    kept = np.zeros(cols.shape[1], dtype=bool)
+    basis = np.empty((cols.shape[0], 0))
+    for j, col in enumerate(cols.T):
+        size = np.linalg.norm(col)
+        if not size:
+            continue
+        for _ in range(2):  # Gram-Schmidt, twice for round-off
+            col = col - basis @ (basis.T @ col)
+        rest = np.linalg.norm(col)
+        if rest > 1e-8 * size:
+            kept[j] = True
+            basis = np.column_stack([basis, col / rest])
+    return kept
+
+
 def _check_dual(trace: np.ndarray) -> None:
-    """Raise ``InvariantViolation`` at the first sweep whose dual value fell by more than 1e-8."""
+    """Raise ``InvariantViolation`` at the first step whose dual value fell by more than 1e-8."""
     fell = np.flatnonzero(~(trace[1:] >= trace[:-1] - 1e-8))
     if fell.size:
-        sweep = int(fell[0]) + 2
+        step = int(fell[0]) + 2
         raise InvariantViolation(
-            f"dual certificate decreased at sweep {sweep}: "
-            f"{trace[sweep - 2]} -> {trace[sweep - 1]}"
+            f"dual certificate decreased at step {step}: "
+            f"{trace[step - 2]} -> {trace[step - 1]}"
         )
 
 
-def _scale(ref: np.ndarray, views, tol: float, max_iter: int) -> list:
-    """Cyclic iterative scaling of a batch of references under one constraint layout.
+def _support(R: np.ndarray, t: np.ndarray, design: _Design, keeps, out: list):
+    """The live cells of each member, or None when every cell of every
+    member is live: positive reference, and no zero target among the
+    constraint cells they sum into. A member with a positive target cell
+    that has no reference mass, or no live cell, gets its
+    ``SupportMismatch`` in ``out``."""
+    if np.count_nonzero(R) == R.size and np.count_nonzero(t) == t.size:
+        return None
+    live = (R > 0) & ((t <= 0).astype(float) @ design.MT == 0)
+    for cells, why in ((R > 0, "requires mass outside the reference support"),
+                       (live, "lost support to the zero targets of the others; constraints "
+                              "are jointly unsatisfiable on this reference")):
+        short = (t > 0) & (cells.astype(float) @ design.M == 0)
+        for i in np.flatnonzero(short.any(axis=1)):
+            col = np.flatnonzero(short[i])[0]
+            keep = keeps[np.searchsorted(design.starts, col, side="right") - 1]
+            out[i] = out[i] or SupportMismatch(f"constraint on axes {keep} {why}")
+    return live
+
+
+def _solve(ref: np.ndarray, views, tol: float, max_iter: int) -> list:
+    """Damped Newton ascent on the dual of a batch of projections that share
+    one constraint layout.
 
     ``ref`` and every view's targets carry a leading batch axis. Each member
-    runs exactly the sweeps it would run alone and leaves the batch when it
-    converges, loses support, plateaus or reaches ``max_iter``. Returns one
-    entry per member: (projection, log2 scaling factor per constraint in
-    its broadcast shape, sweeps, residual, dual trace), or the
+    runs exactly the steps it would run alone and leaves the batch when it
+    converges, plateaus or reaches ``max_iter``. Returns one entry per
+    member: (projection, natural-log duals as one row over the columns of
+    ``_design``'s ``M``, steps, residual, dual trace), or the
     SupportMismatch or Infeasible that ended it. A member whose dual value
-    fell during the sweeps it completed raises ``InvariantViolation`` when
-    it leaves.
+    fell during its steps raises ``InvariantViolation`` when it leaves.
     """
-    keeps, drops = [v[0] for v in views], [v[1] for v in views]
-    # Members sit on the leading axis of C-contiguous arrays, so every
-    # reduction sums each member's cells in the order of a lone C array and
-    # a member gets the same bits in any batch. Targets, their positive
-    # cells and the log2 scaling factors are kept in broadcast shape.
-    target = [np.ascontiguousarray(targets).reshape(bshape) for _, _, bshape, targets, _ in views]
-    pos = [t > 0 for t in target]
+    keeps = tuple(v[0] for v in views)
+    shape = ref.shape[1:]
+    design = _design(shape, keeps)
+    M, first = design.M, design.first
+    t = np.concatenate([_rows(np.ascontiguousarray(v[3])) for v in views], axis=1)
+    R = np.ascontiguousarray(_rows(ref))
     out: list = [None] * len(ref)
-    for keep, drop, p in zip(keeps, drops, pos):
-        short = p & (np.add.reduce(ref, axis=drop, keepdims=True) <= 0)
-        # np.count_nonzero is much cheaper than .all() or .any() on tiny arrays
-        if np.count_nonzero(short):
-            for i in np.flatnonzero(_rows(short).any(axis=1)):
-                out[i] = out[i] or SupportMismatch(
-                    f"constraint on axes {keep} requires mass outside the reference support"
-                )
+    live = _support(R, t, design, keeps, out)
     ids = np.array([i for i, o in enumerate(out) if o is None], dtype=int)
-    n = ids.size
-    if not n:
+    if not ids.size:
         return out
-    if n == len(ref):
-        P = np.array(ref, order="C")
+    if ids.size < len(ref):
+        R, t, live = R[ids], t[ids], live[ids]
+    if live is None:
+        free = _basis(shape, keeps, b"\1" * R.shape[1])[None]
     else:
-        P = np.array(ref[ids], order="C")
-        target = [t[ids] for t in target]
-        pos = [p[ids] for p in pos]
-    trows = [_rows(t) for t in target]
-    # 1 where a target is zero, where the ratio is 0: log2(ratio + fill)
-    # makes the step 0 there without a warning
-    fills = [None if np.count_nonzero(p) == p.size else np.where(p, 0.0, 1.0) for p in pos]
-    log2_scales = [np.zeros(t.shape) for t in target]
-    dual = np.zeros(n)
-    trace = np.empty((n, min(int(max_iter), 64)))
-    best = np.full(n, math.inf)
-    last = np.zeros(n, dtype=int)  # sweep of the last residual improvement
+        masks = [_basis(shape, keeps, row.tobytes()) for row in live]
+        # members that share their moving duals share one row
+        free = masks[0][None] if all(m is masks[0] for m in masks) else np.stack(masks)
+    # the Newton matrix is H * keep + fixed: the rows and columns of the
+    # moving duals, their diagonal raised by the ridge, and 1 on the
+    # diagonal of the others
+    freef = free.astype(float)
+    keep = freef[:, :, None] * freef[:, None, :] * design.ridged
+    fixed = design.eye * (1.0 - freef)[:, None, :]
 
-    first = None  # the first constraint's marginal, kept from the residual check
-    for sweep in range(1, int(max_iter) + 1):
-        lost = None
-        for keep, drop, t, trow, p, fill, lam in zip(
-            keeps, drops, target, trows, pos, fills, log2_scales
-        ):
-            if first is None:
-                cur = np.add.reduce(P, axis=drop, keepdims=True)
-            else:
-                cur, first = first, None
-            if np.count_nonzero(cur) == cur.size:
-                ratio = t / cur
-            else:
-                empty = p & (cur <= 0)
-                if np.count_nonzero(empty):
-                    gone = _rows(empty).any(axis=1)
-                    lost = gone if lost is None else lost | gone
-                    for i in ids[gone]:
-                        out[i] = out[i] or SupportMismatch(
-                            f"constraint on axes {keep} lost support during scaling; "
-                            "constraints are jointly unsatisfiable on this reference"
-                        )
-                ratio = np.where(cur > 0, t / np.where(cur > 0, cur, 1.0), 0.0)
-                if lost is not None:
-                    ratio[lost] = 1.0  # a member that lost support stays put
-            P *= ratio
-            step = np.log2(ratio if fill is None else ratio + fill)
-            dual += np.vecdot(trow, step.reshape(n, -1))
-            lam += step
-
-        resid = None
-        for drop, t in zip(drops, target):
-            marginal = np.add.reduce(P, axis=drop, keepdims=True)
-            r = np.add.reduce(np.abs(marginal - t).reshape(n, -1), axis=1)
-            if resid is None:
-                resid, first = r, marginal
-            else:
-                resid = np.maximum(resid, r)
-        resid *= 0.5
-        if sweep > trace.shape[1]:
-            trace = np.concatenate([trace, np.empty_like(trace)], axis=1)
-        trace[:, sweep - 1] = dual
-
-        done = resid <= tol
-        better = resid < best - 1e-14
-        if np.count_nonzero(better) == n:
-            best = resid
-            last.fill(sweep)
-            leave = done
-        else:
-            np.copyto(best, resid, where=better)
-            last[better] = sweep
-            leave = done | (sweep - last >= PLATEAU_SWEEPS)
-        if lost is not None:
-            leave = leave | lost
-        if not np.count_nonzero(leave):
-            continue
-        for k in np.flatnonzero(leave):
-            i = ids[k]
-            if out[i] is not None:  # lost support during this sweep
-                _check_dual(trace[k, :sweep - 1])
-                continue
-            _check_dual(trace[k, :sweep])
-            if done[k]:
-                out[i] = (P[k], [lam[k] for lam in log2_scales], sweep, float(resid[k]),
-                          trace[k, :sweep])
-            else:
-                out[i] = Infeasible(
-                    f"residual plateaued at {resid[k]:.3e} > tol={tol:.1e} "
-                    f"after {sweep} sweeps"
-                )
-        stay = ~leave
-        if not np.count_nonzero(stay):
-            return out
-        ids, P, first, dual, trace, best, last = (
-            a[stay] for a in (ids, P, first, dual, trace, best, last)
-        )
-        target = [t[stay] for t in target]
-        trows = [_rows(t) for t in target]
-        pos = [p[stay] for p in pos]
-        fills = [None if f is None else f[stay] for f in fills]
-        log2_scales = [lam[stay] for lam in log2_scales]
+    # log 0 and an overflowing trial step are inf, which the line search refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the duals start at 0, less log Z on the first constraint, so that the
+        # iterate p = R exp(A'lam) is a distribution; ``shift`` keeps log Z
+        s = np.log(R) if live is None else np.where(live, np.log(R), -np.inf)
+        e = np.exp(s)
+        Z = np.add.reduce(e, axis=1)
+        shift = np.log(Z)
+        s -= shift[:, None]
+        p = e / Z[:, None]
+        dual0 = -shift
+        lam = np.zeros(t.shape)
         n = ids.size
+        width = min(int(max_iter), 16) + 1
+        gains = np.empty((n, width))  # the dual's rise at each step
+        hist = np.empty((n, width))  # twice the residual before each step
+        armed = None
+        steps = 0
+        while True:
+            H = design.MT @ (p[:, :, None] * M)
+            a = H.diagonal(0, 1, 2)  # the constrained marginals
+            g = t - a
+            err = np.add.reduceat(np.abs(g), design.starts, axis=1).max(axis=1)
+            within = err <= 2.0 * tol
+            if steps == hist.shape[1]:
+                gains, hist = (np.concatenate([x, np.empty_like(x)], axis=1) for x in (gains, hist))
+            hist[:, steps] = err
+            if steps:
+                done = armed & within
+                leave = done
+                if steps >= PLATEAU_STEPS:  # the residual has not halved in that many steps
+                    leave = leave | ~(err <= 0.5 * hist[:, steps - PLATEAU_STEPS])
+                if steps >= max_iter:
+                    leave = np.ones(n, dtype=bool)
+                if np.count_nonzero(leave):
+                    for k in np.flatnonzero(leave):
+                        trace = (dual0[k] + np.cumsum(gains[k, :steps])) * _LOG2E
+                        _check_dual(trace)
+                        resid = 0.5 * err[k]
+                        if done[k]:
+                            duals = lam[k].copy()
+                            duals[:first] -= shift[k]
+                            out[ids[k]] = (p[k].reshape(shape), duals, steps, float(resid), trace)
+                        elif steps >= max_iter:
+                            out[ids[k]] = Infeasible(
+                                f"not converged after {max_iter} steps: residual "
+                                f"{resid:.3e}, tol={tol:.1e} and one more step")
+                        else:
+                            out[ids[k]] = Infeasible(
+                                f"residual plateaued at {resid:.3e} > tol={tol:.1e} "
+                                f"after {steps} steps")
+                    stay = ~leave
+                    if not np.count_nonzero(stay):
+                        return out
+                    ids, t, s, p, H, a, g, within, lam, shift, dual0, gains, hist = (
+                        x[stay] for x in (ids, t, s, p, H, a, g, within, lam, shift, dual0, gains,
+                                          hist))
+                    if len(freef) > 1:
+                        freef, keep, fixed = freef[stay], keep[stay], fixed[stay]
+                    n = ids.size
+            # a member takes one more step once its residual is within tol
+            armed = within
 
-    for k, i in enumerate(ids):
-        _check_dual(trace[k, :sweep])
-        out[i] = Infeasible(f"residual {best[k]:.3e} still above tol after {max_iter} sweeps")
-    return out
+            # the Newton step on the moving duals, scaled to a unit diagonal
+            rs = 1.0 / np.sqrt(np.maximum(a, 1e-300))
+            d = _lapack_solve(H * keep * rs[:, :, None] * rs[:, None, :] + fixed, g * rs * freef,
+                              signature="dd->d") * rs
+            w = np.matmul(M, d[..., None])[..., 0]  # the step summed into each cell
+            td, gd = np.vecdot(t, d), np.vecdot(g, d)
 
-
-def _duals(targets: np.ndarray, lam: np.ndarray, restore: tuple) -> np.ndarray:
-    """One member's natural-log scaling factors in its target's own layout,
-    ``-inf`` on zero-target cells."""
-    dual = lam.reshape(targets.shape) / _LOG2E
-    if np.count_nonzero(targets) < targets.size:
-        dual = np.where(targets > 0, dual, -np.inf)
-    return np.transpose(dual, restore)
+            # a full step, unless the dual rises by less than a share of its slope
+            s_new = s + w
+            e = np.exp(s_new)
+            Z = np.add.reduce(e, axis=1)
+            logz = np.log(Z)
+            gain = td - logz
+            ok = gain >= ARMIJO * gd - DUAL_NOISE
+            if np.count_nonzero(ok) < n:
+                alpha, r = np.ones(n), np.flatnonzero(~ok)
+                for _ in range(MAX_HALVINGS):
+                    alpha[r] *= 0.5
+                    s_new[r] = s[r] + alpha[r, None] * w[r]
+                    e[r] = np.exp(s_new[r])
+                    Z[r] = np.add.reduce(e[r], axis=1)
+                    logz[r] = np.log(Z[r])
+                    gain[r] = alpha[r] * td[r] - logz[r]
+                    r = r[~(gain[r] >= ARMIJO * alpha[r] * gd[r] - DUAL_NOISE)]
+                    if not r.size:
+                        break
+                # no step raises the dual: the member stays put
+                alpha[r], s_new[r], e[r], Z[r], logz[r], gain[r] = 0.0, s[r], p[r], 1.0, 0.0, 0.0
+                d = d * alpha[:, None]
+            gains[:, steps] = gain
+            s = s_new - logz[:, None]
+            p = e / Z[:, None]
+            lam += d
+            shift += logz
+            steps += 1
 
 
 def _listed(trace: np.ndarray) -> tuple:
     return tuple(trace.tolist())
 
 
-def _member_duals(views, i: int, log2_scales) -> tuple:
-    """Member ``i``'s duals, one per constraint of ``views``."""
-    return tuple(_duals(targets[i], lam, restore)
-                 for (_, _, _, targets, restore), lam in zip(views, log2_scales))
+def _member_duals(views, i: int, lam: np.ndarray) -> tuple:
+    """Member ``i``'s duals, one per constraint of ``views``, each in its
+    target's own layout, ``-inf`` on zero-target cells."""
+    duals, lo = [], 0
+    for _, _, _, targets, restore in views:
+        target = targets[i]
+        dual = lam[lo:lo + target.size].reshape(target.shape)
+        lo += target.size
+        if np.count_nonzero(target) < target.size:
+            dual = np.where(target > 0, dual, -np.inf)
+        duals.append(np.transpose(dual, restore))
+    return tuple(duals)
 
 
 def _project(names, alphabets, ref: np.ndarray, constraints, tol: float, max_iter: int) -> list:
@@ -380,21 +488,20 @@ def _project(names, alphabets, ref: np.ndarray, constraints, tol: float, max_ite
     if not views:
         return [IProjectionResult(0.0, functools.partial(JointPmf, r, names, alphabets),
                                   0, True, 0.0, (), ()) for r in ref]
-    out = _scale(ref, views, tol, max_iter)
+    out = _solve(ref, views, tol, max_iter)
     for i, member in enumerate(out):
         if isinstance(member, ToolkitError):
             continue
-        P, log2_scales, sweeps, resid, trace = member
-        total = P.sum()
-        P = P / total  # guards float drift only; mass is 1 by construction
+        P, lam, steps, resid, trace = member
+        P = P / P.sum()  # guards float drift only; the iterate is normalized
         out[i] = IProjectionResult(
             min_kl=_kl_bits(P.reshape(-1), ref[i].reshape(-1)),
             argmin=functools.partial(JointPmf, P, names, alphabets),
-            iterations=sweeps,
+            iterations=steps,
             converged=True,
             residual=resid,
             dual_trace=functools.partial(_listed, trace),
-            duals=functools.partial(_member_duals, views, i, log2_scales),
+            duals=functools.partial(_member_duals, views, i, lam),
         )
     return out
 
@@ -415,13 +522,15 @@ def i_project(
     reference: JointPmf,
     constraints,
     tol: float = 1e-9,
-    max_iter: int = 100_000,
+    max_iter: int = 1_000,
 ) -> IProjectionResult:
     """Minimize D(P || reference) over all P matching the constraint marginals.
 
-    Raises SupportMismatch when a constraint needs mass where the reference
-    marginal has none, and Infeasible when residuals stop shrinking above
-    ``tol`` (contradictory constraints) or ``max_iter`` sweeps pass.
+    Raises SupportMismatch when a constraint needs mass where the reference,
+    less the cells under zero targets, has none, and Infeasible when the
+    residual stops shrinking above ``tol`` (contradictory constraints, or an
+    optimum on a face that Newton steps do not reach) or ``max_iter`` Newton
+    steps pass.
     """
     _number(tol, "tol", 0, math.inf, lo_open=True, hi_open=True)
     _count(max_iter, "max_iter", 1)
@@ -451,19 +560,34 @@ def _check_members(w: np.ndarray, what: str) -> None:
         _check_weights(rows[b], f"{what}, batch member {b}")
 
 
+def _all_fit(refs: np.ndarray, checked) -> bool:
+    """Whether every (axes, targets) pair of ``checked`` stacks one target
+    per reference and every member of ``refs`` and of the targets is a
+    distribution, from one minimum and one sum per member and array."""
+    arrays = [refs, *(targets for _, targets in checked)]
+    if not all(t.ndim == len(axes) + 1 and len(t) == len(refs) and t[0].size
+               for axes, t in checked):
+        return False
+    sizes = [a[0].size for a in arrays]
+    rows = np.concatenate([_rows(a) for a in arrays], axis=1)
+    with np.errstate(all="ignore"):
+        return bool(rows.min() >= 0.0 and np.abs(
+            np.add.reduceat(rows, np.cumsum([0, *sizes[:-1]]), axis=1) - 1.0).max() <= MASS_ATOL)
+
+
 def _i_project_batch(
     refs: np.ndarray,
     names: tuple[str, ...],
     alphabets: tuple,
     constraints,
     tol: float = 1e-9,
-    max_iter: int = 100_000,
+    max_iter: int = 1_000,
 ) -> list:
     """``i_project`` of a batch of references that share axes and constraint axes.
 
     ``refs`` stacks the references on a leading axis, and ``constraints``
     are (axes, targets) pairs whose targets stack one target per member.
-    Every member gets the same sweeps and the same bits as its own
+    Every member gets the same steps and the same bits as its own
     ``i_project`` call. Returns one entry per member: its
     ``IProjectionResult``, or the ``SupportMismatch`` or ``Infeasible``
     that ended it (returned, not raised). A member that is not a
@@ -474,17 +598,16 @@ def _i_project_batch(
     refs = np.asarray(refs, dtype=float)
     if refs.ndim < 3:
         raise DimensionMismatch(f"a batch of references needs >= 3 axes, got {refs.shape}")
-    _check_members(refs, "reference")
-    checked = []
-    for axes, targets in constraints:
-        targets = np.asarray(targets, dtype=float)
-        if targets.ndim != len(axes) + 1 or len(targets) != len(refs):
-            raise DimensionMismatch(
-                f"constraint on {tuple(axes)}: targets of shape {targets.shape} "
-                f"for {len(refs)} references"
-            )
-        _check_members(targets, f"constraint target {tuple(axes)}")
-        checked.append((tuple(axes), targets))
+    checked = [(tuple(axes), np.asarray(targets, dtype=float)) for axes, targets in constraints]
+    if not _all_fit(refs, checked):  # find the first failure, in the order of the checks
+        _check_members(refs, "reference")
+        for axes, targets in checked:
+            if targets.ndim != len(axes) + 1 or len(targets) != len(refs):
+                raise DimensionMismatch(
+                    f"constraint on {axes}: targets of shape {targets.shape} "
+                    f"for {len(refs)} references"
+                )
+            _check_members(targets, f"constraint target {axes}")
     return _project(tuple(names), tuple(alphabets), refs, checked, tol, max_iter)
 
 

@@ -1,4 +1,4 @@
-"""I-projection: iterative scaling against the exhaustive grid oracle."""
+"""I-projection: damped Newton on the dual against the exhaustive grid oracle."""
 
 import math
 
@@ -24,7 +24,7 @@ from privexp import (
     i_project,
     kl_divergence,
 )
-from privexp import probcore
+from privexp import iproject, probcore
 from privexp.iproject import _i_project_batch
 
 REF = np.array([[0.28, 0.42], [0.18, 0.12]])
@@ -290,7 +290,7 @@ def test_a_projection_builds_its_witness_when_it_is_read(monkeypatch):
     assert (witness.axes, witness.alphabets) == (ref.axes, ref.alphabets)
     # the bits the witness had when it was built with every projection
     assert [float(v).hex() for v in witness.probs.reshape(-1)] == [
-        "0x1.999999999999ap-3", "0x1.3333333333333p-2", "0x1.3333333333333p-2",
+        "0x1.9999999999999p-3", "0x1.3333333333333p-2", "0x1.3333333333334p-2",
         "0x1.999999999999ap-3"]
 
 
@@ -377,29 +377,33 @@ def test_a_member_with_contradictory_targets_plateaus_alone():
 
 
 def test_a_member_that_loses_support_during_scaling_leaves_alone():
-    # member 0 passes the support check, but X -> [1, 0] empties the Y = 1
-    # column of its diagonal reference, which Y -> [.5, .5] needs
+    # member 0 has reference mass under every positive target cell, but
+    # X -> [1, 0] empties the Y = 1 column of its diagonal reference, which
+    # Y -> [.5, .5] needs; the solver drops zero-target cells before its
+    # first step and finds this then
     refs = np.stack([np.diag([0.5, 0.5]), REF])
     constraints = [(("X",), np.array([[1.0, 0.0], [0.5, 0.5]])),
                    (("Y",), np.full((2, 2), 0.5))]
     batch = _i_project_batch(refs, ("X", "Y"), (), constraints)
     assert isinstance(batch[0], SupportMismatch)
-    assert "lost support during scaling" in str(batch[0])
+    assert str(batch[0]) == ("constraint on axes (1,) lost support to the zero targets of the "
+                             "others; constraints are jointly unsatisfiable on this reference")
     assert batch[1].converged
     assert_same_outcomes(batch, one_at_a_time(refs, ("X", "Y"), constraints))
 
 
 def test_a_member_at_the_sweep_cap_is_infeasible():
-    # the pairwise marginals of a random 2x2x2 law take 14 sweeps from the
-    # uniform reference; the law itself meets them at once
+    # the pairwise marginals of a random 2x2x2 law take 9 Newton steps from
+    # the uniform reference (cyclic scaling took 14 sweeps); the law itself
+    # meets them at once and takes its one more step
     law = np.random.default_rng(0).dirichlet(np.ones(8)).reshape(2, 2, 2)
     refs = np.stack([np.full((2, 2, 2), 1 / 8), law])
     constraints = [(names, np.stack([law.sum(axis=drop)] * 2))
                    for names, drop in ((("A", "B"), 2), (("A", "C"), 1), (("B", "C"), 0))]
-    assert _i_project_batch(refs, ("A", "B", "C"), (), constraints)[0].iterations == 14
+    assert _i_project_batch(refs, ("A", "B", "C"), (), constraints)[0].iterations == 9
     batch = _i_project_batch(refs, ("A", "B", "C"), (), constraints, max_iter=3)
     assert isinstance(batch[0], Infeasible)
-    assert str(batch[0]).endswith("still above tol after 3 sweeps")
+    assert str(batch[0]).startswith("not converged after 3 steps: residual 7.335e-03")
     assert batch[1].converged
     assert_same_outcomes(batch, one_at_a_time(refs, ("A", "B", "C"), constraints, max_iter=3))
 
@@ -421,14 +425,16 @@ def test_a_bad_member_is_an_invalid_distribution(where, value, match):
 
 
 def test_a_falling_dual_raises_when_its_member_leaves(monkeypatch):
-    # make every dual increment -1: the trace reads -2, -4, ... over two
-    # constraints, and the first decrease is reported, alone or in a batch
-    ref, constraints = random_instance(np.random.default_rng(7), (2, 3))
+    # a line search that takes every full Newton step: on this instance the
+    # second step overshoots and the dual falls, and the first decrease is
+    # reported, alone or in a batch
+    ref, constraints = random_instance(np.random.default_rng(1), (2, 3))
     assert i_project(ref, constraints).iterations > 2
-    monkeypatch.setattr(np, "vecdot", lambda a, b: -np.ones(len(a)))
-    with pytest.raises(InvariantViolation, match=r"decreased at sweep 2: -2.0 -> -4.0$"):
+    monkeypatch.setattr(iproject, "ARMIJO", -math.inf)
+    match = r"decreased at step 2: -1.32486375807\d* -> -401.17106041\d*$"
+    with pytest.raises(InvariantViolation, match=match):
         i_project(ref, constraints)
-    with pytest.raises(InvariantViolation, match=r"decreased at sweep 2: -2.0 -> -4.0$"):
+    with pytest.raises(InvariantViolation, match=match):
         _i_project_batch(np.stack([ref.probs] * 2), ("X", "Y"), (),
                          [(c.axes, np.stack([c.target] * 2)) for c in constraints])
 
@@ -454,3 +460,43 @@ def test_batch_targets_must_stack_one_per_member():
 def test_malformed_constraints_are_refused(build, match):
     with pytest.raises(DimensionMismatch, match=f"^{match}"):
         build()
+
+
+def theorem1_inner_problems(rng, members: int):
+    """Random Theorem-1 inner problems on one layout: reference chains
+    Q(x,y) mech(x,h) quant(h,u) and the targets of the null chain's P, with
+    |U| = |X| + 2 and about a fifth of the channel entries 0."""
+    kx, ky = (int(k) for k in rng.integers(2, 4, size=2))
+    ku = kx + 2
+    p = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
+    q = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
+
+    def channels(rows, cols):
+        w = rng.dirichlet(np.ones(cols), size=(members, rows))
+        w *= rng.random((members, rows, cols)) > 0.2
+        w[..., -1] += w.sum(axis=-1) == 0  # a row that lost every entry sends all to the last
+        return w / w.sum(axis=-1, keepdims=True)
+
+    mech, quant = channels(kx, kx), channels(kx, ku)
+    null = np.einsum("nhu,nxh,xy->nuhxy", quant, mech, p)
+    refs = np.einsum("nhu,nxh,xy->nuhxy", quant, mech, q)
+    constraints = [(("X",), np.broadcast_to(p.sum(axis=1), (members, kx))),
+                   (("U", "Y"), null.sum(axis=(2, 3))),
+                   (("U", "Xh"), null.sum(axis=(3, 4)))]
+    return refs, constraints
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_theorem1_inner_projections_meet_tol_and_their_dual(seed):
+    # every member converges; its residual is within tol, its primal value
+    # is its last dual value, and a zero-target cell has dual -inf
+    refs, constraints = theorem1_inner_problems(np.random.default_rng(seed), 6)
+    for tol in (1e-9, 1e-13):
+        for i, res in enumerate(_i_project_batch(refs, ("U", "Xh", "X", "Y"), (), constraints,
+                                                 tol=tol)):
+            assert isinstance(res, IProjectionResult), (i, res)
+            assert res.converged and res.residual <= tol
+            assert res.min_kl == pytest.approx(res.dual_trace[-1], abs=1e-12)
+            for (_, targets), lam in zip(constraints, res.duals):
+                assert np.all(np.isneginf(lam) == (targets[i] == 0))

@@ -90,6 +90,17 @@ def test_corollary2_is_at_least_theorem1(law, rate, leak):
     assert corollary2_bound(joint(p), joint(q), rate).theta >= bound - 1e-9
 
 
+@pytest.mark.parametrize("rate, leak", POINTS)
+def test_corollary2_is_at_least_theorem1_against_the_reversed_law(rate, leak):
+    # the 2x2 law against itself reversed in both axes, where both bounds
+    # read 0.540603 at every point; cyclic scaling, solved to 1e-9, once put
+    # Corollary 2 up to 2.42e-9 below Theorem 1 here
+    p = LAWS["2x2"]
+    q = p[::-1, ::-1]
+    bound = theorem1_lower_bound(joint(p), joint(q), rate, leak).theta
+    assert corollary2_bound(joint(p), joint(q), rate).theta >= bound - 1e-9
+
+
 @pytest.mark.parametrize("rate, leak", [*POINTS, (0.0, 0.0)])
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_the_returned_witness_obeys_data_processing(law, rate, leak):
