@@ -119,26 +119,21 @@ def _emit_manifest(args: argparse.Namespace, started: float) -> None:
 
 
 class _Method(NamedTuple):
-    """An exponent method: the flags it needs, whether it is a search (and
-    takes ``--grid-step``) and its call, which gets the needed values in
-    order (laws loaded), and ``grid_step`` by keyword when the flag is given."""
+    """An exponent method: the flags it needs and its call, which gets the
+    needed values in order (laws loaded)."""
 
     needs: tuple[str, ...]
-    searches: bool
     call: Callable  # a lambda, so that it finds the module's names at call time
 
 
 _METHODS = {
-    "thm1": _Method(("--null", "--alt", "--rate", "--leak"), True,
-                    lambda *a, **k: theorem1_lower_bound(*a, **k)),
-    "tai": _Method(("--null", "--rate", "--leak"), False, lambda *a: tai_exponent(*a)),
-    "bsc": _Method(("--null", "--rate", "--leak"), False,
-                   lambda *a: symmetric_tai_exponent(*a)),
-    "zero-rate": _Method(("--null", "--alt"), False, lambda *a: zero_rate_exponent(*a)),
-    "binary": _Method(("--q", "--rate", "--leak"), False,
-                      lambda *a: binary_tai_exponent(*a)),
-    "cor2": _Method(("--null", "--alt", "--rate"), True,
-                    lambda *a, **k: corollary2_bound(*a, **k)),
+    "thm1": _Method(("--null", "--alt", "--rate", "--leak"),
+                    lambda *a: theorem1_lower_bound(*a)),
+    "tai": _Method(("--null", "--rate", "--leak"), lambda *a: tai_exponent(*a)),
+    "bsc": _Method(("--null", "--rate", "--leak"), lambda *a: symmetric_tai_exponent(*a)),
+    "zero-rate": _Method(("--null", "--alt"), lambda *a: zero_rate_exponent(*a)),
+    "binary": _Method(("--q", "--rate", "--leak"), lambda *a: binary_tai_exponent(*a)),
+    "cor2": _Method(("--null", "--alt", "--rate"), lambda *a: corollary2_bound(*a)),
 }
 # the methods whose needs the sweep subcommand's flags cover
 _SWEEP_METHODS = [m for m, e in _METHODS.items()
@@ -150,17 +145,15 @@ def _flag_value(args, flag: str):
     return getattr(args, flag[2:].replace("-", "_"), None)
 
 
-def _method_inputs(args) -> tuple[_Method, dict, dict]:
-    """The method's entry, its call's arguments keyed by flag, in order, and
-    its keyword arguments: ``grid_step`` when ``--grid-step`` is given.
+def _method_inputs(args) -> tuple[_Method, dict]:
+    """The method's entry and its call's arguments keyed by flag, in order.
 
-    A flag the entry does not take is refused, ``--grid-step`` first, and
-    then a needed flag that is missing; laws are loaded last.
+    A flag the entry does not take is refused, and then a needed flag that
+    is missing; laws are loaded last.
     """
     method = _METHODS[args.method]
-    takes = method.needs + (("--grid-step",) if method.searches else ())
-    for flag in ("--grid-step", "--q", "--null", "--alt", "--rate", "--leak"):
-        if _flag_value(args, flag) is not None and flag not in takes:
+    for flag in ("--q", "--null", "--alt", "--rate", "--leak"):
+        if _flag_value(args, flag) is not None and flag not in method.needs:
             raise DomainError(f"{flag} does not apply to method {args.method!r}")
     values = {flag: _flag_value(args, flag) for flag in method.needs}
     for flag, value in values.items():
@@ -169,24 +162,23 @@ def _method_inputs(args) -> tuple[_Method, dict, dict]:
     for flag in ("--null", "--alt"):
         if flag in values:
             values[flag] = _load_joint(values[flag])
-    search = {} if args.grid_step is None else {"grid_step": args.grid_step}
-    return method, values, search
+    return method, values
 
 
 def _cmd_exponent(args) -> dict:
-    method, values, search = _method_inputs(args)
-    res = method.call(*values.values(), **search)
+    method, values = _method_inputs(args)
+    res = method.call(*values.values())
     body = {"theta_bits": res} if isinstance(res, float) else res.to_dict()
     return {"method": args.method, **body}
 
 
 def _cmd_sweep(args) -> tuple[list[str], list[tuple]]:
-    method, values, search = _method_inputs(args)
+    method, values = _method_inputs(args)
     leaks = _parse_values(args.leak)
     rows = []
     for r in _parse_values(args.rate):
         for l in leaks:
-            res = method.call(*{**values, "--rate": r, "--leak": l}.values(), **search)
+            res = method.call(*{**values, "--rate": r, "--leak": l}.values())
             rows.append((r, l, res if isinstance(res, float) else res.theta))
     return ["rate", "leak", "theta_bits"], rows
 
@@ -298,10 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_search(p):
-        p.add_argument("--grid-step", type=float, default=None,
-                       help="grid step of the grid searches (thm1, cor2)")
-
     p = sub.add_parser("exponent", help="single exponent query")
     p.add_argument("--method", required=True, choices=list(_METHODS))
     p.add_argument("--null", help="JSON file with the null joint law")
@@ -310,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leak", type=float)
     p.add_argument("--q", type=float, help="crossover for the binary method")
     p.add_argument("--out")
-    common_search(p)
     p.set_defaults(func=_cmd_exponent)
 
     p = sub.add_parser("sweep", help="exponent curves as CSV")
@@ -320,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float)
     p.add_argument("--null")
     p.add_argument("--out")
-    common_search(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("approx", help="closed form vs quadratic approximation")

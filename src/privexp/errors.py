@@ -60,7 +60,7 @@ class SupportMismatch(ToolkitError):
 
 class TooLarge(ToolkitError):
     """Problem exceeds a size cap: the exhaustive I-projection oracle's free
-    dimension, a channel search grid of more than 2**26 pairs, or the
+    dimension, a channel search on more than five source symbols, or the
     simulator's batch, trial, fixed-codebook or table cap (``SizeOverflow``)."""
 
 

@@ -28,12 +28,12 @@ batch and polishes the best pair, the quantizer alone and then both
 channels. ``symmetric_tai_exponent`` searches nothing: the optimum over
 pairs of binary symmetric channels is two root solves.
 
-Sizes, grid budgets and the shortlist are fixed per method; the Theorem-1
-searches' one setting is their ``grid_step``. Grids are cached per (law,
-cardinality, step, budgets) and built in blocks of whole mechanisms
-(``_BLOCK_CELLS``). Infinite budgets are accepted. |X| >= 6 is refused with
-``TooLarge``: its grid exceeds 2**26 pairs, and the independence search
-keeps that domain (``_TAI_MAX_X``).
+No search takes a setting. Sizes, grid budgets and the shortlist are fixed
+per method, and a channel grid takes the finest lattice, up to eighths, that
+fits its budget (``_lattice``). Grids are cached per (law, cardinality,
+budgets) and built in blocks of whole mechanisms (``_BLOCK_CELLS``).
+Infinite budgets are accepted. Every search refuses |X| > ``_MAX_X`` = 5
+with ``TooLarge`` (``_source_size``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DomainError,
     Infeasible,
     InvariantViolation,
     NonpositiveAlternative,
@@ -96,17 +95,14 @@ FEAS_SLACK = 1e-9
 
 
 # (mechanism, quantizer) caps on the number of candidates per channel grid;
-# the effective step is coarsened until the grid fits. The Theorem-1 inner
-# I-projection makes every grid pair costly.
+# each grid takes the finest lattice that fits (``_lattice``). The Theorem-1
+# inner I-projection makes every grid pair costly.
 _THM1_BUDGETS = (300, 800)
-# cap on a search grid's (mechanism, quantizer) pairs. A step cannot coarsen
-# past 1, so from |X| = 5 the grids outgrow their budgets; the cap keeps every
-# |X| <= 5 grid (3,125 x 16,807 pairs at |X| = 5) and refuses |X| >= 6
-# (1.2e10 pairs) before building it.
-_MAX_GRID_PAIRS = 2**26
-# the largest |X| of the independence search, the grid searches' domain: a
-# start's lockstep buffers hold about 8 n^2 floats for n = |X|(2|X| - 1)
-_TAI_MAX_X = 5
+# the largest |X| of every search. An independence-search start's lockstep
+# buffers hold about 8 n^2 floats for n = |X|(2|X| - 1); a lattice cannot
+# coarsen past one part, so from |X| = 5 the Theorem-1 grids outgrow their
+# budgets (3,125 x 16,807 pairs at |X| = 5, 1.2e10 at |X| = 6)
+_MAX_X = 5
 # joint cells per block of the grid build. A block is whole mechanisms, as
 # many as keep the block's widest joints within this many cells, or one
 # mechanism when its pairs alone need more; the build's temporaries scale
@@ -183,32 +179,26 @@ def binary_tai_exponent(q_noise: float, rate: float, leak: float) -> float:
 # channel grids
 
 
-def _fit_step(rows: int, k: int, step: float, budget: int) -> float:
-    """Coarsen step until the row-product grid fits the budget.
+def _source_size(p: np.ndarray) -> int:
+    """|X| of a search's law, refused with ``TooLarge`` above ``_MAX_X``."""
+    kx = p.shape[0]
+    if kx > _MAX_X:
+        raise TooLarge(f"the channel searches take |X| <= {_MAX_X}, not |X| = {kx}")
+    return kx
 
-    A grid on the 1/m lattice, m = round(1/step), has
-    comb(m + k - 1, k - 1) ** rows candidates. A step whose grid fits, or
-    whose lattice has one part (a step above 2/3), is returned unchanged;
-    otherwise the step is 1/m for the largest m below round(1/step) whose
-    grid fits, or 1 when none does.
+
+def _lattice(n_in: int, n_out: int, budget: int) -> tuple[int, int]:
+    """The parts m of a channel grid's 1/m lattice and its candidate count.
+
+    A grid of n_in-row channels on the 1/m lattice has
+    comb(m + n_out - 1, n_out - 1) ** n_in candidates; m is the largest
+    m <= 8 whose grid fits the budget, or 1 when none does.
     """
-    def fits(m: int) -> bool:
-        return math.comb(m + k - 1, k - 1) ** rows <= budget
+    def count(m: int) -> int:
+        return math.comb(m + n_out - 1, n_out - 1) ** n_in
 
-    m = max(1, round(1.0 / step))
-    if m == 1 or fits(m):
-        return step
-    # past here k >= 2, so the count is at least m + 1: a grid that fits has m < budget
-    m = max(1, min(m - 1, budget))
-    while m > 1 and not fits(m):
-        m -= 1
-    return 1.0 / m
-
-
-def _lattice(n_in: int, n_out: int, step: float, budget: int) -> tuple[int, int]:
-    """The parts m of the channel grid's 1/m lattice and its candidate count."""
-    m = max(1, round(1.0 / _fit_step(n_in, n_out, step, budget)))
-    return m, math.comb(m + n_out - 1, n_out - 1) ** n_in
+    m = next((m for m in range(8, 1, -1) if count(m) <= budget), 1)
+    return m, count(m)
 
 
 def _channel_grid(n_in: int, n_out: int, m: int) -> np.ndarray:
@@ -221,23 +211,18 @@ class _TaiSpace:
     """Grid candidates and their information quantities for one instance.
 
     Mechanisms map X to an Xh of the same size; ``budgets`` caps the
-    (mechanism, quantizer) grid sizes. A pair is a flat index into the
-    (mechanism, quantizer) product, mechanism-major.
+    (mechanism, quantizer) grid sizes (``_lattice``). A pair is a flat index
+    into the (mechanism, quantizer) product, mechanism-major.
     """
 
-    def __init__(self, p_xy: np.ndarray, u_size: int, grid_step: float,
-                 budgets: tuple[int, int], mechs_override: np.ndarray | None = None):
+    def __init__(self, p_xy: np.ndarray, u_size: int, budgets: tuple[int, int],
+                 mechs_override: np.ndarray | None = None):
         kx = p_xy.shape[0]
         self.i_xy = _mi_batch(p_xy)
-        mech_m, n_mechs = _lattice(kx, kx, grid_step, budgets[0])
-        quant_m, n_quants = _lattice(kx, u_size, grid_step, budgets[1])
-        n_mechs = n_mechs if mechs_override is None else len(mechs_override)
-        if n_mechs * n_quants > _MAX_GRID_PAIRS:
-            raise TooLarge(f"the search grid for |X| = {kx} has {n_mechs * n_quants:,} "
-                           f"channel pairs, above the cap of 2**26")
+        mech_m, quant_m = (_lattice(kx, k, b)[0] for k, b in zip((kx, u_size), budgets))
         self.mechs = _channel_grid(kx, kx, mech_m) if mechs_override is None else mechs_override
         self.quants = _channel_grid(kx, u_size, quant_m)
-        self.quant_step = 1.0 / quant_m  # the lattice searched: a step of 0.3 gives thirds
+        self.quant_step = 1.0 / quant_m  # the lattice searched
         nm, nq = len(self.mechs), len(self.quants)
         self.i_xxh = np.empty(nm)
         self.i_uxh = np.empty((nm, nq))
@@ -284,17 +269,14 @@ _SPACE_CACHE: dict = {}
 _SPACE_CACHE_MAX = 4
 
 
-def _space_for(p_xy: np.ndarray, u_size: int, grid_step: float, budgets: tuple[int, int],
+def _space_for(p_xy: np.ndarray, u_size: int, budgets: tuple[int, int],
                mechs_override: np.ndarray | None = None) -> _TaiSpace:
-    """The cached grid of these arguments, after refusing a grid step that is
-    not a number in (0, 1] with a finite 1/step, which the lattice needs."""
-    if math.isinf(1.0 / _number(grid_step, "grid_step", 0, 1, lo_open=True)):
-        raise DomainError(f"grid_step {grid_step!r} is too small: 1/step overflows")
-    key = (p_xy.tobytes(), p_xy.shape, u_size, grid_step, budgets,
+    """The cached grid of these arguments."""
+    key = (p_xy.tobytes(), p_xy.shape, u_size, budgets,
            None if mechs_override is None else mechs_override.tobytes())
     space = _SPACE_CACHE.get(key)
     if space is None:
-        space = _TaiSpace(p_xy, u_size, grid_step, budgets, mechs_override)
+        space = _TaiSpace(p_xy, u_size, budgets, mechs_override)
         if len(_SPACE_CACHE) >= _SPACE_CACHE_MAX:
             _SPACE_CACHE.pop(next(iter(_SPACE_CACHE)))
         _SPACE_CACHE[key] = space
@@ -539,8 +521,9 @@ def _row_sums(kx: int, kh: int, ku: int, skip: int) -> tuple[np.ndarray, np.ndar
     return rows, both
 
 
-def _slsqp_polish(start, pair, rate, leak, hold_mechanism=False):
-    """SLSQP maximization of ``pair.values`` from ``start``, within both budgets.
+def _polish(pair, starts, rate, leak, hold_mechanism=False):
+    """SLSQP maximization of ``pair.values`` from each row of ``starts``,
+    in lockstep, within both budgets.
 
     The optimum sits where the information constraints are active, and
     moving along that boundary needs the mechanism and the quantizer to move
@@ -549,17 +532,17 @@ def _slsqp_polish(start, pair, rate, leak, hold_mechanism=False):
     and the budget constraints take ``pair``'s exact gradients. ``pair.ftol``
     sits above the noise of its value: an objective solved only to some
     residual cannot be polished below it, and a tighter ``ftol`` just runs
-    to the 200-iteration cap. Returns (value, theta) of the final point when
-    it meets both budgets within ``FEAS_SLACK``, else None; the caller keeps
-    whichever point scores higher.
+    to the 200-iteration cap. Returns the polished points (B, n_free), their
+    batch and their values, -inf where a budget is exceeded by more than
+    ``FEAS_SLACK``; a batch with no point within the budgets is not scored,
+    so a Theorem-1 pair projects none of it.
     """
-    theta = start.copy()
-    theta[pair.mech_params if hold_mechanism else 0:] = np.clip(
-        minimize(pair, start[None], rate, leak, hold_mechanism).x[0], 0.0, None)
-    pts = pair.evaluate(theta[None])
-    if pts.info[0, 0] > leak + FEAS_SLACK or pts.info[0, 1] > rate + FEAS_SLACK:
-        return None
-    return float(pair.values(pts)[0]), theta
+    thetas = starts.copy()
+    thetas[:, pair.mech_params if hold_mechanism else 0:] = np.clip(
+        minimize(pair, starts, rate, leak, hold_mechanism).x, 0.0, None)
+    pts = pair.evaluate(thetas)
+    near = (pts.info[:, 0] <= leak + FEAS_SLACK) & (pts.info[:, 1] <= rate + FEAS_SLACK)
+    return thetas, pts, np.where(near, pair.values(pts) if near.any() else 0.0, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +677,7 @@ def tai_exponent(p_xy: JointPmf, rate: float, leak: float) -> ExponentResult:
     """
     check_budgets(rate, leak)
     p = _as_joint2(p_xy)
-    kx = p.shape[0]
-    if kx > _TAI_MAX_X:
-        raise TooLarge(f"the independence search takes |X| <= {_TAI_MAX_X}, not |X| = {kx}")
+    kx = _source_size(p)
     pair = _ChannelPair(p, kx, kx + 1)
     mech, quant, mech_to, quant_to = _tai_starts(pair.p_x, pair.ku)
     starts = _contract(pair, mech, quant, rate, leak, mech_to, quant_to)
@@ -704,10 +685,8 @@ def tai_exponent(p_xy: JointPmf, rate: float, leak: float) -> ExponentResult:
     eps = np.array(_START_DEPTHS)[:, None, None]
     deep = pair.free((1 - eps) * pts.mech[:, None] + eps / kx,
                      (1 - eps) * pts.quant[:, None] + eps / pair.ku)
-    polished = np.clip(minimize(pair, deep.reshape(-1, pair.n_free), rate, leak).x, 0.0, None)
-    pts = pair.evaluate(polished)  # its best point within FEAS_SLACK, contracted
-    near = (pts.info[:, 0] <= leak + FEAS_SLACK) & (pts.info[:, 1] <= rate + FEAS_SLACK)
-    top = [np.argmax(np.where(near, pts.info[:, 2], -np.inf))]
+    _, pts, values = _polish(pair, deep.reshape(-1, pair.n_free), rate, leak)
+    top = [np.argmax(values)]  # its best point within FEAS_SLACK, contracted
     thetas = np.concatenate([starts, _contract(pair, pts.mech[top], pts.quant[top], rate, leak)])
     # round-off can leave a zero budget unmet even at a constant pair, which
     # then ends the contraction; such a pair wins only when every pair is one
@@ -919,13 +898,8 @@ class _InnerPair(_ChannelPair):
         return pts.grads
 
 
-def theorem1_lower_bound(
-    p_xy: JointPmf,
-    q_xy: JointPmf,
-    rate: float,
-    leak: float,
-    grid_step: float = 1 / 8,
-) -> ExponentResult:
+def theorem1_lower_bound(p_xy: JointPmf, q_xy: JointPmf, rate: float,
+                         leak: float) -> ExponentResult:
     """Achievable exponent against a general alternative.
 
     Outer search over (mechanism, quantizer); the inner value is the
@@ -935,20 +909,20 @@ def theorem1_lower_bound(
     projected as one batch. The best shortlisted pair is polished by SLSQP
     with the mechanism held fixed, then over both channels.
     The search runs with |Xh| = |X| and |U| = |X| + 2, its grids on the
-    ``grid_step`` lattice.
+    finest lattices, up to eighths, within ``_THM1_BUDGETS``.
     """
-    return _theorem1_search(p_xy, q_xy, rate, leak, grid_step, pin_identity=False)
+    return _theorem1_search(p_xy, q_xy, rate, leak, pin_identity=False)
 
 
-def _theorem1_search(p_xy, q_xy, rate, leak, grid_step, pin_identity: bool) -> ExponentResult:
+def _theorem1_search(p_xy, q_xy, rate, leak, pin_identity: bool) -> ExponentResult:
     """``theorem1_lower_bound``'s search, or with ``pin_identity`` its
     first pass alone over quantizers behind the identity mechanism."""
     check_budgets(rate, leak)
     p, _ = _as_joint_pair(p_xy, q_xy)
-    kx, ky = p.shape
+    kx = _source_size(p)
     u_size = kx + 2
     override = np.eye(kx)[None] if pin_identity else None
-    space = _space_for(p, u_size, grid_step, _THM1_BUDGETS, override)
+    space = _space_for(p, u_size, _THM1_BUDGETS, override)
 
     order = space.ranked(rate, leak)
     shortlist = order[:_INNER_SHORTLIST]
@@ -982,9 +956,9 @@ def _theorem1_search(p_xy, q_xy, rate, leak, grid_step, pin_identity: bool) -> E
     # the quantizer alone first: a joint pass from the grid point can stop in
     # a worse basin
     for hold in (True,) if pin_identity else (True, False):
-        polished = _slsqp_polish(best_theta, pair, rate, leak, hold)
-        if polished is not None and polished[0] > best_val:
-            best_val, best_theta = polished
+        (theta,), _, (value,) = _polish(pair, best_theta[None], rate, leak, hold)
+        if value > best_val:
+            best_val, best_theta = value, theta
 
     # a polished point is the pair's last batch, whose projection is read, not redone
     mech, quant = pair.channels(best_theta)
@@ -1006,12 +980,7 @@ def _theorem1_search(p_xy, q_xy, rate, leak, grid_step, pin_identity: bool) -> E
     )
 
 
-def corollary2_bound(
-    p_xy: JointPmf,
-    q_xy: JointPmf,
-    rate: float,
-    grid_step: float = 1 / 8,
-) -> ExponentResult:
+def corollary2_bound(p_xy: JointPmf, q_xy: JointPmf, rate: float) -> ExponentResult:
     """General-alternative lower bound with the mechanism pinned to identity.
 
     Models an unconstrained privacy budget (at least H(X) bits), where
@@ -1019,5 +988,5 @@ def corollary2_bound(
     binds. The reported result carries no leak budget.
     """
     kx = _as_joint2(p_xy).shape[0]
-    res = _theorem1_search(p_xy, q_xy, rate, math.log2(kx) + 1.0, grid_step, pin_identity=True)
+    res = _theorem1_search(p_xy, q_xy, rate, math.log2(kx) + 1.0, pin_identity=True)
     return replace(res, leak=None, leak_mi=None)

@@ -376,8 +376,8 @@ def _mi_cells(cells: np.ndarray, joints) -> tuple[np.ndarray, np.ndarray]:
     its terms come out C-ordered too, and its sums the same bits while both
     its sides are shorter than 8 cells (numpy sums 8 or more contiguous
     terms pairwise); |U| <= |X| + 2 <= 7 and |Xh| = |X| <= 5 keep them so,
-    as the grid's cap on |X| does. Every other step is
-    elementwise. Returns the (..., k) values and the sums.
+    as the searches' cap on |X| (``exponents._MAX_X``) does. Every other
+    step is elementwise. Returns the (..., k) values and the sums.
 
     A small batch pays per numpy call, so this is the polish's kernel. On a
     grid block of 2**16 cells the extra buffers cost more than the calls

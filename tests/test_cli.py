@@ -343,9 +343,10 @@ def test_a_search_grid_above_the_cap_exits_four(tmp_path, capsys):
     # a 6x2 law once ended in a MemoryError traceback and exit 1
     null = tmp_path / "six.json"
     dump_json(JointPmf(np.full((6, 2), 1 / 12), ("X", "Y")), null)
-    assert cli.main(["exponent", "--method", "tai", "--null", str(null),
-                     "--rate", "0.5", "--leak", "0.5"]) == cli.SIZE_EXIT
-    assert capsys.readouterr().err == "error: the independence search takes |X| <= 5, not |X| = 6\n"
+    for method in (["tai"], ["thm1", "--alt", str(null)]):
+        assert cli.main(["exponent", "--method", *method, "--null", str(null),
+                         "--rate", "0.5", "--leak", "0.5"]) == cli.SIZE_EXIT
+        assert capsys.readouterr().err == "error: the channel searches take |X| <= 5, not |X| = 6\n"
 
 
 @pytest.mark.parametrize("command", ["exponent", "sweep"])
@@ -367,11 +368,12 @@ def test_refinement_flag_is_unknown(command, null_law_path, capsys):
 ], ids=["exponent-binary", "exponent-zero-rate", "sweep-binary", "exponent-tai"])
 def test_search_flags_are_refused_without_a_search(argv, flag, null_law_path, capsys):
     # these methods run no grid search; they once printed a value and ignored
-    # the flag, and the independence search polishes structured starts
+    # the flag. No search takes a setting now, so no subcommand has the flag
     if "zero-rate" in argv:
         argv = argv + ["--null", null_law_path, "--alt", null_law_path]
-    assert cli.main(argv + flag) == 2
-    assert capsys.readouterr().err.startswith(f"error: {flag[0]} does not apply")
+    assert _exit_code(argv + flag) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag[0]}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -409,7 +411,9 @@ def test_unused_flags_are_refused(argv, flag, null_law_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {flag} does not apply")
 
 
-# each method's complete flags and the method flags of its subcommand
+# each method's complete flags, and the method flags a command line of its
+# subcommand may carry: the subcommand's own, and --grid-step, which the grid
+# searches took and argparse now refuses
 _METHOD_ARGV = {
     ("exponent", "binary"): {"--q": "0.1", "--rate": "0.5", "--leak": "0.5"},
     ("exponent", "tai"): {"--null": "LAW", "--rate": "0.5", "--leak": "0.5"},
@@ -426,8 +430,8 @@ _SUBCOMMAND_FLAGS = {
                  "--rate": "0.5", "--leak": "0"},
     "sweep": {"--grid-step": "0.3", "--q": "0", "--null": "LAW"},
 }
-# the grid searches, which alone take --grid-step
-_SEARCHES = {"thm1", "cor2"}
+# flags no subcommand has, which argparse refuses with its own message
+_REMOVED_FLAGS = {"--grid-step"}
 
 
 def _argv(command, method, flags, law):
@@ -459,29 +463,40 @@ def test_each_needed_flag_is_required(command, method, flag, null_law_path, caps
 
 @pytest.mark.parametrize("command, method, flag", [
     (c, m, f) for (c, m), flags in _METHOD_ARGV.items() for f in _SUBCOMMAND_FLAGS[c]
-    if f not in flags and not (f == "--grid-step" and m in _SEARCHES)
+    if f not in flags
 ])
 def test_each_flag_outside_the_method_is_refused(command, method, flag, null_law_path,
                                                  tmp_path, capsys):
     flags = {**_METHOD_ARGV[command, method], flag: _SUBCOMMAND_FLAGS[command][flag]}
     out = tmp_path / "out"
     assert _exit_code(_argv(command, method, flags, null_law_path) + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {flag} does not apply to method {method!r}\n"
+    err = capsys.readouterr().err
+    if flag in _REMOVED_FLAGS:
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+    else:
+        assert err == f"error: {flag} does not apply to method {method!r}\n"
     assert not out.exists()
 
 
-def test_the_method_table_takes_a_grid_step_where_the_library_does():
-    # a method is a search, and takes --grid-step, exactly when the function
-    # its call runs has a grid_step parameter, whose default is the only one
+# the library parameter each needed flag's value is passed as
+_PARAMETER_OF = {"--q": "q_noise", "--null": "p_xy", "--alt": "q_xy", "--rate": "rate",
+                 "--leak": "leak"}
+
+
+def test_each_method_takes_exactly_the_values_its_needs_supply():
+    # the function a method's call runs has one positional parameter per
+    # needed flag, in the table's order, and no other: no search takes a setting
     for name, method in cli._METHODS.items():
         (function,) = method.call.__code__.co_names
-        params = inspect.signature(getattr(cli, function)).parameters
-        assert method.searches == ("grid_step" in params), name
+        params = inspect.signature(getattr(cli, function)).parameters.values()
+        assert [p.name for p in params] == [_PARAMETER_OF[f] for f in method.needs], name
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+                   for p in params), name
 
 
 # values drawn for a flag of a fuzzed command line; a law flag may also name the law file
 _FUZZ_VALUES = ["0", "0.5", "1", "inf", "-1", "nan", "5e-324", "abc", ""]
-_FUZZ_FLAGS = sorted({"--grid-step"}.union(*(m.needs for m in cli._METHODS.values())))
+_FUZZ_FLAGS = sorted(set().union(*(m.needs for m in cli._METHODS.values())))
 
 
 @pytest.fixture(scope="module")
@@ -625,12 +640,14 @@ def test_bsc_method_is_the_closed_form_without_a_grid(null_law_path, capsys):
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan", "5e-324"])
 def test_bad_grid_step_is_a_config_error(step, null_law_path, alt_law_path, capsys):
-    code = cli.main(["exponent", "--method", "thm1", "--null", null_law_path, "--alt", alt_law_path,
-                     "--rate", "0.5", "--leak", "0.5", "--grid-step", step])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: grid_step")
-    assert "Traceback" not in err
+    # the grid searches no longer take a step, so every step is refused
+    for method in (["thm1", "--leak", "0.5"], ["cor2"]):
+        code = _exit_code(["exponent", "--method", *method, "--null", null_law_path,
+                           "--alt", alt_law_path, "--rate", "0.5", "--grid-step", step])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --grid-step" in err
+        assert "Traceback" not in err
 
 
 def test_nan_radius_is_a_config_error(sim_config_path, capsys):
@@ -813,7 +830,7 @@ run_memoryless_scheme(SchemeConfig(n=8, mu=0.35, rate=1.0, seed=1, trials=20,
                                    scheme_kind="memoryless"), p)
 loaded = lambda: sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules)
 before = loaded()
-theorem1_lower_bound(p, p, 0.5, 0.5, grid_step=0.5)
+theorem1_lower_bound(p, p, 0.5, 0.5)
 print(json.dumps([before, loaded(), "scipy.optimize._slsqplib" in sys.modules]))
 """
 

@@ -1,7 +1,6 @@
 """Exponent optimizers: closed forms, search anchors, bounds, and witnesses."""
 
 import hashlib
-import inspect
 import math
 import re
 import time
@@ -45,21 +44,17 @@ from privexp import exponents, iproject
 from privexp.exponents import (
     _THM1_BUDGETS,
     _ChannelPair,
-    _fit_step,
-    _MAX_GRID_PAIRS,
     _InnerPair,
     _TaiSpace,
     _contract,
     _lattice,
-    _slsqp_polish,
+    _polish,
     _space_for,
 )
 from privexp.probcore import _mi_batch, _pair_joints
 
-# the Theorem-1 searches' default grid step, read where it is set
-THM1_STEP = inspect.signature(theorem1_lower_bound).parameters["grid_step"].default
-# a grid of 1000 x 1000 pairs on a ternary law, the largest the grid tests build
-BIG_STEP, BIG_BUDGETS = 0.1, (1000, 1000)
+# grid budgets of 1000 x 1000 pairs on a ternary law, the largest the grid tests build
+BIG_BUDGETS = (1000, 1000)
 
 # search values frozen from deterministic runs of this package's optimizer;
 # the (1, 1) anchor coincides with the closed form 1 - h_b(0.1)
@@ -301,7 +296,7 @@ def test_ternary_search_anchor_and_binary_grid_size(monkeypatch):
 def test_default_grids_on_a_binary_law():
     # pins the per-method budget constants: a drifted one changes a grid size
     p = np.asarray(dsbs(0.1).probs)
-    thm1 = _space_for(p, 4, THM1_STEP, _THM1_BUDGETS)
+    thm1 = _space_for(p, 4, _THM1_BUDGETS)
     assert (thm1.mechs.shape[0], thm1.quants.shape[0]) == (81, 400)
     assert thm1.quant_step == 1 / 3
 
@@ -309,32 +304,33 @@ def test_default_grids_on_a_binary_law():
 def test_grid_cache_keeps_the_newest_grids(monkeypatch):
     monkeypatch.setattr(exponents, "_SPACE_CACHE", {})
     cap = exponents._SPACE_CACHE_MAX
-    step = 1.0  # 4 x 4 deterministic channel pairs
+    budgets = (1, 1)  # 4 x 4 deterministic channel pairs
     laws = [np.asarray(dsbs(eps).probs) for eps in np.linspace(0.1, 0.5, cap + 1)]
-    spaces = [_space_for(p, 2, step, _THM1_BUDGETS) for p in laws]
+    spaces = [_space_for(p, 2, budgets) for p in laws]
     assert len(exponents._SPACE_CACHE) == cap
+    assert spaces[0].i_uy.shape == (4, 4)
     # a hit is the same object, found by value; the first law was evicted
-    assert _space_for(laws[-1].copy(), 2, step, _THM1_BUDGETS) is spaces[-1]
-    rebuilt = _space_for(laws[0], 2, step, _THM1_BUDGETS)
+    assert _space_for(laws[-1].copy(), 2, budgets) is spaces[-1]
+    rebuilt = _space_for(laws[0], 2, budgets)
     assert rebuilt is not spaces[0]
     # rebuilding it evicted the oldest entry left, the second law
     assert len(exponents._SPACE_CACHE) == cap
-    assert _space_for(laws[2], 2, step, _THM1_BUDGETS) is spaces[2]
-    assert _space_for(laws[1], 2, step, _THM1_BUDGETS) is not spaces[1]
+    assert _space_for(laws[2], 2, budgets) is spaces[2]
+    assert _space_for(laws[1], 2, budgets) is not spaces[1]
 
 
 GRID_ARRAYS = ("mechs", "quants", "i_xxh", "i_uxh", "i_uy")
 
 
-@pytest.mark.parametrize("shape, u_size, step, budgets", [
-    ((2, 3), 3, BIG_STEP, BIG_BUDGETS),
-    ((3, 2), 5, THM1_STEP, _THM1_BUDGETS),
+@pytest.mark.parametrize("shape, u_size, budgets", [
+    ((2, 3), 3, BIG_BUDGETS),
+    ((3, 2), 5, _THM1_BUDGETS),
 ], ids=["tai-2x3", "thm1-3x2"])
-def test_grid_arrays_do_not_depend_on_the_block_size(monkeypatch, shape, u_size, step, budgets):
+def test_grid_arrays_do_not_depend_on_the_block_size(monkeypatch, shape, u_size, budgets):
     p = np.random.default_rng(5).dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
-    default = _TaiSpace(p, u_size, step, budgets)
+    default = _TaiSpace(p, u_size, budgets)
     monkeypatch.setattr(exponents, "_BLOCK_CELLS", 1)  # one mechanism per block
-    single = _TaiSpace(p, u_size, step, budgets)
+    single = _TaiSpace(p, u_size, budgets)
     for name in GRID_ARRAYS:
         assert getattr(single, name).tobytes() == getattr(default, name).tobytes(), name
 
@@ -344,7 +340,7 @@ def test_the_grid_build_keeps_its_temporaries_small():
     # pairs, its temporaries once peaked at 447 MiB
     tracemalloc.start()
     try:
-        space = _TaiSpace(np.array(TERNARY), 4, BIG_STEP, BIG_BUDGETS)
+        space = _TaiSpace(np.array(TERNARY), 4, BIG_BUDGETS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -368,12 +364,12 @@ def test_a_fault_in_the_last_block_still_fails_the_grid(monkeypatch):
         return (j_xxh, j_uxh, j_uy), p_xh
 
     monkeypatch.setattr(exponents, "_pair_joints", joints)
-    _TaiSpace(p, 3, BIG_STEP, BIG_BUDGETS)
-    assert len(blocks) > 1 and sum(blocks) == 121
+    _TaiSpace(p, 3, BIG_BUDGETS)
+    assert len(blocks) > 1 and sum(blocks) == 81
     fault_at[0], blocks[:] = len(blocks), []
     with pytest.raises(InvariantViolation, match="^data-processing violation in grid$"):
-        _TaiSpace(p, 3, BIG_STEP, BIG_BUDGETS)
-    assert sum(blocks) == 121
+        _TaiSpace(p, 3, BIG_BUDGETS)
+    assert sum(blocks) == 81
 
 
 # a pair's values and slopes at one point, read as the polish reads a batch
@@ -715,84 +711,55 @@ def test_a_one_symbol_source_gives_zero():
     assert (res.theta, res.rate_mi, res.leak_mi) == (0.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("step, match", [
-    (0.0, "outside"), (-1.0, "outside"), (1.5, "outside"), (float("nan"), "outside"),
-    (float("inf"), "outside"),
-    (5e-324, "too small"),  # 1/step overflows; once an OverflowError traceback
-    ("0.5", "must be a number"), (None, "must be a number"), (True, "must be a number"),
-], ids=["0.0", "-1.0", "1.5", "nan", "inf", "5e-324", "str", "none", "bool"])
-def test_grid_step_outside_its_domain_is_refused(step, match):
-    with pytest.raises(DomainError, match=f"^grid_step {re.escape(repr(step))} .*{match}"):
-        theorem1_lower_bound(*alt_pair(), 0.5, 0.5, grid_step=step)
-
-
-def coarsening_loop(rows, k, step, budget):
-    """The grid fit as a loop that coarsens the lattice one part at a time."""
-    def row_count(s):
-        return math.comb(max(1, round(1.0 / s)) + k - 1, k - 1)
-
-    s = step
-    while row_count(s) ** rows > budget and round(1.0 / s) > 1:  # stop at one part
-        s = 1.0 / (round(1.0 / s) - 1)
-    return s
+def coarsening_loop(rows, k, budget):
+    """The grid fit as a loop that coarsens the lattice one part at a time,
+    from eighths, and stops at one part."""
+    m = 8
+    while math.comb(m + k - 1, k - 1) ** rows > budget and m > 1:
+        m -= 1
+    return m, math.comb(m + k - 1, k - 1) ** rows
 
 
 @pytest.mark.parametrize("rows, k, budget", [
     (2, 2, 1000), (2, 3, 1000), (3, 3, 1000), (3, 4, 1000), (2, 2, 300),
     (2, 4, 800), (3, 5, 800), (2, 2, 1), (2, 3, 0),
 ])
-def test_fit_step_matches_the_coarsening_loop(rows, k, budget):
-    steps = [*np.geomspace(1e-4, 1.0, 120), 0.5, 0.505, 0.51, 0.6, 1 / 3, 1 / 7, 0.1, 1 / 8]
-    for step in steps:
-        assert _fit_step(rows, k, float(step), budget) == coarsening_loop(rows, k, float(step), budget)
+def test_lattice_matches_the_coarsening_loop(rows, k, budget):
+    assert _lattice(rows, k, budget) == coarsening_loop(rows, k, budget)
 
 
-def test_a_step_with_two_parts_is_coarsened_like_any_other():
-    # round(1/step) is 2 up to a step of 2/3; from 0.51 such a step was once
-    # kept, and at |X| = 4 asked for 10,000 x 50,625 pairs instead of 256 x 625
-    for k_out in (4, 5):
-        assert _lattice(4, k_out, 0.55, 1000) == _lattice(4, k_out, 0.5, 1000)
-    assert _lattice(4, 4, 0.5, 1000) == (1, 256)
-    assert _lattice(4, 5, 0.5, 1000) == (1, 625)
+# (parts, candidates) of the Theorem-1 grids at |X| = 1, ..., 5: mechanisms
+# X to Xh, quantizers Xh to U with |U| = |X| + 2. From |X| = 3 the quantizers
+# are deterministic; at |X| = 4 their grid outgrows its budget, and at
+# |X| = 5 both grids do
+THM1_LATTICES = {
+    1: ((8, 1), (8, 45)),
+    2: ((8, 81), (3, 400)),
+    3: ((2, 216), (1, 125)),
+    4: ((1, 256), (1, 1296)),
+    5: ((1, 3125), (1, 16807)),
+}
 
 
-def test_a_tiny_grid_step_fits_at_once():
-    # the loop above would coarsen about 1e300 times from a step of 1e-300;
-    # both searches' grids (independence: |U| = |X| + 1, Theorem 1:
-    # |U| = |X| + 2) take the finest lattice that fits, as a small step does
-    start = time.perf_counter()
-    for kx in (2, 3):
-        for k_out, budget in ((kx, BIG_BUDGETS[0]), (kx + 1, BIG_BUDGETS[1]),
-                              (kx, _THM1_BUDGETS[0]), (kx + 2, _THM1_BUDGETS[1])):
-            assert _fit_step(kx, k_out, 1e-300, budget) == coarsening_loop(kx, k_out, 1e-3, budget)
-    assert time.perf_counter() - start < 0.5
-
-
-def _grid_pairs(kx, u_size, budgets, step):
-    return _lattice(kx, kx, step, budgets[0])[1] * _lattice(kx, u_size, step, budgets[1])[1]
-
-
-def test_the_grid_cap_keeps_every_grid_up_to_five_source_symbols():
-    # a step cannot coarsen past 1, so from |X| = 5 the grids outgrow their budgets
-    assert _grid_pairs(5, 7, _THM1_BUDGETS, 1 / 8) == 3125 * 16807
-    for kx in (2, 3, 4, 5):
-        assert _grid_pairs(kx, kx + 2, _THM1_BUDGETS, 1 / 8) <= _MAX_GRID_PAIRS
-    assert _grid_pairs(6, 8, _THM1_BUDGETS, 1 / 8) == 46656 * 262144 > _MAX_GRID_PAIRS
+def test_the_theorem1_lattices_at_each_source_size():
+    for kx, lattices in THM1_LATTICES.items():
+        got = tuple(_lattice(kx, k, budget) for k, budget in zip((kx, kx + 2), _THM1_BUDGETS))
+        assert got == lattices, kx
 
 
 @pytest.mark.parametrize("kx", [6, 8])
-@pytest.mark.parametrize("search", ["tai", "thm1"])
+@pytest.mark.parametrize("search", ["tai", "thm1", "cor2"])
 def test_a_grid_above_the_cap_is_refused_before_it_is_built(kx, search):
     # a 6x2 law once ended in a MemoryError for a 40.9 GiB grid array
     p = JointPmf(np.full((kx, 2), 1.0 / (2 * kx)), ("X", "Y"))
     start = time.perf_counter()
-    match = (rf"^the independence search takes \|X\| <= 5, not \|X\| = {kx}$" if search == "tai"
-             else rf"^the search grid for \|X\| = {kx} has [\d,]+ channel pairs")
-    with pytest.raises(TooLarge, match=match):
+    with pytest.raises(TooLarge, match=rf"^the channel searches take \|X\| <= 5, not \|X\| = {kx}$"):
         if search == "tai":
             tai_exponent(p, 0.5, 0.5)
-        else:
+        elif search == "thm1":
             theorem1_lower_bound(p, p, 0.5, 0.5)
+        else:
+            corollary2_bound(p, p, 0.5)
     assert time.perf_counter() - start < 1.0
 
 
@@ -811,8 +778,11 @@ def test_search_input_validation():
 
 
 def test_result_reports_the_lattice_searched():
-    # a step of 0.3 puts the grid rows on thirds; it once reported 0.3
-    assert theorem1_lower_bound(*alt_pair(), 0.5, 0.5, grid_step=0.3).grid_step == 1 / 3
+    # the quantizer lattice of THM1_LATTICES: thirds at |X| = 2, and at
+    # |X| = 3 deterministic quantizers alone
+    assert theorem1_lower_bound(*alt_pair(), 0.5, 0.5).grid_step == 1 / 3
+    ternary = (JointPmf(np.array(a), ("X", "Y")) for a in (TERNARY, TERNARY_ALT))
+    assert theorem1_lower_bound(*ternary, 0.25, 0.5).grid_step == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1032,11 +1002,14 @@ def test_failed_inner_projection_scores_the_sentinel_with_zero_gradient():
 
 
 def test_a_polish_that_ends_outside_the_budgets_scores_nothing(monkeypatch):
-    # an SLSQP run that stops at its start: the identity pair leaks 1 bit
+    # an SLSQP run that stops at its start: the identity pair leaks 1 bit,
+    # and its projection is never made
     monkeypatch.setattr(exponents, "minimize", lambda pair, starts, *args: SimpleNamespace(x=starts))
     pair = inner_pair(NULL, ALT, 2, 4)
-    start = pair.free(np.eye(2), np.eye(2, 4))
-    assert _slsqp_polish(start, pair, 0.1, 0.1) is None
+    starts = pair.free(np.eye(2), np.eye(2, 4))[None]
+    thetas, pts, values = _polish(pair, starts, 0.1, 0.1)
+    assert np.array_equal(thetas, starts) and values.tolist() == [-math.inf]
+    assert pts.projections is None
 
 
 def test_a_search_whose_every_inner_projection_fails_is_infeasible():
@@ -1052,7 +1025,7 @@ def shortlist_pairs(p, q, rate, leak):
     """The Theorem-1 search's inner pair and its shortlisted (mechanism, quantizer) stacks."""
     p_xy, q_xy = (JointPmf(np.asarray(a, dtype=float), ("X", "Y")) for a in (p, q))
     kx = p_xy.shape[0]
-    space = _space_for(p_xy.probs, kx + 2, THM1_STEP, _THM1_BUDGETS)
+    space = _space_for(p_xy.probs, kx + 2, _THM1_BUDGETS)
     order = space.ranked(rate, leak)
     shortlist = np.concatenate([order[:48], order[48::max(1, len(order) // 16)][:16]])
     return _InnerPair(p_xy.probs, q_xy, kx, kx + 2), *space.pair(shortlist)
@@ -1272,7 +1245,7 @@ THM1_ALT_SHORTLIST_DUALS = "37a683f2071763ee"
 
 def test_shortlist_projections_build_their_duals_when_first_read():
     p, q = alt_pair()
-    space = _space_for(np.asarray(p.probs), 4, THM1_STEP, _THM1_BUDGETS)
+    space = _space_for(np.asarray(p.probs), 4, _THM1_BUDGETS)
     order = space.ranked(0.25, 0.25)
     shortlist = np.concatenate([order[:48], order[48::len(order) // 16][:16]])
     results = _InnerPair(np.asarray(p.probs), q, 2, 4).project_many(*space.pair(shortlist))

@@ -1,4 +1,5 @@
-"""The scipy kernels loaded without their packages, each in a fresh interpreter.
+"""The scipy kernels loaded without their packages, each in a fresh interpreter,
+and the private numpy solve the I-projection takes its Newton steps with.
 
 This interpreter has long since imported ``scipy.special`` and
 ``scipy.optimize`` through the tests, so every check of what a process loads
@@ -117,3 +118,39 @@ def test_scipy_is_a_release_the_private_kernels_were_checked_on():
         "privexp._kernels loads scipy.special._special_ufuncs, scipy.optimize._slsqplib "
         "and scipy.optimize._zeros (the other tests of this file), then add the release "
         "to CHECKED_SCIPY and to the README's dependency paragraph")
+
+
+# numpy releases checked against what ``iproject._solve`` takes from numpy's
+# private modules: the stacked LAPACK solve ``numpy.linalg._umath_linalg.solve1``
+CHECKED_NUMPY = ("2.4.6",)
+
+
+def test_numpy_is_a_release_the_private_solve_was_checked_on():
+    assert np.__version__ in CHECKED_NUMPY, (
+        f"numpy {np.__version__} is not among the checked releases {CHECKED_NUMPY}. "
+        "Re-verify that tests/test_kernels.py::"
+        "test_a_singular_member_of_a_stacked_solve_is_nan_and_the_others_are_exact passes "
+        "and that tests/test_iproject.py and the Theorem-1 bit tests of "
+        "tests/test_exponents.py pass, then add the release to CHECKED_NUMPY and to the "
+        "README's dependency paragraph")
+
+
+def test_a_singular_member_of_a_stacked_solve_is_nan_and_the_others_are_exact():
+    # what iproject._solve relies on: one singular matrix in a batch gives NaN
+    # for its own member, which the line search refuses, and leaves every
+    # other member with np.linalg.solve's bits, in place of an exception for
+    # the whole batch
+    from numpy.linalg._umath_linalg import solve1
+
+    rng = np.random.default_rng(0)
+    a = rng.random((4, 3, 3))
+    a[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
+    b = rng.random((4, 3))
+    with np.errstate(invalid="ignore"):
+        x = solve1(a, b, signature="dd->d")
+    assert np.isnan(x[2]).all()
+    for i in (0, 1, 3):
+        assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes(), i
+    # without the errstate the NaN is a RuntimeWarning, which this suite makes an error
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in solve1"):
+        solve1(a, b, signature="dd->d")

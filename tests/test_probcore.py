@@ -48,7 +48,6 @@ from privexp import (
     mutual_information,
     star,
     tai_exponent,
-    theorem1_lower_bound,
     total_variation,
     wilson_interval,
 )
@@ -793,9 +792,6 @@ _SCALAR_ARGUMENTS = {
     "budgets-rate": lambda v: binary_tai_exponent(0.1, v, 0.5),
     "budgets-leak": lambda v: binary_tai_exponent(0.1, 0.5, v),
     "tai-rate": lambda v: tai_exponent(_DSBS, v, 0.5),
-    # a grid search's step, under the name of the independence search, which
-    # took one until it polished structured starts
-    "tai-grid-step": lambda v: theorem1_lower_bound(_DSBS, _DSBS, 0.5, 0.5, grid_step=v),
     "tai-noise": lambda v: binary_tai_exponent(v, 0.5, 0.5),
     "euclid-noise": lambda v: binary_euclid_approx(v, 0.5, 0.5),
     "euclid-rate": lambda v: binary_euclid_approx(0.1, v, 0.5),

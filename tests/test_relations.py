@@ -7,8 +7,9 @@ defect: the tolerances sit above the round-off that was seen (1.45e-11 for
 relabelling, 3.06e-9 for independence, 4.6e-13 for Theorem 1 above Corollary
 2, 3e-16 for the witness's informations recomputed, 3.3e-14 for the
 symmetric optimum against the binary closed form, 2.4e-15 for a zero-mass
-symbol, 2.2e-15 for the search below the symmetric optimum) and are not to
-be widened to pass.
+symbol, 2.2e-15 for the search below the symmetric optimum, 6.7e-16 for
+Theorem 1 above the divergence and none for it below the zero-rate
+exponent) and are not to be widened to pass.
 """
 
 import math
@@ -23,6 +24,7 @@ from privexp import (
     symmetric_tai_exponent,
     tai_exponent,
     theorem1_lower_bound,
+    zero_rate_exponent,
 )
 
 
@@ -45,6 +47,11 @@ def mi_bits(p: np.ndarray) -> float:
     product = p.sum(axis=1, keepdims=True) * p.sum(axis=0, keepdims=True)
     mass = p > 0
     return float((p[mass] * np.log2(p[mass] / product[mass])).sum())
+
+
+def kl_bits(p: np.ndarray, q: np.ndarray) -> float:
+    """D(p || q) in bits of two positive tables, written apart from the package's kernel."""
+    return float((p * np.log2(p / q)).sum())
 
 
 @pytest.mark.parametrize("rate, leak", POINTS)
@@ -99,6 +106,29 @@ def test_corollary2_is_at_least_theorem1_against_the_reversed_law(rate, leak):
     q = p[::-1, ::-1]
     bound = theorem1_lower_bound(joint(p), joint(q), rate, leak).theta
     assert corollary2_bound(joint(p), joint(q), rate).theta >= bound - 1e-9
+
+
+# the alternatives of the Theorem-1 relations: halfway between the law and the
+# product of its marginals, and the law reversed in both axes
+ALTERNATIVES = {
+    "halfway": lambda p: 0.5 * p + 0.5 * np.outer(p.sum(axis=1), p.sum(axis=0)),
+    "reversed": lambda p: p[::-1, ::-1],
+}
+
+
+@pytest.mark.parametrize("rate, leak", POINTS)
+@pytest.mark.parametrize("alt", sorted(ALTERNATIVES))
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_theorem1_lies_between_the_zero_rate_exponent_and_the_divergence(law, alt, rate, leak):
+    # a constant quantizer scores the zero-rate exponent at any budgets, and
+    # by data processing no channel pair scores above D(P || Q). The floor's
+    # tolerance is that of its two projections, each solved to 1e-9; on the
+    # reversed 2x2 law the floor is the ceiling
+    p = LAWS[law]
+    q = ALTERNATIVES[alt](p)
+    floor = zero_rate_exponent(joint(p), joint(q)).theta
+    bound = theorem1_lower_bound(joint(p), joint(q), rate, leak).theta
+    assert floor - 2e-9 <= bound <= kl_bits(p, q) + 1e-12
 
 
 @pytest.mark.parametrize("rate, leak", [*POINTS, (0.0, 0.0)])
