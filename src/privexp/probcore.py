@@ -555,13 +555,19 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of the given length summing to total.
 
     Rows come in lexicographic order; divided by ``total`` they are the types
-    of ``total`` samples over ``parts`` symbols.
+    of ``total`` samples over ``parts`` symbols. Built one part at a time:
+    each row so far is followed by every count up to what it leaves, in
+    increasing order, and the last part takes the rest.
     """
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    tails = [_compositions(total - c, parts - 1) for c in range(total + 1)]
-    heads = np.repeat(np.arange(total + 1, dtype=np.int64), [t.shape[0] for t in tails])
-    return np.column_stack((heads, np.concatenate(tails)))
+    heads = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        width = left + 1
+        count = np.arange(int(width.sum()), dtype=np.int64) - np.repeat(np.cumsum(width) - width,
+                                                                        width)
+        heads = np.column_stack((np.repeat(heads, width, axis=0), count))
+        left = np.repeat(left, width) - count
+    return np.column_stack((heads, left))
 
 
 # round-off allowance of every typicality test (see the module docstring)

@@ -93,11 +93,11 @@ TABLE_BUDGET = 2_000_000
 # benchmark 2^14 measured slower; 2^17 and 2^18 were up to 10% faster but
 # raised the peak memory by 1.5 and 4 MB
 BATCH_CELLS = 2**16
-# n x mechanism outputs of one trial; a batch peaks at about 40 bytes per
-# cell (ka = 2), so a one-trial batch at the cap takes about 170 MB
+# n x mechanism outputs of one trial; a full batch peaks at about 30 bytes
+# per cell (ka = 2, n = 24), and a one-trial batch at the cap at about 75 MB
 BATCH_CELL_CAP = 2**22
 # trials of one run; a 10^5-trial memoryless run at n = 24 takes 74 batches
-# and about 0.3 s on 2 cores, 3.0 us per trial, so the cap is about 5 minutes
+# and about 0.15 s on 2 cores, 1.5 us per trial, so the cap is about 2.5 minutes
 TRIAL_CAP = 10**8
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -282,14 +282,14 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     )
 
 
-def _categorical(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-cdf symbols for an array of uniforms.
+def _categorical(cdf: np.ndarray, uniforms: np.ndarray, dtype) -> np.ndarray:
+    """Inverse-cdf symbols for an array of uniforms, as integers of ``dtype``.
 
     A symbol is the count of cdf entries at or below its uniform, capped at
     the last symbol. Over the few symbols of a law one comparison per entry
     is cheaper than a binary search per uniform.
     """
-    symbols = np.zeros(uniforms.shape, dtype=np.intp)
+    symbols = np.zeros(uniforms.shape, dtype=dtype)
     for c in cdf[:-1]:
         symbols += uniforms >= c
     return symbols
@@ -329,7 +329,7 @@ def generate_codebook(p_u: Pmf, n: int, rate: float, seed: int) -> Codebook:
                            f"{CODEBOOK_ENTRY_CAP} codebook entries")
     rng = _stream(seed, 0)
     cdf = np.cumsum(np.asarray(p_u.probs, dtype=float))
-    entries = _categorical(cdf, rng.random((m, n))).astype(np.int16)
+    entries = _categorical(cdf, rng.random((m, n)), np.int16)
     return Codebook(entries=entries, seed=seed)
 
 
@@ -366,24 +366,25 @@ def _build_tables(
     target_ua: np.ndarray,
     n: int,
     radius: float,
+    classes: dict[int, tuple[np.ndarray, np.ndarray]],
 ) -> _TypicalTables:
+    """The typical tables of one class-size vector; ``classes`` keeps each class
+    size's count vectors and their log-weights for the other vectors of a run."""
     ku = log_pu.size
-    per_class = []
-    total = 1
-    for na in n_a:
-        comps = _compositions(na, ku)
-        total *= comps.shape[0]
-        if total > TABLE_BUDGET:
-            raise SizeOverflow(
-                f"joint-type enumeration needs more than {TABLE_BUDGET} tables; "
-                "reduce the blocklength or the alphabet sizes"
-            )
-        logw = gammaln(na + 1) - gammaln(comps + 1).sum(axis=1) + comps @ log_pu
-        per_class.append((comps, logw))
-
+    # class a has comb(n_a + ku - 1, ku - 1) count vectors; their product is
+    # the table count, checked before any class is enumerated
+    if math.prod(math.comb(na + ku - 1, ku - 1) for na in n_a) > TABLE_BUDGET:
+        raise SizeOverflow(
+            f"joint-type enumeration needs more than {TABLE_BUDGET} tables; "
+            "reduce the blocklength or the alphabet sizes"
+        )
     tables = np.zeros((1, ku, len(n_a)), dtype=np.int64)
     logw = np.zeros(1)
-    for a, (comps, w) in enumerate(per_class):
+    for a, na in enumerate(n_a):
+        if na not in classes:
+            comps = _compositions(na, ku)
+            classes[na] = comps, gammaln(na + 1) - gammaln(comps + 1).sum(axis=1) + comps @ log_pu
+        comps, w = classes[na]
         c = comps.shape[0]
         t = tables.shape[0]
         tables = np.repeat(tables, c, axis=0)
@@ -417,6 +418,12 @@ class _Runner:
             raise DomainError("mechanism input does not match the source alphabet")
         self.ka = mech.shape[1]
         self.ku = quant.shape[1]
+        # a batch's symbol arrays hold the codes x ky + y, x ka + xh and
+        # xh ky + y and are multiplied by ka and ky. Integer arithmetic wraps
+        # without a warning, so all of them take the one narrowest unsigned
+        # type that holds every such value
+        self.symbol_type = np.min_scalar_type(max(
+            self.kx * self.ky - 1, self.kx * self.ka - 1, self.ka * self.ky - 1, self.ka, self.ky))
         self.p_x = p.sum(axis=1)
         self.p_xy = p
         self.q_xy = np.outer(self.p_x, p.sum(axis=0)) if q_xy is None else q
@@ -449,6 +456,7 @@ class _Runner:
             self.m_count = None
             self.log_m = exponent * math.log(2.0)
         self.tables: dict[tuple[int, ...], _TypicalTables] = {}
+        self.classes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.codebook = None
         if cfg.fixed_codebook:
             if exponent > math.log2(FIXED_MODE_CAP) + 1e-9:
@@ -463,7 +471,7 @@ class _Runner:
         tab = self.tables.get(n_a)
         if tab is None:
             tab = _build_tables(
-                n_a, self.log_pu, self.target_ua, self.cfg.n, self.cfg.mu / 2.0
+                n_a, self.log_pu, self.target_ua, self.cfg.n, self.cfg.mu / 2.0, self.classes
             )
             self.tables[n_a] = tab
         return tab
@@ -501,7 +509,9 @@ class _Runner:
         cfg = self.cfg
         n = cfg.n
         draws = rng.random((trials, 2 * n))
-        x, y = np.divmod(_categorical(self.law_cdf, draws[:, :n]), self.ky)
+        xy = _categorical(self.law_cdf, draws[:, :n], self.symbol_type)
+        x = xy // self.ky  # a floor division by a scalar, far cheaper than divmod
+        y = xy - x * self.ky
         mech_u = draws[:, n:]
         live = np.ones(trials, dtype=bool)
         if cfg.scheme_kind == "general":
@@ -512,9 +522,9 @@ class _Runner:
             x, y, mech_u = x[live], y[live], mech_u[live]
         # inverse cdf of each symbol's mechanism row: the count of its cdf
         # entries below the uniform, the last entry left out as the cap
-        xhat = np.zeros(x.shape, dtype=np.intp)
+        xhat = np.zeros(x.shape, dtype=self.symbol_type)
         for col in self.mech_cdf[:, :-1].T:
-            xhat += mech_u > col[x]
+            xhat += mech_u > np.take(col, x)  # np.take is cheaper than col[x] on narrow indices
         pool = np.bincount(
             (x * self.ka + xhat).ravel(), minlength=self.kx * self.ka
         ).reshape(self.kx, self.ka)
@@ -545,17 +555,22 @@ class _Runner:
         tabs = [self.tables_for(tuple(n_a[i].tolist())) for i in first]
         fail_u, table_u = rng.random((2, live.size))[:, live]
         p_fail = np.array([self._fail_prob(tab) for tab in tabs])
-        ok = fail_u >= p_fail[group]
-        k_tables = np.empty((xhat.shape[0], self.ku, self.ka), dtype=np.int64)
-        for g, tab in enumerate(tabs):
-            sel = np.nonzero(ok & (group == g))[0]
-            if sel.size:
-                idx = np.searchsorted(tab.cum, table_u[sel] * tab.cum[-1], side="right")
-                k_tables[sel] = tab.tables[np.minimum(idx, tab.cum.size - 1)]
+        encoded = np.nonzero(fail_u >= p_fail[group])[0]
+        table_u, group = table_u[encoded], group[encoded]
+        # the encoded trials sorted stably by group, so that each group's
+        # draws are one slice; the tables land in trial order
+        by_group = np.argsort(group, kind="stable")
+        ends = np.cumsum(np.bincount(group, minlength=len(tabs))).tolist()
+        k_tables = np.empty((encoded.size, self.ku, self.ka), dtype=np.int64)
+        for tab, start, end in zip(tabs, [0, *ends], ends):
+            rows = by_group[start:end]
+            if rows.size:
+                idx = np.searchsorted(tab.cum, table_u[rows] * tab.cum[-1], side="right")
+                k_tables[rows] = tab.tables[np.minimum(idx, tab.cum.size - 1)]
         # Y counts of each class of each encoded trial
-        class_y = _row_counts(xhat * self.ky + y, self.ka * self.ky).reshape(-1, self.ka, self.ky)
-        uy = self._allocate(k_tables[ok], class_y[ok], rng)
-        return int(np.count_nonzero(ok)), uy
+        codes = xhat[encoded] * self.ky + y[encoded]
+        class_y = _row_counts(codes, self.ka * self.ky).reshape(-1, self.ka, self.ky)
+        return encoded.size, self._allocate(k_tables, class_y, rng)
 
     def _allocate(self, k_tables, remaining, rng) -> np.ndarray:
         """Joint (U, Y) counts of the accepted codewords.

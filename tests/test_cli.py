@@ -798,6 +798,19 @@ def test_size_cap_maps_to_exit_four(tmp_path, dsbs01):
     assert cli.main(["simulate", "--config", str(path)]) == 4
 
 
+def test_a_run_past_the_table_budget_exits_four(tmp_path, dsbs01):
+    # 3.3M count tables of one class: refused before any is built
+    cfg = {
+        "p_xy": dsbs01.to_dict(), "n": 33, "mu": 0.3, "rate": 0.5, "seed": 1, "trials": 10,
+        "hypothesis": "alt", "scheme": "memoryless",
+        "mechanism": Channel(np.ones((2, 1))).to_dict(),
+        "quantizer": Channel(np.full((1, 7), 1 / 7)).to_dict(),
+    }
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(path)]) == 4
+
+
 def test_trial_cap_maps_to_exit_four(sim_config_path, capsys):
     raw = json.loads(open(sim_config_path).read())
     raw["trials"] = 10**8 + 1

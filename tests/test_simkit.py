@@ -9,6 +9,7 @@ acceptance rates checks the analytic encoder marginalization end to end.
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -174,16 +175,64 @@ def test_a_run_opens_one_stream_per_batch(dsbs01, monkeypatch):
     assert calls == [(1,), (2,), (3,), (4,), (5,)]
 
 
-@pytest.mark.parametrize("size", [1, 2, 4, 9, 40])
+@pytest.mark.parametrize("size", [1, 2, 4, 9, 40, 255, 256, 257])
 def test_categorical_is_the_capped_inverse_cdf(size):
     # the comparison count must match a binary search, including uniforms
-    # that land exactly on a cdf entry or past its end
+    # that land exactly on a cdf entry or past its end, in the narrowest
+    # type that holds the last symbol: one byte up to 256 symbols
     rng = np.random.default_rng(size)
     cdf = np.cumsum(rng.dirichlet(np.ones(size)))
     cdf[-1] = 1.0 - 1e-12
     uniforms = np.concatenate([rng.random(500), cdf, [0.0, 1.0 - 1e-13]])
     expected = np.minimum(np.searchsorted(cdf, uniforms, side="right"), size - 1)
-    assert np.array_equal(simkit._categorical(cdf, uniforms), expected)
+    symbols = simkit._categorical(cdf, uniforms, np.min_scalar_type(size - 1))
+    assert symbols.dtype == (np.uint8 if size <= 256 else np.uint16)
+    assert np.array_equal(symbols, expected)
+
+
+@pytest.mark.parametrize("kx, ky, ka, kind", [
+    (2, 2, 128, np.uint8),  # x ka + xh and xh ky + y reach 255
+    (257, 1, 1, np.uint16),  # x ky + y and x ka + xh reach 256
+    (2, 2, 129, np.uint16),  # x ka + xh and xh ky + y reach 257
+])
+def test_narrow_symbols_match_an_int64_recomputation(kx, ky, ka, kind, monkeypatch):
+    # a batch holds its symbols in the narrowest type that holds its largest
+    # code, where numpy arithmetic would wrap without a word; from the same
+    # draws, every symbol and count must equal the int64 computation. One
+    # quantizer output and a radius that covers the simplex encode every trial
+    n, trials, seed = 8, 40, 3
+    rng = np.random.default_rng(kx * ka)
+    law = JointPmf(rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky), ("X", "Y"))
+    mech = rng.dirichlet(np.ones(ka), size=kx)
+    cfg = memoryless_cfg(n=n, trials=trials, seed=seed, mu=2.0, hypothesis="null",
+                         mechanism=Channel(mech), quantizer=Channel(np.ones((ka, 1))))
+    runner = simkit._Runner(cfg, law, None)
+    assert runner.symbol_type == kind
+
+    draws = simkit._stream(seed, 1).random((trials, 2 * n))
+    law_cdf = np.cumsum(law.probs.reshape(-1))
+    x, y = np.divmod(np.minimum(np.searchsorted(law_cdf, draws[:, :n], side="right"),
+                                kx * ky - 1), ky)
+    cdf = np.cumsum(mech, axis=1)[x][..., :-1]
+    xhat = np.sum(cdf < draws[:, n:, None], axis=-1)
+    pool = np.zeros((kx, ka), dtype=np.int64)
+    np.add.at(pool, (x, xhat), 1)
+    n_a = np.stack([np.sum(xhat == a, axis=1) for a in range(ka)], axis=1)
+    class_y = np.stack([np.sum((xhat == a) & (y == v), axis=1)
+                        for a in range(ka) for v in range(ky)], axis=1).reshape(-1, ka, ky)
+
+    stream = simkit._stream(seed, 1)
+    live, got_xhat, got_y, got_pool = runner._sanitize(stream, trials)
+    assert live.all() and got_xhat.dtype == got_y.dtype == kind
+    assert np.array_equal(got_xhat, xhat) and np.array_equal(got_y, y)
+    assert np.array_equal(got_pool, pool)
+    seen = []
+    monkeypatch.setattr(runner, "_allocate",
+                        lambda k_tables, remaining, rng: seen.append((k_tables, remaining.copy())))
+    runner._encode_ensemble(got_xhat, got_y, stream, live)
+    [(k_tables, remaining)] = seen
+    assert np.array_equal(k_tables[:, 0, :], n_a)
+    assert np.array_equal(remaining, class_y)
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +875,27 @@ THREE_OUTPUTS = Channel(np.full((2, 3), 1 / 3))
 def test_runs_refuse_inputs_that_do_not_fit(run, error, match, dsbs01):
     with pytest.raises(error, match=f"^{match}"):
         run(dsbs01)
+
+
+ONE_OUTPUT = Channel(np.ones((2, 1)))
+SEVEN_OUTPUTS = Channel(np.full((1, 7), 1 / 7))
+
+
+@pytest.mark.parametrize("n", [33, 60])
+def test_the_table_budget_is_checked_before_any_class_is_enumerated(n, dsbs01, monkeypatch):
+    # one class of n samples over 7 codeword symbols has comb(n + 6, 6)
+    # count vectors: 3.3M at n = 33 and 91M at n = 60, past the 2M budget.
+    # Enumerated first, they took 15 s and 540 MB at n = 33, and at n = 60
+    # would take about 5 GB
+    def enumerate_(*args):
+        raise AssertionError("a class was enumerated")
+
+    monkeypatch.setattr(simkit, "_compositions", enumerate_)
+    cfg = memoryless_cfg(n=n, trials=10, mechanism=ONE_OUTPUT, quantizer=SEVEN_OUTPUTS)
+    start = time.perf_counter()
+    with pytest.raises(SizeOverflow, match="^joint-type enumeration needs more than 2000000"):
+        run_memoryless_scheme(cfg, dsbs01)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_a_size_overflow_is_a_size_cap_refusal():
