@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import sys
@@ -22,31 +23,49 @@ import time
 from dataclasses import fields
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .errors import DomainError, Infeasible, TooLarge, ToolkitError
-from .euclid import binary_euclid_approx, euclid_tai_approx
-from .exponents import (
-    binary_tai_exponent,
-    corollary2_bound,
-    symmetric_tai_exponent,
-    tai_exponent,
-    theorem1_lower_bound,
-    zero_rate_exponent,
-)
-from .gaussian import GaussianQuery, gaussian_achievable_at_beta, gaussian_tai_exponent
-from .iproject import MarginalConstraint, i_project
-from .probcore import Channel, JointPmf, _json_of, _read_json, from_dict, load_json
-from .simkit import SchemeConfig, run_general_scheme, run_memoryless_scheme
 
 CONFIG_EXIT = 2
 INFEASIBLE_EXIT = 3
 SIZE_EXIT = 4
 
-# a simulation config holds the laws and the SchemeConfig fields, the kind as "scheme"
-_CONFIG_KEYS = frozenset(
-    {"p_xy", "q_xy", "scheme"} | {f.name for f in fields(SchemeConfig)} - {"scheme_kind"})
+# the library names the commands call, by module. None is imported here:
+# ``__getattr__`` binds a name on first access and ``main`` binds those of the
+# command it runs, so that ``--version``, ``--help`` and a usage error load no
+# numpy, and ``exponent`` loads neither the simulator nor the approximations
+_LIBRARY = {
+    "numpy": ("np",),
+    "privexp.probcore": ("Channel", "JointPmf", "_json_of", "_read_json", "from_dict",
+                         "load_json"),
+    "privexp.iproject": ("MarginalConstraint", "i_project"),
+    "privexp.exponents": ("binary_tai_exponent", "corollary2_bound", "symmetric_tai_exponent",
+                          "tai_exponent", "theorem1_lower_bound", "zero_rate_exponent"),
+    "privexp.euclid": ("binary_euclid_approx", "euclid_tai_approx"),
+    "privexp.gaussian": ("GaussianQuery", "gaussian_achievable_at_beta", "gaussian_tai_exponent"),
+    "privexp.simkit": ("SchemeConfig", "run_general_scheme", "run_memoryless_scheme"),
+}
+_MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
+# the modules whose names each command calls
+_COMMAND_MODULES = {
+    "exponent": ("privexp.probcore", "privexp.exponents"),
+    "sweep": ("privexp.probcore", "privexp.exponents"),
+    "approx": ("privexp.exponents", "privexp.euclid"),
+    "gaussian": ("privexp.gaussian",),
+    "simulate": ("privexp.probcore", "privexp.simkit"),
+    "selftest": tuple(_LIBRARY),
+}
+# the most points a range spec may hold
+MAX_RANGE_POINTS = 10**6
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(_MODULE_OF[name])
+    value = module if name == "np" else getattr(module, name)
+    globals()[name] = value
+    return value
 
 
 def _parse_values(spec: str) -> list[float]:
@@ -73,6 +92,8 @@ def _parse_values(spec: str) -> list[float]:
         if not math.isfinite(span):
             raise DomainError(f"range {spec!r} has too many points")
         count = int(math.floor(span + 1e-9)) + 1
+        if count > MAX_RANGE_POINTS:
+            raise TooLarge(f"range {spec!r} has {count:.7g} points, more than {MAX_RANGE_POINTS}")
         return [round(start + k * step, 12) for k in range(count)]
     return values
 
@@ -208,7 +229,9 @@ def _scheme_config(args) -> tuple[SchemeConfig, JointPmf, JointPmf | None]:
     """The run's config, null law and alternative (None when not given);
     flags override the file, and ``SchemeConfig`` checks every field."""
     raw = _json_of(_read_json(args.config), dict, "a simulation config")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    # a config holds the laws and the SchemeConfig fields, the kind as "scheme"
+    keys = {"p_xy", "q_xy", "scheme"} | {f.name for f in fields(SchemeConfig)} - {"scheme_kind"}
+    unknown = sorted(set(raw) - keys)
     if unknown:
         raise DomainError(f"unknown config key {unknown[0]!r}")
     for key in ("p_xy", "mechanism", "quantizer"):
@@ -346,6 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    module = sys.modules[__name__]
+    for name in (n for m in _COMMAND_MODULES[args.command] for n in _LIBRARY[m]):
+        getattr(module, name)  # binds a name not bound yet; a bound one, such as a probe, stays
     started = time.monotonic()
     try:
         result = args.func(args)

@@ -54,7 +54,7 @@ def gaussian_tai_exponent(q: GaussianQuery) -> float:
     inner = 1.0 - q.rho * q.rho * _shrink(q.rate) * _shrink(q.leak)
     if inner <= 0.0:
         return math.inf
-    return -0.5 * math.log2(inner)
+    return -0.5 * math.log2(inner) + 0.0  # + 0.0: a zero exponent is 0.0, not -0.0
 
 
 def gaussian_achievable_at_beta(q: GaussianQuery, beta_sq: float) -> float:
@@ -76,4 +76,4 @@ def gaussian_achievable_at_beta(q: GaussianQuery, beta_sq: float) -> float:
     inner = 1.0 - q.rho * q.rho * (shrink_l - beta_sq)
     if inner <= 0.0:
         return math.inf
-    return -0.5 * math.log2(inner)
+    return -0.5 * math.log2(inner) + 0.0

@@ -21,6 +21,7 @@ from privexp import (
     JointPmf,
     Pmf,
     SchemeConfig,
+    TooLarge,
     binary_tai_exponent,
     cli,
     corollary2_bound,
@@ -261,6 +262,14 @@ def test_simulate_reports_a_zero_exponent_without_a_sign(tmp_path, sim_config_pa
     assert '"beta_hat": 1.0' in text
     assert '"empirical_exponent": 0.0' in text and "-0.0" not in text
     assert json.loads(text)["beta_ci95"][1] == 1.0
+
+
+def test_gaussian_prints_a_zero_exponent_without_a_sign(capsys):
+    # -0.5 * log2(1) once printed as -0.0 wherever R, L or rho made the exponent 0
+    assert cli.main(["gaussian", "--rho", "0,0.8", "--rate", "0,1", "--leak", "0,1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows].count("0.0") == 7
+    assert not any("-0.0" in row for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +708,43 @@ def test_non_finite_range_is_a_config_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: range '")
     assert "Traceback" not in err
+
+
+# one command in a fresh interpreter whose address space is capped, so that
+# a range built without a cap ends in a MemoryError, not in this machine's
+# memory; the library is loaded before the clock starts
+_TIMED_COMMAND = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+import privexp.cli, privexp.euclid, privexp.exponents
+started = time.monotonic()
+code = privexp.cli.main(sys.argv[1:])
+print(json.dumps([code, time.monotonic() - started]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--rate", "0:1:1e-300", "--leak", "0.1", "--q", "0.1"],
+    ["approx", "--q", "0.1", "--grid", "0:1:1e-12"],
+], ids=["sweep", "approx"])
+def test_a_range_past_the_point_cap_exits_four(argv):
+    # the sweep once ran until killed and the approx grid ended in a
+    # MemoryError traceback (exit 1)
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _TIMED_COMMAND, *argv], capture_output=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    code, seconds = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert code == cli.SIZE_EXIT
+    assert seconds < 1.0
+    assert re.fullmatch(r"error: range '0:1:1e-(300|12)' has 1e\+(300|12) points, more than "
+                        r"1000000\n", proc.stderr.decode())
+
+
+def test_a_range_holds_at_most_the_point_cap():
+    cap = cli.MAX_RANGE_POINTS
+    assert len(cli._parse_values(f"1:{cap}:1")) == cap
+    with pytest.raises(TooLarge, match=f"'0:{cap}:1' has {cap + 1} points, more than {cap}"):
+        cli._parse_values(f"0:{cap}:1")
 
 
 def test_malformed_config_is_a_config_error(tmp_path):

@@ -47,6 +47,16 @@ def test_exponent_zero_and_infinite_budgets():
     assert gaussian_tai_exponent(GaussianQuery(1.0, math.inf, math.inf)) == math.inf
 
 
+@pytest.mark.parametrize("rho, rate, leak", [(0.8, 0.0, 1.0), (0.8, 1.0, 0.0), (0.0, 1.0, 1.0)],
+                         ids=["zero-rate", "zero-leak", "zero-rho"])
+def test_a_zero_exponent_is_positive_zero(rho, rate, leak):
+    # -0.5 * log2(1.0) is -0.0, which each function once returned here
+    q = GaussianQuery(rho, rate, leak)
+    _, hi = beta_range(q)
+    assert math.copysign(1.0, gaussian_tai_exponent(q)) == 1.0
+    assert math.copysign(1.0, gaussian_achievable_at_beta(q, hi)) == 1.0
+
+
 def test_exponent_symmetric_in_budgets():
     for r, l in [(0.3, 0.9), (0.1, 2.0)]:
         assert gaussian_tai_exponent(GaussianQuery(0.7, r, l)) == pytest.approx(

@@ -1,5 +1,6 @@
-"""The scipy kernels loaded without their packages, each in a fresh interpreter,
-and the private numpy solve the I-projection takes its Newton steps with.
+"""The scipy kernels loaded without their packages and the modules each command
+loads, each in a fresh interpreter, and the private numpy solve the
+I-projection takes its Newton steps with.
 
 This interpreter has long since imported ``scipy.special`` and
 ``scipy.optimize`` through the tests, so every check of what a process loads
@@ -38,9 +39,23 @@ _COLD_COMMAND = """
 import contextlib, io, json, sys
 import privexp.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = privexp.cli.main(sys.argv[1:])
+    try:
+        code = privexp.cli.main(sys.argv[1:])
+    except SystemExit as e:  # argparse's --version, --help and usage errors
+        code = e.code
 print(json.dumps([code, sorted(sys.modules)]))
 """
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0),
+                                        (["exponent", "--method"], 2)],
+                         ids=["version", "help", "usage-error"])
+def test_a_command_that_calls_no_library_loads_no_numpy(argv, code):
+    got, modules = json.loads(run(_COLD_COMMAND, *argv))
+    assert got == code
+    assert [m for m in modules if m == "numpy" or m.startswith("numpy.")] == []
+    assert [m for m in modules if m.startswith("privexp")] == [
+        "privexp", "privexp.cli", "privexp.errors"]
 
 
 def test_a_cold_tai_query_loads_no_scipy_package(tmp_path, dsbs01):
@@ -52,6 +67,9 @@ def test_a_cold_tai_query_loads_no_scipy_package(tmp_path, dsbs01):
     assert [m for m in PACKAGES if m in modules] == []
     # the kernel's module is registered under its canonical name, so the check can fail
     assert "scipy.optimize._slsqplib" in modules
+    # the command loads the modules whose names it calls, and no other
+    assert [m for m in ("privexp.simkit", "privexp.euclid", "privexp.gaussian")
+            if m in modules] == []
 
 
 def test_selftest_and_an_alternative_simulation_load_no_scipy_package(tmp_path, dsbs01):

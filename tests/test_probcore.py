@@ -1,8 +1,12 @@
 """Unit tests for the probability core: laws, divergences, types, channels."""
 
 import ast
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -667,6 +671,57 @@ def test_each_public_name_is_declared_by_one_module():
     for m in modules:
         for name in m.__all__:
             assert getattr(privexp, name) is getattr(m, name)
+
+
+# the package in a fresh interpreter, this one having long since loaded every
+# module; ``loaded()`` lists numpy and the package's modules that are loaded
+_FRESH_PACKAGE = """
+import json, sys
+import privexp
+loaded = lambda: sorted(m for m in sys.modules if m == "numpy" or m.startswith("privexp."))
+"""
+
+
+def _in_fresh_package(script: str):
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PACKAGE + script], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(privexp.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout.decode().splitlines()[-1])
+
+
+def test_an_unknown_name_of_the_package_is_an_attribute_error_that_loads_nothing():
+    error, after = _in_fresh_package("""
+try:
+    privexp.no_such_name
+except AttributeError as e:
+    print(json.dumps([str(e), loaded()]))
+""")
+    assert error == "module 'privexp' has no attribute 'no_such_name'"
+    assert after == []
+    with pytest.raises(AttributeError):
+        privexp.no_such_name
+
+
+def test_dir_of_the_package_covers_all_before_any_module_loads():
+    names, after = _in_fresh_package("print(json.dumps([dir(privexp), loaded()]))")
+    assert set(privexp.__all__) <= set(names)
+    assert after == []
+
+
+def test_a_star_import_binds_exactly_all_and_loads_on_the_import():
+    before, bound, same, after = _in_fresh_package("""
+before = loaded()
+namespace = {}
+exec("from privexp import *", namespace)
+bound = sorted(set(namespace) - {"__builtins__"})
+print(json.dumps([before, bound, all(namespace[n] is getattr(privexp, n) for n in bound),
+                  loaded()]))
+""")
+    assert before == []
+    assert bound == sorted(privexp.__all__)
+    assert same
+    assert {f"privexp.{m}" for m in ("errors", "probcore", "iproject", "exponents", "euclid",
+                                     "gaussian", "simkit")} <= set(after)
 
 
 @pytest.mark.parametrize("total, parts", [(0, 1), (5, 1), (0, 3), (6, 2), (4, 3), (3, 5)])
